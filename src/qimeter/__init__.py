@@ -36,19 +36,14 @@ from .channels import (
     KrausChannel,
     apply_channel,
     layered_error_channel,
-    pauli_error_kraus,
     sandwich,
 )
 from .errors import SizeLimitError, ValidationError
 from .gates import (
     Circuit,
-    ControlledPhase,
     DiagonalPhaseGate,
-    PauliX,
-    PauliZ,
     PermutationGate,
     PerturbedHadamard,
-    RawUnitary,
     circuit_apply,
     circuit_unitary,
     perturbed_hadamard,
@@ -90,9 +85,6 @@ from .linalg import (
     basis_state,
     check_unitary,
     density_from_state,
-    embed_local,
-    evolve_density,
-    kron,
 )
 
 __version__ = "0.1.0"

@@ -140,7 +140,7 @@ def _criterion_3(parallel: int):
     if band_violations:
         details += (
             f"; band violated at n = {sorted(band_violations)} - the exact values "
-            "at the optimal iteration count sit above 4.5 (see decisions ledger)"
+            "at the optimal iteration count sit above 4.5 (see DECISIONS.md)"
         )
     return ok, details
 
@@ -151,7 +151,7 @@ def _criterion_4(parallel: int):
     pivot = int(np.argmin(np.abs(np.asarray(grid) - math.pi / 4)))
     problems = []
     edge_worst = 0.0
-    outputs = Outputs(pa=True, au=False, success=True)
+    outputs = Outputs(pa=True, au=False)
 
     def check(label, rows):
         nonlocal edge_worst
@@ -178,7 +178,7 @@ def _criterion_4(parallel: int):
     ok = not problems and edge_worst <= 1e-9
     details = f"edge I_pa max = {edge_worst:.2e} (tol 1e-9)"
     if problems:
-        details += "; " + "; ".join(problems) + " (see decisions ledger)"
+        details += "; " + "; ".join(problems) + " (see DECISIONS.md)"
     else:
         details += "; all maxima on-grid at pi/4"
     return ok, details

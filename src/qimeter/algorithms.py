@@ -22,6 +22,7 @@ from .channels import (
     ErrorModel,
     KrausChannel,
     apply_channel,
+    error_subsets,
     layered_error_channel,
     sandwich,
 )
@@ -86,10 +87,6 @@ class ShorSpec:
     def n(self) -> int:
         return 3 * self.L
 
-    @property
-    def first_register(self) -> tuple:
-        return tuple(range(2 * self.L))
-
 
 def grover_iteration_count(n: int) -> int:
     """Optimal iteration count floor(pi / (4 arcsin(2^(-n/2))))."""
@@ -100,16 +97,16 @@ def grover_iteration_count(n: int) -> int:
 
 def grover_oracle(n: int, alpha: int) -> DiagonalPhaseGate:
     """Sign flip of the marked item's amplitude."""
-    signs = np.ones(1 << n, dtype=np.int64)
-    signs[alpha] = -1
-    return DiagonalPhaseGate(signs, tuple(range(n)))
+    phases = np.ones(1 << n, dtype=complex)
+    phases[alpha] = -1
+    return DiagonalPhaseGate(phases, tuple(range(n)))
 
 
 def grover_zero_reflection(n: int) -> DiagonalPhaseGate:
     """Sign flip of the |0...0> amplitude."""
-    signs = np.ones(1 << n, dtype=np.int64)
-    signs[0] = -1
-    return DiagonalPhaseGate(signs, tuple(range(n)))
+    phases = np.ones(1 << n, dtype=complex)
+    phases[0] = -1
+    return DiagonalPhaseGate(phases, tuple(range(n)))
 
 
 def build_grover(
@@ -197,16 +194,18 @@ def build_shor(
 
 @dataclass(frozen=True, eq=False)
 class AlgorithmUnitaries:
-    """Dense unitaries of an algorithm: full = rest @ walsh.
-
-    ``walsh_qubits`` records which qubits received the initial Hadamards
-    (all of them for Grover, the first register for Shor).
-    """
+    """Dense unitaries of an algorithm, full = rest @ U(walsh), with the
+    initial Hadamard layer ``walsh`` kept as a circuit."""
 
     full: np.ndarray
     rest: np.ndarray
-    walsh: np.ndarray
-    walsh_qubits: tuple
+    walsh: Circuit
+
+    @property
+    def walsh_qubits(self) -> tuple:
+        """Qubits that receive an initial Hadamard (all of them for Grover,
+        the first register for Shor)."""
+        return tuple(op.target for op in self.walsh.ops)
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,12 +221,10 @@ def grover_unitaries(
     spec: GroverSpec, hadamard_thetas: Sequence[float] | None = None
 ) -> AlgorithmUnitaries:
     full, rest = build_grover(spec, hadamard_thetas)
-    walsh = Circuit(spec.n, full.ops[: spec.n])
     return AlgorithmUnitaries(
         full=circuit_unitary(full),
         rest=circuit_unitary(rest),
-        walsh=circuit_unitary(walsh),
-        walsh_qubits=tuple(range(spec.n)),
+        walsh=Circuit(spec.n, full.ops[: spec.n]),
     )
 
 
@@ -237,12 +234,10 @@ def shor_unitaries(
     qft_phase_perturbations: Sequence[float] | None = None,
 ) -> AlgorithmUnitaries:
     full, rest = build_shor(spec, hadamard_thetas, qft_phase_perturbations)
-    walsh = Circuit(spec.n, full.ops[: 2 * spec.L])
     return AlgorithmUnitaries(
         full=circuit_unitary(full),
         rest=circuit_unitary(rest),
-        walsh=circuit_unitary(walsh),
-        walsh_qubits=spec.first_register,
+        walsh=Circuit(spec.n, full.ops[: 2 * spec.L]),
     )
 
 
@@ -262,7 +257,7 @@ def decoherence_channels(unitaries: AlgorithmUnitaries, model: ErrorModel) -> Al
     dim = unitaries.full.shape[0]
     n = dim.bit_length() - 1
     errors = layered_error_channel(n, model)
-    pa = sandwich(errors, unitaries.walsh, unitaries.rest)
+    pa = sandwich(errors, circuit_unitary(unitaries.walsh), unitaries.rest)
     au = sandwich(errors, identity(dim), unitaries.rest)
     final = apply_channel(pa, basis_density(dim))
     return AlgorithmChannels(potentially_available=pa, actually_used=au, final_state=final)
@@ -293,8 +288,17 @@ def decoherence_point(
     turns the PA channel into noise-then-unitary form with the error kind
     swapped (sigma_z H = H sigma_x), so both measures reduce to
     ``interference_noise_then_unitary``.  Matches ``decoherence_channels``
-    + ``interference_kraus`` to machine precision.
+    + ``interference_kraus`` to machine precision.  Raises ``ValueError``
+    if any initial Hadamard is perturbed, where the commutation fails.
     """
+    if not all(
+        isinstance(op, PerturbedHadamard) and op.theta == math.pi / 4
+        for op in unitaries.walsh.ops
+    ):
+        raise ValueError(
+            "the fast path needs an exact initial Hadamard layer (every angle pi/4); "
+            "use decoherence_channels for a perturbed one"
+        )
     if not set(model.affected) <= set(unitaries.walsh_qubits):
         raise ValueError(
             f"affected qubits {model.affected} outside the initial Hadamard layer "
@@ -321,19 +325,10 @@ def decoherent_final_probabilities(u_full: np.ndarray, model: ErrorModel) -> np.
     columns of the full unitary indexed by the flipped-qubit masks.
     """
     dim = u_full.shape[0]
-    n = dim.bit_length() - 1
     if model.kind == BITFLIP:
         return np.abs(u_full[:, 0]) ** 2
     probs = np.zeros(dim)
-    n_f = len(model.affected)
-    for subset in range(1 << n_f):
-        hit = [model.affected[b] for b in range(n_f) if (subset >> b) & 1]
-        weight = model.p ** len(hit) * (1.0 - model.p) ** (n_f - len(hit))
-        if weight == 0.0:
-            continue
-        column = 0
-        for q in hit:
-            column |= 1 << (n - 1 - q)
+    for column, weight in error_subsets(dim.bit_length() - 1, model):
         probs += weight * np.abs(u_full[:, column]) ** 2
     return probs
 

@@ -18,9 +18,6 @@ from .linalg import MAX_DIM
 BITFLIP = "bitflip"
 PHASEFLIP = "phaseflip"
 
-# Kraus-operator count cap for layered channels.
-MAX_ERROR_QUBITS = 20
-
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
@@ -70,46 +67,50 @@ class ErrorModel:
             raise ValueError(f"duplicate qubits in {affected}")
 
 
-def pauli_error_kraus(kind: str, p: float) -> KrausChannel:
-    """Single-qubit channel {sqrt(1-p) I, sqrt(p) sigma}; zero-weight ops dropped."""
-    model = ErrorModel(kind, p, (0,))
-    return layered_error_channel(1, model)
+def qubit_mask(qubits, n: int) -> int:
+    """Bit mask of ``qubits`` in an n-qubit basis index (qubit 0 = MSB)."""
+    mask = 0
+    for q in qubits:
+        if q < 0 or q >= n:
+            raise ValueError(f"affected qubit {q} outside register of size {n}")
+        mask |= 1 << (n - 1 - q)
+    return mask
+
+
+def error_subsets(n: int, model: ErrorModel) -> list:
+    """(mask, probability) of every error pattern that can occur.
+
+    Patterns come in binary order of the error subset: bit b of the subset
+    index set <=> qubit ``affected[b]`` hit.  ``mask`` is the hit qubits'
+    ``qubit_mask``; patterns of zero probability (p = 0 or 1) are dropped.
+    """
+    bits = [qubit_mask((q,), n) for q in model.affected]
+    n_f = len(bits)
+    out = []
+    for subset in range(1 << n_f):
+        hit = [bit for b, bit in enumerate(bits) if (subset >> b) & 1]
+        weight = model.p ** len(hit) * (1.0 - model.p) ** (n_f - len(hit))
+        if weight != 0.0:
+            out.append((sum(hit), weight))
+    return out
 
 
 def layered_error_channel(n: int, model: ErrorModel) -> KrausChannel:
     """Independent Pauli errors on ``model.affected`` within an n-qubit register.
 
-    The 2^n_f operators are enumerated in binary order of the error subset:
-    bit b of the operator index set <=> qubit ``affected[b]`` hit by the
-    error.  Operators with zero weight (p = 0 or 1) are dropped.
+    One Kraus operator per pattern of ``error_subsets``, in its order.
     """
-    affected = model.affected
-    if any(q < 0 or q >= n for q in affected):
-        raise ValueError(f"affected qubits {affected} outside register of size {n}")
-    if len(affected) > MAX_ERROR_QUBITS:
-        raise SizeLimitError(
-            f"{len(affected)} error qubits exceed the {MAX_ERROR_QUBITS}-qubit cap"
-        )
     dim = 1 << n
     if dim > MAX_DIM:
         raise SizeLimitError(f"2^{n} exceeds the {MAX_DIM}-dimensional cap")
-
     idx = np.arange(dim)
-    n_f = len(affected)
     ops = []
-    for subset in range(1 << n_f):
-        hit = [affected[b] for b in range(n_f) if (subset >> b) & 1]
-        weight = model.p ** len(hit) * (1.0 - model.p) ** (n_f - len(hit))
-        if weight == 0.0:
-            continue
-        mask = 0
-        for q in hit:
-            mask |= 1 << (n - 1 - q)
+    for mask, weight in error_subsets(n, model):
         op = np.zeros((dim, dim), dtype=complex)
         if model.kind == BITFLIP:
             op[idx ^ mask, idx] = np.sqrt(weight)
         else:
-            signs = 1.0 - 2.0 * (_popcount(idx & mask) & 1)
+            signs = 1.0 - 2.0 * (popcount(idx & mask) & 1)
             op[idx, idx] = np.sqrt(weight) * signs
         ops.append(op)
     return KrausChannel(np.array(ops))
@@ -135,7 +136,8 @@ def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     return np.einsum("lik,ljk->ij", tmp, ch.ops.conj())
 
 
-def _popcount(values: np.ndarray) -> np.ndarray:
+def popcount(values: np.ndarray) -> np.ndarray:
+    """Number of set bits of each integer entry."""
     out = np.zeros(values.shape, dtype=np.int64)
     v = values.astype(np.int64)
     while np.any(v):

@@ -162,7 +162,7 @@ def _build_algorithm(args, algo):
 def _run_sweep(args, algo, family):
     algorithm, average = _build_algorithm(args, algo)
     measure = args.measure
-    outputs = Outputs(pa=measure in ("pa", "both"), au=measure in ("au", "both"), success=True)
+    outputs = Outputs(pa=measure in ("pa", "both"), au=measure in ("au", "both"))
     if family == "systematic":
         error_family = SystematicErrors(args.grid or default_theta_grid())
         runner = run_systematic_sweep

@@ -1,7 +1,10 @@
 """Parametrized gates and circuits.
 
-Gates are stored symbolically and materialized only when needed; diagonal
-and permutation gates are applied in O(N) per column instead of through a
+Every circuit is built from three gate kinds: the perturbed Hadamard (the
+one dense gate, always on a single qubit), diagonal phases (oracle, zero
+reflection, QFT controlled phases) and basis permutations (modular
+exponentiation, bit reversal).  Gates are stored symbolically; diagonal and
+permutation gates are applied in O(N) per column instead of through a
 dense matrix.  ``circuit_unitary`` and ``circuit_apply`` share one gate
 application kernel, so they agree by construction.
 """
@@ -10,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
-from .errors import SizeLimitError, ValidationError
-from .linalg import MAX_DIM, MAX_QUBITS, PAULI_X, PAULI_Z, UNITARY_ACCEPT_TOL, check_unitary
+from .errors import SizeLimitError
+from .linalg import MAX_DIM, MAX_QUBITS, UNITARY_ACCEPT_TOL
 
 
 def perturbed_hadamard(theta: float) -> np.ndarray:
@@ -36,37 +39,6 @@ class PerturbedHadamard:
     @property
     def targets(self):
         return (self.target,)
-
-
-@dataclass(frozen=True)
-class PauliX:
-    target: int
-
-    @property
-    def targets(self):
-        return (self.target,)
-
-
-@dataclass(frozen=True)
-class PauliZ:
-    target: int
-
-    @property
-    def targets(self):
-        return (self.target,)
-
-
-@dataclass(frozen=True)
-class ControlledPhase:
-    """Diagonal two-qubit gate: phase exp(i*phi) on the |11> subspace."""
-
-    phi: float
-    control: int
-    target: int
-
-    @property
-    def targets(self):
-        return (self.control, self.target)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,51 +63,22 @@ class PermutationGate:
 
 @dataclass(frozen=True, eq=False)
 class DiagonalPhaseGate:
-    """Diagonal gate of +/-1 signs on the target qubits' local basis."""
+    """Multiplies local basis state |k> of the target qubits by phases[k]."""
 
-    signs: np.ndarray
+    phases: np.ndarray
     targets: tuple
 
     def __post_init__(self):
-        signs = np.asarray(self.signs, dtype=np.int64)
-        object.__setattr__(self, "signs", signs)
+        phases = np.asarray(self.phases, dtype=complex)
+        object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "targets", tuple(self.targets))
-        if signs.shape != (1 << len(self.targets),):
+        if phases.shape != (1 << len(self.targets),):
             raise ValueError(
-                f"sign table of length {signs.size} does not match "
+                f"phase table of length {phases.size} does not match "
                 f"{len(self.targets)} target qubit(s)"
             )
-        if not np.all(np.abs(signs) == 1):
-            raise ValueError("diagonal phase entries must be +1 or -1")
-
-
-@dataclass(frozen=True, eq=False)
-class RawUnitary:
-    matrix: np.ndarray
-    targets: tuple
-
-    def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "targets", tuple(self.targets))
-        if matrix.shape != (1 << len(self.targets),) * 2:
-            raise ValueError(
-                f"matrix shape {matrix.shape} does not match "
-                f"{len(self.targets)} target qubit(s)"
-            )
-        if not check_unitary(matrix, UNITARY_ACCEPT_TOL):
-            raise ValidationError("RawUnitary matrix is not unitary within 1e-6")
-
-
-Gate = Union[
-    PerturbedHadamard,
-    PauliX,
-    PauliZ,
-    ControlledPhase,
-    PermutationGate,
-    DiagonalPhaseGate,
-    RawUnitary,
-]
+        if np.max(np.abs(np.abs(phases) - 1.0)) > UNITARY_ACCEPT_TOL:
+            raise ValueError("diagonal phase entries must have unit modulus")
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,9 +117,9 @@ def qft_circuit(
     """Standard QFT circuit on ``m`` qubits, with optional perturbations.
 
     Gate order: for each qubit j = 0..m-1, one Hadamard on j followed by
-    ControlledPhase(pi/2^d + delta) with control j+d for d = 1..m-1-j; a
-    final qubit-reversal permutation makes the circuit unitary equal to
-    F[j, k] = exp(2*pi*i*j*k / 2^m) / sqrt(2^m).
+    the controlled phase diag(1, 1, 1, exp(i(pi/2^d + delta))) on qubits
+    (j+d, j) for d = 1..m-1-j; a final qubit-reversal permutation makes the
+    circuit unitary equal to F[j, k] = exp(2*pi*i*j*k / 2^m) / sqrt(2^m).
 
     ``phase_perturbations`` supplies one additive delta per two-qubit gate,
     consumed in the (j, d) order above; its length must be m*(m-1)/2.
@@ -205,7 +148,8 @@ def qft_circuit(
     for j in range(m):
         ops.append(PerturbedHadamard(hadamard_thetas[j], j))
         for d in range(1, m - j):
-            ops.append(ControlledPhase(math.pi / 2**d + next(deltas), j + d, j))
+            phase = np.exp(1j * (math.pi / 2**d + next(deltas)))
+            ops.append(DiagonalPhaseGate([1, 1, 1, phase], (j + d, j)))
     rev = np.zeros(1 << m, dtype=np.int64)
     for k in range(1 << m):
         rev[k] = int(format(k, f"0{m}b")[::-1], 2)
@@ -217,51 +161,26 @@ def qft_circuit(
 # gate application kernel
 
 
-def _bits(idx, q, n):
-    return (idx >> (n - 1 - q)) & 1
-
-
 def _local_index(idx, targets, n):
     k = len(targets)
     loc = np.zeros_like(idx)
     for b, t in enumerate(targets):
-        loc |= _bits(idx, t, n) << (k - 1 - b)
+        loc |= ((idx >> (n - 1 - t)) & 1) << (k - 1 - b)
     return loc
 
 
-def _apply_dense(matrix, targets, arr, n):
-    # arr has shape (2^n, M); contract the gate into the target axes
-    k = len(targets)
-    if k == 1:
-        q = targets[0]
-        lead = 1 << q
-        t = arr.reshape(lead, 2, -1)
-        return np.einsum("ab,xby->xay", matrix, t).reshape(arr.shape)
-    m_cols = arr.shape[1]
-    t = arr.reshape([2] * n + [m_cols])
-    t = np.moveaxis(t, targets, range(k))
-    shape = t.shape
-    t = matrix @ t.reshape(1 << k, -1)
-    t = np.moveaxis(t.reshape(shape), range(k), targets)
-    return t.reshape(arr.shape)
+def _apply_dense(matrix, q, arr):
+    # arr has shape (2^n, M); contract the 2x2 gate into qubit q's axis
+    t = arr.reshape(1 << q, 2, -1)
+    return np.einsum("ab,xby->xay", matrix, t).reshape(arr.shape)
 
 
 def _apply_gate(gate, arr, n):
     if isinstance(gate, PerturbedHadamard):
-        return _apply_dense(perturbed_hadamard(gate.theta), gate.targets, arr, n)
-    if isinstance(gate, PauliX):
-        return _apply_dense(PAULI_X, gate.targets, arr, n)
-    if isinstance(gate, PauliZ):
-        return _apply_dense(PAULI_Z, gate.targets, arr, n)
-    if isinstance(gate, RawUnitary):
-        return _apply_dense(gate.matrix, gate.targets, arr, n)
+        return _apply_dense(perturbed_hadamard(gate.theta), gate.target, arr)
     idx = np.arange(arr.shape[0])
-    if isinstance(gate, ControlledPhase):
-        both = _bits(idx, gate.control, n) & _bits(idx, gate.target, n)
-        factor = np.where(both.astype(bool), np.exp(1j * gate.phi), 1.0 + 0.0j)
-        return arr * factor[:, None]
     if isinstance(gate, DiagonalPhaseGate):
-        factor = gate.signs[_local_index(idx, gate.targets, n)]
+        factor = gate.phases[_local_index(idx, gate.targets, n)]
         return arr * factor[:, None]
     if isinstance(gate, PermutationGate):
         k = len(gate.targets)

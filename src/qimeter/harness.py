@@ -128,9 +128,10 @@ def _check_grid(grid, name):
 
 @dataclass(frozen=True)
 class Outputs:
+    """Which interference views a sweep computes; success is always reported."""
+
     pa: bool = True
     au: bool = True
-    success: bool = True
 
 
 @dataclass(frozen=True)
@@ -211,7 +212,6 @@ def _algorithm_id(algorithm) -> str:
 
 def _grover_point(algorithm, thetas, alphas, outputs):
     """Mean interference/success over ``alphas`` at one angle assignment."""
-    i_pa = i_au = success = None
     acc = {"pa": 0.0, "au": 0.0, "s": 0.0}
     for alpha in alphas:
         spec = replace(algorithm, alpha=alpha)
@@ -220,29 +220,22 @@ def _grover_point(algorithm, thetas, alphas, outputs):
             acc["pa"] += interference_unitary(circuit_unitary(full)).value
         if outputs.au:
             acc["au"] += interference_unitary(circuit_unitary(rest)).value
-        if outputs.success:
-            psi = circuit_apply(full, basis_state(1 << spec.n))
-            acc["s"] += abs(psi[alpha]) ** 2
+        psi = circuit_apply(full, basis_state(1 << spec.n))
+        acc["s"] += abs(psi[alpha]) ** 2
     count = len(alphas)
-    if outputs.pa:
-        i_pa = acc["pa"] / count
-    if outputs.au:
-        i_au = acc["au"] / count
-    if outputs.success:
-        success = acc["s"] / count
-    return i_pa, i_au, success
+    i_pa = acc["pa"] / count if outputs.pa else None
+    i_au = acc["au"] / count if outputs.au else None
+    return i_pa, i_au, acc["s"] / count
 
 
 def _shor_point(algorithm, thetas, deltas, ideal, outputs):
     full, rest = build_shor(algorithm, thetas, deltas)
-    i_pa = i_au = success = None
+    i_pa = i_au = None
     if outputs.pa:
         i_pa = interference_unitary(circuit_unitary(full)).value
     if outputs.au:
         i_au = interference_unitary(circuit_unitary(rest)).value
-    if outputs.success:
-        success = shor_success(ideal, final_probabilities(full))
-    return i_pa, i_au, success
+    return i_pa, i_au, shor_success(ideal, final_probabilities(full))
 
 
 def _alphas(spec: ExperimentSpec):
@@ -277,8 +270,7 @@ def _systematic_task(args):
     thetas = [theta] * n_thetas
     if isinstance(algo, GroverSpec):
         return _grover_point(algo, thetas, _alphas(spec), spec.outputs)
-    ideal = _shor_ideal(algo) if spec.outputs.success else None
-    return _shor_point(algo, thetas, None, ideal, spec.outputs)
+    return _shor_point(algo, thetas, None, _shor_ideal(algo), spec.outputs)
 
 
 def run_systematic_sweep(spec: ExperimentSpec, parallel: int = 1) -> list:
@@ -305,9 +297,7 @@ def _random_task(args):
     algo = spec.algorithm
     sampler = RandomAngleSampler(spec.master_seed, f"random:{_algorithm_id(algo)}")
     n_thetas, n_deltas = _angle_counts(algo)
-    ideal = None
-    if isinstance(algo, ShorSpec) and spec.outputs.success:
-        ideal = _shor_ideal(algo)
+    ideal = _shor_ideal(algo) if isinstance(algo, ShorSpec) else None
     out = []
     for realization in range(lo, hi):
         rng = sampler.stream(grid_index, realization)
@@ -340,9 +330,9 @@ def run_random_sweep(spec: ExperimentSpec, parallel: int = 1) -> list:
     for eps, values in zip(family.epsilons, per_grid):
         i_pa = _mean_or_none([v[0] for v in values])
         i_au = _mean_or_none([v[1] for v in values])
-        succ = _mean_or_none([v[2] for v in values])
+        succ = float(np.mean([v[2] for v in values]))
         stderr = 0.0
-        if succ is not None and n_r > 1:
+        if n_r > 1:
             stderr = float(np.std([v[2] for v in values], ddof=1)) / math.sqrt(n_r)
         rows.append(_make_row(spec, eps, None, i_pa, i_au, succ, stderr, n_r))
     return rows
@@ -387,16 +377,15 @@ def _decoherence_task(args):
             point = decoherence_point(unitaries, ErrorModel(family.kind, p, subset), kernels)
             acc_pa.append(point.interference_pa.value)
             acc_au.append(point.interference_au.value)
-            if outputs.success:
-                if isinstance(algo, GroverSpec):
-                    acc_s.append(float(point.probabilities[algo.alpha]))
-                else:
-                    acc_s.append(shor_success(ideal, point.probabilities))
+            if isinstance(algo, GroverSpec):
+                acc_s.append(float(point.probabilities[algo.alpha]))
+            else:
+                acc_s.append(shor_success(ideal, point.probabilities))
         per_p.append(
             (
                 float(np.mean(acc_pa)) if outputs.pa else None,
                 float(np.mean(acc_au)) if outputs.au else None,
-                float(np.mean(acc_s)) if outputs.success else None,
+                float(np.mean(acc_s)),
                 len(subsets),
             )
         )

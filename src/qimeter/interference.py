@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import BITFLIP, ErrorModel, KrausChannel
+from .channels import BITFLIP, ErrorModel, KrausChannel, popcount, qubit_mask
 from .errors import SizeLimitError, ValidationError
 from .linalg import UNITARY_ACCEPT_TOL, check_unitary
 
@@ -119,11 +119,6 @@ def superoperator_from_kraus(ch: KrausChannel) -> np.ndarray:
     return p
 
 
-def apply_superoperator(p: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    dim = rho.shape[0]
-    return (p @ rho.reshape(-1)).reshape(dim, dim)
-
-
 def interference_superoperator(p: np.ndarray) -> InterferenceReport:
     """Brute-force interference of a propagator given as an N^2 x N^2 array."""
     p = np.asarray(p)
@@ -160,15 +155,6 @@ def _wht_last(a: np.ndarray) -> np.ndarray:
         view[:, :, 0, :] = top
         h *= 2
     return rows.reshape(shape)
-
-
-def _popcount(values: np.ndarray) -> np.ndarray:
-    out = np.zeros(values.shape, dtype=np.int64)
-    v = values.astype(np.int64)
-    while np.any(v):
-        out += v & 1
-        v >>= 1
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,15 +198,6 @@ def pauli_noise_kernel(u: np.ndarray) -> PauliNoiseKernel:
     )
 
 
-def _error_mask(affected, n: int) -> int:
-    mask = 0
-    for q in affected:
-        if q < 0 or q >= n:
-            raise ValueError(f"affected qubit {q} outside register of size {n}")
-        mask |= 1 << (n - 1 - q)
-    return mask
-
-
 def interference_noise_then_unitary(
     u: np.ndarray | None,
     model: ErrorModel,
@@ -239,8 +216,7 @@ def interference_noise_then_unitary(
         kernel = pauli_noise_kernel(u)
     dim = kernel.dim
     n = dim.bit_length() - 1
-    mask = _error_mask(model.affected, n)
-    pc = _popcount(np.arange(dim) & mask)
+    pc = popcount(np.arange(dim) & qubit_mask(model.affected, n))
     weights = ((1.0 - 2.0 * model.p) ** 2) ** pc
     if model.kind == BITFLIP:
         # sigma_x products act as XOR permutations of the input basis

@@ -3,7 +3,7 @@
 Conventions shared by every module in this package:
 
 * Qubit 0 is the *most significant* bit of the computational-basis index,
-  so ``kron(a, b)`` puts ``a`` on the higher-order qubits.
+  so ``np.kron(a, b)`` puts ``a`` on the higher-order qubits.
 * Operators are dense square ``complex128`` arrays, states are 1-d
   amplitude arrays, density matrices are Hermitian unit-trace arrays.
 * Dense dimensions are capped at ``MAX_DIM`` (12 qubits per register
@@ -14,39 +14,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SizeLimitError, ValidationError
-
 MAX_QUBITS = 12
 MAX_DIM = 1 << MAX_QUBITS
 
-# Numerical tolerances: state-level checks (trace, hermiticity, norm) and
-# the looser threshold at which user-supplied unitaries are accepted.
-STATE_TOL = 1e-9
-PSD_TOL = -1e-8
+# threshold at which user-supplied unitaries are accepted
 UNITARY_ACCEPT_TOL = 1e-6
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the MSB-first qubit convention.
-
-    ``kron(a, b)[i*b.rows + k, j*b.cols + l] == a[i, j] * b[k, l]``.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape[0] * b.shape[0] > MAX_DIM or a.shape[1] * b.shape[1] > MAX_DIM:
-        raise SizeLimitError(
-            f"kron result exceeds the {MAX_DIM}-dimensional cap: "
-            f"{a.shape} x {b.shape}"
-        )
-    return np.kron(a, b)
 
 
 def check_unitary(u: np.ndarray, tol: float) -> bool:
@@ -56,51 +35,6 @@ def check_unitary(u: np.ndarray, tol: float) -> bool:
         raise ValueError(f"expected a square matrix, got shape {u.shape}")
     defect = u.conj().T @ u - np.eye(u.shape[0])
     return bool(np.max(np.abs(defect)) <= tol)
-
-
-def embed_local(gate: np.ndarray, targets, n: int) -> np.ndarray:
-    """Embed a k-qubit gate on the given wires of an n-qubit register.
-
-    Returns the 2^n x 2^n operator acting as ``gate`` on ``targets``
-    (first target = most significant gate qubit) and as identity on the
-    remaining qubits.
-    """
-    gate = np.asarray(gate, dtype=complex)
-    targets = list(targets)
-    if gate.ndim != 2 or gate.shape[0] != gate.shape[1]:
-        raise ValueError(f"gate must be square, got shape {gate.shape}")
-    k = len(targets)
-    dim = gate.shape[0]
-    if dim == 0 or dim & (dim - 1):
-        raise ValueError(f"gate dimension {dim} is not a power of two")
-    if dim != 1 << k:
-        raise ValueError(f"gate dimension {dim} does not match {k} target qubit(s)")
-    if len(set(targets)) != k:
-        raise ValueError(f"duplicate target qubits in {targets}")
-    if any(t < 0 or t >= n for t in targets):
-        raise ValueError(f"target qubits {targets} outside register of size {n}")
-    if n > MAX_QUBITS:
-        raise SizeLimitError(f"{n} qubits exceed the {MAX_QUBITS}-qubit cap")
-
-    op = np.kron(gate, np.eye(1 << (n - k), dtype=complex))
-    # op acts on qubit order [targets..., others...]; permute axes back to
-    # the natural order 0..n-1 on both the row and column index.
-    order = targets + [q for q in range(n) if q not in targets]
-    perm = np.argsort(order)
-    tensor = op.reshape([2] * (2 * n))
-    tensor = tensor.transpose(list(perm) + [n + p for p in perm])
-    return np.ascontiguousarray(tensor.reshape(1 << n, 1 << n))
-
-
-def evolve_density(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Unitary update of a density matrix, rho' = U rho U†."""
-    rho = np.asarray(rho, dtype=complex)
-    u = np.asarray(u, dtype=complex)
-    if rho.shape != u.shape:
-        raise ValueError(f"dimension mismatch: rho {rho.shape}, u {u.shape}")
-    if not check_unitary(u, UNITARY_ACCEPT_TOL):
-        raise ValidationError("operator is not unitary within 1e-6")
-    return u @ rho @ u.conj().T
 
 
 def basis_state(dim: int, index: int = 0) -> np.ndarray:
@@ -116,20 +50,3 @@ def density_from_state(psi: np.ndarray) -> np.ndarray:
 
 def basis_density(dim: int, index: int = 0) -> np.ndarray:
     return density_from_state(basis_state(dim, index))
-
-
-def is_hermitian(m: np.ndarray, tol: float = STATE_TOL) -> bool:
-    m = np.asarray(m)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
-
-
-def is_density_matrix(rho: np.ndarray, tol: float = STATE_TOL) -> bool:
-    """Hermitian within ``tol``, unit trace within ``tol``, eigenvalues >= -1e-8."""
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        return False
-    if not is_hermitian(rho, tol):
-        return False
-    if abs(np.trace(rho).real - 1.0) > tol or abs(np.trace(rho).imag) > tol:
-        return False
-    return bool(np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2)) >= PSD_TOL)

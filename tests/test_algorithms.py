@@ -23,7 +23,11 @@ from qimeter.algorithms import (
 )
 from qimeter.channels import BITFLIP, PHASEFLIP, ErrorModel, apply_channel, layered_error_channel
 from qimeter.gates import Circuit, circuit_apply, circuit_unitary
-from qimeter.interference import interference_kraus, interference_unitary
+from qimeter.interference import (
+    interference_kraus,
+    interference_noise_then_unitary,
+    interference_unitary,
+)
 from qimeter.linalg import basis_density, basis_state, check_unitary, density_from_state
 
 
@@ -40,13 +44,13 @@ class TestGroverIterationCount:
 class TestReflections:
     def test_oracle_diagonal(self):
         gate = grover_oracle(2, 3)
-        np.testing.assert_array_equal(gate.signs, [1, 1, 1, -1])
+        np.testing.assert_array_equal(gate.phases, [1, 1, 1, -1])
 
     def test_oracle_single_qubit(self):
-        np.testing.assert_array_equal(grover_oracle(1, 0).signs, [-1, 1])
+        np.testing.assert_array_equal(grover_oracle(1, 0).phases, [-1, 1])
 
     def test_zero_reflection_diagonal(self):
-        np.testing.assert_array_equal(grover_zero_reflection(2).signs, [-1, 1, 1, 1])
+        np.testing.assert_array_equal(grover_zero_reflection(2).phases, [-1, 1, 1, 1])
 
     def test_involutions(self):
         for gate in (grover_oracle(2, 3), grover_zero_reflection(2)):
@@ -238,7 +242,8 @@ class TestDecoherenceChannels:
             shor_unitaries(ShorSpec.for_modulus(3, 2)),
         ):
             dim = uni.full.shape[0]
-            rho = uni.walsh @ basis_density(dim) @ uni.walsh.conj().T
+            walsh = circuit_unitary(uni.walsh)
+            rho = walsh @ basis_density(dim) @ walsh.conj().T
             ch = layered_error_channel(
                 dim.bit_length() - 1, ErrorModel(BITFLIP, 0.37, uni.walsh_qubits)
             )
@@ -246,6 +251,20 @@ class TestDecoherenceChannels:
 
 
 class TestDecoherencePoint:
+    def test_refuses_perturbed_initial_layer(self):
+        # sigma_z no longer turns into sigma_x through H(0.6), so the fast
+        # formula (2.8069) would disagree with the explicit channels (3.4309)
+        spec = GroverSpec(3, 1)
+        uni = grover_unitaries(spec, [0.6] * (3 + 6 * spec.iterations))
+        model = ErrorModel(PHASEFLIP, 0.3, (0, 1, 2))
+        explicit = interference_kraus(decoherence_channels(uni, model).potentially_available)
+        swapped = ErrorModel(BITFLIP, 0.3, (0, 1, 2))
+        formula = interference_noise_then_unitary(uni.full, swapped)
+        assert explicit.value == pytest.approx(3.4308712137, abs=1e-9)
+        assert formula.value == pytest.approx(2.8068842775, abs=1e-9)
+        with pytest.raises(ValueError, match="exact initial Hadamard layer"):
+            decoherence_point(uni, model)
+
     @pytest.mark.parametrize("kind", [BITFLIP, PHASEFLIP])
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
     def test_matches_explicit_channels_grover(self, kind, p):

@@ -3,28 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from oracles import PAULI_X, evolve_density, is_density_matrix, kron, pauli_error_kraus
 from qimeter.channels import (
     BITFLIP,
     PHASEFLIP,
     ErrorModel,
     KrausChannel,
     apply_channel,
+    error_subsets,
     layered_error_channel,
-    pauli_error_kraus,
     sandwich,
 )
 from qimeter.errors import SizeLimitError
 from qimeter.gates import circuit_unitary, walsh_layer
-from qimeter.linalg import (
-    PAULI_X,
-    PAULI_Z,
-    basis_density,
-    density_from_state,
-    evolve_density,
-    identity,
-    is_density_matrix,
-    kron,
-)
+from qimeter.linalg import PAULI_Z, basis_density, density_from_state, identity
 
 PLUS = density_from_state(np.array([1, 1]) / math.sqrt(2))
 
@@ -101,6 +93,21 @@ class TestLayeredErrorChannel:
     def test_affected_outside_register(self):
         with pytest.raises(ValueError):
             layered_error_channel(2, ErrorModel(BITFLIP, 0.5, (3,)))
+
+
+class TestErrorSubsets:
+    def test_binary_order_masks_and_weights(self):
+        # bit b of the subset index hits affected[b]; qubit 0 is the MSB
+        subsets = error_subsets(3, ErrorModel(BITFLIP, 0.25, (2, 0)))
+        assert subsets == [(0, 0.5625), (1, 0.1875), (4, 0.1875), (5, 0.0625)]
+
+    @pytest.mark.parametrize("p, expected", [(0.0, [(0, 1.0)]), (1.0, [(3, 1.0)])])
+    def test_impossible_patterns_dropped(self, p, expected):
+        assert error_subsets(3, ErrorModel(PHASEFLIP, p, (1, 2))) == expected
+
+    def test_affected_checked_even_when_never_hit(self):
+        with pytest.raises(ValueError):
+            error_subsets(2, ErrorModel(BITFLIP, 0.0, (3,)))
 
 
 class TestSandwich:

@@ -5,22 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qimeter.errors import SizeLimitError, ValidationError
+from oracles import PAULI_X, embed_local, kron
+from qimeter.errors import SizeLimitError
 from qimeter.gates import (
     Circuit,
-    ControlledPhase,
     DiagonalPhaseGate,
-    PauliX,
     PermutationGate,
     PerturbedHadamard,
-    RawUnitary,
     circuit_apply,
     circuit_unitary,
     perturbed_hadamard,
     qft_circuit,
     walsh_layer,
 )
-from qimeter.linalg import HADAMARD, PAULI_X, PAULI_Z, basis_state, identity, kron
+from qimeter.linalg import HADAMARD, PAULI_Z, basis_state, identity
+
+
+def pauli_x(q):
+    return PermutationGate([1, 0], (q,))
 
 
 def dft_matrix(m):
@@ -90,6 +92,13 @@ class TestQft:
         with pytest.raises(ValueError):
             qft_circuit(3, [0.0, 0.0])
 
+    def test_controlled_phases_are_diagonals(self):
+        phases = [op.phases for op in qft_circuit(3).ops if isinstance(op, DiagonalPhaseGate)]
+        np.testing.assert_allclose(
+            phases, [[1, 1, 1, 1j], [1, 1, 1, np.exp(1j * math.pi / 4)], [1, 1, 1, 1j]],
+            atol=1e-15,
+        )
+
     def test_phase_perturbations_shift_angles(self):
         # m=2 has a single two-qubit gate; a delta of pi flips its sign
         u0 = circuit_unitary(qft_circuit(2, [0.0]))
@@ -106,7 +115,7 @@ class TestCircuitUnitary:
         np.testing.assert_allclose(np.abs(u), 1 / np.sqrt(8), atol=1e-12)
 
     def test_pauli_x_involution(self):
-        c = Circuit(2, (PauliX(0), PauliX(0)))
+        c = Circuit(2, (pauli_x(0), pauli_x(0)))
         np.testing.assert_allclose(circuit_unitary(c), identity(4), atol=1e-15)
 
     def test_qubit_count_cap(self):
@@ -116,15 +125,14 @@ class TestCircuitUnitary:
 
 def random_mixed_circuit(n, rng):
     perm = rng.permutation(1 << 2)
-    signs = rng.choice([-1, 1], size=1 << n)
-    raw = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+    phases = np.exp(1j * rng.uniform(0, 2 * math.pi, 1 << n))
     ops = (
         PerturbedHadamard(rng.uniform(0, math.pi), 0),
-        ControlledPhase(rng.uniform(0, 2 * math.pi), n - 1, 1),
+        DiagonalPhaseGate([1, 1, 1, np.exp(1j * rng.uniform(0, 2 * math.pi))], (n - 1, 1)),
         PermutationGate(perm, (1, n - 1)),
-        DiagonalPhaseGate(signs, tuple(range(n))),
-        RawUnitary(raw, (2,)),
-        PauliX(n - 2),
+        DiagonalPhaseGate(phases, tuple(range(n))),
+        PerturbedHadamard(rng.uniform(0, math.pi), 2),
+        pauli_x(n - 2),
     )
     return Circuit(n, ops)
 
@@ -175,13 +183,16 @@ class TestCircuitApply:
             circuit_apply(Circuit(2, ()), basis_state(8))
 
     @pytest.mark.parametrize("targets", [(0, 3), (3, 1), (2, 0)])
-    def test_raw_unitary_matches_embed_local(self, targets):
-        from qimeter.linalg import embed_local
-
+    def test_two_qubit_gates_match_embed_local(self, targets):
         rng = np.random.default_rng(17)
-        g = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
-        via_circuit = circuit_unitary(Circuit(4, (RawUnitary(g, targets),)))
-        np.testing.assert_allclose(via_circuit, embed_local(g, targets, 4), atol=1e-12)
+        table = rng.permutation(4)
+        phases = np.exp(1j * rng.uniform(0, 2 * math.pi, 4))
+        perm = np.zeros((4, 4))
+        perm[table, np.arange(4)] = 1
+        c = Circuit(4, (PermutationGate(table, targets), DiagonalPhaseGate(phases, targets)))
+        np.testing.assert_allclose(
+            circuit_unitary(c), embed_local(np.diag(phases) @ perm, targets, 4), atol=1e-12
+        )
 
 
 class TestGateValidation:
@@ -193,10 +204,6 @@ class TestGateValidation:
         with pytest.raises(ValueError):
             DiagonalPhaseGate(np.array([1, 2]), (0,))
 
-    def test_raw_unitary_validated(self):
-        with pytest.raises(ValidationError):
-            RawUnitary(np.ones((2, 2)), (0,))
-
     def test_targets_inside_register(self):
         with pytest.raises(ValueError):
-            Circuit(2, (PauliX(2),))
+            Circuit(2, (pauli_x(2),))

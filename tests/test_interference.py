@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import PAULI_X, apply_superoperator
 from qimeter.channels import BITFLIP, PHASEFLIP, ErrorModel, KrausChannel, layered_error_channel, sandwich
 from qimeter.errors import SizeLimitError, ValidationError
 from qimeter.gates import circuit_unitary, perturbed_hadamard, walsh_layer
 from qimeter.interference import (
-    apply_superoperator,
     ibits,
     interference_kraus,
     interference_kraus_naive,
@@ -19,7 +19,7 @@ from qimeter.interference import (
     pauli_noise_kernel,
     superoperator_from_kraus,
 )
-from qimeter.linalg import HADAMARD, PAULI_X, PAULI_Z, density_from_state, identity
+from qimeter.linalg import HADAMARD, PAULI_Z, density_from_state, identity
 
 
 def random_unitary(dim, rng):

@@ -3,20 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import PAULI_X, embed_local, evolve_density, is_density_matrix, kron
 from qimeter.errors import SizeLimitError, ValidationError
 from qimeter.gates import perturbed_hadamard
 from qimeter.linalg import (
     HADAMARD,
-    PAULI_X,
     PAULI_Z,
     basis_density,
     check_unitary,
     density_from_state,
-    embed_local,
-    evolve_density,
     identity,
-    is_density_matrix,
-    kron,
 )
 
 
