@@ -53,7 +53,6 @@ from .gates import (
 from .harness import (
     DecoherenceErrors,
     ExperimentSpec,
-    Outputs,
     RandomAngleSampler,
     RandomErrors,
     ResultRow,

@@ -29,7 +29,6 @@ from .gates import circuit_apply, circuit_unitary, walsh_layer
 from .harness import (
     DecoherenceErrors,
     ExperimentSpec,
-    Outputs,
     RandomErrors,
     SystematicErrors,
     cue_baseline,
@@ -151,7 +150,6 @@ def _criterion_4(parallel: int):
     pivot = int(np.argmin(np.abs(np.asarray(grid) - math.pi / 4)))
     problems = []
     edge_worst = 0.0
-    outputs = Outputs(pa=True, au=False)
 
     def check(label, rows):
         nonlocal edge_worst
@@ -168,11 +166,11 @@ def _criterion_4(parallel: int):
 
     for n in (4, 5, 6):
         spec = ExperimentSpec(
-            GroverSpec(n, 0), SystematicErrors(grid), average_over_alpha=True, outputs=outputs
+            GroverSpec(n, 0), SystematicErrors(grid), average_over_alpha=True, measure_au=False
         )
         check(f"grover n={n}", run_systematic_sweep(spec, parallel))
     for shor in (ShorSpec.for_modulus(3, 2), ShorSpec.for_modulus(7, 3)):
-        spec = ExperimentSpec(shor, SystematicErrors(grid), outputs=outputs)
+        spec = ExperimentSpec(shor, SystematicErrors(grid), measure_au=False)
         check(f"shor L={shor.L}", run_systematic_sweep(spec, parallel))
 
     ok = not problems and edge_worst <= 1e-9

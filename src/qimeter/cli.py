@@ -21,7 +21,6 @@ from .harness import (
     PREFIX_SUBSETS,
     DecoherenceErrors,
     ExperimentSpec,
-    Outputs,
     RandomErrors,
     SystematicErrors,
     cue_baseline,
@@ -89,7 +88,7 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int, default=0, help="64-bit master seed")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--measure", choices=("pa", "au", "both"), default="both")
+    parser.add_argument("--measure", choices=("pa", "both"), default="both")
     parser.add_argument("--parallel", type=int, default=1, help="worker processes")
     parser.add_argument("--config", default=None, help="key=value file of flag defaults")
 
@@ -161,8 +160,6 @@ def _build_algorithm(args, algo):
 
 def _run_sweep(args, algo, family):
     algorithm, average = _build_algorithm(args, algo)
-    measure = args.measure
-    outputs = Outputs(pa=measure in ("pa", "both"), au=measure in ("au", "both"))
     if family == "systematic":
         error_family = SystematicErrors(args.grid or default_theta_grid())
         runner = run_systematic_sweep
@@ -185,7 +182,7 @@ def _run_sweep(args, algo, family):
         error_family=error_family,
         average_over_alpha=average,
         master_seed=args.seed,
-        outputs=outputs,
+        measure_au=args.measure == "both",
     )
     rows = runner(spec, parallel=args.parallel)
     if args.out is None:
@@ -249,6 +246,9 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 4
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         raw = [raw[0]] + extra + raw[1:]
     parser = build_parser()
     args = parser.parse_args(raw)

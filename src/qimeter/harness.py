@@ -18,7 +18,7 @@ import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence, Union
 
 import numpy as np
@@ -37,9 +37,8 @@ from .algorithms import (
 )
 from .channels import BITFLIP, PHASEFLIP, ErrorModel
 from .errors import SizeLimitError
-from .gates import circuit_apply, circuit_unitary
+from .gates import circuit_unitary
 from .interference import ibits, interference_unitary
-from .linalg import basis_state
 
 PREFIX_SUBSETS = "prefix"
 ALL_SUBSETS = "all"
@@ -127,20 +126,12 @@ def _check_grid(grid, name):
 
 
 @dataclass(frozen=True)
-class Outputs:
-    """Which interference views a sweep computes; success is always reported."""
-
-    pa: bool = True
-    au: bool = True
-
-
-@dataclass(frozen=True)
 class ExperimentSpec:
     algorithm: Union[GroverSpec, ShorSpec]
     error_family: Union[SystematicErrors, RandomErrors, DecoherenceErrors]
     average_over_alpha: bool = False
     master_seed: int = 0
-    outputs: Outputs = field(default_factory=Outputs)
+    measure_au: bool = True
 
     def __post_init__(self):
         if self.average_over_alpha and not isinstance(self.algorithm, GroverSpec):
@@ -210,43 +201,41 @@ def _algorithm_id(algorithm) -> str:
 # single-point evaluation shared by the systematic and random sweeps
 
 
-def _grover_point(algorithm, thetas, alphas, outputs):
-    """Mean interference/success over ``alphas`` at one angle assignment."""
-    acc = {"pa": 0.0, "au": 0.0, "s": 0.0}
+def _unitary_point(spec, ideal, thetas, deltas=None):
+    """Mean (I_pa, I_au, success) over the marked items at one angle
+    assignment.  U_full gives I_pa, and its column 0 (the image of |0...0>)
+    gives the output distribution; U_rest is built only for I_au."""
+    algo = spec.algorithm
+    alphas = _alphas(spec)
+    i_pa = i_au = success = 0.0
     for alpha in alphas:
-        spec = replace(algorithm, alpha=alpha)
-        full, rest = build_grover(spec, thetas)
-        if outputs.pa:
-            acc["pa"] += interference_unitary(circuit_unitary(full)).value
-        if outputs.au:
-            acc["au"] += interference_unitary(circuit_unitary(rest)).value
-        psi = circuit_apply(full, basis_state(1 << spec.n))
-        acc["s"] += abs(psi[alpha]) ** 2
+        if alpha is None:
+            full, rest = build_shor(algo, thetas, deltas)
+        else:
+            full, rest = build_grover(replace(algo, alpha=alpha), thetas)
+        u_full = circuit_unitary(full)
+        i_pa += interference_unitary(u_full).value
+        if spec.measure_au:
+            i_au += interference_unitary(circuit_unitary(rest)).value
+        probabilities = np.abs(u_full[:, 0]) ** 2
+        success += shor_success(ideal, probabilities) if alpha is None else probabilities[alpha]
     count = len(alphas)
-    i_pa = acc["pa"] / count if outputs.pa else None
-    i_au = acc["au"] / count if outputs.au else None
-    return i_pa, i_au, acc["s"] / count
-
-
-def _shor_point(algorithm, thetas, deltas, ideal, outputs):
-    full, rest = build_shor(algorithm, thetas, deltas)
-    i_pa = i_au = None
-    if outputs.pa:
-        i_pa = interference_unitary(circuit_unitary(full)).value
-    if outputs.au:
-        i_au = interference_unitary(circuit_unitary(rest)).value
-    return i_pa, i_au, shor_success(ideal, final_probabilities(full))
+    return i_pa / count, (i_au / count if spec.measure_au else None), success / count
 
 
 def _alphas(spec: ExperimentSpec):
+    """Marked items a point averages over; (None,) for Shor."""
     if not isinstance(spec.algorithm, GroverSpec):
-        return ()
+        return (None,)
     if spec.average_over_alpha:
         return tuple(range(1 << spec.algorithm.n))
     return (spec.algorithm.alpha,)
 
 
-def _shor_ideal(algorithm) -> np.ndarray:
+def _shor_ideal(algorithm):
+    """Output distribution of the exact Shor circuit; None for Grover."""
+    if isinstance(algorithm, GroverSpec):
+        return None
     full, _ = build_shor(algorithm)
     return final_probabilities(full)
 
@@ -263,25 +252,16 @@ def _angle_counts(algorithm):
 # systematic sweep
 
 
-def _systematic_task(args):
-    spec, theta = args
-    algo = spec.algorithm
-    n_thetas, _ = _angle_counts(algo)
-    thetas = [theta] * n_thetas
-    if isinstance(algo, GroverSpec):
-        return _grover_point(algo, thetas, _alphas(spec), spec.outputs)
-    return _shor_point(algo, thetas, None, _shor_ideal(algo), spec.outputs)
-
-
 def run_systematic_sweep(spec: ExperimentSpec, parallel: int = 1) -> list:
     """One row per theta; every Hadamard angle (Shor: QFT Hadamards too)
     is set to the grid value, QFT phases stay unperturbed."""
     family = spec.error_family
     if not isinstance(family, SystematicErrors):
         raise ValueError("spec does not describe a systematic sweep")
-    tasks = [(spec, theta) for theta in family.thetas]
-    results = _map_ordered(_systematic_task, tasks, parallel)
-    n_samples = max(1, len(_alphas(spec)))
+    n_thetas, _ = _angle_counts(spec.algorithm)
+    point = functools.partial(_unitary_point, spec, _shor_ideal(spec.algorithm))
+    results = _map_ordered(point, [[theta] * n_thetas for theta in family.thetas], parallel)
+    n_samples = len(_alphas(spec))
     return [
         _make_row(spec, theta, None, i_pa, i_au, success, 0.0, n_samples)
         for theta, (i_pa, i_au, success) in zip(family.thetas, results)
@@ -292,21 +272,16 @@ def run_systematic_sweep(spec: ExperimentSpec, parallel: int = 1) -> list:
 # random sweep
 
 
-def _random_task(args):
-    spec, grid_index, eps, lo, hi = args
-    algo = spec.algorithm
-    sampler = RandomAngleSampler(spec.master_seed, f"random:{_algorithm_id(algo)}")
-    n_thetas, n_deltas = _angle_counts(algo)
-    ideal = _shor_ideal(algo) if isinstance(algo, ShorSpec) else None
+def _random_task(spec, ideal, args):
+    grid_index, eps, lo, hi = args
+    sampler = RandomAngleSampler(spec.master_seed, f"random:{_algorithm_id(spec.algorithm)}")
+    n_thetas, n_deltas = _angle_counts(spec.algorithm)
     out = []
     for realization in range(lo, hi):
         rng = sampler.stream(grid_index, realization)
         thetas = rng.uniform(math.pi / 4 - eps / 2, math.pi / 4 + eps / 2, n_thetas)
-        if isinstance(algo, GroverSpec):
-            out.append(_grover_point(algo, thetas, _alphas(spec), spec.outputs))
-        else:
-            deltas = rng.uniform(-eps / 2, eps / 2, n_deltas)
-            out.append(_shor_point(algo, thetas, deltas, ideal, spec.outputs))
+        deltas = rng.uniform(-eps / 2, eps / 2, n_deltas)
+        out.append(_unitary_point(spec, ideal, thetas, deltas))
     return out
 
 
@@ -320,26 +295,23 @@ def run_random_sweep(spec: ExperimentSpec, parallel: int = 1) -> list:
     tasks = []
     for g, eps in enumerate(family.epsilons):
         for lo in range(0, n_r, REALIZATION_CHUNK):
-            tasks.append((spec, g, eps, lo, min(lo + REALIZATION_CHUNK, n_r)))
-    chunks = _map_ordered(_random_task, tasks, parallel)
+            tasks.append((g, eps, lo, min(lo + REALIZATION_CHUNK, n_r)))
+    task = functools.partial(_random_task, spec, _shor_ideal(spec.algorithm))
+    chunks = _map_ordered(task, tasks, parallel)
 
     per_grid = [[] for _ in family.epsilons]
-    for task, chunk in zip(tasks, chunks):
-        per_grid[task[1]].extend(chunk)
+    for (grid_index, *_), chunk in zip(tasks, chunks):
+        per_grid[grid_index].extend(chunk)
     rows = []
     for eps, values in zip(family.epsilons, per_grid):
-        i_pa = _mean_or_none([v[0] for v in values])
-        i_au = _mean_or_none([v[1] for v in values])
+        i_pa = float(np.mean([v[0] for v in values]))
+        i_au = float(np.mean([v[1] for v in values])) if spec.measure_au else None
         succ = float(np.mean([v[2] for v in values]))
         stderr = 0.0
         if n_r > 1:
             stderr = float(np.std([v[2] for v in values], ddof=1)) / math.sqrt(n_r)
         rows.append(_make_row(spec, eps, None, i_pa, i_au, succ, stderr, n_r))
     return rows
-
-
-def _mean_or_none(values):
-    return None if values[0] is None else float(np.mean(values))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +341,6 @@ def _decoherence_task(args):
     else:
         subsets = [tuple(c) for c in itertools.combinations(walsh_qubits, n_f)]
 
-    outputs = spec.outputs
     per_p = []
     for p in family.probabilities:
         acc_pa, acc_au, acc_s = [], [], []
@@ -383,8 +354,8 @@ def _decoherence_task(args):
                 acc_s.append(shor_success(ideal, point.probabilities))
         per_p.append(
             (
-                float(np.mean(acc_pa)) if outputs.pa else None,
-                float(np.mean(acc_au)) if outputs.au else None,
+                float(np.mean(acc_pa)),
+                float(np.mean(acc_au)) if spec.measure_au else None,
                 float(np.mean(acc_s)),
                 len(subsets),
             )
@@ -464,8 +435,8 @@ def _make_row(spec, sweep_value, n_f, i_pa, i_au, success, stderr, n_samples):
         n_f=n_f,
         interference_pa=i_pa,
         interference_au=i_au,
-        ibits_pa=None if i_pa is None else ibits(max(i_pa, 0.0)),
-        ibits_au=None if i_au is None else ibits(max(i_au, 0.0)),
+        ibits_pa=ibits(i_pa),
+        ibits_au=None if i_au is None else ibits(i_au),
         success=success,
         success_stderr=float(stderr),
         n_samples=int(n_samples),
@@ -474,9 +445,12 @@ def _make_row(spec, sweep_value, n_f, i_pa, i_au, success, stderr, n_samples):
 
 
 def _map_ordered(fn, tasks, parallel):
-    if parallel <= 1:
+    # a pool starts all its workers at the first submit, so never ask for
+    # more workers than there are tasks
+    workers = min(parallel, len(tasks))
+    if workers <= 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=parallel) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
 
 

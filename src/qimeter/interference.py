@@ -16,8 +16,9 @@ For channels of the form {U · E_l} with E_l a layered Pauli error
 (diagonal sigma_z products or XOR-permutation sigma_x products), the
 measure collapses to two O(N) dot products against row statistics of U
 that are precomputed with fast Walsh-Hadamard transforms
-(``pauli_noise_kernel`` / ``interference_noise_then_unitary``). That is
-what makes the 12-qubit decoherence sweeps affordable.
+(``pauli_noise_kernel`` / ``interference_noise_then_unitary``). That makes
+each (p, subset) evaluation cheap even at 12 qubits; building the 12-qubit
+Grover unitaries gate by gate is not (528.5 s on a 2-core machine).
 """
 
 from __future__ import annotations

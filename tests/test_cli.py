@@ -61,11 +61,16 @@ class TestSweepCommands:
         out = tmp_path / "rows.csv"
         assert main(
             ["grover-systematic", "--n", "3", "--alpha", "1", "--grid", GRID,
-             "--measure", "au", "--out", str(out)]
+             "--measure", "pa", "--out", str(out)]
         ) == 0
         rows = read_results(out, "csv")
-        assert rows[0].interference_pa is None
-        assert rows[0].interference_au is not None
+        assert rows[0].interference_au is None and rows[0].ibits_au is None
+        assert rows[0].interference_pa is not None and rows[0].ibits_pa is not None
+
+    def test_measure_au_alone_rejected(self):
+        with pytest.raises(SystemExit) as info:
+            main(["grover-systematic", "--n", "2", "--alpha", "0", "--measure", "au"])
+        assert info.value.code == 2
 
     def test_stdout_output(self, capsys):
         assert main(["grover-systematic", "--n", "2", "--alpha", "1", "--grid", GRID]) == 0
@@ -122,6 +127,12 @@ class TestConfigFile:
             ["grover-systematic", "--n", "2", "--alpha", "0",
              "--config", "/nonexistent/f.cfg"]
         ) == 4
+
+    def test_malformed_config_line_is_argument_error(self, tmp_path, capsys):
+        config = tmp_path / "sweep.cfg"
+        config.write_text("n 5\n")
+        assert main(["grover-systematic", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestExitCodes:

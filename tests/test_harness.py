@@ -4,13 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from qimeter.algorithms import GroverSpec, ShorSpec
+from qimeter import harness
+from qimeter.algorithms import (
+    GroverSpec,
+    ShorSpec,
+    build_grover,
+    build_shor,
+    final_probabilities,
+    shor_success,
+)
 from qimeter.channels import BITFLIP, PHASEFLIP
 from qimeter.errors import SizeLimitError
 from qimeter.harness import (
     DecoherenceErrors,
     ExperimentSpec,
-    Outputs,
     RandomAngleSampler,
     RandomErrors,
     SystematicErrors,
@@ -75,10 +82,22 @@ class TestSystematicSweep:
         assert rows[0].success < 1.0 and rows[2].success < 1.0
 
     def test_measure_selection(self):
-        spec = grover_spec(SystematicErrors((0.5,)), outputs=Outputs(pa=False, au=True))
+        spec = grover_spec(SystematicErrors((0.5,)), measure_au=False)
         row = run_systematic_sweep(spec)[0]
-        assert row.interference_pa is None and row.ibits_pa is None
-        assert row.interference_au is not None
+        assert row.interference_au is None and row.ibits_au is None
+        assert row.interference_pa is not None and row.ibits_pa is not None
+
+    def test_shor_success_equals_state_vector_oracle(self):
+        # success is read from column 0 of U_full; it must equal the
+        # state-vector simulation of the same circuit bit for bit
+        algo = ShorSpec.for_modulus(5, 2)
+        grid = (0.3, 0.6, 1.1)
+        rows = run_systematic_sweep(ExperimentSpec(algo, SystematicErrors(grid)))
+        ideal = final_probabilities(build_shor(algo)[0])
+        n_thetas = 4 * algo.L
+        for theta, row in zip(grid, rows):
+            observed = final_probabilities(build_shor(algo, [theta] * n_thetas)[0])
+            assert row.success == shor_success(ideal, observed)
 
     def test_family_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -124,6 +143,19 @@ class TestRandomSweep:
         row = run_random_sweep(spec)[0]
         assert row.n_samples == 12
         assert row.success_stderr > 0.0
+
+    def test_grover_success_equals_state_vector_oracle(self):
+        eps, seed = 0.9, 4
+        spec = ExperimentSpec(GroverSpec(4, 6), RandomErrors((eps,), 3), master_seed=seed)
+        row = run_random_sweep(spec)[0]
+        sampler = RandomAngleSampler(seed, "random:grover:n=4:alpha=6:k=3")
+        values = []
+        for realization in range(3):
+            thetas = sampler.stream(0, realization).uniform(
+                math.pi / 4 - eps / 2, math.pi / 4 + eps / 2, 4 + 2 * 4 * 3
+            )
+            values.append(final_probabilities(build_grover(GroverSpec(4, 6), thetas)[0])[6])
+        assert row.success == float(np.mean(values))
 
     def test_row_matches_documented_draw_contract(self):
         # reproduce a 2-realization row by hand from the published
@@ -237,6 +269,40 @@ class TestDecoherenceSweep:
                 DecoherenceErrors(BITFLIP, (0.5,), (1,), "prefix"),
                 average_over_alpha=True,
             )
+
+
+class TestWorkerPool:
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        # stands in for ProcessPoolExecutor: records the pool size and maps
+        # in this process, so no worker is started
+        sizes = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingExecutor)
+        return sizes
+
+    def test_pool_never_exceeds_task_count(self, sizes):
+        spec = grover_spec(SystematicErrors(GRID3))
+        assert run_systematic_sweep(spec, parallel=8) == run_systematic_sweep(spec)
+        assert sizes == [3]
+
+    def test_single_task_runs_without_pool(self, sizes):
+        spec = grover_spec(DecoherenceErrors(BITFLIP, (0.5,), (2,), "prefix"))
+        assert run_decoherence_sweep(spec, parallel=64) == run_decoherence_sweep(spec)
+        assert sizes == []
 
 
 class TestCueBaseline:
