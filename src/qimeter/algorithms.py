@@ -10,6 +10,7 @@ gates, which keeps the Kraus-operator count at 2^n_f.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -207,6 +208,28 @@ class AlgorithmUnitaries:
         the first register for Shor)."""
         return tuple(op.target for op in self.walsh.ops)
 
+    @functools.cached_property
+    def mixture_table(self) -> np.ndarray:
+        """|U_full|^2 at every column a phase-flip pattern can reach.
+
+        With the layer on qubits 0..m-1 of n, the hit masks are s << (n - m)
+        for s < 2^m, and row s holds |U_full[:, s << (n - m)]|^2 (2^m x N
+        floats, 8 MB for Shor L = 4).  Raises ``ValueError`` for a layer on
+        other qubits, whose masks the row index would not name.
+        """
+        m = len(self.walsh_qubits)
+        if self.walsh_qubits != tuple(range(m)):
+            raise ValueError(
+                f"the column table needs the initial layer on qubits 0..{m - 1}, "
+                f"not {self.walsh_qubits}"
+            )
+        dim = self.full.shape[0]
+        shift = dim.bit_length() - 1 - m
+        table = np.empty((1 << m, dim))
+        for s in range(1 << m):
+            table[s] = np.abs(self.full[:, s << shift]) ** 2
+        return table
+
 
 @dataclass(frozen=True, eq=False)
 class AlgorithmChannels:
@@ -241,6 +264,14 @@ def shor_unitaries(
     )
 
 
+def _check_affected(unitaries: AlgorithmUnitaries, model: ErrorModel) -> None:
+    if not set(model.affected) <= set(unitaries.walsh_qubits):
+        raise ValueError(
+            f"affected qubits {model.affected} outside the initial Hadamard layer "
+            f"{unitaries.walsh_qubits}"
+        )
+
+
 def decoherence_channels(unitaries: AlgorithmUnitaries, model: ErrorModel) -> AlgorithmChannels:
     """Explicit Kraus channels for errors striking the initial layer.
 
@@ -249,11 +280,7 @@ def decoherence_channels(unitaries: AlgorithmUnitaries, model: ErrorModel) -> Al
     initial Hadamards.  The final state is the PA channel applied to
     |0...0><0...0|.
     """
-    if not set(model.affected) <= set(unitaries.walsh_qubits):
-        raise ValueError(
-            f"affected qubits {model.affected} outside the initial Hadamard layer "
-            f"{unitaries.walsh_qubits}"
-        )
+    _check_affected(unitaries, model)
     dim = unitaries.full.shape[0]
     n = dim.bit_length() - 1
     errors = layered_error_channel(n, model)
@@ -299,11 +326,7 @@ def decoherence_point(
             "the fast path needs an exact initial Hadamard layer (every angle pi/4); "
             "use decoherence_channels for a perturbed one"
         )
-    if not set(model.affected) <= set(unitaries.walsh_qubits):
-        raise ValueError(
-            f"affected qubits {model.affected} outside the initial Hadamard layer "
-            f"{unitaries.walsh_qubits}"
-        )
+    _check_affected(unitaries, model)
     k_full, k_rest = kernels if kernels is not None else algorithm_noise_kernels(unitaries)
     flipped = ErrorModel(
         BITFLIP if model.kind == PHASEFLIP else PHASEFLIP, model.p, model.affected
@@ -313,23 +336,30 @@ def decoherence_point(
     return DecoherencePoint(
         interference_pa=i_pa,
         interference_au=i_au,
-        probabilities=decoherent_final_probabilities(unitaries.full, model),
+        probabilities=decoherent_final_probabilities(unitaries, model),
     )
 
 
-def decoherent_final_probabilities(u_full: np.ndarray, model: ErrorModel) -> np.ndarray:
+def decoherent_final_probabilities(
+    unitaries: AlgorithmUnitaries, model: ErrorModel
+) -> np.ndarray:
     """Output distribution of the decohered algorithm started in |0...0>.
 
     Bit flips leave the post-layer state invariant, so the distribution is
     the exact algorithm's.  Phase flips turn it into a mixture over
-    columns of the full unitary indexed by the flipped-qubit masks.
+    columns of the full unitary indexed by the flipped-qubit masks, read
+    from the rows of ``unitaries.mixture_table``.
     """
-    dim = u_full.shape[0]
+    _check_affected(unitaries, model)
     if model.kind == BITFLIP:
-        return np.abs(u_full[:, 0]) ** 2
+        return np.abs(unitaries.full[:, 0]) ** 2
+    table = unitaries.mixture_table
+    dim = table.shape[1]
+    n = dim.bit_length() - 1
+    shift = n - len(unitaries.walsh_qubits)
     probs = np.zeros(dim)
-    for column, weight in error_subsets(dim.bit_length() - 1, model):
-        probs += weight * np.abs(u_full[:, column]) ** 2
+    for mask, weight in error_subsets(n, model):
+        probs += weight * table[mask >> shift]
     return probs
 
 

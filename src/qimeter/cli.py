@@ -83,13 +83,27 @@ def _parse_nf(text: str):
         ) from exc
 
 
+def _parse_workers(text: str) -> int:
+    try:
+        value = int(text)
+        if value < 1:
+            raise ValueError
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"parallel must be a positive integer, got {text!r}"
+        ) from exc
+    return value
+
+
 def _add_common(parser):
     parser.add_argument("--grid", type=_parse_grid, default=None, help="sweep grid start:stop:points")
     parser.add_argument("--seed", type=int, default=0, help="64-bit master seed")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--measure", choices=("pa", "both"), default="both")
-    parser.add_argument("--parallel", type=int, default=1, help="worker processes")
+    parser.add_argument(
+        "--parallel", type=_parse_workers, default=1, help="worker processes"
+    )
     parser.add_argument("--config", default=None, help="key=value file of flag defaults")
 
 
@@ -130,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--criteria", default=None, help="comma-separated criterion numbers")
-    p.add_argument("--parallel", type=int, default=1)
+    p.add_argument("--parallel", type=_parse_workers, default=1)
     p.add_argument("--config", default=None, help="key=value file of flag defaults")
     return parser
 

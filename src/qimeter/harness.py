@@ -370,7 +370,10 @@ def run_decoherence_sweep(spec: ExperimentSpec, parallel: int = 1) -> list:
 
     Every worker process holds one cached (unitaries, kernels) setup of
     size O(4^n); budget memory accordingly when combining ``parallel``
-    with 12-qubit instances."""
+    with 12-qubit instances.  At 12 qubits that is U_full and U_rest
+    (512 MB) plus, for phase flips, the column table of the output mixture
+    (8 MB for Shor L = 4, 128 MB for Grover).  A Shor L = 4 phase-flip
+    sweep peaks at 933 MB per process."""
     family = spec.error_family
     if not isinstance(family, DecoherenceErrors):
         raise ValueError("spec does not describe a decoherence sweep")

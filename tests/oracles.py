@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from qimeter.channels import ErrorModel, KrausChannel, layered_error_channel
+from qimeter.channels import ErrorModel, KrausChannel, error_subsets, layered_error_channel
 from qimeter.errors import SizeLimitError, ValidationError
+from qimeter.interference import PauliNoiseKernel
 from qimeter.linalg import MAX_DIM, MAX_QUBITS, UNITARY_ACCEPT_TOL, check_unitary
 
 # state-level checks (trace, hermiticity) and the eigenvalue floor
@@ -107,3 +108,46 @@ def apply_superoperator(p: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Apply an N^2 x N^2 propagator to a density matrix (row-major vec)."""
     dim = rho.shape[0]
     return (p @ rho.reshape(-1)).reshape(dim, dim)
+
+
+def wht_last_unblocked(a: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform along the last axis, one stage over all rows
+    at a time, in place on a copy."""
+    dtype = complex if np.iscomplexobj(a) else float
+    a = np.array(a, dtype=dtype, copy=True)
+    shape = a.shape
+    n = shape[-1]
+    rows = a.reshape(-1, n)
+    h = 1
+    while h < n:
+        view = rows.reshape(rows.shape[0], n // (2 * h), 2, h)
+        top = view[:, :, 0, :] + view[:, :, 1, :]
+        view[:, :, 1, :] = view[:, :, 0, :] - view[:, :, 1, :]
+        view[:, :, 0, :] = top
+        h *= 2
+    return rows.reshape(shape)
+
+
+def pauli_noise_kernel_unblocked(u: np.ndarray) -> PauliNoiseKernel:
+    """``pauli_noise_kernel`` built on ``wht_last_unblocked``."""
+    u = np.asarray(u, dtype=complex)
+    dim = u.shape[0]
+    a = np.abs(u) ** 2
+    fa = wht_last_unblocked(a)
+    fa2 = np.sum(fa * fa, axis=0)
+    autocorr = wht_last_unblocked(fa2) / dim
+    fb = wht_last_unblocked(u)
+    cc = wht_last_unblocked(np.abs(fb) ** 2) / dim
+    q = wht_last_unblocked(np.sum(cc * cc, axis=0))
+    return PauliNoiseKernel(
+        dim=dim, sum_a2=float(np.sum(a * a)), fa2=fa2, autocorr=autocorr, q=q
+    )
+
+
+def phaseflip_mixture(u_full: np.ndarray, model: ErrorModel) -> np.ndarray:
+    """Phase-flip output distribution summed column by column of U_full."""
+    dim = u_full.shape[0]
+    probs = np.zeros(dim)
+    for column, weight in error_subsets(dim.bit_length() - 1, model):
+        probs += weight * np.abs(u_full[:, column]) ** 2
+    return probs

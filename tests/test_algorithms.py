@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from oracles import phaseflip_mixture
 from qimeter.algorithms import (
+    AlgorithmUnitaries,
     GroverSpec,
     ShorSpec,
     build_grover,
     build_shor,
     decoherence_channels,
     decoherence_point,
+    decoherent_final_probabilities,
     final_probabilities,
     grover_iteration_count,
     grover_oracle,
@@ -22,7 +25,7 @@ from qimeter.algorithms import (
     shor_unitaries,
 )
 from qimeter.channels import BITFLIP, PHASEFLIP, ErrorModel, apply_channel, layered_error_channel
-from qimeter.gates import Circuit, circuit_apply, circuit_unitary
+from qimeter.gates import Circuit, PerturbedHadamard, circuit_apply, circuit_unitary
 from qimeter.interference import (
     interference_kraus,
     interference_noise_then_unitary,
@@ -339,6 +342,51 @@ class TestDecoherencePoint:
             np.testing.assert_allclose(
                 np.diag(chans.final_state).real, point.probabilities, atol=1e-12
             )
+
+
+@pytest.fixture(scope="module")
+def mixture_unitaries():
+    grover = [grover_unitaries(GroverSpec(n, 1)) for n in range(3, 7)]
+    shor = [shor_unitaries(ShorSpec.for_modulus(R, 2)) for R in (3, 5)]
+    return grover + shor
+
+
+class TestMixtureTable:
+    """The phase-flip mixture read from the column table is bit for bit the
+    column-by-column sum over U_full."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+    def test_matches_column_oracle(self, mixture_unitaries, p):
+        for uni in mixture_unitaries:
+            layer = uni.walsh_qubits
+            m = len(layer)
+            for affected in [layer[:1], layer[:m // 2], layer, layer[1::2], (layer[-1], layer[0])]:
+                model = ErrorModel(PHASEFLIP, p, affected)
+                fast = decoherent_final_probabilities(uni, model)
+                assert fast.tobytes() == phaseflip_mixture(uni.full, model).tobytes(), (m, affected)
+
+    def test_table_built_once(self, mixture_unitaries):
+        uni = mixture_unitaries[0]
+        assert uni.mixture_table is uni.mixture_table
+        assert uni.mixture_table.shape == (1 << len(uni.walsh_qubits), uni.full.shape[0])
+
+    def test_refuses_layer_off_the_leading_qubits(self):
+        # a layer on qubits 1, 2: hit masks are not rows s << (n - m) of a table
+        walsh = Circuit(3, (PerturbedHadamard(math.pi / 4, 1), PerturbedHadamard(math.pi / 4, 2)))
+        u = circuit_unitary(walsh)
+        uni = AlgorithmUnitaries(full=u, rest=np.eye(8, dtype=complex), walsh=walsh)
+        model = ErrorModel(PHASEFLIP, 0.3, (1,))
+        with pytest.raises(ValueError, match="qubits 0..1"):
+            uni.mixture_table
+        with pytest.raises(ValueError, match="qubits 0..1"):
+            decoherent_final_probabilities(uni, model)
+        with pytest.raises(ValueError, match="qubits 0..1"):
+            decoherence_point(uni, model)
+
+    def test_refuses_errors_outside_the_layer(self, mixture_unitaries):
+        shor = mixture_unitaries[-1]  # the second register gets no Hadamard
+        with pytest.raises(ValueError, match="outside the initial Hadamard layer"):
+            decoherent_final_probabilities(shor, ErrorModel(PHASEFLIP, 0.3, (0, shor.walsh.n - 1)))
 
 
 class TestSuccessMeasures:

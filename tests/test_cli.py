@@ -156,6 +156,18 @@ class TestExitCodes:
              "--out", str(tmp_path / "missing" / "rows.csv")]
         ) == 4
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "command",
+        [["grover-systematic", "--n", "2", "--alpha", "0", "--grid", "0:1:2"], ["verify"]],
+        ids=["sweep", "verify"],
+    )
+    def test_parallel_below_one_rejected(self, command, workers, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(command + ["--parallel", workers])
+        assert info.value.code == 2
+        assert "parallel must be a positive integer" in capsys.readouterr().err
+
     def test_bad_grid_syntax(self):
         with pytest.raises(SystemExit) as info:
             main(["grover-systematic", "--n", "2", "--alpha", "0", "--grid", "oops"])

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import PAULI_X, apply_superoperator
+from oracles import PAULI_X, apply_superoperator, pauli_noise_kernel_unblocked, wht_last_unblocked
 from qimeter.channels import BITFLIP, PHASEFLIP, ErrorModel, KrausChannel, layered_error_channel, sandwich
 from qimeter.errors import SizeLimitError, ValidationError
 from qimeter.gates import circuit_unitary, perturbed_hadamard, walsh_layer
 from qimeter.interference import (
+    WHT_BLOCK_BYTES,
+    _wht_last,
     ibits,
     interference_kraus,
     interference_kraus_naive,
@@ -249,6 +251,43 @@ class TestNoiseFastPath:
     def test_requires_matrix_or_kernel(self):
         with pytest.raises(ValueError):
             interference_noise_then_unitary(None, ErrorModel(BITFLIP, 0.5, (0,)))
+
+
+class TestBlockedWht:
+    """The cache-blocked transform is bit for bit the one-stage-at-a-time one."""
+
+    @staticmethod
+    def _rows(n, complex_input):
+        # two full blocks and a short third one
+        block = WHT_BLOCK_BYTES // (n * (16 if complex_input else 8))
+        return 2 * block + 3
+
+    @pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 8, 64, 4096])
+    def test_matches_unblocked(self, n, complex_input):
+        rng = np.random.default_rng(n)
+        for shape in [(n,), (self._rows(n, complex_input), n), (3, 5, n)]:
+            a = rng.standard_normal(shape)
+            if complex_input:
+                a = a + 1j * rng.standard_normal(shape)
+            fast = _wht_last(a)
+            assert fast.shape == a.shape and fast.dtype == wht_last_unblocked(a).dtype
+            assert fast.tobytes() == wht_last_unblocked(a).tobytes(), shape
+
+    def test_input_untouched(self):
+        a = np.arange(16.0).reshape(2, 8)
+        _wht_last(a)
+        assert np.array_equal(a, np.arange(16.0).reshape(2, 8))
+
+    @pytest.mark.parametrize("dim", [2, 8, 64, 512])
+    def test_kernel_fields_match_unblocked(self, dim):
+        u = random_unitary(dim, np.random.default_rng(dim))
+        fast = pauli_noise_kernel(u)
+        slow = pauli_noise_kernel_unblocked(u)
+        assert fast.dim == slow.dim
+        assert np.float64(fast.sum_a2).tobytes() == np.float64(slow.sum_a2).tobytes()
+        for field in ("fa2", "autocorr", "q"):
+            assert getattr(fast, field).tobytes() == getattr(slow, field).tobytes(), field
 
 
 def _state(dim, rng):
