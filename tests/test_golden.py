@@ -1,19 +1,23 @@
 """Byte-identity of frozen CLI sweeps.
 
-The files under ``tests/golden/`` were written by the CLI at commit
+The CSV files under ``tests/golden/`` were written by the CLI at commit
 4fa2e3d (before the gate model was reduced to three kinds), except
 ``shor-decoherence-phaseflip.csv``, written at commit 9664cfe (before the
 phase-flip mixture was read from a column table and the Walsh-Hadamard
-kernels were cache-blocked).  Every sweep below is cheap, so any change to
-the numbers the pipeline produces shows up as a byte difference.
+kernels were cache-blocked).  Each case also has a ``--format json`` twin,
+written at commit 9bb1dac (before the explicit Kraus route moved into the
+tests).  Every sweep below is cheap, so any change to the numbers the
+pipeline produces shows up as a byte difference.
 
 Most values are far from rounding noise.  The exceptions are in the
 phase-flip Shor sweep: at p = 1 and n_f = 2..4 the success is exactly 0 but
 reads 1e-16 to 2e-16, and at p = 0.5, n_f = 4 the actually used
 interference is exactly 0 and reads 0 (ibits -inf).  A correct change of
-reduction order may move those rows.  The files hold 12 significant digits,
-so they do not pin the last bits of the fast paths; the oracle tests in
-``test_interference.py`` and ``test_algorithms.py`` do.
+reduction order may move those rows.  The CSV files hold 12 significant
+digits, so they miss a change in the last bits; the JSON twins hold every
+float as its shortest round-trip repr, so they pin the last bit too.
+Summing the phase-flip mixture in reverse order, for example, leaves both
+decoherence CSVs unchanged but changes both JSON twins.
 """
 
 from pathlib import Path
@@ -46,3 +50,10 @@ def test_cli_output_matches_golden(name, tmp_path):
     out = tmp_path / f"{name}.csv"
     assert main(CASES[name].split() + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_json_matches_golden(name, tmp_path):
+    out = tmp_path / f"{name}.json"
+    assert main(CASES[name].split() + ["--format", "json", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
