@@ -9,19 +9,16 @@ decoherence during the initial Hadamard layer.
 """
 
 from .algorithms import (
-    AlgorithmChannels,
     AlgorithmUnitaries,
     DecoherencePoint,
     GroverSpec,
     ShorSpec,
     build_grover,
     build_shor,
-    decoherence_channels,
     decoherence_point,
     final_probabilities,
     grover_iteration_count,
     grover_oracle,
-    grover_success,
     grover_unitaries,
     grover_zero_reflection,
     modexp_permutation,
@@ -34,9 +31,6 @@ from .channels import (
     PHASEFLIP,
     ErrorModel,
     KrausChannel,
-    apply_channel,
-    layered_error_channel,
-    sandwich,
 )
 from .errors import SizeLimitError, ValidationError
 from .gates import (
@@ -80,10 +74,8 @@ from .interference import (
 from .linalg import (
     MAX_DIM,
     MAX_QUBITS,
-    basis_density,
     basis_state,
     check_unitary,
-    density_from_state,
 )
 
 __version__ = "0.1.0"

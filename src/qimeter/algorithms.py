@@ -12,21 +12,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .channels import (
-    BITFLIP,
-    PHASEFLIP,
-    ErrorModel,
-    KrausChannel,
-    apply_channel,
-    error_subsets,
-    layered_error_channel,
-    sandwich,
-)
+from .channels import BITFLIP, PHASEFLIP, ErrorModel, error_subsets
+from .errors import SizeLimitError
 from .gates import (
     Circuit,
     DiagonalPhaseGate,
@@ -42,31 +34,46 @@ from .interference import (
     interference_noise_then_unitary,
     pauli_noise_kernel,
 )
-from .linalg import basis_density, basis_state, identity
+from .linalg import MAX_QUBITS, basis_state
 
 
 @dataclass(frozen=True)
 class GroverSpec:
-    """Search over n qubits for the single marked basis state ``alpha``."""
+    """Search over n qubits for the single marked basis state ``alpha``; the
+    initial layer spans all n qubits, and there are n + 2nk Hadamards."""
 
     n: int
     alpha: int
     k_override: int | None = None
+    n_qft_phases = 0  # a class constant, not a field
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("Grover search needs at least two qubits")
         if not 0 <= self.alpha < 1 << self.n:
             raise ValueError(f"marked item {self.alpha} outside 0..{(1 << self.n) - 1}")
+        if self.n > MAX_QUBITS:
+            raise SizeLimitError(
+                f"Grover search on {self.n} qubits exceeds the {MAX_QUBITS}-qubit cap"
+            )
 
     @property
     def iterations(self) -> int:
         return self.k_override if self.k_override is not None else grover_iteration_count(self.n)
 
+    @property
+    def layer_width(self) -> int:
+        return self.n
+
+    @property
+    def n_hadamards(self) -> int:
+        return self.n + 2 * self.n * self.iterations
+
 
 @dataclass(frozen=True)
 class ShorSpec:
-    """Order finding for f(x) = a^x mod R on registers of 2L and L qubits."""
+    """Order finding for f(x) = a^x mod R on registers of 2L and L qubits; the
+    initial layer is the first register, and the QFT adds 2L Hadamards."""
 
     L: int
     R: int
@@ -79,6 +86,10 @@ class ShorSpec:
             raise ValueError(f"base a={self.a} outside 1..{self.R - 1}")
         if math.gcd(self.a, self.R) != 1:
             raise ValueError(f"base a={self.a} shares a factor with R={self.R}")
+        if self.n > MAX_QUBITS:
+            raise SizeLimitError(
+                f"L={self.L} needs a {self.n}-qubit register, above the {MAX_QUBITS}-qubit cap"
+            )
 
     @classmethod
     def for_modulus(cls, R: int, a: int) -> "ShorSpec":
@@ -87,6 +98,18 @@ class ShorSpec:
     @property
     def n(self) -> int:
         return 3 * self.L
+
+    @property
+    def layer_width(self) -> int:
+        return 2 * self.L
+
+    @property
+    def n_hadamards(self) -> int:
+        return 4 * self.L
+
+    @property
+    def n_qft_phases(self) -> int:
+        return self.L * (2 * self.L - 1)
 
 
 def grover_iteration_count(n: int) -> int:
@@ -105,9 +128,7 @@ def grover_oracle(n: int, alpha: int) -> DiagonalPhaseGate:
 
 def grover_zero_reflection(n: int) -> DiagonalPhaseGate:
     """Sign flip of the |0...0> amplitude."""
-    phases = np.ones(1 << n, dtype=complex)
-    phases[0] = -1
-    return DiagonalPhaseGate(phases, tuple(range(n)))
+    return grover_oracle(n, 0)
 
 
 def build_grover(
@@ -117,11 +138,11 @@ def build_grover(
 
     The circuit is the initial Hadamard layer followed by ``k`` iterations
     of [oracle, layer, zero reflection, layer].  ``hadamard_thetas`` gives
-    one angle per Hadamard position in that order (n + 2nk angles,
-    default pi/4 everywhere).
+    one angle per Hadamard position in that order (``spec.n_hadamards``
+    angles, default pi/4 everywhere).
     """
     n, k = spec.n, spec.iterations
-    count = n + 2 * n * k
+    count = spec.n_hadamards
     if hadamard_thetas is None:
         hadamard_thetas = [math.pi / 4] * count
     hadamard_thetas = list(hadamard_thetas)
@@ -152,7 +173,7 @@ def modexp_permutation(spec: ShorSpec) -> PermutationGate:
     """|x>|y> -> |x>|y XOR f(x)> with f(x) = a^x mod R."""
     L = spec.L
     table = np.empty(1 << spec.n, dtype=np.int64)
-    f = np.array([pow(spec.a, x, spec.R) for x in range(1 << (2 * L))], dtype=np.int64)
+    f = np.array([pow(spec.a, x, spec.R) for x in range(1 << spec.layer_width)], dtype=np.int64)
     idx = np.arange(1 << spec.n, dtype=np.int64)
     x = idx >> L
     y = idx & ((1 << L) - 1)
@@ -170,15 +191,15 @@ def build_shor(
     Layout: Hadamard layer on the first register (2L gates), the modular
     exponentiation permutation, then the QFT on the first register.
     ``hadamard_thetas`` covers first the initial layer and then the QFT's
-    own Hadamards (4L angles total); ``qft_phase_perturbations`` adds to
-    the QFT's two-qubit phases (L(2L-1) values).
+    own Hadamards (``spec.n_hadamards`` angles); ``qft_phase_perturbations``
+    adds to the QFT's two-qubit phases (``spec.n_qft_phases`` values).
     """
-    m = 2 * spec.L
+    m, count = spec.layer_width, spec.n_hadamards
     if hadamard_thetas is None:
-        hadamard_thetas = [math.pi / 4] * (2 * m)
+        hadamard_thetas = [math.pi / 4] * count
     hadamard_thetas = list(hadamard_thetas)
-    if len(hadamard_thetas) != 2 * m:
-        raise ValueError(f"expected {2 * m} Hadamard angles, got {len(hadamard_thetas)}")
+    if len(hadamard_thetas) != count:
+        raise ValueError(f"expected {count} Hadamard angles, got {len(hadamard_thetas)}")
 
     ops = [PerturbedHadamard(hadamard_thetas[q], q) for q in range(m)]
     ops.append(modexp_permutation(spec))
@@ -209,6 +230,12 @@ class AlgorithmUnitaries:
         return tuple(op.target for op in self.walsh.ops)
 
     @functools.cached_property
+    def kernels(self) -> tuple[PauliNoiseKernel, PauliNoiseKernel]:
+        """Noise kernels of (full, rest): the row statistics that
+        ``decoherence_point`` reads for I_pa and I_au."""
+        return pauli_noise_kernel(self.full), pauli_noise_kernel(self.rest)
+
+    @functools.cached_property
     def mixture_table(self) -> np.ndarray:
         """|U_full|^2 at every column a phase-flip pattern can reach.
 
@@ -231,37 +258,22 @@ class AlgorithmUnitaries:
         return table
 
 
-@dataclass(frozen=True, eq=False)
-class AlgorithmChannels:
-    """Decohered algorithm: the two interference views plus the output state."""
-
-    potentially_available: KrausChannel
-    actually_used: KrausChannel
-    final_state: np.ndarray
-
-
-def grover_unitaries(
-    spec: GroverSpec, hadamard_thetas: Sequence[float] | None = None
-) -> AlgorithmUnitaries:
-    full, rest = build_grover(spec, hadamard_thetas)
+def _unitaries(spec, full: Circuit, rest: Circuit) -> AlgorithmUnitaries:
     return AlgorithmUnitaries(
         full=circuit_unitary(full),
         rest=circuit_unitary(rest),
-        walsh=Circuit(spec.n, full.ops[: spec.n]),
+        walsh=Circuit(spec.n, full.ops[: spec.layer_width]),
     )
 
 
-def shor_unitaries(
-    spec: ShorSpec,
-    hadamard_thetas: Sequence[float] | None = None,
-    qft_phase_perturbations: Sequence[float] | None = None,
-) -> AlgorithmUnitaries:
-    full, rest = build_shor(spec, hadamard_thetas, qft_phase_perturbations)
-    return AlgorithmUnitaries(
-        full=circuit_unitary(full),
-        rest=circuit_unitary(rest),
-        walsh=Circuit(spec.n, full.ops[: 2 * spec.L]),
-    )
+def grover_unitaries(spec: GroverSpec) -> AlgorithmUnitaries:
+    """Unitaries of the exact Grover circuit (every angle pi/4)."""
+    return _unitaries(spec, *build_grover(spec))
+
+
+def shor_unitaries(spec: ShorSpec) -> AlgorithmUnitaries:
+    """Unitaries of the exact Shor circuit (every angle pi/4, no phase offsets)."""
+    return _unitaries(spec, *build_shor(spec))
 
 
 def _check_affected(unitaries: AlgorithmUnitaries, model: ErrorModel) -> None:
@@ -270,24 +282,6 @@ def _check_affected(unitaries: AlgorithmUnitaries, model: ErrorModel) -> None:
             f"affected qubits {model.affected} outside the initial Hadamard layer "
             f"{unitaries.walsh_qubits}"
         )
-
-
-def decoherence_channels(unitaries: AlgorithmUnitaries, model: ErrorModel) -> AlgorithmChannels:
-    """Explicit Kraus channels for errors striking the initial layer.
-
-    Potentially available: walsh layer, then errors, then the remainder.
-    Actually used: the same error operators and remainder, but without the
-    initial Hadamards.  The final state is the PA channel applied to
-    |0...0><0...0|.
-    """
-    _check_affected(unitaries, model)
-    dim = unitaries.full.shape[0]
-    n = dim.bit_length() - 1
-    errors = layered_error_channel(n, model)
-    pa = sandwich(errors, circuit_unitary(unitaries.walsh), unitaries.rest)
-    au = sandwich(errors, identity(dim), unitaries.rest)
-    final = apply_channel(pa, basis_density(dim))
-    return AlgorithmChannels(potentially_available=pa, actually_used=au, final_state=final)
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,40 +293,29 @@ class DecoherencePoint:
     probabilities: np.ndarray
 
 
-def algorithm_noise_kernels(unitaries: AlgorithmUnitaries):
-    """Precomputed row statistics of (full, rest) for decoherence sweeps."""
-    return pauli_noise_kernel(unitaries.full), pauli_noise_kernel(unitaries.rest)
-
-
-def decoherence_point(
-    unitaries: AlgorithmUnitaries,
-    model: ErrorModel,
-    kernels: tuple[PauliNoiseKernel, PauliNoiseKernel] | None = None,
-) -> DecoherencePoint:
+def decoherence_point(unitaries: AlgorithmUnitaries, model: ErrorModel) -> DecoherencePoint:
     """Fast-path decoherence evaluation; requires an exact initial layer.
 
     Commuting each Pauli error through the exact Hadamard on its qubit
     turns the PA channel into noise-then-unitary form with the error kind
     swapped (sigma_z H = H sigma_x), so both measures reduce to
-    ``interference_noise_then_unitary``.  Matches ``decoherence_channels``
-    + ``interference_kraus`` to machine precision.  Raises ``ValueError``
-    if any initial Hadamard is perturbed, where the commutation fails.
+    ``interference_noise_then_unitary`` on ``unitaries.kernels``.  Matches
+    the explicit Kraus channels (``tests/oracles.py``) to machine precision.
+    Raises ``ValueError`` if any initial Hadamard is perturbed, where the
+    commutation fails.
     """
     if not all(
         isinstance(op, PerturbedHadamard) and op.theta == math.pi / 4
         for op in unitaries.walsh.ops
     ):
         raise ValueError(
-            "the fast path needs an exact initial Hadamard layer (every angle pi/4); "
-            "use decoherence_channels for a perturbed one"
+            "the fast path needs an exact initial Hadamard layer (every angle pi/4)"
         )
     _check_affected(unitaries, model)
-    k_full, k_rest = kernels if kernels is not None else algorithm_noise_kernels(unitaries)
-    flipped = ErrorModel(
-        BITFLIP if model.kind == PHASEFLIP else PHASEFLIP, model.p, model.affected
-    )
-    i_pa = interference_noise_then_unitary(None, flipped, kernel=k_full)
-    i_au = interference_noise_then_unitary(None, model, kernel=k_rest)
+    k_full, k_rest = unitaries.kernels
+    flipped = replace(model, kind=BITFLIP if model.kind == PHASEFLIP else PHASEFLIP)
+    i_pa = interference_noise_then_unitary(k_full, flipped)
+    i_au = interference_noise_then_unitary(k_rest, model)
     return DecoherencePoint(
         interference_pa=i_pa,
         interference_au=i_au,
@@ -367,12 +350,6 @@ def decoherent_final_probabilities(
 # success probabilities
 
 
-def grover_success(rho_f: np.ndarray, alpha: int) -> float:
-    """Weight of the final state on the marked item, clipped to [0, 1]."""
-    value = float(np.asarray(rho_f)[alpha, alpha].real)
-    return min(max(value, 0.0), 1.0)
-
-
 def shor_success(ideal: np.ndarray, observed: np.ndarray) -> float:
     """One minus half the total-variation distance between distributions."""
     ideal = np.asarray(ideal, dtype=float)
@@ -395,4 +372,4 @@ def final_probabilities(circuit: Circuit) -> np.ndarray:
 
 def register1_marginal(probabilities: np.ndarray, spec: ShorSpec) -> np.ndarray:
     """Distribution over the first register, summing out the second."""
-    return probabilities.reshape(1 << (2 * spec.L), 1 << spec.L).sum(axis=1)
+    return probabilities.reshape(1 << spec.layer_width, 1 << spec.L).sum(axis=1)

@@ -1,9 +1,9 @@
-"""Kraus channels for bit-flip and phase-flip decoherence.
+"""Kraus channels and the bit-flip and phase-flip error model.
 
 A channel is a stack of Kraus operators E_l with sum_l E_l† E_l = 1; it
-acts on a density matrix as rho -> sum_l E_l rho E_l†.  The layered error
-channel places independent single-qubit Pauli errors (probability p) on a
-chosen subset of qubits, which yields 2^n_f Kraus operators.
+acts on a density matrix as rho -> sum_l E_l rho E_l†.  An ``ErrorModel``
+places independent single-qubit Pauli errors (probability p) on a chosen
+subset of qubits, which yields 2^n_f error patterns (``error_subsets``).
 """
 
 from __future__ import annotations
@@ -11,9 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import SizeLimitError
-from .linalg import MAX_DIM
 
 BITFLIP = "bitflip"
 PHASEFLIP = "phaseflip"
@@ -93,47 +90,6 @@ def error_subsets(n: int, model: ErrorModel) -> list:
         if weight != 0.0:
             out.append((sum(hit), weight))
     return out
-
-
-def layered_error_channel(n: int, model: ErrorModel) -> KrausChannel:
-    """Independent Pauli errors on ``model.affected`` within an n-qubit register.
-
-    One Kraus operator per pattern of ``error_subsets``, in its order.
-    """
-    dim = 1 << n
-    if dim > MAX_DIM:
-        raise SizeLimitError(f"2^{n} exceeds the {MAX_DIM}-dimensional cap")
-    idx = np.arange(dim)
-    ops = []
-    for mask, weight in error_subsets(n, model):
-        op = np.zeros((dim, dim), dtype=complex)
-        if model.kind == BITFLIP:
-            op[idx ^ mask, idx] = np.sqrt(weight)
-        else:
-            signs = 1.0 - 2.0 * (popcount(idx & mask) & 1)
-            op[idx, idx] = np.sqrt(weight) * signs
-        ops.append(op)
-    return KrausChannel(np.array(ops))
-
-
-def sandwich(ch: KrausChannel, pre: np.ndarray, post: np.ndarray) -> KrausChannel:
-    """Compose unitaries around every Kraus operator: E_l -> post · E_l · pre."""
-    pre = np.asarray(pre, dtype=complex)
-    post = np.asarray(post, dtype=complex)
-    if pre.shape != (ch.dim, ch.dim) or post.shape != (ch.dim, ch.dim):
-        raise ValueError(
-            f"dimension mismatch: channel {ch.dim}, pre {pre.shape}, post {post.shape}"
-        )
-    return KrausChannel(np.matmul(post, np.matmul(ch.ops, pre)))
-
-
-def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    """rho -> sum_l E_l rho E_l†, summed in fixed operator order."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (ch.dim, ch.dim):
-        raise ValueError(f"dimension mismatch: channel {ch.dim}, rho {rho.shape}")
-    tmp = np.matmul(ch.ops, rho)
-    return np.einsum("lik,ljk->ij", tmp, ch.ops.conj())
 
 
 def popcount(values: np.ndarray) -> np.ndarray:

@@ -184,8 +184,7 @@ def _run_sweep(args, algo, family):
         error_family = RandomErrors(args.grid or default_epsilon_grid(), realizations)
         runner = run_random_sweep
     else:
-        n_layer = algorithm.n if algo == "grover" else 2 * algorithm.L
-        nf = tuple(range(1, n_layer + 1)) if args.nf == "all" else args.nf
+        nf = tuple(range(1, algorithm.layer_width + 1)) if args.nf == "all" else args.nf
         policy = args.subset_policy
         if policy is None:
             policy = PREFIX_SUBSETS if algo == "grover" else ALL_SUBSETS

@@ -26,7 +26,6 @@ import numpy as np
 from .algorithms import (
     GroverSpec,
     ShorSpec,
-    algorithm_noise_kernels,
     build_grover,
     build_shor,
     decoherence_point,
@@ -240,14 +239,6 @@ def _shor_ideal(algorithm):
     return final_probabilities(full)
 
 
-def _angle_counts(algorithm):
-    if isinstance(algorithm, GroverSpec):
-        n, k = algorithm.n, algorithm.iterations
-        return n + 2 * n * k, 0
-    m = 2 * algorithm.L
-    return 2 * m, m * (m - 1) // 2
-
-
 # ---------------------------------------------------------------------------
 # systematic sweep
 
@@ -258,7 +249,7 @@ def run_systematic_sweep(spec: ExperimentSpec, parallel: int = 1) -> list:
     family = spec.error_family
     if not isinstance(family, SystematicErrors):
         raise ValueError("spec does not describe a systematic sweep")
-    n_thetas, _ = _angle_counts(spec.algorithm)
+    n_thetas = spec.algorithm.n_hadamards
     point = functools.partial(_unitary_point, spec, _shor_ideal(spec.algorithm))
     results = _map_ordered(point, [[theta] * n_thetas for theta in family.thetas], parallel)
     n_samples = len(_alphas(spec))
@@ -275,7 +266,7 @@ def run_systematic_sweep(spec: ExperimentSpec, parallel: int = 1) -> list:
 def _random_task(spec, ideal, args):
     grid_index, eps, lo, hi = args
     sampler = RandomAngleSampler(spec.master_seed, f"random:{_algorithm_id(spec.algorithm)}")
-    n_thetas, n_deltas = _angle_counts(spec.algorithm)
+    n_thetas, n_deltas = spec.algorithm.n_hadamards, spec.algorithm.n_qft_phases
     out = []
     for realization in range(lo, hi):
         rng = sampler.stream(grid_index, realization)
@@ -320,20 +311,19 @@ def run_random_sweep(spec: ExperimentSpec, parallel: int = 1) -> list:
 
 @functools.lru_cache(maxsize=1)
 def _decoherence_setup(algorithm):
-    """Exact unitaries plus noise kernels; cached so the n_f tasks of one
-    sweep (and repeated sweeps over the same algorithm) share the setup."""
+    """Exact unitaries; cached so the n_f tasks of one sweep (and repeated
+    sweeps over the same algorithm) share them, with the noise kernels and
+    the mixture table they compute on first use."""
     if isinstance(algorithm, GroverSpec):
-        unitaries = grover_unitaries(algorithm)
-    else:
-        unitaries = shor_unitaries(algorithm)
-    return unitaries, algorithm_noise_kernels(unitaries)
+        return grover_unitaries(algorithm)
+    return shor_unitaries(algorithm)
 
 
 def _decoherence_task(args):
     spec, n_f = args
     algo = spec.algorithm
     family = spec.error_family
-    unitaries, kernels = _decoherence_setup(algo)
+    unitaries = _decoherence_setup(algo)
     ideal = None if isinstance(algo, GroverSpec) else np.abs(unitaries.full[:, 0]) ** 2
     walsh_qubits = unitaries.walsh_qubits
     if family.subset_policy == PREFIX_SUBSETS:
@@ -345,7 +335,7 @@ def _decoherence_task(args):
     for p in family.probabilities:
         acc_pa, acc_au, acc_s = [], [], []
         for subset in subsets:
-            point = decoherence_point(unitaries, ErrorModel(family.kind, p, subset), kernels)
+            point = decoherence_point(unitaries, ErrorModel(family.kind, p, subset))
             acc_pa.append(point.interference_pa.value)
             acc_au.append(point.interference_au.value)
             if isinstance(algo, GroverSpec):
@@ -368,7 +358,7 @@ def run_decoherence_sweep(spec: ExperimentSpec, parallel: int = 1) -> list:
     first register according to the subset policy; Grover uses the policy
     as given (prefix = first n_f qubits).
 
-    Every worker process holds one cached (unitaries, kernels) setup of
+    Every worker process holds one cached setup (unitaries and kernels) of
     size O(4^n); budget memory accordingly when combining ``parallel``
     with 12-qubit instances.  At 12 qubits that is U_full and U_rest
     (512 MB) plus, for phase flips, the column table of the output mixture
@@ -378,10 +368,9 @@ def run_decoherence_sweep(spec: ExperimentSpec, parallel: int = 1) -> list:
     if not isinstance(family, DecoherenceErrors):
         raise ValueError("spec does not describe a decoherence sweep")
     algo = spec.algorithm
-    max_n_f = algo.n if isinstance(algo, GroverSpec) else 2 * algo.L
-    if any(v > max_n_f for v in family.n_f_values):
+    if any(v > algo.layer_width for v in family.n_f_values):
         raise ValueError(
-            f"n_f values {family.n_f_values} exceed the {max_n_f} qubits "
+            f"n_f values {family.n_f_values} exceed the {algo.layer_width} qubits "
             "of the initial Hadamard layer"
         )
     tasks = [(spec, n_f) for n_f in family.n_f_values]

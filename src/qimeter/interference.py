@@ -238,21 +238,16 @@ def _index_popcounts(dim: int) -> np.ndarray:
 
 
 def interference_noise_then_unitary(
-    u: np.ndarray | None,
-    model: ErrorModel,
-    kernel: PauliNoiseKernel | None = None,
+    kernel: PauliNoiseKernel, model: ErrorModel
 ) -> InterferenceReport:
     """Interference of the channel {U · E_l}: layered Pauli errors, then U.
 
-    Equals ``interference_kraus`` of ``sandwich(layered_error_channel(n,
-    model), identity, U)`` but runs in O(N log N) after the one-off kernel
-    precomputation (O(N^2 log N)).  Pass ``kernel=pauli_noise_kernel(u)``
-    to amortize across many (p, subset) evaluations.
+    ``kernel`` is ``pauli_noise_kernel(U)``, an O(N^2 log N) precomputation
+    that every (p, subset) evaluation of a sweep shares; each call then
+    costs O(N).  Equals ``interference_kraus`` of the explicit channel,
+    which ``tests/oracles.py`` builds as ``sandwich(layered_error_channel(n,
+    model), identity, U)``.
     """
-    if kernel is None:
-        if u is None:
-            raise ValueError("need either the unitary or its precomputed kernel")
-        kernel = pauli_noise_kernel(u)
     dim = kernel.dim
     n = dim.bit_length() - 1
     pc = _index_popcounts(dim)[np.arange(dim) & qubit_mask(model.affected, n)]

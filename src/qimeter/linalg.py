@@ -41,12 +41,3 @@ def basis_state(dim: int, index: int = 0) -> np.ndarray:
     psi = np.zeros(dim, dtype=complex)
     psi[index] = 1.0
     return psi
-
-
-def density_from_state(psi: np.ndarray) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex)
-    return np.outer(psi, psi.conj())
-
-
-def basis_density(dim: int, index: int = 0) -> np.ndarray:
-    return density_from_state(basis_state(dim, index))

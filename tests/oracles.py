@@ -1,19 +1,31 @@
 """Slow, independent reference implementations used only by the tests.
 
-Dense Kronecker products, explicit embeddings and literal density-matrix
-updates: each one is the textbook construction that a library fast path
-is checked against.  Conventions follow ``qimeter.linalg`` (qubit 0 is the
-most significant bit of the basis index).
+Dense Kronecker products, explicit embeddings, literal density-matrix
+updates and the explicit Kraus route for decoherence: each one is the
+textbook construction that a library fast path is checked against.
+Conventions follow ``qimeter.linalg`` (qubit 0 is the most significant bit
+of the basis index).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from qimeter.channels import ErrorModel, KrausChannel, error_subsets, layered_error_channel
+from qimeter.algorithms import AlgorithmUnitaries
+from qimeter.channels import BITFLIP, ErrorModel, KrausChannel, error_subsets, popcount
 from qimeter.errors import SizeLimitError, ValidationError
+from qimeter.gates import circuit_unitary
 from qimeter.interference import PauliNoiseKernel
-from qimeter.linalg import MAX_DIM, MAX_QUBITS, UNITARY_ACCEPT_TOL, check_unitary
+from qimeter.linalg import (
+    MAX_DIM,
+    MAX_QUBITS,
+    UNITARY_ACCEPT_TOL,
+    basis_state,
+    check_unitary,
+    identity,
+)
 
 # state-level checks (trace, hermiticity) and the eigenvalue floor
 STATE_TOL = 1e-9
@@ -69,6 +81,15 @@ def embed_local(gate: np.ndarray, targets, n: int) -> np.ndarray:
     tensor = op.reshape([2] * (2 * n))
     tensor = tensor.transpose(list(perm) + [n + p for p in perm])
     return np.ascontiguousarray(tensor.reshape(1 << n, 1 << n))
+
+
+def density_from_state(psi: np.ndarray) -> np.ndarray:
+    psi = np.asarray(psi, dtype=complex)
+    return np.outer(psi, psi.conj())
+
+
+def basis_density(dim: int, index: int = 0) -> np.ndarray:
+    return density_from_state(basis_state(dim, index))
 
 
 def evolve_density(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -151,3 +172,85 @@ def phaseflip_mixture(u_full: np.ndarray, model: ErrorModel) -> np.ndarray:
     for column, weight in error_subsets(dim.bit_length() - 1, model):
         probs += weight * np.abs(u_full[:, column]) ** 2
     return probs
+
+
+# ---------------------------------------------------------------------------
+# the explicit Kraus route for decoherence on the initial layer
+
+
+def layered_error_channel(n: int, model: ErrorModel) -> KrausChannel:
+    """Independent Pauli errors on ``model.affected`` within an n-qubit register.
+
+    One Kraus operator per pattern of ``error_subsets``, in its order.
+    """
+    dim = 1 << n
+    if dim > MAX_DIM:
+        raise SizeLimitError(f"2^{n} exceeds the {MAX_DIM}-dimensional cap")
+    idx = np.arange(dim)
+    ops = []
+    for mask, weight in error_subsets(n, model):
+        op = np.zeros((dim, dim), dtype=complex)
+        if model.kind == BITFLIP:
+            op[idx ^ mask, idx] = np.sqrt(weight)
+        else:
+            signs = 1.0 - 2.0 * (popcount(idx & mask) & 1)
+            op[idx, idx] = np.sqrt(weight) * signs
+        ops.append(op)
+    return KrausChannel(np.array(ops))
+
+
+def sandwich(ch: KrausChannel, pre: np.ndarray, post: np.ndarray) -> KrausChannel:
+    """Compose unitaries around every Kraus operator: E_l -> post · E_l · pre."""
+    pre = np.asarray(pre, dtype=complex)
+    post = np.asarray(post, dtype=complex)
+    if pre.shape != (ch.dim, ch.dim) or post.shape != (ch.dim, ch.dim):
+        raise ValueError(
+            f"dimension mismatch: channel {ch.dim}, pre {pre.shape}, post {post.shape}"
+        )
+    return KrausChannel(np.matmul(post, np.matmul(ch.ops, pre)))
+
+
+def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
+    """rho -> sum_l E_l rho E_l†, summed in fixed operator order."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (ch.dim, ch.dim):
+        raise ValueError(f"dimension mismatch: channel {ch.dim}, rho {rho.shape}")
+    tmp = np.matmul(ch.ops, rho)
+    return np.einsum("lik,ljk->ij", tmp, ch.ops.conj())
+
+
+@dataclass(frozen=True, eq=False)
+class AlgorithmChannels:
+    """Decohered algorithm: the two interference views plus the output state."""
+
+    potentially_available: KrausChannel
+    actually_used: KrausChannel
+    final_state: np.ndarray
+
+
+def decoherence_channels(unitaries: AlgorithmUnitaries, model: ErrorModel) -> AlgorithmChannels:
+    """Explicit Kraus channels for errors striking the initial layer.
+
+    Potentially available: walsh layer, then errors, then the remainder.
+    Actually used: the same error operators and remainder, but without the
+    initial Hadamards.  The final state is the PA channel applied to
+    |0...0><0...0|.  This is the oracle of ``decoherence_point``, and unlike
+    it accepts a perturbed initial layer.
+    """
+    if not set(model.affected) <= set(unitaries.walsh_qubits):
+        raise ValueError(
+            f"affected qubits {model.affected} outside the initial Hadamard layer "
+            f"{unitaries.walsh_qubits}"
+        )
+    dim = unitaries.full.shape[0]
+    errors = layered_error_channel(dim.bit_length() - 1, model)
+    pa = sandwich(errors, circuit_unitary(unitaries.walsh), unitaries.rest)
+    au = sandwich(errors, identity(dim), unitaries.rest)
+    final = apply_channel(pa, basis_density(dim))
+    return AlgorithmChannels(potentially_available=pa, actually_used=au, final_state=final)
+
+
+def grover_success(rho_f: np.ndarray, alpha: int) -> float:
+    """Weight of the final state on the marked item, clipped to [0, 1]."""
+    value = float(np.asarray(rho_f)[alpha, alpha].real)
+    return min(max(value, 0.0), 1.0)

@@ -3,20 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from oracles import phaseflip_mixture
+from oracles import (
+    apply_channel,
+    basis_density,
+    decoherence_channels,
+    density_from_state,
+    grover_success,
+    layered_error_channel,
+    phaseflip_mixture,
+)
 from qimeter.algorithms import (
     AlgorithmUnitaries,
     GroverSpec,
     ShorSpec,
     build_grover,
     build_shor,
-    decoherence_channels,
     decoherence_point,
     decoherent_final_probabilities,
     final_probabilities,
     grover_iteration_count,
     grover_oracle,
-    grover_success,
     grover_unitaries,
     grover_zero_reflection,
     modexp_permutation,
@@ -24,14 +30,22 @@ from qimeter.algorithms import (
     shor_success,
     shor_unitaries,
 )
-from qimeter.channels import BITFLIP, PHASEFLIP, ErrorModel, apply_channel, layered_error_channel
-from qimeter.gates import Circuit, PerturbedHadamard, circuit_apply, circuit_unitary
+from qimeter.channels import BITFLIP, PHASEFLIP, ErrorModel
+from qimeter.errors import SizeLimitError
+from qimeter.gates import (
+    Circuit,
+    DiagonalPhaseGate,
+    PerturbedHadamard,
+    circuit_apply,
+    circuit_unitary,
+)
 from qimeter.interference import (
     interference_kraus,
     interference_noise_then_unitary,
     interference_unitary,
+    pauli_noise_kernel,
 )
-from qimeter.linalg import basis_density, basis_state, check_unitary, density_from_state
+from qimeter.linalg import basis_state, check_unitary
 
 
 class TestGroverIterationCount:
@@ -111,6 +125,39 @@ class TestBuildGrover:
     def test_marked_item_validated(self):
         with pytest.raises(ValueError):
             GroverSpec(2, 4)
+
+
+class TestSpecLayout:
+    """The layout facts the specs state match the circuits the builders make."""
+
+    @pytest.mark.parametrize(
+        "spec, build",
+        [(GroverSpec(n, 1), build_grover) for n in (3, 4, 5)]
+        + [(ShorSpec.for_modulus(R, 2), build_shor) for R in (3, 5)],
+    )
+    def test_counts_match_the_built_circuit(self, spec, build):
+        # Grover's reflections span all n >= 3 qubits, so every two-qubit
+        # diagonal is a QFT phase
+        full, rest = build(spec)
+        hadamards = [op for op in full.ops if isinstance(op, PerturbedHadamard)]
+        phases = [op for op in full.ops if isinstance(op, DiagonalPhaseGate) and len(op.targets) == 2]
+        assert len(hadamards) == spec.n_hadamards
+        assert len(phases) == spec.n_qft_phases
+        assert len(full.ops) - len(rest.ops) == spec.layer_width
+        assert [op.target for op in hadamards[: spec.layer_width]] == list(range(spec.layer_width))
+
+    def test_grover_above_cap_refused(self):
+        with pytest.raises(SizeLimitError, match="13 qubits"):
+            GroverSpec(13, 0)
+
+    def test_shor_above_cap_refused(self):
+        # L = 5 fits a 10-qubit first register but needs 15 qubits in all
+        with pytest.raises(SizeLimitError, match="15-qubit register"):
+            ShorSpec.for_modulus(31, 3)
+
+    def test_at_cap_accepted(self):
+        assert GroverSpec(12, 0).layer_width == 12
+        assert ShorSpec.for_modulus(11, 2).n == 12
 
 
 class TestModexpPermutation:
@@ -258,15 +305,28 @@ class TestDecoherencePoint:
         # sigma_z no longer turns into sigma_x through H(0.6), so the fast
         # formula (2.8069) would disagree with the explicit channels (3.4309)
         spec = GroverSpec(3, 1)
-        uni = grover_unitaries(spec, [0.6] * (3 + 6 * spec.iterations))
+        full, rest = build_grover(spec, [0.6] * spec.n_hadamards)
+        uni = AlgorithmUnitaries(
+            full=circuit_unitary(full), rest=circuit_unitary(rest), walsh=Circuit(3, full.ops[:3])
+        )
         model = ErrorModel(PHASEFLIP, 0.3, (0, 1, 2))
         explicit = interference_kraus(decoherence_channels(uni, model).potentially_available)
         swapped = ErrorModel(BITFLIP, 0.3, (0, 1, 2))
-        formula = interference_noise_then_unitary(uni.full, swapped)
+        formula = interference_noise_then_unitary(pauli_noise_kernel(uni.full), swapped)
         assert explicit.value == pytest.approx(3.4308712137, abs=1e-9)
         assert formula.value == pytest.approx(2.8068842775, abs=1e-9)
         with pytest.raises(ValueError, match="exact initial Hadamard layer"):
             decoherence_point(uni, model)
+
+    def test_kernels_built_once(self):
+        uni = grover_unitaries(GroverSpec(3, 1))
+        k_full, k_rest = uni.kernels
+        assert uni.kernels is uni.kernels
+        for kernel, u in ((k_full, uni.full), (k_rest, uni.rest)):
+            expected = pauli_noise_kernel(u)
+            assert kernel.sum_a2 == expected.sum_a2
+            for field in ("fa2", "autocorr", "q"):
+                assert getattr(kernel, field).tobytes() == getattr(expected, field).tobytes()
 
     @pytest.mark.parametrize("kind", [BITFLIP, PHASEFLIP])
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])

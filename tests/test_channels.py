@@ -3,20 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from oracles import PAULI_X, evolve_density, is_density_matrix, kron, pauli_error_kraus
-from qimeter.channels import (
-    BITFLIP,
-    PHASEFLIP,
-    ErrorModel,
-    KrausChannel,
+from oracles import (
+    PAULI_X,
     apply_channel,
-    error_subsets,
+    basis_density,
+    density_from_state,
+    evolve_density,
+    is_density_matrix,
+    kron,
     layered_error_channel,
+    pauli_error_kraus,
     sandwich,
 )
+from qimeter.channels import BITFLIP, PHASEFLIP, ErrorModel, KrausChannel, error_subsets
 from qimeter.errors import SizeLimitError
 from qimeter.gates import circuit_unitary, walsh_layer
-from qimeter.linalg import PAULI_Z, basis_density, density_from_state, identity
+from qimeter.linalg import PAULI_Z, identity
 
 PLUS = density_from_state(np.array([1, 1]) / math.sqrt(2))
 

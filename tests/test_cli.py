@@ -150,6 +150,23 @@ class TestExitCodes:
             ["grover-systematic", "--n", "13", "--alpha", "0", "--grid", GRID]
         ) == 3
 
+    @pytest.mark.parametrize(
+        "argv, size",
+        [
+            (["grover-systematic", "--n", "13", "--alpha", "0"], "13 qubits"),
+            (["shor-systematic", "--L", "5", "--R", "31", "--a", "3"], "15-qubit register"),
+        ],
+    )
+    def test_size_cap_before_building(self, argv, size, monkeypatch, capsys):
+        # the spec refuses, so no oracle or modexp table is ever built
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a circuit was built past the size cap")
+
+        monkeypatch.setattr("qimeter.harness.build_grover", unreachable)
+        monkeypatch.setattr("qimeter.harness.build_shor", unreachable)
+        assert main(argv + ["--grid", GRID]) == 3
+        assert size in capsys.readouterr().err
+
     def test_io_error(self, tmp_path):
         assert main(
             ["grover-systematic", "--n", "2", "--alpha", "0", "--grid", GRID,

@@ -3,17 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import PAULI_X, embed_local, evolve_density, is_density_matrix, kron
+from oracles import (
+    PAULI_X,
+    basis_density,
+    density_from_state,
+    embed_local,
+    evolve_density,
+    is_density_matrix,
+    kron,
+)
 from qimeter.errors import SizeLimitError, ValidationError
 from qimeter.gates import perturbed_hadamard
-from qimeter.linalg import (
-    HADAMARD,
-    PAULI_Z,
-    basis_density,
-    check_unitary,
-    density_from_state,
-    identity,
-)
+from qimeter.linalg import HADAMARD, PAULI_Z, check_unitary, identity
 
 
 class TestKron:
