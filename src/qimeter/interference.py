@@ -244,9 +244,9 @@ def interference_noise_then_unitary(
 
     ``kernel`` is ``pauli_noise_kernel(U)``, an O(N^2 log N) precomputation
     that every (p, subset) evaluation of a sweep shares; each call then
-    costs O(N).  Equals ``interference_kraus`` of the explicit channel,
-    which ``tests/oracles.py`` builds as ``sandwich(layered_error_channel(n,
-    model), identity, U)``.
+    costs O(N).  Equals ``interference_kraus`` of the explicit channel with
+    one Kraus operator U · E_l per error pattern, which the oracle in
+    ``tests/oracles.py`` builds.
     """
     dim = kernel.dim
     n = dim.bit_length() - 1
