@@ -182,17 +182,17 @@ def _criterion_4(parallel: int):
     return ok, details
 
 
-def _grover_decoherence_rows(kind, parallel):
+def _grover_decoherence_rows(kind):
     spec = ExperimentSpec(
         GroverSpec(4, 2),
         DecoherenceErrors(kind, default_probability_grid(), (1, 2, 3, 4), "prefix"),
     )
-    return run_decoherence_sweep(spec, parallel)
+    return run_decoherence_sweep(spec)
 
 
 def _criterion_5(parallel: int):
     """Grover bit-flip immunity: constant success, PA dies, AU survives."""
-    rows = _grover_decoherence_rows(BITFLIP, parallel)
+    rows = _grover_decoherence_rows(BITFLIP)
     s0 = next(r.success for r in rows if r.sweep_value == 0.0 and r.n_f == 1)
     worst = max(abs(r.success - s0) for r in rows)
     half = {r.n_f: r for r in rows if r.sweep_value == 0.5}
@@ -207,7 +207,7 @@ def _criterion_5(parallel: int):
 
 def _criterion_6(parallel: int):
     """Grover phase-flip destruction: S(p=1) near 0.0025, monotone drop."""
-    rows = _grover_decoherence_rows(PHASEFLIP, parallel)
+    rows = _grover_decoherence_rows(PHASEFLIP)
     nf4 = [r for r in rows if r.n_f == 4]
     s_end = next(r.success for r in nf4 if r.sweep_value == 1.0)
     first_half = [r.success for r in nf4 if r.sweep_value <= 0.5 + 1e-12]
@@ -251,7 +251,7 @@ def _criterion_8(parallel: int):
             spec_algo,
             DecoherenceErrors(BITFLIP, default_probability_grid(), (1, 2, 3, 4), "all"),
         )
-        rows = run_decoherence_sweep(spec, parallel)
+        rows = run_decoherence_sweep(spec)
         worst_s = max(worst_s, max(abs(r.success - 1.0) for r in rows))
         min_pa = min(min_pa, min(r.interference_pa for r in rows))
         min_au = min(min_au, min(r.interference_au for r in rows))
@@ -268,7 +268,7 @@ def _criterion_9(parallel: int):
         ShorSpec.for_modulus(3, 2),
         DecoherenceErrors(PHASEFLIP, default_probability_grid(), (4,), "all"),
     )
-    rows = run_decoherence_sweep(spec, parallel)
+    rows = run_decoherence_sweep(spec)
     half = next(r for r in rows if r.sweep_value == 0.5)
     first_half = [r.success for r in rows if r.sweep_value <= 0.5 + 1e-12]
     decreasing = all(b < a for a, b in zip(first_half, first_half[1:]))

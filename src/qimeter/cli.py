@@ -95,16 +95,14 @@ def _parse_workers(text: str) -> int:
     return value
 
 
-def _add_common(parser):
-    parser.add_argument("--grid", type=_parse_grid, default=None, help="sweep grid start:stop:points")
+def _add_output(parser):
     parser.add_argument("--seed", type=int, default=0, help="64-bit master seed")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--measure", choices=("pa", "both"), default="both")
-    parser.add_argument(
-        "--parallel", type=_parse_workers, default=1, help="worker processes"
-    )
-    parser.add_argument("--config", default=None, help="key=value file of flag defaults")
+
+
+def _add_parallel(parser):
+    parser.add_argument("--parallel", type=_parse_workers, default=1, help="worker processes")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,17 +133,23 @@ def build_parser() -> argparse.ArgumentParser:
                 "--subset-policy", choices=(ALL_SUBSETS, PREFIX_SUBSETS), default=None,
                 help="average over all n_f-subsets or use the first n_f qubits",
             )
-        _add_common(p)
+        else:
+            _add_parallel(p)
+        p.add_argument("--grid", type=_parse_grid, default=None, help="sweep grid start:stop:points")
+        p.add_argument("--measure", choices=("pa", "both"), default="both")
+        _add_output(p)
 
     p = sub.add_parser("cue-baseline", help="interference of Haar-random unitaries")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--realizations", type=int, default=100, help="number of samples")
-    _add_common(p)
+    _add_output(p)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--criteria", default=None, help="comma-separated criterion numbers")
-    p.add_argument("--parallel", type=_parse_workers, default=1)
-    p.add_argument("--config", default=None, help="key=value file of flag defaults")
+    _add_parallel(p)
+
+    for p in sub.choices.values():
+        p.add_argument("--config", default=None, help="key=value file of flag defaults")
     return parser
 
 
@@ -176,20 +180,20 @@ def _run_sweep(args, algo, family):
     algorithm, average = _build_algorithm(args, algo)
     if family == "systematic":
         error_family = SystematicErrors(args.grid or default_theta_grid())
-        runner = run_systematic_sweep
+        runner, options = run_systematic_sweep, {"parallel": args.parallel}
     elif family == "random":
         realizations = args.realizations
         if realizations is None:
             realizations = default_realizations(algorithm)
         error_family = RandomErrors(args.grid or default_epsilon_grid(), realizations)
-        runner = run_random_sweep
+        runner, options = run_random_sweep, {"parallel": args.parallel}
     else:
         nf = tuple(range(1, algorithm.layer_width + 1)) if args.nf == "all" else args.nf
         policy = args.subset_policy
         if policy is None:
             policy = PREFIX_SUBSETS if algo == "grover" else ALL_SUBSETS
         error_family = DecoherenceErrors(args.error_kind, args.grid or default_probability_grid(), nf, policy)
-        runner = run_decoherence_sweep
+        runner, options = run_decoherence_sweep, {}
     spec = ExperimentSpec(
         algorithm=algorithm,
         error_family=error_family,
@@ -197,7 +201,7 @@ def _run_sweep(args, algo, family):
         master_seed=args.seed,
         measure_au=args.measure == "both",
     )
-    rows = runner(spec, parallel=args.parallel)
+    rows = runner(spec, **options)
     if args.out is None:
         write_results(rows, sys.stdout, args.format)
     else:

@@ -107,6 +107,9 @@ class DecoherenceErrors:
         if self.kind not in (BITFLIP, PHASEFLIP):
             raise ValueError(f"unknown error kind {self.kind!r}")
         _check_grid(self.probabilities, "probability")
+        for p in self.probabilities:
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"error probability {p} outside [0, 1]")
         object.__setattr__(
             self, "probabilities", tuple(float(p) for p in self.probabilities)
         )
@@ -309,61 +312,17 @@ def run_random_sweep(spec: ExperimentSpec, parallel: int = 1) -> list:
 # decoherence sweep
 
 
-@functools.lru_cache(maxsize=1)
-def _decoherence_setup(algorithm):
-    """Exact unitaries; cached so the n_f tasks of one sweep (and repeated
-    sweeps over the same algorithm) share them, with the noise kernels and
-    the mixture table they compute on first use."""
-    if isinstance(algorithm, GroverSpec):
-        return grover_unitaries(algorithm)
-    return shor_unitaries(algorithm)
+def run_decoherence_sweep(spec: ExperimentSpec) -> list:
+    """One row per (p, n_f), p-major.  Shor rows average over qubit subsets
+    of the first register according to the subset policy; Grover uses the
+    policy as given (prefix = first n_f qubits).
 
-
-def _decoherence_task(args):
-    spec, n_f = args
-    algo = spec.algorithm
-    family = spec.error_family
-    unitaries = _decoherence_setup(algo)
-    ideal = None if isinstance(algo, GroverSpec) else np.abs(unitaries.full[:, 0]) ** 2
-    walsh_qubits = unitaries.walsh_qubits
-    if family.subset_policy == PREFIX_SUBSETS:
-        subsets = [tuple(walsh_qubits[:n_f])]
-    else:
-        subsets = [tuple(c) for c in itertools.combinations(walsh_qubits, n_f)]
-
-    per_p = []
-    for p in family.probabilities:
-        acc_pa, acc_au, acc_s = [], [], []
-        for subset in subsets:
-            point = decoherence_point(unitaries, ErrorModel(family.kind, p, subset))
-            acc_pa.append(point.interference_pa.value)
-            acc_au.append(point.interference_au.value)
-            if isinstance(algo, GroverSpec):
-                acc_s.append(float(point.probabilities[algo.alpha]))
-            else:
-                acc_s.append(shor_success(ideal, point.probabilities))
-        per_p.append(
-            (
-                float(np.mean(acc_pa)),
-                float(np.mean(acc_au)) if spec.measure_au else None,
-                float(np.mean(acc_s)),
-                len(subsets),
-            )
-        )
-    return per_p
-
-
-def run_decoherence_sweep(spec: ExperimentSpec, parallel: int = 1) -> list:
-    """One row per (p, n_f).  Shor rows average over qubit subsets of the
-    first register according to the subset policy; Grover uses the policy
-    as given (prefix = first n_f qubits).
-
-    Every worker process holds one cached setup (unitaries and kernels) of
-    size O(4^n); budget memory accordingly when combining ``parallel``
-    with 12-qubit instances.  At 12 qubits that is U_full and U_rest
-    (512 MB) plus, for phase flips, the column table of the output mixture
-    (8 MB for Shor L = 4, 128 MB for Grover).  A Shor L = 4 phase-flip
-    sweep peaks at 933 MB per process."""
+    The sweep runs in the calling process and builds its setup once: the
+    exact unitaries, their noise kernels and, for phase flips, the column
+    table of the output mixture, all O(4^n) and freed on return.  At 12
+    qubits that is U_full and U_rest (512 MB) plus the table (8 MB for
+    Shor L = 4, 128 MB for Grover); a Shor L = 4 phase-flip sweep peaks
+    at 933 MB."""
     family = spec.error_family
     if not isinstance(family, DecoherenceErrors):
         raise ValueError("spec does not describe a decoherence sweep")
@@ -373,13 +332,29 @@ def run_decoherence_sweep(spec: ExperimentSpec, parallel: int = 1) -> list:
             f"n_f values {family.n_f_values} exceed the {algo.layer_width} qubits "
             "of the initial Hadamard layer"
         )
-    tasks = [(spec, n_f) for n_f in family.n_f_values]
-    results = _map_ordered(_decoherence_task, tasks, parallel)
+    grover = isinstance(algo, GroverSpec)
+    unitaries = grover_unitaries(algo) if grover else shor_unitaries(algo)
+    ideal = None if grover else np.abs(unitaries.full[:, 0]) ** 2
+    walsh_qubits = unitaries.walsh_qubits
     rows = []
-    for ip, p in enumerate(family.probabilities):
-        for n_f, per_p in zip(family.n_f_values, results):
-            i_pa, i_au, succ, n_subsets = per_p[ip]
-            rows.append(_make_row(spec, p, n_f, i_pa, i_au, succ, 0.0, n_subsets))
+    for p in family.probabilities:
+        for n_f in family.n_f_values:
+            if family.subset_policy == PREFIX_SUBSETS:
+                subsets = [walsh_qubits[:n_f]]
+            else:
+                subsets = list(itertools.combinations(walsh_qubits, n_f))
+            acc_pa, acc_au, acc_s = [], [], []
+            for subset in subsets:
+                point = decoherence_point(unitaries, ErrorModel(family.kind, p, subset))
+                acc_pa.append(point.interference_pa.value)
+                acc_au.append(point.interference_au.value)
+                if grover:
+                    acc_s.append(float(point.probabilities[algo.alpha]))
+                else:
+                    acc_s.append(shor_success(ideal, point.probabilities))
+            i_pa, succ = float(np.mean(acc_pa)), float(np.mean(acc_s))
+            i_au = float(np.mean(acc_au)) if spec.measure_au else None
+            rows.append(_make_row(spec, p, n_f, i_pa, i_au, succ, 0.0, len(subsets)))
     return rows
 
 

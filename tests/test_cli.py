@@ -167,6 +167,38 @@ class TestExitCodes:
         assert main(argv + ["--grid", GRID]) == 3
         assert size in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["grover-decoherence", "--n", "10", "--error-kind", "bitflip"],
+            ["shor-decoherence", "--L", "4", "--R", "11", "--a", "2", "--error-kind", "phaseflip"],
+        ],
+        ids=["grover", "shor"],
+    )
+    def test_probability_checked_before_building(self, argv, monkeypatch, capsys):
+        # the spec refuses p = 2, so no unitary is ever built
+        def unreachable(*args, **kwargs):
+            raise AssertionError("unitaries were built for an invalid grid")
+
+        monkeypatch.setattr("qimeter.harness.grover_unitaries", unreachable)
+        monkeypatch.setattr("qimeter.harness.shor_unitaries", unreachable)
+        assert main(argv + ["--grid", "0:2:3"]) == 2
+        assert "error probability 2.0 outside [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["grover-decoherence", "--n", "3", "--error-kind", "bitflip", "--parallel", "2"],
+            ["cue-baseline", "--n", "3", "--grid", "0:1:2"],
+        ],
+        ids=["decoherence-parallel", "cue-grid"],
+    )
+    def test_unread_flag_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_io_error(self, tmp_path):
         assert main(
             ["grover-systematic", "--n", "2", "--alpha", "0", "--grid", GRID,

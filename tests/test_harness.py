@@ -11,6 +11,7 @@ from qimeter.algorithms import (
     build_grover,
     build_shor,
     final_probabilities,
+    grover_unitaries,
     shor_success,
 )
 from qimeter.channels import BITFLIP, PHASEFLIP
@@ -231,12 +232,21 @@ class TestDecoherenceSweep:
             row = run_decoherence_sweep(spec)[0]
             assert row.success == pytest.approx(0.9613189697265616, abs=1e-12)
 
-    def test_parallel_matches_serial(self):
-        spec = ExperimentSpec(
-            ShorSpec.for_modulus(3, 2),
-            DecoherenceErrors(PHASEFLIP, (0.0, 0.5), (1, 3), "all"),
-        )
-        assert run_decoherence_sweep(spec, 1) == run_decoherence_sweep(spec, 2)
+    def test_setup_built_once_per_sweep(self, monkeypatch):
+        # one setup serves every n_f of a sweep, and nothing outlives the
+        # sweep: a second identical sweep builds its own
+        calls = []
+
+        def counting(algorithm):
+            calls.append(algorithm)
+            return grover_unitaries(algorithm)
+
+        monkeypatch.setattr(harness, "grover_unitaries", counting)
+        spec = grover_spec(DecoherenceErrors(PHASEFLIP, (0.0, 0.5), (1, 2, 3), "prefix"))
+        first = run_decoherence_sweep(spec)
+        assert len(calls) == 1
+        assert run_decoherence_sweep(spec) == first
+        assert len(calls) == 2
 
     def test_period_divisibility_controls_large_p_success(self):
         # phase flips on the whole first register at n=9: when the period
@@ -300,8 +310,8 @@ class TestWorkerPool:
         assert sizes == [3]
 
     def test_single_task_runs_without_pool(self, sizes):
-        spec = grover_spec(DecoherenceErrors(BITFLIP, (0.5,), (2,), "prefix"))
-        assert run_decoherence_sweep(spec, parallel=64) == run_decoherence_sweep(spec)
+        spec = grover_spec(SystematicErrors((math.pi / 4,)))
+        assert run_systematic_sweep(spec, parallel=64) == run_systematic_sweep(spec)
         assert sizes == []
 
 
@@ -419,6 +429,13 @@ class TestSpecValidation:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             DecoherenceErrors(BITFLIP, (), (1,), "all")
+
+    @pytest.mark.parametrize(
+        "grid", [(-0.1, 0.5), (0.0, 2.0), (0.0, float("nan"), 1.0)], ids=["below", "above", "nan"]
+    )
+    def test_probabilities_in_unit_interval(self, grid):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            DecoherenceErrors(BITFLIP, grid, (1,), "all")
 
     def test_realizations_positive(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from oracles import (
     sandwich,
     wht_last_unblocked,
 )
+from qimeter.acceptance import random_channel
 from qimeter.channels import BITFLIP, PHASEFLIP, ErrorModel, KrausChannel
 from qimeter.errors import SizeLimitError, ValidationError
 from qimeter.gates import circuit_unitary, perturbed_hadamard, walsh_layer
@@ -36,14 +37,6 @@ from qimeter.linalg import HADAMARD, PAULI_Z, identity
 def random_unitary(dim, rng):
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return np.linalg.qr(z)[0]
-
-
-def random_channel(dim, num_ops, rng):
-    raw = rng.standard_normal((num_ops, dim, dim)) + 1j * rng.standard_normal((num_ops, dim, dim))
-    total = np.einsum("lki,lkj->ij", raw.conj(), raw)
-    w, v = np.linalg.eigh(total)
-    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-    return KrausChannel(raw @ inv_sqrt)
 
 
 class TestIbits:
