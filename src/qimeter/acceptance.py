@@ -353,6 +353,10 @@ CRITERIA = {
 
 
 def run_criterion(index: int, parallel: int = 1) -> CriterionResult:
+    """Run one criterion against its runtime budget.  Every criterion takes
+    ``parallel`` so that ``CRITERIA`` stays a uniform table, but only
+    criteria 4 and 10 pass it on to their sweeps; criterion 12 compares
+    its own fixed worker counts, 2 and 8."""
     name, fn, limit = CRITERIA[index]
     start = time.perf_counter()
     passed, details = fn(parallel)

@@ -24,6 +24,7 @@ from .gates import (
     DiagonalPhaseGate,
     PermutationGate,
     PerturbedHadamard,
+    angle_list,
     circuit_apply,
     circuit_unitary,
     qft_circuit,
@@ -142,16 +143,8 @@ def build_grover(
     angles, default pi/4 everywhere).
     """
     n, k = spec.n, spec.iterations
-    count = spec.n_hadamards
-    if hadamard_thetas is None:
-        hadamard_thetas = [math.pi / 4] * count
-    hadamard_thetas = list(hadamard_thetas)
-    if len(hadamard_thetas) != count:
-        raise ValueError(
-            f"expected {count} Hadamard angles (n + 2nk for n={n}, k={k}), "
-            f"got {len(hadamard_thetas)}"
-        )
-    angles = iter(hadamard_thetas)
+    label = f"Hadamard angles (n + 2nk for n={n}, k={k})"
+    angles = iter(angle_list(hadamard_thetas, spec.n_hadamards, math.pi / 4, label))
 
     def layer():
         return [PerturbedHadamard(next(angles), q) for q in range(n)]
@@ -194,12 +187,8 @@ def build_shor(
     own Hadamards (``spec.n_hadamards`` angles); ``qft_phase_perturbations``
     adds to the QFT's two-qubit phases (``spec.n_qft_phases`` values).
     """
-    m, count = spec.layer_width, spec.n_hadamards
-    if hadamard_thetas is None:
-        hadamard_thetas = [math.pi / 4] * count
-    hadamard_thetas = list(hadamard_thetas)
-    if len(hadamard_thetas) != count:
-        raise ValueError(f"expected {count} Hadamard angles, got {len(hadamard_thetas)}")
+    m = spec.layer_width
+    hadamard_thetas = angle_list(hadamard_thetas, spec.n_hadamards, math.pi / 4, "Hadamard angles")
 
     ops = [PerturbedHadamard(hadamard_thetas[q], q) for q in range(m)]
     ops.append(modexp_permutation(spec))

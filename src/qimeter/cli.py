@@ -202,10 +202,8 @@ def _run_sweep(args, algo, family):
         measure_au=args.measure == "both",
     )
     rows = runner(spec, **options)
-    if args.out is None:
-        write_results(rows, sys.stdout, args.format)
-    else:
-        write_results(rows, args.out, args.format)
+    # ``args.out or sys.stdout`` would send ``--out ''`` to stdout, not exit 4
+    write_results(rows, sys.stdout if args.out is None else args.out, args.format)
     return 0
 
 

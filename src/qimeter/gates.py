@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SizeLimitError
-from .linalg import MAX_DIM, MAX_QUBITS, UNITARY_ACCEPT_TOL
+from .linalg import MAX_QUBITS, UNITARY_ACCEPT_TOL
 
 
 def perturbed_hadamard(theta: float) -> np.ndarray:
@@ -101,6 +101,15 @@ class Circuit:
                 raise ValueError(f"duplicate targets in {op!r}")
 
 
+def angle_list(values: Sequence[float] | None, count: int, default: float, label: str) -> list:
+    """``values`` as a list of ``count`` angles (``default`` everywhere when
+    None); any other length is a ``ValueError`` naming ``label``."""
+    values = [default] * count if values is None else list(values)
+    if len(values) != count:
+        raise ValueError(f"expected {count} {label}, got {len(values)}")
+    return values
+
+
 def walsh_layer(thetas: Sequence[float]) -> Circuit:
     """One perturbed Hadamard per qubit, in ascending qubit order."""
     thetas = list(thetas)
@@ -129,19 +138,10 @@ def qft_circuit(
     if m < 1:
         raise ValueError("QFT needs at least one qubit")
     n_phases = m * (m - 1) // 2
-    if phase_perturbations is None:
-        phase_perturbations = [0.0] * n_phases
-    phase_perturbations = list(phase_perturbations)
-    if len(phase_perturbations) != n_phases:
-        raise ValueError(
-            f"expected {n_phases} phase perturbations for m={m}, "
-            f"got {len(phase_perturbations)}"
-        )
-    if hadamard_thetas is None:
-        hadamard_thetas = [math.pi / 4] * m
-    hadamard_thetas = list(hadamard_thetas)
-    if len(hadamard_thetas) != m:
-        raise ValueError(f"expected {m} Hadamard angles, got {len(hadamard_thetas)}")
+    phase_perturbations = angle_list(
+        phase_perturbations, n_phases, 0.0, f"phase perturbations for m={m}"
+    )
+    hadamard_thetas = angle_list(hadamard_thetas, m, math.pi / 4, "Hadamard angles")
 
     ops = []
     deltas = iter(phase_perturbations)
@@ -197,8 +197,6 @@ def _apply_gate(gate, arr, n):
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
     """Dense unitary of the circuit (later gates multiply from the left)."""
-    if 1 << c.n > MAX_DIM:
-        raise SizeLimitError(f"2^{c.n} exceeds the {MAX_DIM}-dimensional cap")
     u = np.eye(1 << c.n, dtype=complex)
     for gate in c.ops:
         u = _apply_gate(gate, u, c.n)

@@ -18,8 +18,9 @@ import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
-from typing import Sequence, Union
+from contextlib import nullcontext
+from dataclasses import asdict, astuple, dataclass, fields, replace
+from typing import Sequence, Union, get_args, get_type_hints
 
 import numpy as np
 
@@ -106,10 +107,10 @@ class DecoherenceErrors:
     def __post_init__(self):
         if self.kind not in (BITFLIP, PHASEFLIP):
             raise ValueError(f"unknown error kind {self.kind!r}")
-        _check_grid(self.probabilities, "probability")
         for p in self.probabilities:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"error probability {p} outside [0, 1]")
+        _check_grid(self.probabilities, "probability")
         object.__setattr__(
             self, "probabilities", tuple(float(p) for p in self.probabilities)
         )
@@ -123,6 +124,8 @@ class DecoherenceErrors:
 def _check_grid(grid, name):
     if len(grid) == 0:
         raise ValueError(f"empty {name} grid")
+    if not all(map(math.isfinite, grid)):
+        raise ValueError(f"{name} grid values must be finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"{name} grid must be strictly increasing")
 
@@ -153,7 +156,8 @@ class ResultRow:
     """One sweep point.  ``n_samples`` counts the values averaged into the
     row (realizations, marked items, or qubit subsets); ``success_stderr``
     is the sample standard deviation over realizations divided by
-    sqrt(n_samples) and zero for deterministic sweeps."""
+    sqrt(n_samples) and zero for deterministic sweeps.  The fields, in
+    order, are the CSV columns and JSON keys of ``write_results``."""
 
     sweep_value: float
     n: int
@@ -168,7 +172,22 @@ class ResultRow:
     seed: int
 
 
-RESULT_COLUMNS = [f.name for f in fields(ResultRow)]
+def _column_types() -> list:
+    """(name, value type, optional) per ``ResultRow`` field, in order;
+    ``float | None`` gives (name, float, True).  A CSV cell holds a float
+    at 12 significant digits, an int as is and None as an empty cell,
+    which reads back as None only in an optional field."""
+    hints = get_type_hints(ResultRow)
+    columns = []
+    for f in fields(ResultRow):
+        kinds = get_args(hints[f.name]) or (hints[f.name],)
+        (kind,) = set(kinds) - {type(None)}
+        columns.append((f.name, kind, type(None) in kinds))
+    return columns
+
+
+_COLUMN_TYPES = _column_types()
+RESULT_COLUMNS = [name for name, _, _ in _COLUMN_TYPES]
 
 
 @dataclass(frozen=True)
@@ -421,48 +440,23 @@ def _map_ordered(fn, tasks, parallel):
         return list(pool.map(fn, tasks))
 
 
-def _format_real(value) -> str:
-    return "" if value is None else f"{value:.12g}"
-
-
 def write_results(rows: Sequence[ResultRow], path, format: str = "csv") -> None:
-    """Write rows as CSV (reals at 12 significant digits, missing fields
-    empty) or as a JSON array of records with the same keys."""
+    """Write rows to a path or an open stream as CSV (one column per
+    ``ResultRow`` field) or as a JSON array of records with the same keys."""
     if format not in ("csv", "json"):
         raise ValueError(f"unknown output format {format!r}")
-    if hasattr(path, "write"):
-        _write_stream(rows, path, format)
-        return
-    with open(path, "w", newline="") as handle:
-        _write_stream(rows, handle, format)
-
-
-def _write_stream(rows, handle, format):
-    if format == "csv":
+    with nullcontext(path) if hasattr(path, "write") else open(path, "w", newline="") as handle:
+        if format == "json":
+            json.dump([asdict(row) for row in rows], handle, indent=1)
+            handle.write("\n")
+            return
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(RESULT_COLUMNS)
         for row in rows:
             writer.writerow(
-                [
-                    _format_real(row.sweep_value),
-                    row.n,
-                    "" if row.n_f is None else row.n_f,
-                    _format_real(row.interference_pa),
-                    _format_real(row.interference_au),
-                    _format_real(row.ibits_pa),
-                    _format_real(row.ibits_au),
-                    _format_real(row.success),
-                    _format_real(row.success_stderr),
-                    row.n_samples,
-                    row.seed,
-                ]
+                "" if value is None else f"{value:.12g}" if kind is float else value
+                for value, (_, kind, _) in zip(astuple(row), _COLUMN_TYPES)
             )
-    else:
-        records = [
-            {name: getattr(row, name) for name in RESULT_COLUMNS} for row in rows
-        ]
-        json.dump(records, handle, indent=1)
-        handle.write("\n")
 
 
 def read_results(path, format: str = "csv") -> list:
@@ -471,32 +465,20 @@ def read_results(path, format: str = "csv") -> list:
         raise ValueError(f"unknown output format {format!r}")
     with open(path, "r", newline="") as handle:
         if format == "json":
-            records = json.load(handle)
-            return [ResultRow(**record) for record in records]
+            return [ResultRow(**record) for record in json.load(handle)]
         reader = csv.reader(handle)
         header = next(reader)
         if header != RESULT_COLUMNS:
             raise ValueError(f"unexpected CSV header {header}")
         rows = []
         for raw in reader:
-            record = dict(zip(RESULT_COLUMNS, raw))
-            rows.append(
-                ResultRow(
-                    sweep_value=float(record["sweep_value"]),
-                    n=int(record["n"]),
-                    n_f=None if record["n_f"] == "" else int(record["n_f"]),
-                    interference_pa=_parse_real(record["interference_pa"]),
-                    interference_au=_parse_real(record["interference_au"]),
-                    ibits_pa=_parse_real(record["ibits_pa"]),
-                    ibits_au=_parse_real(record["ibits_au"]),
-                    success=_parse_real(record["success"]),
-                    success_stderr=float(record["success_stderr"]),
-                    n_samples=int(record["n_samples"]),
-                    seed=int(record["seed"]),
+            if len(raw) != len(RESULT_COLUMNS):
+                raise ValueError(
+                    f"CSV line {reader.line_num} has {len(raw)} cells, "
+                    f"expected {len(RESULT_COLUMNS)}"
                 )
+            cells = zip(raw, _COLUMN_TYPES)
+            rows.append(
+                ResultRow(*(None if c == "" and opt else kind(c) for c, (_, kind, opt) in cells))
             )
         return rows
-
-
-def _parse_real(text):
-    return None if text == "" else float(text)

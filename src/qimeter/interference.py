@@ -66,10 +66,10 @@ class InterferenceReport:
         return cls(value=float(value), ibits=ibits(float(value)))
 
 
-def interference_unitary(u: np.ndarray, tol: float = UNITARY_ACCEPT_TOL) -> InterferenceReport:
+def interference_unitary(u: np.ndarray) -> InterferenceReport:
     """Interference of a unitary propagator: N - sum_{i,k} |U[i,k]|^4."""
     u = np.asarray(u)
-    if not check_unitary(u, tol):
+    if not check_unitary(u, UNITARY_ACCEPT_TOL):
         raise ValidationError("matrix is not unitary within tolerance")
     n = u.shape[0]
     a2 = np.abs(u) ** 2

@@ -186,6 +186,27 @@ class TestExitCodes:
         assert "error probability 2.0 outside [0, 1]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["grover-random", "--n", "3", "--alpha", "0", "--realizations", "2",
+              "--grid", "0:nan:3"], "epsilon"),
+            (["grover-systematic", "--n", "3", "--alpha", "0", "--grid", "nan:1:3"], "theta"),
+            (["shor-random", "--L", "2", "--R", "3", "--a", "2", "--grid", "0:nan:3"],
+             "epsilon"),
+        ],
+        ids=["grover-random", "grover-systematic", "shor-random"],
+    )
+    def test_non_finite_grid_checked_before_building(self, argv, name, monkeypatch, capsys):
+        # the spec refuses the grid, so no circuit is ever built
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a circuit was built for a non-finite grid")
+
+        monkeypatch.setattr("qimeter.harness.build_grover", unreachable)
+        monkeypatch.setattr("qimeter.harness.build_shor", unreachable)
+        assert main(argv) == 2
+        assert f"{name} grid values must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["grover-decoherence", "--n", "3", "--error-kind", "bitflip", "--parallel", "2"],

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import PAULI_X, embed_local, kron
+from qimeter.algorithms import GroverSpec, ShorSpec, build_grover, build_shor
 from qimeter.errors import SizeLimitError
 from qimeter.gates import (
     Circuit,
@@ -193,6 +194,17 @@ class TestCircuitApply:
         np.testing.assert_allclose(
             circuit_unitary(c), embed_local(np.diag(phases) @ perm, targets, 4), atol=1e-12
         )
+
+
+class TestAngleList:
+    def test_callers_keep_their_labels(self):
+        grover_label = r"expected 9 Hadamard angles \(n \+ 2nk for n=3, k=1\), got 1"
+        with pytest.raises(ValueError, match=grover_label):
+            build_grover(GroverSpec(3, 0, 1), [0.1])
+        with pytest.raises(ValueError, match="expected 8 Hadamard angles, got 1"):
+            build_shor(ShorSpec(2, 3, 2), [0.1])
+        with pytest.raises(ValueError, match="expected 3 phase perturbations for m=3, got 2"):
+            qft_circuit(3, [0.0, 0.0])
 
 
 class TestGateValidation:

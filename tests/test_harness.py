@@ -401,6 +401,39 @@ class TestResultsIO:
         with pytest.raises(ValueError):
             write_results([], io.StringIO(), "yaml")
 
+    def test_missing_columns_roundtrip(self, tmp_path):
+        # a systematic sweep without I_au leaves every optional field but
+        # the I_pa and success columns empty
+        rows = run_systematic_sweep(grover_spec(SystematicErrors(GRID3), measure_au=False))
+        assert all(
+            row.n_f is None and row.interference_au is None and row.ibits_au is None
+            for row in rows
+        )
+        path = tmp_path / "rows.json"
+        write_results(rows, path, "json")
+        assert read_results(path, "json") == rows
+        path = tmp_path / "rows.csv"
+        write_results(rows, path, "csv")
+        assert path.read_text().splitlines()[1].startswith("0,4,,0,,")
+        back = read_results(path, "csv")
+        assert [(r.n_f, r.interference_au, r.ibits_au) for r in back] == [(None,) * 3] * 3
+        again = tmp_path / "again.csv"
+        write_results(back, again, "csv")
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "edit, cells", [(lambda line: line.rsplit(",", 1)[0], 10), (lambda line: line + ",9", 12)],
+        ids=["short", "long"],
+    )
+    def test_malformed_row_rejected(self, edit, cells, tmp_path):
+        path = tmp_path / "rows.csv"
+        write_results(self.rows(), path, "csv")
+        lines = path.read_text().splitlines()
+        lines[2] = edit(lines[2])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"CSV line 3 has {cells} cells, expected 11"):
+            read_results(path, "csv")
+
 
 class TestSampler:
     def test_streams_reproducible_and_distinct(self):
@@ -436,6 +469,17 @@ class TestSpecValidation:
     def test_probabilities_in_unit_interval(self, grid):
         with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
             DecoherenceErrors(BITFLIP, grid, (1,), "all")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "family, name",
+        [(SystematicErrors, "theta"), (lambda grid: RandomErrors(grid, 3), "epsilon")],
+        ids=["systematic", "random"],
+    )
+    def test_non_finite_grid_rejected(self, family, name, bad):
+        for grid in ((0.0, bad), (bad, 1.0), (bad,)):
+            with pytest.raises(ValueError, match=f"{name} grid values must be finite"):
+                family(grid)
 
     def test_realizations_positive(self):
         with pytest.raises(ValueError):
