@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -45,16 +46,21 @@ SWEEP_COMMANDS = {
 
 
 def _parse_grid(text: str) -> tuple:
+    """start:stop:points as a tuple of floats.  A NaN or infinite end is
+    passed on as (start, stop) without interpolating, so the spec refuses
+    it with its own message and numpy never sees it."""
     try:
         start, stop, points = text.split(":")
-        if int(points) < 1:
+        start, stop, points = float(start), float(stop), int(points)
+        if points < 1:
             raise ValueError
-        grid = np.linspace(float(start), float(stop), int(points))
     except (ValueError, TypeError) as exc:
         raise argparse.ArgumentTypeError(
             f"grid must look like start:stop:points, got {text!r}"
         ) from exc
-    return tuple(float(g) for g in grid)
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        return (start, stop)
+    return tuple(float(g) for g in np.linspace(start, stop, points))
 
 
 def _parse_alpha(text: str):

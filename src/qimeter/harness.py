@@ -154,10 +154,12 @@ class ExperimentSpec:
 @dataclass(frozen=True)
 class ResultRow:
     """One sweep point.  ``n_samples`` counts the values averaged into the
-    row (realizations, marked items, or qubit subsets); ``success_stderr``
-    is the sample standard deviation over realizations divided by
-    sqrt(n_samples) and zero for deterministic sweeps.  The fields, in
-    order, are the CSV columns and JSON keys of ``write_results``."""
+    row (realizations, marked items, or qubit subsets); an alpha-averaged
+    systematic row counts all 2^n marked items, also when it evaluates
+    one per Hamming weight.  ``success_stderr`` is the sample standard
+    deviation over realizations divided by sqrt(n_samples) and zero for
+    deterministic sweeps.  The fields, in order, are the CSV columns and
+    JSON keys of ``write_results``."""
 
     sweep_value: float
     n: int
@@ -224,33 +226,47 @@ def _algorithm_id(algorithm) -> str:
 
 def _unitary_point(spec, ideal, thetas, deltas=None):
     """Mean (I_pa, I_au, success) over the marked items at one angle
-    assignment.  U_full gives I_pa, and its column 0 (the image of |0...0>)
-    gives the output distribution; U_rest is built only for I_au."""
+    assignment, each weighted as ``_marked_items`` says.  U_full gives
+    I_pa, and its column 0 (the image of |0...0>) gives the output
+    distribution; U_rest is built only for I_au."""
     algo = spec.algorithm
-    alphas = _alphas(spec)
+    items = _marked_items(spec, thetas)
     i_pa = i_au = success = 0.0
-    for alpha in alphas:
+    for alpha, weight in items:
         if alpha is None:
             full, rest = build_shor(algo, thetas, deltas)
         else:
             full, rest = build_grover(replace(algo, alpha=alpha), thetas)
         u_full = circuit_unitary(full)
-        i_pa += interference_unitary(u_full).value
+        i_pa += weight * interference_unitary(u_full).value
         if spec.measure_au:
-            i_au += interference_unitary(circuit_unitary(rest)).value
+            i_au += weight * interference_unitary(circuit_unitary(rest)).value
         probabilities = np.abs(u_full[:, 0]) ** 2
-        success += shor_success(ideal, probabilities) if alpha is None else probabilities[alpha]
-    count = len(alphas)
-    return i_pa / count, (i_au / count if spec.measure_au else None), success / count
+        value = shor_success(ideal, probabilities) if alpha is None else probabilities[alpha]
+        success += weight * value
+    total = sum(weight for _, weight in items)
+    return i_pa / total, (i_au / total if spec.measure_au else None), success / total
 
 
-def _alphas(spec: ExperimentSpec):
-    """Marked items a point averages over; (None,) for Shor."""
-    if not isinstance(spec.algorithm, GroverSpec):
-        return (None,)
-    if spec.average_over_alpha:
-        return tuple(range(1 << spec.algorithm.n))
-    return (spec.algorithm.alpha,)
+def _marked_items(spec: ExperimentSpec, thetas):
+    """(marked item, weight) pairs a point averages over; ((None, 1),) for
+    Shor.
+
+    When every Hadamard angle is equal, the Grover circuit for alpha is the
+    circuit for pi(alpha) conjugated by the qubit permutation pi, which
+    leaves |0...0>, both interferences and the success probability as they
+    are.  An alpha-averaged point then evaluates one marked item per
+    Hamming weight w, alpha = 2^w - 1, weighted C(n, w).  Any other angle
+    list counts every marked item once."""
+    algo = spec.algorithm
+    if not isinstance(algo, GroverSpec):
+        return ((None, 1),)
+    if not spec.average_over_alpha:
+        return ((algo.alpha, 1),)
+    n = algo.n
+    if all(theta == thetas[0] for theta in thetas):
+        return tuple(((1 << w) - 1, math.comb(n, w)) for w in range(n + 1))
+    return tuple((alpha, 1) for alpha in range(1 << n))
 
 
 def _shor_ideal(algorithm):
@@ -274,7 +290,7 @@ def run_systematic_sweep(spec: ExperimentSpec, parallel: int = 1) -> list:
     n_thetas = spec.algorithm.n_hadamards
     point = functools.partial(_unitary_point, spec, _shor_ideal(spec.algorithm))
     results = _map_ordered(point, [[theta] * n_thetas for theta in family.thetas], parallel)
-    n_samples = len(_alphas(spec))
+    n_samples = 1 << spec.n if spec.average_over_alpha else 1
     return [
         _make_row(spec, theta, None, i_pa, i_au, success, 0.0, n_samples)
         for theta, (i_pa, i_au, success) in zip(family.thetas, results)

@@ -1,7 +1,8 @@
 """Slow, independent reference implementations used only by the tests.
 
 Dense Kronecker products, explicit embeddings, literal density-matrix
-updates and the explicit Kraus route for decoherence: each one is the
+updates, the explicit Kraus route for decoherence and the per-item loop
+of an alpha-averaged Grover point: each one is the
 textbook construction that a library fast path is checked against.
 Conventions follow ``qimeter.linalg`` (qubit 0 is the most significant bit
 of the basis index).
@@ -9,15 +10,15 @@ of the basis index).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from qimeter.algorithms import AlgorithmUnitaries
+from qimeter.algorithms import AlgorithmUnitaries, GroverSpec, build_grover
 from qimeter.channels import BITFLIP, ErrorModel, KrausChannel, error_subsets, popcount
 from qimeter.errors import SizeLimitError, ValidationError
 from qimeter.gates import circuit_unitary
-from qimeter.interference import PauliNoiseKernel
+from qimeter.interference import PauliNoiseKernel, interference_unitary
 from qimeter.linalg import (
     MAX_DIM,
     MAX_QUBITS,
@@ -254,3 +255,22 @@ def grover_success(rho_f: np.ndarray, alpha: int) -> float:
     """Weight of the final state on the marked item, clipped to [0, 1]."""
     value = float(np.asarray(rho_f)[alpha, alpha].real)
     return min(max(value, 0.0), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# alpha averaging by brute force
+
+
+def alpha_averaged_grover(spec: GroverSpec, thetas) -> tuple[float, float, float]:
+    """Mean (I_pa, I_au, success) over all 2^n marked items at one angle
+    assignment, one circuit pair per item.  This is the oracle of the
+    Hamming-weight classes an alpha-averaged sweep evaluates instead."""
+    i_pa = i_au = success = 0.0
+    for alpha in range(1 << spec.n):
+        full, rest = build_grover(replace(spec, alpha=alpha), thetas)
+        u_full = circuit_unitary(full)
+        i_pa += interference_unitary(u_full).value
+        i_au += interference_unitary(circuit_unitary(rest)).value
+        success += abs(u_full[alpha, 0]) ** 2
+    count = 1 << spec.n
+    return i_pa / count, i_au / count, success / count

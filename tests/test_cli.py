@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -205,6 +206,16 @@ class TestExitCodes:
         monkeypatch.setattr("qimeter.harness.build_shor", unreachable)
         assert main(argv) == 2
         assert f"{name} grid values must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["0:inf:3", "-inf:1:3", "nan:1:3"])
+    def test_non_finite_grid_end_refused_before_interpolating(self, grid, capsys):
+        # numpy would warn about inf * 0 while spacing the points; the
+        # refusal must be the only thing on stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["grover-systematic", "--n", "3", "--alpha", "0", f"--grid={grid}"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: theta grid values must be finite\n"
 
     @pytest.mark.parametrize(
         "argv",

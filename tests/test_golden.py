@@ -6,8 +6,12 @@ The CSV files under ``tests/golden/`` were written by the CLI at commit
 phase-flip mixture was read from a column table and the Walsh-Hadamard
 kernels were cache-blocked).  Each case also has a ``--format json`` twin,
 written at commit 9bb1dac (before the explicit Kraus route moved into the
-tests).  Every sweep below is cheap, so any change to the numbers the
-pipeline produces shows up as a byte difference.
+tests).  The Grover systematic and random twins were rewritten when an
+alpha-averaged point at a uniform angle began to evaluate one marked item
+per Hamming weight: the weighted sum moved 20 values of the systematic
+sweep and 2 of the random sweep's eps = 0 row, each by at most 8.9e-16,
+and left both CSV files unchanged.  Every sweep below is cheap, so any
+change to the numbers the pipeline produces shows up as a byte difference.
 
 Most values are far from rounding noise.  The exceptions are in the
 phase-flip Shor sweep: at p = 1 and n_f = 2..4 the success is exactly 0 but

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import alpha_averaged_grover
 
 from qimeter import harness
 from qimeter.algorithms import (
@@ -115,6 +116,70 @@ class TestSystematicSweep:
             assert row.interference_pa <= dim - 1 + 1e-9
             assert 0.0 <= row.success <= 1.0
             assert row.success_stderr >= 0.0
+
+
+WEIGHT_CLASS_THETAS = (0.0, 0.37, math.pi / 4, 1.1, math.pi / 2)
+
+
+def count_grover_builds(monkeypatch):
+    calls = []
+
+    def counting(spec, thetas=None):
+        calls.append(spec.alpha)
+        return build_grover(spec, thetas)
+
+    monkeypatch.setattr(harness, "build_grover", counting)
+    return calls
+
+
+class TestAlphaWeightClasses:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_per_alpha_oracle(self, n):
+        spec = ExperimentSpec(
+            GroverSpec(n, 0), SystematicErrors(WEIGHT_CLASS_THETAS), average_over_alpha=True
+        )
+        rows = run_systematic_sweep(spec)
+        for row in rows:
+            thetas = [row.sweep_value] * spec.algorithm.n_hadamards
+            expected = alpha_averaged_grover(spec.algorithm, thetas)
+            observed = (row.interference_pa, row.interference_au, row.success)
+            for got, want in zip(observed, expected):
+                assert abs(got - want) <= 1e-12 * abs(want)
+            assert row.n_samples == 2**n
+        for edge in (rows[0], rows[-1]):
+            assert edge.interference_pa == 0.0 and edge.interference_au == 0.0
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_uniform_angle_builds_one_pair_per_weight(self, n, monkeypatch):
+        calls = count_grover_builds(monkeypatch)
+        spec = ExperimentSpec(
+            GroverSpec(n, 0), SystematicErrors((0.37,)), average_over_alpha=True
+        )
+        (row,) = run_systematic_sweep(spec)
+        assert calls == [(1 << w) - 1 for w in range(n + 1)]
+        assert row.n_samples == 2**n
+
+    def test_nudged_angle_builds_every_item(self, monkeypatch):
+        calls = count_grover_builds(monkeypatch)
+        spec = ExperimentSpec(
+            GroverSpec(4, 0), SystematicErrors((0.37,)), average_over_alpha=True
+        )
+        thetas = [0.37] * spec.algorithm.n_hadamards
+        thetas[5] += 1e-9
+        observed = harness._unitary_point(spec, None, thetas)
+        assert calls == list(range(16))
+        expected = alpha_averaged_grover(spec.algorithm, thetas)
+        for got, want in zip(observed, expected):
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_random_sweep_shortcut_only_at_zero_epsilon(self, monkeypatch):
+        calls = count_grover_builds(monkeypatch)
+        spec = ExperimentSpec(
+            GroverSpec(3, 0), RandomErrors((0.0, 0.5), 1), average_over_alpha=True
+        )
+        rows = run_random_sweep(spec)
+        assert calls == [0, 1, 3, 7] + list(range(8))
+        assert [row.n_samples for row in rows] == [1, 1]
 
 
 class TestRandomSweep:
