@@ -47,8 +47,9 @@ SWEEP_COMMANDS = {
 
 def _parse_grid(text: str) -> tuple:
     """start:stop:points as a tuple of floats.  A NaN or infinite end is
-    passed on as (start, stop) without interpolating, so the spec refuses
-    it with its own message and numpy never sees it."""
+    passed on as (start, stop) without interpolating, and finite ends whose
+    span overflows space non-finite points without a numpy warning: either
+    way the spec refuses the grid with its own message."""
     try:
         start, stop, points = text.split(":")
         start, stop, points = float(start), float(stop), int(points)
@@ -60,7 +61,8 @@ def _parse_grid(text: str) -> tuple:
         ) from exc
     if not (math.isfinite(start) and math.isfinite(stop)):
         return (start, stop)
-    return tuple(float(g) for g in np.linspace(start, stop, points))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return tuple(float(g) for g in np.linspace(start, stop, points))
 
 
 def _parse_alpha(text: str):

@@ -3,10 +3,10 @@
 Every circuit is built from three gate kinds: the perturbed Hadamard (the
 one dense gate, always on a single qubit), diagonal phases (oracle, zero
 reflection, QFT controlled phases) and basis permutations (modular
-exponentiation, bit reversal).  Gates are stored symbolically; diagonal and
-permutation gates are applied in O(N) per column instead of through a
-dense matrix.  ``circuit_unitary`` and ``circuit_apply`` share one gate
-application kernel, so they agree by construction.
+exponentiation, bit reversal).  ``circuit_unitary`` and ``circuit_apply``
+share one kernel: each gate is lowered once into a real 2x2 on one qubit,
+the rows whose phase is not 1, or a row gather, and the steps run on cached
+blocks of columns.  It reproduces the bytes of the gate-by-gate oracle.
 """
 
 from __future__ import annotations
@@ -160,6 +160,10 @@ def qft_circuit(
 # ---------------------------------------------------------------------------
 # gate application kernel
 
+# bytes of identity columns per block of circuit_unitary: the block stays
+# in cache while every gate of the circuit passes over it
+GATE_BLOCK_BYTES = 1 << 22
+
 
 def _local_index(idx, targets, n):
     k = len(targets)
@@ -169,46 +173,70 @@ def _local_index(idx, targets, n):
     return loc
 
 
-def _apply_dense(matrix, q, arr):
-    # arr has shape (2^n, M); contract the 2x2 gate into qubit q's axis
-    t = arr.reshape(1 << q, 2, -1)
-    return np.einsum("ab,xby->xay", matrix, t).reshape(arr.shape)
-
-
-def _apply_gate(gate, arr, n):
+def _lower(gate, n, every_row):
+    """One gate as a step on a C-contiguous (2^n, M) complex128 stack."""
     if isinstance(gate, PerturbedHadamard):
-        return _apply_dense(perturbed_hadamard(gate.theta), gate.target, arr)
-    idx = np.arange(arr.shape[0])
+        m, q = perturbed_hadamard(gate.theta).real, gate.target
+        # real einsum on the interleaved floats; each sum starts from +0 (DECISIONS.md)
+        return lambda s: np.einsum(
+            "ab,xby->xay", m, s.view(float).reshape(1 << q, 2, -1)
+        ).reshape(s.shape[0], -1).view(complex)
+    idx = np.arange(1 << n)
     if isinstance(gate, DiagonalPhaseGate):
         factor = gate.phases[_local_index(idx, gate.targets, n)]
-        return arr * factor[:, None]
+        # a factor of 1 could change only the sign of a zero, and a later
+        # Hadamard's sum from +0 forgets that sign: skip those rows if one follows
+        rows = idx if every_row else np.flatnonzero(factor != 1)
+        factor = factor[rows, None]
+
+        def multiply(s):
+            s[rows] *= factor
+            return s
+
+        return multiply
     if isinstance(gate, PermutationGate):
-        k = len(gate.targets)
         new_loc = gate.table[_local_index(idx, gate.targets, n)]
         dest = idx.copy()
-        for b, t in enumerate(gate.targets):
-            bit = (new_loc >> (k - 1 - b)) & 1
-            dest = (dest & ~(1 << (n - 1 - t))) | (bit << (n - 1 - t))
-        out = np.empty_like(arr)
-        out[dest] = arr
-        return out
+        for b, t in enumerate(reversed(gate.targets)):  # bit b of new_loc goes to wire t
+            dest = (dest & ~(1 << (n - 1 - t))) | (((new_loc >> b) & 1) << (n - 1 - t))
+        src = np.argsort(dest)  # row r of the result is row src[r] of s
+        return lambda s: s[src]
     raise TypeError(f"unknown gate {gate!r}")
 
 
+def _plan(c: Circuit) -> list:
+    """The circuit's gates lowered once each (Grover repeats its reflections)."""
+    last = max((i for i, g in enumerate(c.ops) if isinstance(g, PerturbedHadamard)), default=-1)
+    keys = [(id(gate), i > last) for i, gate in enumerate(c.ops)]
+    steps = {key: _lower(gate, c.n, key[1]) for key, gate in dict(zip(keys, c.ops)).items()}
+    return [steps[key] for key in keys]
+
+
+def _run(plan: list, stack: np.ndarray) -> np.ndarray:
+    """Apply ``plan`` to ``stack``, which its diagonal steps overwrite."""
+    if stack.dtype != complex or not stack.flags.c_contiguous:
+        raise ValueError("the gate kernel needs a C-contiguous complex128 stack")
+    for step in plan:
+        stack = step(stack)
+    return stack
+
+
 def circuit_unitary(c: Circuit) -> np.ndarray:
-    """Dense unitary of the circuit (later gates multiply from the left)."""
-    u = np.eye(1 << c.n, dtype=complex)
-    for gate in c.ops:
-        u = _apply_gate(gate, u, c.n)
+    """Dense unitary of the circuit (later gates multiply from the left), run on
+    blocks of identity columns: every gate acts on rows, so columns never mix."""
+    dim = 1 << c.n
+    width = max(1, GATE_BLOCK_BYTES // (16 * dim))
+    if width >= dim:
+        return _run(_plan(c), np.eye(dim, dtype=complex))
+    plan, u = _plan(c), np.empty((dim, dim), dtype=complex)
+    for j in range(0, dim, width):
+        u[:, j : j + width] = _run(plan, np.eye(dim, min(width, dim - j), -j, dtype=complex))
     return u
 
 
 def circuit_apply(c: Circuit, psi: np.ndarray) -> np.ndarray:
-    """Apply the circuit to a state vector without building the big matrix."""
-    psi = np.asarray(psi, dtype=complex)
+    """The circuit applied to a copy of the state ``psi``, with no N x N matrix."""
+    psi = np.array(psi, dtype=complex, order="C")
     if psi.shape != (1 << c.n,):
         raise ValueError(f"state of dimension {psi.shape} does not match n={c.n}")
-    arr = psi.reshape(-1, 1)
-    for gate in c.ops:
-        arr = _apply_gate(gate, arr, c.n)
-    return arr.reshape(-1)
+    return _run(_plan(c), psi.reshape(-1, 1)).reshape(-1)

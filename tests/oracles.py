@@ -1,9 +1,10 @@
 """Slow, independent reference implementations used only by the tests.
 
 Dense Kronecker products, explicit embeddings, literal density-matrix
-updates, the explicit Kraus route for decoherence and the per-item loop
-of an alpha-averaged Grover point: each one is the
-textbook construction that a library fast path is checked against.
+updates, the gate-by-gate circuit unitary, the explicit Kraus route for
+decoherence and the per-item loop of an alpha-averaged Grover point: each
+one is the textbook construction that a library fast path is checked
+against.
 Conventions follow ``qimeter.linalg`` (qubit 0 is the most significant bit
 of the basis index).
 """
@@ -17,7 +18,14 @@ import numpy as np
 from qimeter.algorithms import AlgorithmUnitaries, GroverSpec, build_grover
 from qimeter.channels import BITFLIP, ErrorModel, KrausChannel, error_subsets, popcount
 from qimeter.errors import SizeLimitError, ValidationError
-from qimeter.gates import circuit_unitary
+from qimeter.gates import (
+    Circuit,
+    DiagonalPhaseGate,
+    PermutationGate,
+    PerturbedHadamard,
+    circuit_unitary,
+    perturbed_hadamard,
+)
 from qimeter.interference import PauliNoiseKernel, interference_unitary
 from qimeter.linalg import (
     MAX_DIM,
@@ -173,6 +181,53 @@ def phaseflip_mixture(u_full: np.ndarray, model: ErrorModel) -> np.ndarray:
     for column, weight in error_subsets(dim.bit_length() - 1, model):
         probs += weight * np.abs(u_full[:, column]) ** 2
     return probs
+
+
+# ---------------------------------------------------------------------------
+# the gate-by-gate circuit unitary: every gate passes over the whole N x N
+# stack, the Hadamard as a complex einsum and a diagonal on every row
+
+
+def _local_index(idx, targets, n):
+    k = len(targets)
+    loc = np.zeros_like(idx)
+    for b, t in enumerate(targets):
+        loc |= ((idx >> (n - 1 - t)) & 1) << (k - 1 - b)
+    return loc
+
+
+def _apply_dense(matrix, q, arr):
+    # arr has shape (2^n, M); contract the 2x2 gate into qubit q's axis
+    t = arr.reshape(1 << q, 2, -1)
+    return np.einsum("ab,xby->xay", matrix, t).reshape(arr.shape)
+
+
+def _apply_gate(gate, arr, n):
+    if isinstance(gate, PerturbedHadamard):
+        return _apply_dense(perturbed_hadamard(gate.theta), gate.target, arr)
+    idx = np.arange(arr.shape[0])
+    if isinstance(gate, DiagonalPhaseGate):
+        factor = gate.phases[_local_index(idx, gate.targets, n)]
+        return arr * factor[:, None]
+    if isinstance(gate, PermutationGate):
+        k = len(gate.targets)
+        new_loc = gate.table[_local_index(idx, gate.targets, n)]
+        dest = idx.copy()
+        for b, t in enumerate(gate.targets):
+            bit = (new_loc >> (k - 1 - b)) & 1
+            dest = (dest & ~(1 << (n - 1 - t))) | (bit << (n - 1 - t))
+        out = np.empty_like(arr)
+        out[dest] = arr
+        return out
+    raise TypeError(f"unknown gate {gate!r}")
+
+
+def circuit_unitary_gate_by_gate(c: Circuit) -> np.ndarray:
+    """Dense unitary of the circuit, one gate at a time on the identity."""
+    u = np.eye(1 << c.n, dtype=complex)
+    for gate in c.ops:
+        u = _apply_gate(gate, u, c.n)
+    return u
 
 
 # ---------------------------------------------------------------------------

@@ -207,10 +207,11 @@ class TestExitCodes:
         assert main(argv) == 2
         assert f"{name} grid values must be finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("grid", ["0:inf:3", "-inf:1:3", "nan:1:3"])
+    @pytest.mark.parametrize("grid", ["0:inf:3", "-inf:1:3", "nan:1:3", "1e308:-1e308:3"])
     def test_non_finite_grid_end_refused_before_interpolating(self, grid, capsys):
-        # numpy would warn about inf * 0 while spacing the points; the
-        # refusal must be the only thing on stderr
+        # numpy would warn about inf * 0, or about a span that overflows,
+        # while spacing the points; the refusal must be the only thing on
+        # stderr
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["grover-systematic", "--n", "3", "--alpha", "0", f"--grid={grid}"])

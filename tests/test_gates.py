@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import PAULI_X, embed_local, kron
+from oracles import PAULI_X, circuit_unitary_gate_by_gate, embed_local, kron
+from qimeter import gates
 from qimeter.algorithms import GroverSpec, ShorSpec, build_grover, build_shor
 from qimeter.errors import SizeLimitError
 from qimeter.gates import (
@@ -219,3 +221,155 @@ class TestGateValidation:
     def test_targets_inside_register(self):
         with pytest.raises(ValueError):
             Circuit(2, (pauli_x(2),))
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def grover_angles(spec, kind):
+    if kind == "pi/4":
+        return None
+    if kind == "uniform":
+        return [0.37] * spec.n_hadamards
+    return list(np.random.default_rng(spec.n).uniform(0, math.pi, spec.n_hadamards))
+
+
+def perturbed_shor(L, R, a):
+    spec = ShorSpec(L, R, a)
+    rng = np.random.default_rng(L)
+    return build_shor(
+        spec,
+        list(rng.uniform(0, math.pi, spec.n_hadamards)),
+        list(rng.uniform(-3, 3, spec.n_qft_phases)),
+    )
+
+
+# phases that make exact zeros and signed zeros: 1, the axes and every quadrant
+EDGE_PHASES = np.exp(1j * np.array([0.0, 0.5, 1.0, 1.5, -0.5, 0.8, -0.8, 1.2, -1.2]) * math.pi)
+EDGE_ANGLES = [0.0, math.pi / 4, math.pi / 2, math.pi, -math.pi / 2, 0.37]
+
+
+def edge_circuit(rng):
+    """Gates of every kind at edge angles, with half of each diagonal exactly 1
+    and diagonals after the last Hadamard."""
+    n = int(rng.integers(2, 6))
+    ops = []
+    for _ in range(int(rng.integers(3, 12))):
+        kind = rng.random()
+        targets = tuple(int(t) for t in rng.permutation(n)[: rng.integers(1, n + 1)])
+        if kind < 0.35:
+            ops.append(PerturbedHadamard(float(rng.choice(EDGE_ANGLES)), targets[0]))
+        elif kind < 0.8:
+            size = 1 << len(targets)
+            phases = np.where(rng.random(size) < 0.5, 1.0, rng.choice(EDGE_PHASES, size))
+            ops.append(DiagonalPhaseGate(phases, targets))
+        else:
+            ops.append(PermutationGate(rng.permutation(1 << len(targets)), targets))
+    return Circuit(n, tuple(ops))
+
+
+class TestKernelMatchesGateByGate:
+    """The column-blocked kernel reproduces the gate-by-gate oracle's bytes."""
+
+    @pytest.mark.parametrize("kind", ["pi/4", "uniform", "random"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_grover(self, n, kind):
+        spec = GroverSpec(n, (1 << n) - 2)
+        for c in build_grover(spec, grover_angles(spec, kind)):
+            assert same_bytes(circuit_unitary(c), circuit_unitary_gate_by_gate(c))
+
+    @pytest.mark.parametrize("L, R, a", [(2, 3, 2), (3, 7, 3), (3, 5, 2)])
+    def test_shor_with_perturbed_angles_and_phases(self, L, R, a):
+        for c in perturbed_shor(L, R, a):
+            assert same_bytes(circuit_unitary(c), circuit_unitary_gate_by_gate(c))
+
+    def test_edge_circuits(self):
+        # a factor-1 row is skipped only where a later Hadamard forgets the
+        # sign of zero that multiplying by 1 could have changed
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            c = edge_circuit(rng)
+            assert same_bytes(circuit_unitary(c), circuit_unitary_gate_by_gate(c)), c.ops
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_column_blocks(self, n, width, monkeypatch):
+        # blocks of `width` columns; 3 leaves a short last block
+        monkeypatch.setattr(gates, "GATE_BLOCK_BYTES", 16 * width << n)
+        rng = np.random.default_rng(n)
+        spec = GroverSpec(n, 1)
+        circuits = [random_mixed_circuit(n, rng), edge_circuit(rng)]
+        for c in [*circuits, *build_grover(spec, grover_angles(spec, "random"))]:
+            assert same_bytes(circuit_unitary(c), circuit_unitary_gate_by_gate(c))
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_circuit_apply_is_column_zero(self, n):
+        spec = GroverSpec(n, 1)
+        for c in build_grover(spec, grover_angles(spec, "random")):
+            column = np.ascontiguousarray(circuit_unitary_gate_by_gate(c)[:, 0])
+            assert same_bytes(circuit_apply(c, basis_state(1 << n)), column)
+
+    def test_peak_memory_is_one_output(self, monkeypatch):
+        # the oracle holds two N x N stacks at once and fails this bound
+        n = 8
+        monkeypatch.setattr(gates, "GATE_BLOCK_BYTES", 16 * 8 << n)
+        mixed = random_mixed_circuit(n, np.random.default_rng(8))
+        c = Circuit(n, walsh_layer([0.3] * n).ops + mixed.ops)
+        tracemalloc.start()
+        try:
+            u = circuit_unitary(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * u.nbytes
+
+
+class TestKernelInputs:
+    """Diagonal steps write in place, so the kernel only ever sees a private
+    C-contiguous complex128 stack."""
+
+    @staticmethod
+    def circuit():
+        # a diagonal first, so an in-place step would meet the input itself
+        rng = np.random.default_rng(4)
+        first = DiagonalPhaseGate(np.exp(1j * rng.uniform(0, 2 * math.pi, 16)), (0, 1, 2, 3))
+        return Circuit(4, (first, *random_mixed_circuit(4, rng).ops))
+
+    @staticmethod
+    def state(rng):
+        return rng.standard_normal(16) + 1j * rng.standard_normal(16)
+
+    def test_read_only_state(self):
+        psi = self.state(np.random.default_rng(1))
+        psi.setflags(write=False)
+        expected = circuit_apply(self.circuit(), psi.copy())
+        assert same_bytes(circuit_apply(self.circuit(), psi), expected)
+
+    def test_strided_column(self):
+        m = np.stack([self.state(np.random.default_rng(s)) for s in range(3)], axis=1)
+        column = m[:, 0]
+        assert not column.flags.c_contiguous
+        expected = circuit_apply(self.circuit(), np.ascontiguousarray(column))
+        assert same_bytes(circuit_apply(self.circuit(), column), expected)
+
+    def test_state_unchanged(self):
+        psi = self.state(np.random.default_rng(2))
+        before = psi.tobytes()
+        out = circuit_apply(self.circuit(), psi)
+        assert psi.tobytes() == before
+        assert not np.shares_memory(out, psi)
+        assert not np.shares_memory(circuit_apply(Circuit(4, ()), psi), psi)
+
+    @pytest.mark.parametrize(
+        "stack",
+        [
+            np.eye(16, 32, dtype=complex)[:, ::2],
+            np.asfortranarray(np.eye(16, 4, dtype=complex)),
+            np.eye(16, 4),
+        ],
+        ids=["strided", "fortran", "float"],
+    )
+    def test_stack_that_would_be_misread_refused(self, stack):
+        with pytest.raises(ValueError, match="C-contiguous complex128"):
+            gates._run(gates._plan(self.circuit()), stack)
