@@ -205,24 +205,41 @@ def build_shor(
 
 @dataclass(frozen=True, eq=False)
 class AlgorithmUnitaries:
-    """Dense unitaries of an algorithm, full = rest @ U(walsh), with the
-    initial Hadamard layer ``walsh`` kept as a circuit."""
+    """Dense views of an exact ``circuit``, full = rest @ U(walsh), with the
+    initial Hadamard layer ``walsh`` (the first ``layer_width`` ops) kept as
+    a circuit.  Each view is built the first time a measure reads it, so
+    I_pa alone never builds U_rest or its kernel."""
 
-    full: np.ndarray
-    rest: np.ndarray
-    walsh: Circuit
+    circuit: Circuit
+    layer_width: int
 
-    @property
+    @functools.cached_property
+    def walsh(self) -> Circuit:
+        return Circuit(self.circuit.n, self.circuit.ops[: self.layer_width])
+
+    @functools.cached_property
     def walsh_qubits(self) -> tuple:
         """Qubits that receive an initial Hadamard (all of them for Grover,
         the first register for Shor)."""
         return tuple(op.target for op in self.walsh.ops)
 
     @functools.cached_property
-    def kernels(self) -> tuple[PauliNoiseKernel, PauliNoiseKernel]:
-        """Noise kernels of (full, rest): the row statistics that
-        ``decoherence_point`` reads for I_pa and I_au."""
-        return pauli_noise_kernel(self.full), pauli_noise_kernel(self.rest)
+    def full(self) -> np.ndarray:
+        return circuit_unitary(self.circuit)
+
+    @functools.cached_property
+    def rest(self) -> np.ndarray:
+        return circuit_unitary(Circuit(self.circuit.n, self.circuit.ops[self.layer_width :]))
+
+    @functools.cached_property
+    def full_kernel(self) -> PauliNoiseKernel:
+        """Row statistics of U_full that ``decoherence_point`` reads for I_pa."""
+        return pauli_noise_kernel(self.full)
+
+    @functools.cached_property
+    def rest_kernel(self) -> PauliNoiseKernel:
+        """Row statistics of U_rest that ``DecoherencePoint`` reads for I_au."""
+        return pauli_noise_kernel(self.rest)
 
     @functools.cached_property
     def mixture_table(self) -> np.ndarray:
@@ -247,22 +264,14 @@ class AlgorithmUnitaries:
         return table
 
 
-def _unitaries(spec, full: Circuit, rest: Circuit) -> AlgorithmUnitaries:
-    return AlgorithmUnitaries(
-        full=circuit_unitary(full),
-        rest=circuit_unitary(rest),
-        walsh=Circuit(spec.n, full.ops[: spec.layer_width]),
-    )
-
-
 def grover_unitaries(spec: GroverSpec) -> AlgorithmUnitaries:
-    """Unitaries of the exact Grover circuit (every angle pi/4)."""
-    return _unitaries(spec, *build_grover(spec))
+    """Views of the exact Grover circuit (every angle pi/4)."""
+    return AlgorithmUnitaries(build_grover(spec)[0], spec.layer_width)
 
 
 def shor_unitaries(spec: ShorSpec) -> AlgorithmUnitaries:
-    """Unitaries of the exact Shor circuit (every angle pi/4, no phase offsets)."""
-    return _unitaries(spec, *build_shor(spec))
+    """Views of the exact Shor circuit (every angle pi/4, no phase offsets)."""
+    return AlgorithmUnitaries(build_shor(spec)[0], spec.layer_width)
 
 
 def _check_affected(unitaries: AlgorithmUnitaries, model: ErrorModel) -> None:
@@ -275,11 +284,17 @@ def _check_affected(unitaries: AlgorithmUnitaries, model: ErrorModel) -> None:
 
 @dataclass(frozen=True, eq=False)
 class DecoherencePoint:
-    """One (p, affected-subset) evaluation of a decohered algorithm."""
+    """One (p, affected-subset) evaluation of a decohered algorithm; I_au is
+    evaluated, on U_rest's noise kernel, the first time it is read."""
 
+    unitaries: AlgorithmUnitaries
+    model: ErrorModel
     interference_pa: InterferenceReport
-    interference_au: InterferenceReport
     probabilities: np.ndarray
+
+    @functools.cached_property
+    def interference_au(self) -> InterferenceReport:
+        return interference_noise_then_unitary(self.unitaries.rest_kernel, self.model)
 
 
 def decoherence_point(unitaries: AlgorithmUnitaries, model: ErrorModel) -> DecoherencePoint:
@@ -288,10 +303,11 @@ def decoherence_point(unitaries: AlgorithmUnitaries, model: ErrorModel) -> Decoh
     Commuting each Pauli error through the exact Hadamard on its qubit
     turns the PA channel into noise-then-unitary form with the error kind
     swapped (sigma_z H = H sigma_x), so both measures reduce to
-    ``interference_noise_then_unitary`` on ``unitaries.kernels``.  Matches
-    the explicit Kraus channels (``tests/oracles.py``) to machine precision.
-    Raises ``ValueError`` if any initial Hadamard is perturbed, where the
-    commutation fails.
+    ``interference_noise_then_unitary`` on a noise kernel.  Matches the
+    explicit Kraus channels (``tests/oracles.py``) to machine precision.
+    I_pa and the probabilities are evaluated here, so every refusal is
+    raised here: ``ValueError`` if any initial Hadamard is perturbed, where
+    the commutation fails.
     """
     if not all(
         isinstance(op, PerturbedHadamard) and op.theta == math.pi / 4
@@ -301,13 +317,11 @@ def decoherence_point(unitaries: AlgorithmUnitaries, model: ErrorModel) -> Decoh
             "the fast path needs an exact initial Hadamard layer (every angle pi/4)"
         )
     _check_affected(unitaries, model)
-    k_full, k_rest = unitaries.kernels
     flipped = replace(model, kind=BITFLIP if model.kind == PHASEFLIP else PHASEFLIP)
-    i_pa = interference_noise_then_unitary(k_full, flipped)
-    i_au = interference_noise_then_unitary(k_rest, model)
     return DecoherencePoint(
-        interference_pa=i_pa,
-        interference_au=i_au,
+        unitaries=unitaries,
+        model=model,
+        interference_pa=interference_noise_then_unitary(unitaries.full_kernel, flipped),
         probabilities=decoherent_final_probabilities(unitaries, model),
     )
 

@@ -8,7 +8,6 @@ lines (keys are the flag names without dashes); command-line flags win.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -209,33 +208,7 @@ def _run_sweep(args, algo, family):
         master_seed=args.seed,
         measure_au=args.measure == "both",
     )
-    rows = runner(spec, **options)
-    # ``args.out or sys.stdout`` would send ``--out ''`` to stdout, not exit 4
-    write_results(rows, sys.stdout if args.out is None else args.out, args.format)
-    return 0
-
-
-def _run_cue(args):
-    stats = cue_baseline(args.n, args.realizations, args.seed)
-    record = {
-        "n": args.n,
-        "samples": stats.samples,
-        "mean": stats.mean,
-        "stddev": stats.stddev,
-        "seed": args.seed,
-    }
-    if args.format == "csv":
-        text = "n,samples,mean,stddev,seed\n" + (
-            f"{args.n},{stats.samples},{stats.mean:.12g},{stats.stddev:.12g},{args.seed}\n"
-        )
-    else:
-        text = json.dumps(record, indent=1) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-    return 0
+    return runner(spec, **options)
 
 
 def _run_verify(args):
@@ -277,11 +250,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(raw)
     try:
         if args.command in SWEEP_COMMANDS:
-            algo, family = SWEEP_COMMANDS[args.command]
-            return _run_sweep(args, algo, family)
-        if args.command == "cue-baseline":
-            return _run_cue(args)
-        return _run_verify(args)
+            rows = _run_sweep(args, *SWEEP_COMMANDS[args.command])
+        elif args.command == "cue-baseline":
+            rows = [cue_baseline(args.n, args.realizations, args.seed)]
+        else:
+            return _run_verify(args)
+        # ``args.out or sys.stdout`` would send ``--out ''`` to stdout, not exit 4
+        write_results(rows, sys.stdout if args.out is None else args.out, args.format)
+        return 0
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

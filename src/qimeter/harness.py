@@ -174,22 +174,19 @@ class ResultRow:
     seed: int
 
 
-def _column_types() -> list:
-    """(name, value type, optional) per ``ResultRow`` field, in order;
+@functools.cache
+def _column_types(row_class) -> tuple:
+    """(name, value type, optional) per field of ``row_class``, in order;
     ``float | None`` gives (name, float, True).  A CSV cell holds a float
     at 12 significant digits, an int as is and None as an empty cell,
     which reads back as None only in an optional field."""
-    hints = get_type_hints(ResultRow)
+    hints = get_type_hints(row_class)
     columns = []
-    for f in fields(ResultRow):
+    for f in fields(row_class):
         kinds = get_args(hints[f.name]) or (hints[f.name],)
         (kind,) = set(kinds) - {type(None)}
         columns.append((f.name, kind, type(None) in kinds))
-    return columns
-
-
-_COLUMN_TYPES = _column_types()
-RESULT_COLUMNS = [name for name, _, _ in _COLUMN_TYPES]
+    return tuple(columns)
 
 
 @dataclass(frozen=True)
@@ -241,9 +238,7 @@ def _unitary_point(spec, ideal, thetas, deltas=None):
         i_pa += weight * interference_unitary(u_full).value
         if spec.measure_au:
             i_au += weight * interference_unitary(circuit_unitary(rest)).value
-        probabilities = np.abs(u_full[:, 0]) ** 2
-        value = shor_success(ideal, probabilities) if alpha is None else probabilities[alpha]
-        success += weight * value
+        success += weight * _success(ideal, np.abs(u_full[:, 0]) ** 2, alpha)
     total = sum(weight for _, weight in items)
     return i_pa / total, (i_au / total if spec.measure_au else None), success / total
 
@@ -269,6 +264,11 @@ def _marked_items(spec: ExperimentSpec, thetas):
     return tuple((alpha, 1) for alpha in range(1 << n))
 
 
+def _success(ideal, probabilities, alpha) -> float:
+    """The marked item's probability, or for Shor (``alpha`` None) ``shor_success``."""
+    return shor_success(ideal, probabilities) if alpha is None else float(probabilities[alpha])
+
+
 def _shor_ideal(algorithm):
     """Output distribution of the exact Shor circuit; None for Grover."""
     if isinstance(algorithm, GroverSpec):
@@ -292,7 +292,7 @@ def run_systematic_sweep(spec: ExperimentSpec, parallel: int = 1) -> list:
     results = _map_ordered(point, [[theta] * n_thetas for theta in family.thetas], parallel)
     n_samples = 1 << spec.n if spec.average_over_alpha else 1
     return [
-        _make_row(spec, theta, None, i_pa, i_au, success, 0.0, n_samples)
+        _make_row(spec, theta, None, [i_pa], [i_au], [success], n_samples)
         for theta, (i_pa, i_au, success) in zip(family.thetas, results)
     ]
 
@@ -331,16 +331,10 @@ def run_random_sweep(spec: ExperimentSpec, parallel: int = 1) -> list:
     per_grid = [[] for _ in family.epsilons]
     for (grid_index, *_), chunk in zip(tasks, chunks):
         per_grid[grid_index].extend(chunk)
-    rows = []
-    for eps, values in zip(family.epsilons, per_grid):
-        i_pa = float(np.mean([v[0] for v in values]))
-        i_au = float(np.mean([v[1] for v in values])) if spec.measure_au else None
-        succ = float(np.mean([v[2] for v in values]))
-        stderr = 0.0
-        if n_r > 1:
-            stderr = float(np.std([v[2] for v in values], ddof=1)) / math.sqrt(n_r)
-        rows.append(_make_row(spec, eps, None, i_pa, i_au, succ, stderr, n_r))
-    return rows
+    return [
+        _make_row(spec, eps, None, *zip(*samples), n_r, stderr=True)
+        for eps, samples in zip(family.epsilons, per_grid)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +346,13 @@ def run_decoherence_sweep(spec: ExperimentSpec) -> list:
     of the first register according to the subset policy; Grover uses the
     policy as given (prefix = first n_f qubits).
 
-    The sweep runs in the calling process and builds its setup once: the
-    exact unitaries, their noise kernels and, for phase flips, the column
-    table of the output mixture, all O(4^n) and freed on return.  At 12
-    qubits that is U_full and U_rest (512 MB) plus the table (8 MB for
-    Shor L = 4, 128 MB for Grover); a Shor L = 4 phase-flip sweep peaks
-    at 933 MB."""
+    The sweep runs in the calling process and builds its setup once, each
+    part on first use: U_full and its noise kernel, for phase flips the
+    column table of the output mixture, and, only when the spec measures
+    I_au, U_rest and its noise kernel.  All are O(4^n) and freed on
+    return.  At 12 qubits each unitary is 256 MB and the table 8 MB for
+    Shor L = 4 (128 MB for Grover); a Shor L = 4 phase-flip sweep peaks
+    at 677 MB with I_pa alone and at 941 MB with both measures."""
     family = spec.error_family
     if not isinstance(family, DecoherenceErrors):
         raise ValueError("spec does not describe a decoherence sweep")
@@ -370,6 +365,7 @@ def run_decoherence_sweep(spec: ExperimentSpec) -> list:
     grover = isinstance(algo, GroverSpec)
     unitaries = grover_unitaries(algo) if grover else shor_unitaries(algo)
     ideal = None if grover else np.abs(unitaries.full[:, 0]) ** 2
+    alpha = algo.alpha if grover else None
     walsh_qubits = unitaries.walsh_qubits
     rows = []
     for p in family.probabilities:
@@ -377,19 +373,12 @@ def run_decoherence_sweep(spec: ExperimentSpec) -> list:
             if family.subset_policy == PREFIX_SUBSETS:
                 subsets = [walsh_qubits[:n_f]]
             else:
-                subsets = list(itertools.combinations(walsh_qubits, n_f))
-            acc_pa, acc_au, acc_s = [], [], []
-            for subset in subsets:
-                point = decoherence_point(unitaries, ErrorModel(family.kind, p, subset))
-                acc_pa.append(point.interference_pa.value)
-                acc_au.append(point.interference_au.value)
-                if grover:
-                    acc_s.append(float(point.probabilities[algo.alpha]))
-                else:
-                    acc_s.append(shor_success(ideal, point.probabilities))
-            i_pa, succ = float(np.mean(acc_pa)), float(np.mean(acc_s))
-            i_au = float(np.mean(acc_au)) if spec.measure_au else None
-            rows.append(_make_row(spec, p, n_f, i_pa, i_au, succ, 0.0, len(subsets)))
+                subsets = itertools.combinations(walsh_qubits, n_f)
+            points = [decoherence_point(unitaries, ErrorModel(family.kind, p, s)) for s in subsets]
+            pa = [point.interference_pa.value for point in points]
+            au = (point.interference_au.value for point in points)  # read only if reported
+            success = [_success(ideal, point.probabilities, alpha) for point in points]
+            rows.append(_make_row(spec, p, n_f, pa, au, success, len(points)))
     return rows
 
 
@@ -399,9 +388,14 @@ def run_decoherence_sweep(spec: ExperimentSpec) -> list:
 
 @dataclass(frozen=True)
 class SampleStatistics:
+    """Interference of ``samples`` Haar-random unitaries on ``n`` qubits.
+    The fields, in order, are the columns and keys of ``write_results``."""
+
+    n: int
+    samples: int
     mean: float
     stddev: float
-    samples: int
+    seed: int
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -417,20 +411,30 @@ def cue_baseline(n: int, samples: int, seed: int = 0) -> SampleStatistics:
     """Mean and spread of the interference of Haar-random unitaries."""
     if n > 8:
         raise SizeLimitError("CUE baseline capped at 8 qubits")
+    if n < 1:
+        raise ValueError(f"CUE baseline needs at least one qubit, got n = {n}")
     if samples < 10:
         raise ValueError("need at least 10 samples")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 0xC0E]))
     values = [interference_unitary(haar_unitary(1 << n, rng)).value for _ in range(samples)]
-    return SampleStatistics(
-        mean=float(np.mean(values)), stddev=float(np.std(values, ddof=1)), samples=samples
-    )
+    mean, stddev = float(np.mean(values)), float(np.std(values, ddof=1))
+    return SampleStatistics(n, samples, mean, stddev, seed)
 
 
 # ---------------------------------------------------------------------------
 # result emission
 
 
-def _make_row(spec, sweep_value, n_f, i_pa, i_au, success, stderr, n_samples):
+def _make_row(spec, sweep_value, n_f, pa, au, success, n_samples, stderr=False):
+    """One row from the I_pa, I_au and success samples of a sweep point,
+    each column averaged in sample order.  ``au`` is read only when the
+    spec measures I_au, so a lazy column builds U_rest only then.
+    ``stderr`` adds the standard error over ``n_samples`` realizations."""
+    i_pa = float(np.mean(pa))
+    i_au = float(np.mean(list(au))) if spec.measure_au else None
+    spread = 0.0
+    if stderr and n_samples > 1:
+        spread = float(np.std(success, ddof=1)) / math.sqrt(n_samples)
     return ResultRow(
         sweep_value=float(sweep_value),
         n=spec.n,
@@ -439,8 +443,8 @@ def _make_row(spec, sweep_value, n_f, i_pa, i_au, success, stderr, n_samples):
         interference_au=i_au,
         ibits_pa=ibits(i_pa),
         ibits_au=None if i_au is None else ibits(i_au),
-        success=success,
-        success_stderr=float(stderr),
+        success=float(np.mean(success)),
+        success_stderr=spread,
         n_samples=int(n_samples),
         seed=spec.master_seed,
     )
@@ -456,22 +460,24 @@ def _map_ordered(fn, tasks, parallel):
         return list(pool.map(fn, tasks))
 
 
-def write_results(rows: Sequence[ResultRow], path, format: str = "csv") -> None:
-    """Write rows to a path or an open stream as CSV (one column per
-    ``ResultRow`` field) or as a JSON array of records with the same keys."""
+def write_results(rows: Sequence, path, format: str = "csv") -> None:
+    """Write rows to a path or an open stream as CSV (one column per field
+    of the rows' dataclass, ``ResultRow`` or ``SampleStatistics``) or as a
+    JSON array of records with the same keys."""
     if format not in ("csv", "json"):
         raise ValueError(f"unknown output format {format!r}")
+    columns = _column_types(type(rows[0]) if rows else ResultRow)
     with nullcontext(path) if hasattr(path, "write") else open(path, "w", newline="") as handle:
         if format == "json":
             json.dump([asdict(row) for row in rows], handle, indent=1)
             handle.write("\n")
             return
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(RESULT_COLUMNS)
+        writer.writerow(name for name, _, _ in columns)
         for row in rows:
             writer.writerow(
                 "" if value is None else f"{value:.12g}" if kind is float else value
-                for value, (_, kind, _) in zip(astuple(row), _COLUMN_TYPES)
+                for value, (_, kind, _) in zip(astuple(row), columns)
             )
 
 
@@ -482,18 +488,19 @@ def read_results(path, format: str = "csv") -> list:
     with open(path, "r", newline="") as handle:
         if format == "json":
             return [ResultRow(**record) for record in json.load(handle)]
+        columns = _column_types(ResultRow)
         reader = csv.reader(handle)
         header = next(reader)
-        if header != RESULT_COLUMNS:
+        if header != [name for name, _, _ in columns]:
             raise ValueError(f"unexpected CSV header {header}")
         rows = []
         for raw in reader:
-            if len(raw) != len(RESULT_COLUMNS):
+            if len(raw) != len(columns):
                 raise ValueError(
                     f"CSV line {reader.line_num} has {len(raw)} cells, "
-                    f"expected {len(RESULT_COLUMNS)}"
+                    f"expected {len(columns)}"
                 )
-            cells = zip(raw, _COLUMN_TYPES)
+            cells = zip(raw, columns)
             rows.append(
                 ResultRow(*(None if c == "" and opt else kind(c) for c, (_, kind, opt) in cells))
             )

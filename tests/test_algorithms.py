@@ -305,10 +305,8 @@ class TestDecoherencePoint:
         # sigma_z no longer turns into sigma_x through H(0.6), so the fast
         # formula (2.8069) would disagree with the explicit channels (3.4309)
         spec = GroverSpec(3, 1)
-        full, rest = build_grover(spec, [0.6] * spec.n_hadamards)
-        uni = AlgorithmUnitaries(
-            full=circuit_unitary(full), rest=circuit_unitary(rest), walsh=Circuit(3, full.ops[:3])
-        )
+        full, _ = build_grover(spec, [0.6] * spec.n_hadamards)
+        uni = AlgorithmUnitaries(full, 3)
         model = ErrorModel(PHASEFLIP, 0.3, (0, 1, 2))
         explicit = interference_kraus(decoherence_channels(uni, model).potentially_available)
         swapped = ErrorModel(BITFLIP, 0.3, (0, 1, 2))
@@ -320,8 +318,8 @@ class TestDecoherencePoint:
 
     def test_kernels_built_once(self):
         uni = grover_unitaries(GroverSpec(3, 1))
-        k_full, k_rest = uni.kernels
-        assert uni.kernels is uni.kernels
+        k_full, k_rest = uni.full_kernel, uni.rest_kernel
+        assert uni.full_kernel is k_full and uni.rest_kernel is k_rest
         for kernel, u in ((k_full, uni.full), (k_rest, uni.rest)):
             expected = pauli_noise_kernel(u)
             assert kernel.sum_a2 == expected.sum_a2
@@ -433,8 +431,7 @@ class TestMixtureTable:
     def test_refuses_layer_off_the_leading_qubits(self):
         # a layer on qubits 1, 2: hit masks are not rows s << (n - m) of a table
         walsh = Circuit(3, (PerturbedHadamard(math.pi / 4, 1), PerturbedHadamard(math.pi / 4, 2)))
-        u = circuit_unitary(walsh)
-        uni = AlgorithmUnitaries(full=u, rest=np.eye(8, dtype=complex), walsh=walsh)
+        uni = AlgorithmUnitaries(walsh, 2)
         model = ErrorModel(PHASEFLIP, 0.3, (1,))
         with pytest.raises(ValueError, match="qubits 0..1"):
             uni.mixture_table

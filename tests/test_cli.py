@@ -99,7 +99,7 @@ class TestCueCommand:
             ["cue-baseline", "--n", "4", "--realizations", "20", "--seed", "3",
              "--format", "json", "--out", str(out)]
         ) == 0
-        record = json.loads(out.read_text())
+        (record,) = json.loads(out.read_text())
         assert record["samples"] == 20
         assert 0 < record["mean"] < 16
 
@@ -107,6 +107,19 @@ class TestCueCommand:
         assert main(["cue-baseline", "--n", "2", "--realizations", "10"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "n,samples,mean,stddev,seed"
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_qubit_count_below_one_refused(self, n, monkeypatch, capsys):
+        # refused before the first Haar draw
+        def unreachable(*args):
+            raise AssertionError("a unitary was drawn")
+
+        monkeypatch.setattr("qimeter.harness.haar_unitary", unreachable)
+        assert main(["cue-baseline", "--n", n, "--realizations", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and f"n = {n}" in line
 
 
 class TestConfigFile:

@@ -24,6 +24,7 @@ Summing the phase-flip mixture in reverse order, for example, leaves both
 decoherence CSVs unchanged but changes both JSON twins.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -61,3 +62,16 @@ def test_cli_json_matches_golden(name, tmp_path):
     out = tmp_path / f"{name}.json"
     assert main(CASES[name].split() + ["--format", "json", "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + ["cue-baseline"])
+def test_json_records_carry_the_csv_columns(name, tmp_path):
+    # one results format: a list of records keyed by the CSV header, in order
+    argv = CASES.get(name, "cue-baseline --n 2 --realizations 10 --seed 3").split()
+    csv_out, json_out = tmp_path / "rows.csv", tmp_path / "rows.json"
+    assert main(argv + ["--out", str(csv_out)]) == 0
+    assert main(argv + ["--format", "json", "--out", str(json_out)]) == 0
+    header = csv_out.read_text().splitlines()[0].split(",")
+    records = json.loads(json_out.read_text())
+    assert isinstance(records, list) and records
+    assert all(list(record) == header for record in records)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from oracles import alpha_averaged_grover
 
-from qimeter import harness
+from qimeter import algorithms, harness
 from qimeter.algorithms import (
     GroverSpec,
     ShorSpec,
@@ -312,6 +312,28 @@ class TestDecoherenceSweep:
         assert len(calls) == 1
         assert run_decoherence_sweep(spec) == first
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("measure_au", [False, True])
+    @pytest.mark.parametrize(
+        "algorithm, kind",
+        [(GroverSpec(3, 1), PHASEFLIP), (ShorSpec.for_modulus(3, 2), BITFLIP)],
+        ids=["grover", "shor"],
+    )
+    def test_builds_only_what_it_reports(self, algorithm, kind, measure_au, monkeypatch):
+        # U_full and its kernel serve I_pa and the success; U_rest and its
+        # kernel serve I_au alone
+        calls = {"circuit_unitary": 0, "pauli_noise_kernel": 0}
+        for name in calls:
+            def counting(*args, _name=name, _original=getattr(algorithms, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(algorithms, name, counting)
+        errors = DecoherenceErrors(kind, (0.0, 0.5), (1, 2), "all")
+        rows = run_decoherence_sweep(ExperimentSpec(algorithm, errors, measure_au=measure_au))
+        built = 2 if measure_au else 1
+        assert calls == {"circuit_unitary": built, "pauli_noise_kernel": built}
+        assert all((row.interference_au is not None) == measure_au for row in rows)
 
     def test_period_divisibility_controls_large_p_success(self):
         # phase flips on the whole first register at n=9: when the period
