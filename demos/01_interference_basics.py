@@ -13,6 +13,7 @@ import numpy as np
 from qimeter import (
     KrausChannel,
     circuit_unitary,
+    ibits,
     interference_kraus,
     interference_superoperator,
     interference_unitary,
@@ -28,20 +29,20 @@ for label, u in [
     ("Hadamard", HADAMARD),
     ("sigma_z ", PAULI_Z),
 ]:
-    report = interference_unitary(u)
-    print(f"{label}: I = {report.value:.4f}   i-bits = {report.ibits:.4f}")
+    value = interference_unitary(u)
+    print(f"{label}: I = {value:.4f}   i-bits = {ibits(value):.4f}")
 
 print()
 print("-- Walsh-Hadamard layers: I = 2^n - 1, so n qubits give n i-bits --")
 for n in range(1, 7):
     u = circuit_unitary(walsh_layer([math.pi / 4] * n))
-    report = interference_unitary(u)
-    print(f"n = {n}:  I = {report.value:10.4f}   i-bits = {report.ibits:.4f}")
+    value = interference_unitary(u)
+    print(f"n = {n}:  I = {value:10.4f}   i-bits = {ibits(value):.4f}")
 
 print()
 print("-- the perturbed Hadamard H(theta): I = sin^2(2 theta) --")
 for theta in np.linspace(0, math.pi / 2, 9):
-    value = interference_unitary(perturbed_hadamard(theta)).value
+    value = interference_unitary(perturbed_hadamard(theta))
     bar = "#" * int(40 * value)
     print(f"theta = {theta:6.4f}   I = {value:.4f}  {bar}")
 
@@ -49,6 +50,6 @@ print()
 print("-- three equivalent routes to the same number --")
 ch = KrausChannel(np.array([np.sqrt(0.5) * identity(2), np.sqrt(0.5) * PAULI_Z]))
 print("channel: full dephasing {sqrt(1/2) I, sqrt(1/2) sigma_z}")
-print("  operator-sum form:   ", interference_kraus(ch).value)
-print("  superoperator form:  ", interference_superoperator(superoperator_from_kraus(ch)).value)
+print("  operator-sum form:   ", interference_kraus(ch))
+print("  superoperator form:  ", interference_superoperator(superoperator_from_kraus(ch)))
 print("  (a purely classical map carries zero interference)")

@@ -10,11 +10,10 @@ follows.
 
 from qimeter import (
     ShorSpec,
-    build_shor,
-    circuit_unitary,
     final_probabilities,
     interference_unitary,
     register1_marginal,
+    shor_unitaries,
 )
 
 for R, a in [(3, 2), (7, 3)]:
@@ -22,8 +21,8 @@ for R, a in [(3, 2), (7, 3)]:
     period = next(r for r in range(1, R + 1) if pow(a, r, R) == 1)
     print(f"== R = {R}, a = {a}  (n = {spec.n} qubits, true period r = {period}) ==")
 
-    full, rest = build_shor(spec)
-    reg1 = register1_marginal(final_probabilities(full), spec)
+    unitaries = shor_unitaries(spec)
+    reg1 = register1_marginal(final_probabilities(unitaries.circuit), spec)
     dim1 = 1 << (2 * spec.L)
 
     print(f"register-1 distribution over {dim1} outcomes (peaks near k * {dim1}/{period}):")
@@ -31,8 +30,8 @@ for R, a in [(3, 2), (7, 3)]:
         if p > 0.01:
             print(f"  outcome {k:3d}: probability {p:.4f}")
 
-    i_pa = interference_unitary(circuit_unitary(full)).value
-    i_au = interference_unitary(circuit_unitary(rest)).value
+    i_pa = interference_unitary(unitaries.full)
+    i_au = interference_unitary(unitaries.rest)
     print(f"potentially available interference: {i_pa:9.3f}  (bound {1 << spec.n} - 1)")
     print(f"actually used interference:         {i_au:9.3f}  (grows exponentially with n)")
     print()

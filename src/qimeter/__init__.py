@@ -60,7 +60,6 @@ from .harness import (
     write_results,
 )
 from .interference import (
-    InterferenceReport,
     PauliNoiseKernel,
     ibits,
     interference_kraus,

@@ -21,8 +21,10 @@ from .algorithms import (
     build_shor,
     final_probabilities,
     grover_iteration_count,
+    grover_unitaries,
     register1_marginal,
     shor_success,
+    shor_unitaries,
 )
 from .channels import BITFLIP, PHASEFLIP, KrausChannel
 from .gates import circuit_apply, circuit_unitary, walsh_layer
@@ -79,7 +81,7 @@ def _criterion_1(parallel: int):
     worst = 0.0
     for n in range(1, 11):
         u = circuit_unitary(walsh_layer([math.pi / 4] * n))
-        worst = max(worst, abs(interference_unitary(u).value - (2**n - 1)))
+        worst = max(worst, abs(interference_unitary(u) - (2**n - 1)))
     return worst <= 1e-9, f"max |I(W_n) - (2^n-1)| = {worst:.2e} (tol 1e-9)"
 
 
@@ -92,14 +94,14 @@ def _criterion_2(parallel: int):
         if index < 10:
             ch = KrausChannel(haar_unitary(dim, rng)[None])
             single = abs(
-                interference_kraus(ch).value - interference_unitary(ch.ops[0]).value
+                interference_kraus(ch) - interference_unitary(ch.ops[0])
             )
             worst_single = max(worst_single, single)
         else:
             ch = random_channel(dim, int(rng.integers(2, 9)), rng)
-        gram = interference_kraus(ch).value
-        naive = interference_kraus_naive(ch).value
-        sup = interference_superoperator(superoperator_from_kraus(ch)).value
+        gram = interference_kraus(ch)
+        naive = interference_kraus_naive(ch)
+        sup = interference_superoperator(superoperator_from_kraus(ch))
         worst_super = max(worst_super, abs(sup - gram))
         worst_naive = max(worst_naive, abs(gram - naive))
     ok = worst_super <= 1e-9 and worst_naive <= 1e-9 and worst_single <= 1e-12
@@ -118,15 +120,12 @@ def _criterion_3(parallel: int):
         theta = math.asin(2.0 ** (-n / 2))
         closed = math.sin((2 * k + 1) * theta) ** 2
         for alpha in range(1 << n):
-            full, _ = build_grover(GroverSpec(n, alpha))
-            psi = circuit_apply(full, basis_state(1 << n))
+            psi = circuit_apply(build_grover(GroverSpec(n, alpha)), basis_state(1 << n))
             worst_s = max(worst_s, abs(abs(psi[alpha]) ** 2 - closed))
-        _, rest = build_grover(GroverSpec(n, 0))
-        au_values[n] = interference_unitary(circuit_unitary(rest)).value
+        au_values[n] = interference_unitary(grover_unitaries(GroverSpec(n, 0)).rest)
     band_violations = {n: v for n, v in au_values.items() if not 3.0 <= v <= 4.5}
 
-    _, rest1 = build_grover(GroverSpec(4, 2, k_override=1))
-    one_iter = interference_unitary(circuit_unitary(rest1)).value
+    one_iter = interference_unitary(grover_unitaries(GroverSpec(4, 2, k_override=1)).rest)
     target = 8.0 - 24.0 / 16.0
     one_iter_ok = abs(one_iter - target) <= 0.05 * target
 
@@ -222,18 +221,15 @@ def _criterion_6(parallel: int):
 def _criterion_7(parallel: int):
     """Exact Shor: L=2 register-1 distribution, Eq.-5 self-success, AU growth."""
     shor2 = ShorSpec.for_modulus(3, 2)
-    full2, rest2 = build_shor(shor2)
-    probs = final_probabilities(full2)
+    probs = final_probabilities(build_shor(shor2))
     reg1 = register1_marginal(probs, shor2)
     expected = np.zeros(16)
     expected[0] = expected[8] = 0.5
     dist_err = float(np.max(np.abs(reg1 - expected)))
     self_success = shor_success(probs, probs)
 
-    shor3 = ShorSpec.for_modulus(7, 3)
-    _, rest3 = build_shor(shor3)
-    au2 = interference_unitary(circuit_unitary(rest2)).value
-    au3 = interference_unitary(circuit_unitary(rest3)).value
+    au2 = interference_unitary(shor_unitaries(shor2).rest)
+    au3 = interference_unitary(shor_unitaries(ShorSpec.for_modulus(7, 3)).rest)
     ratio = au3 / au2
     ok = dist_err <= 1e-9 and self_success == 1.0 and ratio > 4.0
     return ok, (

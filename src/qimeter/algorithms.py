@@ -1,11 +1,11 @@
 """Grover search and Shor order-finding circuits, with error hooks.
 
 Both algorithms open with a layer of Hadamard gates.  ``build_grover`` and
-``build_shor`` return the full circuit together with the remainder after
-that initial layer; the two views feed the "potentially available" versus
-"actually used" interference measurements.  Decoherence strikes only the
-initial layer: bit-flip or phase-flip errors after each of its Hadamard
-gates, which keeps the Kraus-operator count at 2^n_f.
+``build_shor`` return one circuit; ``AlgorithmUnitaries`` splits off the
+remainder after that initial layer, and the two views feed the "potentially
+available" versus "actually used" interference measurements.  Decoherence
+strikes only the initial layer: bit-flip or phase-flip errors after each of
+its Hadamard gates, which keeps the Kraus-operator count at 2^n_f.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .gates import (
     qft_circuit,
 )
 from .interference import (
-    InterferenceReport,
     PauliNoiseKernel,
     interference_noise_then_unitary,
     pauli_noise_kernel,
@@ -134,8 +133,8 @@ def grover_zero_reflection(n: int) -> DiagonalPhaseGate:
 
 def build_grover(
     spec: GroverSpec, hadamard_thetas: Sequence[float] | None = None
-) -> tuple[Circuit, Circuit]:
-    """Full Grover circuit and its remainder after the initial layer.
+) -> Circuit:
+    """The Grover search circuit for ``spec``.
 
     The circuit is the initial Hadamard layer followed by ``k`` iterations
     of [oracle, layer, zero reflection, layer].  ``hadamard_thetas`` gives
@@ -157,9 +156,7 @@ def build_grover(
         ops.extend(layer())
         ops.append(r2)
         ops.extend(layer())
-    full = Circuit(n, tuple(ops))
-    rest = Circuit(n, tuple(ops[n:]))
-    return full, rest
+    return Circuit(n, tuple(ops))
 
 
 def modexp_permutation(spec: ShorSpec) -> PermutationGate:
@@ -178,8 +175,8 @@ def build_shor(
     spec: ShorSpec,
     hadamard_thetas: Sequence[float] | None = None,
     qft_phase_perturbations: Sequence[float] | None = None,
-) -> tuple[Circuit, Circuit]:
-    """Full Shor circuit and its remainder after the initial layer.
+) -> Circuit:
+    """The Shor order-finding circuit for ``spec``.
 
     Layout: Hadamard layer on the first register (2L gates), the modular
     exponentiation permutation, then the QFT on the first register.
@@ -194,9 +191,7 @@ def build_shor(
     ops.append(modexp_permutation(spec))
     qft = qft_circuit(m, qft_phase_perturbations, hadamard_thetas[m:])
     ops.extend(qft.ops)  # QFT targets 0..2L-1 embed directly
-    full = Circuit(spec.n, tuple(ops))
-    rest = Circuit(spec.n, tuple(ops[m:]))
-    return full, rest
+    return Circuit(spec.n, tuple(ops))
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +200,11 @@ def build_shor(
 
 @dataclass(frozen=True, eq=False)
 class AlgorithmUnitaries:
-    """Dense views of an exact ``circuit``, full = rest @ U(walsh), with the
-    initial Hadamard layer ``walsh`` (the first ``layer_width`` ops) kept as
-    a circuit.  Each view is built the first time a measure reads it, so
-    I_pa alone never builds U_rest or its kernel."""
+    """Dense views of ``circuit``, full = rest @ U(walsh), with the initial
+    Hadamard layer ``walsh`` (the first ``layer_width`` ops) kept as a
+    circuit; this is the one place that splits a circuit at its layer.
+    Each view is built the first time a measure reads it, so I_pa alone
+    never builds U_rest or its kernel."""
 
     circuit: Circuit
     layer_width: int
@@ -266,12 +262,12 @@ class AlgorithmUnitaries:
 
 def grover_unitaries(spec: GroverSpec) -> AlgorithmUnitaries:
     """Views of the exact Grover circuit (every angle pi/4)."""
-    return AlgorithmUnitaries(build_grover(spec)[0], spec.layer_width)
+    return AlgorithmUnitaries(build_grover(spec), spec.layer_width)
 
 
 def shor_unitaries(spec: ShorSpec) -> AlgorithmUnitaries:
     """Views of the exact Shor circuit (every angle pi/4, no phase offsets)."""
-    return AlgorithmUnitaries(build_shor(spec)[0], spec.layer_width)
+    return AlgorithmUnitaries(build_shor(spec), spec.layer_width)
 
 
 def _check_affected(unitaries: AlgorithmUnitaries, model: ErrorModel) -> None:
@@ -289,11 +285,11 @@ class DecoherencePoint:
 
     unitaries: AlgorithmUnitaries
     model: ErrorModel
-    interference_pa: InterferenceReport
+    interference_pa: float
     probabilities: np.ndarray
 
     @functools.cached_property
-    def interference_au(self) -> InterferenceReport:
+    def interference_au(self) -> float:
         return interference_noise_then_unitary(self.unitaries.rest_kernel, self.model)
 
 

@@ -226,8 +226,6 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     blocks of identity columns: every gate acts on rows, so columns never mix."""
     dim = 1 << c.n
     width = max(1, GATE_BLOCK_BYTES // (16 * dim))
-    if width >= dim:
-        return _run(_plan(c), np.eye(dim, dtype=complex))
     plan, u = _plan(c), np.empty((dim, dim), dtype=complex)
     for j in range(0, dim, width):
         u[:, j : j + width] = _run(plan, np.eye(dim, min(width, dim - j), -j, dtype=complex))

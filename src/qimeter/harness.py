@@ -25,6 +25,7 @@ from typing import Sequence, Union, get_args, get_type_hints
 import numpy as np
 
 from .algorithms import (
+    AlgorithmUnitaries,
     GroverSpec,
     ShorSpec,
     build_grover,
@@ -37,7 +38,6 @@ from .algorithms import (
 )
 from .channels import BITFLIP, PHASEFLIP, ErrorModel
 from .errors import SizeLimitError
-from .gates import circuit_unitary
 from .interference import ibits, interference_unitary
 
 PREFIX_SUBSETS = "prefix"
@@ -231,14 +231,14 @@ def _unitary_point(spec, ideal, thetas, deltas=None):
     i_pa = i_au = success = 0.0
     for alpha, weight in items:
         if alpha is None:
-            full, rest = build_shor(algo, thetas, deltas)
+            circuit = build_shor(algo, thetas, deltas)
         else:
-            full, rest = build_grover(replace(algo, alpha=alpha), thetas)
-        u_full = circuit_unitary(full)
-        i_pa += weight * interference_unitary(u_full).value
+            circuit = build_grover(replace(algo, alpha=alpha), thetas)
+        unitaries = AlgorithmUnitaries(circuit, algo.layer_width)
+        i_pa += weight * interference_unitary(unitaries.full)
         if spec.measure_au:
-            i_au += weight * interference_unitary(circuit_unitary(rest)).value
-        success += weight * _success(ideal, np.abs(u_full[:, 0]) ** 2, alpha)
+            i_au += weight * interference_unitary(unitaries.rest)
+        success += weight * _success(ideal, np.abs(unitaries.full[:, 0]) ** 2, alpha)
     total = sum(weight for _, weight in items)
     return i_pa / total, (i_au / total if spec.measure_au else None), success / total
 
@@ -273,8 +273,7 @@ def _shor_ideal(algorithm):
     """Output distribution of the exact Shor circuit; None for Grover."""
     if isinstance(algorithm, GroverSpec):
         return None
-    full, _ = build_shor(algorithm)
-    return final_probabilities(full)
+    return final_probabilities(build_shor(algorithm))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +351,7 @@ def run_decoherence_sweep(spec: ExperimentSpec) -> list:
     I_au, U_rest and its noise kernel.  All are O(4^n) and freed on
     return.  At 12 qubits each unitary is 256 MB and the table 8 MB for
     Shor L = 4 (128 MB for Grover); a Shor L = 4 phase-flip sweep peaks
-    at 677 MB with I_pa alone and at 941 MB with both measures."""
+    at 549 MB with I_pa alone and at 814 MB with both measures."""
     family = spec.error_family
     if not isinstance(family, DecoherenceErrors):
         raise ValueError("spec does not describe a decoherence sweep")
@@ -375,8 +374,8 @@ def run_decoherence_sweep(spec: ExperimentSpec) -> list:
             else:
                 subsets = itertools.combinations(walsh_qubits, n_f)
             points = [decoherence_point(unitaries, ErrorModel(family.kind, p, s)) for s in subsets]
-            pa = [point.interference_pa.value for point in points]
-            au = (point.interference_au.value for point in points)  # read only if reported
+            pa = [point.interference_pa for point in points]
+            au = (point.interference_au for point in points)  # read only if reported
             success = [_success(ideal, point.probabilities, alpha) for point in points]
             rows.append(_make_row(spec, p, n_f, pa, au, success, len(points)))
     return rows
@@ -416,7 +415,7 @@ def cue_baseline(n: int, samples: int, seed: int = 0) -> SampleStatistics:
     if samples < 10:
         raise ValueError("need at least 10 samples")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 0xC0E]))
-    values = [interference_unitary(haar_unitary(1 << n, rng)).value for _ in range(samples)]
+    values = [interference_unitary(haar_unitary(1 << n, rng)) for _ in range(samples)]
     mean, stddev = float(np.mean(values)), float(np.std(values, ddof=1))
     return SampleStatistics(n, samples, mean, stddev, seed)
 

@@ -1,25 +1,27 @@
 """The interference measure of quantum channels.
 
-Three equivalent evaluation routes are provided:
+Three equivalent evaluation routes are provided, each returning a float
+(refused below ``NEGATIVE_CLAMP``; ``ibits`` converts it to i-bits):
 
 * ``interference_superoperator`` - brute force on the N^2 x N^2 propagator
   P: value = sum_{i,k,l} |P[ii,kl]|^2 - sum_{i,k} |P[ii,kk]|^2.  Small-N
   test oracle.
-* ``interference_kraus`` - operator-sum form.  The production path builds,
-  for each row i, the Gram matrix G_i = V_i V_i† of the stacked Kraus rows
-  (L x L instead of N x N), so the quartic term costs O(N^2 L^2) instead
-  of O(N^3 L).  ``interference_kraus_naive`` keeps the literal triple sum
-  as an independent oracle.
+* ``interference_kraus`` - operator-sum form (acceptance and test oracles).
+  Per row i it builds the Gram matrix G_i = V_i V_i† of the stacked Kraus
+  rows (L x L instead of N x N), so the quartic term costs O(N^2 L^2)
+  instead of O(N^3 L).  ``interference_kraus_naive`` keeps the literal
+  triple sum as an independent oracle.
 * ``interference_unitary`` - the unitary special case, N - sum |U|^4.
 
 For channels of the form {U · E_l} with E_l a layered Pauli error
 (diagonal sigma_z products or XOR-permutation sigma_x products), the
 measure collapses to two O(N) dot products against row statistics of U
 that are precomputed with fast Walsh-Hadamard transforms
-(``pauli_noise_kernel`` / ``interference_noise_then_unitary``). That makes
-each (p, subset) evaluation cheap even at 12 qubits: about 60 us each on a
-2-core machine, after the two 4096^2 kernels of a Shor L = 4 sweep took
-3.0 s of cache-blocked Walsh-Hadamard transforms.  Building the 12-qubit
+(``pauli_noise_kernel`` / ``interference_noise_then_unitary``); the
+decoherence sweeps take this path.  That makes each (p, subset)
+evaluation cheap even at 12 qubits: about 60 us each on a 2-core
+machine, after the two 4096^2 kernels of a Shor L = 4 sweep took 3.0 s
+of cache-blocked Walsh-Hadamard transforms.  Building the 12-qubit
 Grover unitaries is not cheap (98.8 s on a 2-vCPU Xeon host).
 """
 
@@ -48,32 +50,28 @@ KRAUS_COMPLETENESS_TOL = 1e-6
 WHT_BLOCK_BYTES = 1 << 19
 
 
-def ibits(value: float) -> float:
-    """Interference in logarithmic units, log2(value); 0 maps to -inf."""
+def _checked(value: float) -> float:
+    """``value`` as a float; refuses one below the cancellation guard."""
+    value = float(value)
     if value < NEGATIVE_CLAMP:
         raise ValueError(f"interference value {value} is negative")
-    value = max(value, 0.0)
+    return value
+
+
+def ibits(value: float) -> float:
+    """Interference in logarithmic units, log2(value); 0 maps to -inf."""
+    value = max(_checked(value), 0.0)
     return math.log2(value) if value > 0.0 else float("-inf")
 
 
-@dataclass(frozen=True)
-class InterferenceReport:
-    value: float
-    ibits: float
-
-    @classmethod
-    def from_value(cls, value: float) -> "InterferenceReport":
-        return cls(value=float(value), ibits=ibits(float(value)))
-
-
-def interference_unitary(u: np.ndarray) -> InterferenceReport:
+def interference_unitary(u: np.ndarray) -> float:
     """Interference of a unitary propagator: N - sum_{i,k} |U[i,k]|^4."""
     u = np.asarray(u)
     if not check_unitary(u, UNITARY_ACCEPT_TOL):
         raise ValidationError("matrix is not unitary within tolerance")
     n = u.shape[0]
     a2 = np.abs(u) ** 2
-    return InterferenceReport.from_value(n - float(np.sum(a2 * a2)))
+    return _checked(n - float(np.sum(a2 * a2)))
 
 
 def _require_complete(ch: KrausChannel) -> None:
@@ -84,7 +82,7 @@ def _require_complete(ch: KrausChannel) -> None:
         )
 
 
-def interference_kraus(ch: KrausChannel) -> InterferenceReport:
+def interference_kraus(ch: KrausChannel) -> float:
     """Operator-sum interference via the row-Gram path.
 
     The quartic term sums trace(G_i^2) over rows i, where
@@ -102,10 +100,10 @@ def interference_kraus(ch: KrausChannel) -> InterferenceReport:
         v = rows[lo : lo + chunk]
         g = np.matmul(v, v.conj().transpose(0, 2, 1))
         t1 += float(np.sum(np.abs(g) ** 2))
-    return InterferenceReport.from_value(t1 - t2)
+    return _checked(t1 - t2)
 
 
-def interference_kraus_naive(ch: KrausChannel) -> InterferenceReport:
+def interference_kraus_naive(ch: KrausChannel) -> float:
     """Literal triple-sum evaluation of the operator-sum form (test oracle)."""
     if ch.dim > ORACLE_MAX_DIM:
         raise SizeLimitError(f"naive path capped at dimension {ORACLE_MAX_DIM}")
@@ -114,7 +112,7 @@ def interference_kraus_naive(ch: KrausChannel) -> InterferenceReport:
     t1 = float(np.sum(np.abs(g) ** 2))
     diag = np.einsum("ikk->ik", g).real
     t2 = float(np.sum(diag**2))
-    return InterferenceReport.from_value(t1 - t2)
+    return _checked(t1 - t2)
 
 
 def superoperator_from_kraus(ch: KrausChannel) -> np.ndarray:
@@ -127,7 +125,7 @@ def superoperator_from_kraus(ch: KrausChannel) -> np.ndarray:
     return p
 
 
-def interference_superoperator(p: np.ndarray) -> InterferenceReport:
+def interference_superoperator(p: np.ndarray) -> float:
     """Brute-force interference of a propagator given as an N^2 x N^2 array."""
     p = np.asarray(p)
     dim = math.isqrt(p.shape[0])
@@ -140,7 +138,7 @@ def interference_superoperator(p: np.ndarray) -> InterferenceReport:
     t1 = float(np.sum(np.abs(d) ** 2))
     diag = np.einsum("ikk->ik", d)
     t2 = float(np.sum(np.abs(diag) ** 2))
-    return InterferenceReport.from_value(t1 - t2)
+    return _checked(t1 - t2)
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +219,16 @@ def pauli_noise_kernel(u: np.ndarray) -> PauliNoiseKernel:
     fa2 = np.sum(fa * fa, axis=0)
     del fa
     autocorr = _wht_last(fa2) / dim
-    fb2 = np.abs(_wht_last(u)) ** 2
-    cc = _wht_last(fb2) / dim  # complex row autocorrelations are real
+    # |WHT[U_i]|^2 a block of rows at a time, so no N x N complex transient
+    fb2 = np.empty((dim, dim))
+    block = max(1, WHT_BLOCK_BYTES // (dim * u.itemsize))
+    for lo in range(0, dim, block):
+        fb2[lo : lo + block] = np.abs(_wht_last(u[lo : lo + block])) ** 2
+    cc = _wht_last(fb2)  # complex row autocorrelations are real
     del fb2
-    q = _wht_last(np.sum(cc * cc, axis=0))
+    cc /= dim
+    cc *= cc
+    q = _wht_last(np.sum(cc, axis=0))
     return PauliNoiseKernel(dim=dim, sum_a2=sum_a2, fa2=fa2, autocorr=autocorr, q=q)
 
 
@@ -239,7 +243,7 @@ def _index_popcounts(dim: int) -> np.ndarray:
 
 def interference_noise_then_unitary(
     kernel: PauliNoiseKernel, model: ErrorModel
-) -> InterferenceReport:
+) -> float:
     """Interference of the channel {U · E_l}: layered Pauli errors, then U.
 
     ``kernel`` is ``pauli_noise_kernel(U)``, an O(N^2 log N) precomputation
@@ -258,4 +262,4 @@ def interference_noise_then_unitary(
     else:
         # sigma_z products act as diagonal sign patterns
         value = float(weights @ kernel.autocorr) - kernel.sum_a2
-    return InterferenceReport.from_value(value)
+    return _checked(value)

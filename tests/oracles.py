@@ -322,10 +322,10 @@ def alpha_averaged_grover(spec: GroverSpec, thetas) -> tuple[float, float, float
     Hamming-weight classes an alpha-averaged sweep evaluates instead."""
     i_pa = i_au = success = 0.0
     for alpha in range(1 << spec.n):
-        full, rest = build_grover(replace(spec, alpha=alpha), thetas)
+        full = build_grover(replace(spec, alpha=alpha), thetas)
         u_full = circuit_unitary(full)
-        i_pa += interference_unitary(u_full).value
-        i_au += interference_unitary(circuit_unitary(rest)).value
+        i_pa += interference_unitary(u_full)
+        i_au += interference_unitary(circuit_unitary(Circuit(spec.n, full.ops[spec.n :])))
         success += abs(u_full[alpha, 0]) ** 2
     count = 1 << spec.n
     return i_pa / count, i_au / count, success / count

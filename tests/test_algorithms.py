@@ -81,32 +81,34 @@ class TestBuildGrover:
         k = grover_iteration_count(n)
         closed = math.sin((2 * k + 1) * math.asin(2.0 ** (-n / 2))) ** 2
         for alpha in range(1 << n):
-            full, _ = build_grover(GroverSpec(n, alpha))
-            psi = circuit_apply(full, basis_state(1 << n))
+            psi = circuit_apply(build_grover(GroverSpec(n, alpha)), basis_state(1 << n))
             assert abs(abs(psi[alpha]) ** 2 - closed) < 1e-9
 
+    def test_returns_one_circuit(self):
+        assert isinstance(build_grover(GroverSpec(3, 5)), Circuit)
+
     def test_full_is_unitary(self):
-        full, rest = build_grover(GroverSpec(4, 2))
-        assert check_unitary(circuit_unitary(full), 1e-10)
-        assert check_unitary(circuit_unitary(rest), 1e-10)
+        uni = grover_unitaries(GroverSpec(4, 2))
+        assert check_unitary(uni.full, 1e-10)
+        assert check_unitary(uni.rest, 1e-10)
 
     def test_rest_excludes_initial_layer(self):
         spec = GroverSpec(3, 5)
-        full, rest = build_grover(spec)
-        assert len(full.ops) == len(rest.ops) + spec.n
-        assert full.ops[spec.n :] == rest.ops
+        full = build_grover(spec)
+        uni = AlgorithmUnitaries(full, spec.layer_width)
+        assert uni.walsh.ops == full.ops[: spec.n]
+        assert uni.rest.tobytes() == circuit_unitary(Circuit(spec.n, full.ops[spec.n :])).tobytes()
+        np.testing.assert_allclose(uni.rest @ circuit_unitary(uni.walsh), uni.full, atol=1e-12)
 
     def test_actually_used_interference_frozen_values(self):
         # frozen from two independent constructions (gate-wise application
         # and dense np.linalg.matrix_power); sits above the rough "about 4"
         # figure-level summary
-        _, rest = build_grover(GroverSpec(4, 2))
-        value = interference_unitary(circuit_unitary(rest)).value
+        value = interference_unitary(grover_unitaries(GroverSpec(4, 2)).rest)
         assert abs(value - 4.656615257263) < 1e-9
 
     def test_one_iteration_peak(self):
-        _, rest = build_grover(GroverSpec(4, 2, k_override=1))
-        value = interference_unitary(circuit_unitary(rest)).value
+        value = interference_unitary(grover_unitaries(GroverSpec(4, 2, k_override=1)).rest)
         target = 8 - 24 / 16
         assert abs(value - target) <= 0.05 * target
         assert abs(value - 6.5625) < 1e-12
@@ -114,8 +116,8 @@ class TestBuildGrover:
     def test_interference_independent_of_alpha(self):
         values = []
         for alpha in range(8):
-            full, _ = build_grover(GroverSpec(3, alpha))
-            values.append(interference_unitary(circuit_unitary(full)).value)
+            u = circuit_unitary(build_grover(GroverSpec(3, alpha)))
+            values.append(interference_unitary(u))
         assert max(values) - min(values) < 1e-10
 
     def test_wrong_angle_count_rejected(self):
@@ -138,12 +140,12 @@ class TestSpecLayout:
     def test_counts_match_the_built_circuit(self, spec, build):
         # Grover's reflections span all n >= 3 qubits, so every two-qubit
         # diagonal is a QFT phase
-        full, rest = build(spec)
+        full = build(spec)
         hadamards = [op for op in full.ops if isinstance(op, PerturbedHadamard)]
         phases = [op for op in full.ops if isinstance(op, DiagonalPhaseGate) and len(op.targets) == 2]
         assert len(hadamards) == spec.n_hadamards
         assert len(phases) == spec.n_qft_phases
-        assert len(full.ops) - len(rest.ops) == spec.layer_width
+        assert len(AlgorithmUnitaries(full, spec.layer_width).walsh.ops) == spec.layer_width
         assert [op.target for op in hadamards[: spec.layer_width]] == list(range(spec.layer_width))
 
     def test_grover_above_cap_refused(self):
@@ -199,23 +201,24 @@ class TestModexpPermutation:
 class TestBuildShor:
     def test_l2_register_distribution(self):
         spec = ShorSpec.for_modulus(3, 2)
-        full, _ = build_shor(spec)
-        probs = final_probabilities(full)
+        probs = final_probabilities(build_shor(spec))
         assert abs(probs.sum() - 1.0) < 1e-9
         reg1 = register1_marginal(probs, spec)
         expected = np.zeros(16)
         expected[0] = expected[8] = 0.5
         np.testing.assert_allclose(reg1, expected, atol=1e-9)
 
+    def test_returns_one_circuit(self):
+        assert isinstance(build_shor(ShorSpec.for_modulus(3, 2)), Circuit)
+
     def test_full_is_unitary(self):
-        full, rest = build_shor(ShorSpec.for_modulus(3, 2))
-        assert check_unitary(circuit_unitary(full), 1e-10)
-        assert check_unitary(circuit_unitary(rest), 1e-10)
+        uni = shor_unitaries(ShorSpec.for_modulus(3, 2))
+        assert check_unitary(uni.full, 1e-10)
+        assert check_unitary(uni.rest, 1e-10)
 
     def test_register_distribution_ignores_register_phases(self):
         spec = ShorSpec.for_modulus(3, 2)
-        full, _ = build_shor(spec)
-        psi = circuit_apply(full, basis_state(1 << spec.n))
+        psi = circuit_apply(build_shor(spec), basis_state(1 << spec.n))
         rng = np.random.default_rng(6)
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 1 << (2 * spec.L)))
         shifted = psi * np.repeat(phases, 1 << spec.L)
@@ -226,10 +229,8 @@ class TestBuildShor:
         )
 
     def test_actually_used_interference_grows(self):
-        _, rest2 = build_shor(ShorSpec.for_modulus(3, 2))
-        _, rest3 = build_shor(ShorSpec.for_modulus(7, 3))
-        au2 = interference_unitary(circuit_unitary(rest2)).value
-        au3 = interference_unitary(circuit_unitary(rest3)).value
+        au2 = interference_unitary(shor_unitaries(ShorSpec.for_modulus(3, 2)).rest)
+        au3 = interference_unitary(shor_unitaries(ShorSpec.for_modulus(7, 3)).rest)
         # QFT (x) identity after a permutation: I = N - 2^L exactly
         assert abs(au2 - 60.0) < 1e-9
         assert abs(au3 - 504.0) < 1e-9
@@ -258,7 +259,7 @@ class TestDecoherenceChannels:
         for ch in (chans.potentially_available, chans.actually_used):
             assert len(ch) == 1
             diff = abs(
-                interference_kraus(ch).value - interference_unitary(ch.ops[0]).value
+                interference_kraus(ch) - interference_unitary(ch.ops[0])
             )
             assert diff < 1e-12
 
@@ -279,7 +280,7 @@ class TestDecoherenceChannels:
     def test_bitflip_all_qubits_kills_pa_interference(self):
         uni = grover_unitaries(GroverSpec(4, 2))
         chans = decoherence_channels(uni, ErrorModel(BITFLIP, 0.5, (0, 1, 2, 3)))
-        assert interference_kraus(chans.potentially_available).value <= 1e-6
+        assert interference_kraus(chans.potentially_available) <= 1e-6
 
     def test_affected_must_receive_hadamards(self):
         uni = shor_unitaries(ShorSpec.for_modulus(3, 2))
@@ -305,14 +306,13 @@ class TestDecoherencePoint:
         # sigma_z no longer turns into sigma_x through H(0.6), so the fast
         # formula (2.8069) would disagree with the explicit channels (3.4309)
         spec = GroverSpec(3, 1)
-        full, _ = build_grover(spec, [0.6] * spec.n_hadamards)
-        uni = AlgorithmUnitaries(full, 3)
+        uni = AlgorithmUnitaries(build_grover(spec, [0.6] * spec.n_hadamards), 3)
         model = ErrorModel(PHASEFLIP, 0.3, (0, 1, 2))
         explicit = interference_kraus(decoherence_channels(uni, model).potentially_available)
         swapped = ErrorModel(BITFLIP, 0.3, (0, 1, 2))
         formula = interference_noise_then_unitary(pauli_noise_kernel(uni.full), swapped)
-        assert explicit.value == pytest.approx(3.4308712137, abs=1e-9)
-        assert formula.value == pytest.approx(2.8068842775, abs=1e-9)
+        assert explicit == pytest.approx(3.4308712137, abs=1e-9)
+        assert formula == pytest.approx(2.8068842775, abs=1e-9)
         with pytest.raises(ValueError, match="exact initial Hadamard layer"):
             decoherence_point(uni, model)
 
@@ -336,15 +336,15 @@ class TestDecoherencePoint:
             point = decoherence_point(uni, model)
             assert (
                 abs(
-                    interference_kraus(chans.potentially_available).value
-                    - point.interference_pa.value
+                    interference_kraus(chans.potentially_available)
+                    - point.interference_pa
                 )
                 < 1e-9
             )
             assert (
                 abs(
-                    interference_kraus(chans.actually_used).value
-                    - point.interference_au.value
+                    interference_kraus(chans.actually_used)
+                    - point.interference_au
                 )
                 < 1e-9
             )
@@ -360,13 +360,13 @@ class TestDecoherencePoint:
         point = decoherence_point(uni, model)
         assert (
             abs(
-                interference_kraus(chans.potentially_available).value
-                - point.interference_pa.value
+                interference_kraus(chans.potentially_available)
+                - point.interference_pa
             )
             < 1e-8
         )
         assert (
-            abs(interference_kraus(chans.actually_used).value - point.interference_au.value)
+            abs(interference_kraus(chans.actually_used) - point.interference_au)
             < 1e-8
         )
         np.testing.assert_allclose(
@@ -385,15 +385,15 @@ class TestDecoherencePoint:
             point = decoherence_point(uni, model)
             assert (
                 abs(
-                    interference_kraus(chans.potentially_available).value
-                    - point.interference_pa.value
+                    interference_kraus(chans.potentially_available)
+                    - point.interference_pa
                 )
                 < 1e-9
             )
             assert (
                 abs(
-                    interference_kraus(chans.actually_used).value
-                    - point.interference_au.value
+                    interference_kraus(chans.actually_used)
+                    - point.interference_au
                 )
                 < 1e-9
             )

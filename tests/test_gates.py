@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from oracles import PAULI_X, circuit_unitary_gate_by_gate, embed_local, kron
 from qimeter import gates
-from qimeter.algorithms import GroverSpec, ShorSpec, build_grover, build_shor
+from qimeter.algorithms import (
+    AlgorithmUnitaries,
+    GroverSpec,
+    ShorSpec,
+    build_grover,
+    build_shor,
+)
 from qimeter.errors import SizeLimitError
 from qimeter.gates import (
     Circuit,
@@ -236,13 +242,20 @@ def grover_angles(spec, kind):
 
 
 def perturbed_shor(L, R, a):
+    """The Shor circuit at random angles and QFT phase offsets, and its spec."""
     spec = ShorSpec(L, R, a)
     rng = np.random.default_rng(L)
-    return build_shor(
+    circuit = build_shor(
         spec,
         list(rng.uniform(0, math.pi, spec.n_hadamards)),
         list(rng.uniform(-3, 3, spec.n_qft_phases)),
     )
+    return circuit, spec
+
+
+def with_rest(full, spec):
+    """The circuit and its remainder after the initial layer."""
+    return full, Circuit(full.n, full.ops[spec.layer_width :])
 
 
 # phases that make exact zeros and signed zeros: 1, the axes and every quadrant
@@ -276,12 +289,12 @@ class TestKernelMatchesGateByGate:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_grover(self, n, kind):
         spec = GroverSpec(n, (1 << n) - 2)
-        for c in build_grover(spec, grover_angles(spec, kind)):
+        for c in with_rest(build_grover(spec, grover_angles(spec, kind)), spec):
             assert same_bytes(circuit_unitary(c), circuit_unitary_gate_by_gate(c))
 
     @pytest.mark.parametrize("L, R, a", [(2, 3, 2), (3, 7, 3), (3, 5, 2)])
     def test_shor_with_perturbed_angles_and_phases(self, L, R, a):
-        for c in perturbed_shor(L, R, a):
+        for c in with_rest(*perturbed_shor(L, R, a)):
             assert same_bytes(circuit_unitary(c), circuit_unitary_gate_by_gate(c))
 
     def test_edge_circuits(self):
@@ -300,15 +313,30 @@ class TestKernelMatchesGateByGate:
         rng = np.random.default_rng(n)
         spec = GroverSpec(n, 1)
         circuits = [random_mixed_circuit(n, rng), edge_circuit(rng)]
-        for c in [*circuits, *build_grover(spec, grover_angles(spec, "random"))]:
+        for c in [*circuits, *with_rest(build_grover(spec, grover_angles(spec, "random")), spec)]:
             assert same_bytes(circuit_unitary(c), circuit_unitary_gate_by_gate(c))
 
     @pytest.mark.parametrize("n", [2, 5, 8])
     def test_circuit_apply_is_column_zero(self, n):
         spec = GroverSpec(n, 1)
-        for c in build_grover(spec, grover_angles(spec, "random")):
+        for c in with_rest(build_grover(spec, grover_angles(spec, "random")), spec):
             column = np.ascontiguousarray(circuit_unitary_gate_by_gate(c)[:, 0])
             assert same_bytes(circuit_apply(c, basis_state(1 << n)), column)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_grover_rest_view(self, n):
+        spec = GroverSpec(n, 1)
+        full = build_grover(spec, grover_angles(spec, "random"))
+        _, rest = with_rest(full, spec)
+        uni = AlgorithmUnitaries(full, spec.layer_width)
+        assert same_bytes(uni.rest, circuit_unitary_gate_by_gate(rest))
+
+    @pytest.mark.parametrize("L, R, a", [(2, 3, 2), (3, 7, 3)])
+    def test_shor_rest_view(self, L, R, a):
+        full, spec = perturbed_shor(L, R, a)
+        _, rest = with_rest(full, spec)
+        uni = AlgorithmUnitaries(full, spec.layer_width)
+        assert same_bytes(uni.rest, circuit_unitary_gate_by_gate(rest))
 
     def test_peak_memory_is_one_output(self, monkeypatch):
         # the oracle holds two N x N stacks at once and fails this bound

@@ -95,10 +95,10 @@ class TestSystematicSweep:
         algo = ShorSpec.for_modulus(5, 2)
         grid = (0.3, 0.6, 1.1)
         rows = run_systematic_sweep(ExperimentSpec(algo, SystematicErrors(grid)))
-        ideal = final_probabilities(build_shor(algo)[0])
+        ideal = final_probabilities(build_shor(algo))
         n_thetas = 4 * algo.L
         for theta, row in zip(grid, rows):
-            observed = final_probabilities(build_shor(algo, [theta] * n_thetas)[0])
+            observed = final_probabilities(build_shor(algo, [theta] * n_thetas))
             assert row.success == shor_success(ideal, observed)
 
     def test_family_mismatch_rejected(self):
@@ -220,7 +220,7 @@ class TestRandomSweep:
             thetas = sampler.stream(0, realization).uniform(
                 math.pi / 4 - eps / 2, math.pi / 4 + eps / 2, 4 + 2 * 4 * 3
             )
-            values.append(final_probabilities(build_grover(GroverSpec(4, 6), thetas)[0])[6])
+            values.append(final_probabilities(build_grover(GroverSpec(4, 6), thetas))[6])
         assert row.success == float(np.mean(values))
 
     def test_row_matches_documented_draw_contract(self):
@@ -241,8 +241,7 @@ class TestRandomSweep:
             thetas = rng.uniform(
                 math.pi / 4 - eps / 2, math.pi / 4 + eps / 2, 3 + 2 * 3 * 2
             )
-            full, _ = build_grover(GroverSpec(3, 1), thetas)
-            psi = circuit_apply(full, basis_state(8))
+            psi = circuit_apply(build_grover(GroverSpec(3, 1), thetas), basis_state(8))
             values.append(abs(psi[1]) ** 2)
         assert row.success == pytest.approx(np.mean(values), abs=1e-15)
         assert row.success_stderr == pytest.approx(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from qimeter.errors import SizeLimitError, ValidationError
 from qimeter.gates import circuit_unitary, perturbed_hadamard, walsh_layer
 from qimeter.interference import (
     WHT_BLOCK_BYTES,
+    PauliNoiseKernel,
     _wht_last,
     ibits,
     interference_kraus,
@@ -57,50 +59,75 @@ class TestIbits:
             ibits(-1e-8)
 
 
+class TestMeasuresAreFloats:
+    """Every route returns a plain float and refuses a negative value."""
+
+    def test_every_route_returns_a_float(self):
+        rng = np.random.default_rng(5)
+        u = random_unitary(8, rng)
+        ch = random_channel(4, 3, rng)
+        values = [
+            interference_unitary(u),
+            interference_kraus(ch),
+            interference_kraus_naive(ch),
+            interference_superoperator(superoperator_from_kraus(ch)),
+            interference_noise_then_unitary(
+                pauli_noise_kernel(u), ErrorModel(BITFLIP, 0.3, (0, 2))
+            ),
+        ]
+        assert [type(value) for value in values] == [float] * 5
+
+    def test_negative_value_refused(self):
+        # a kernel whose quartic term exceeds its autocorrelation sum
+        zeros = np.zeros(2)
+        kernel = PauliNoiseKernel(dim=2, sum_a2=5.0, fa2=zeros, autocorr=zeros, q=zeros)
+        with pytest.raises(ValueError, match="interference value -5.0 is negative"):
+            interference_noise_then_unitary(kernel, ErrorModel(PHASEFLIP, 0.3, (0,)))
+
+
 class TestInterferenceUnitary:
     def test_hadamard_is_one(self):
-        assert abs(interference_unitary(HADAMARD).value - 1.0) < 1e-12
+        assert abs(interference_unitary(HADAMARD) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("dim", [2, 4, 8, 16])
     def test_identity_is_zero(self, dim):
-        assert abs(interference_unitary(identity(dim)).value) < 1e-12
+        assert abs(interference_unitary(identity(dim))) < 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_walsh_hadamard(self, n):
         u = circuit_unitary(walsh_layer([math.pi / 4] * n))
-        assert abs(interference_unitary(u).value - (2**n - 1)) < 1e-9
+        assert abs(interference_unitary(u) - (2**n - 1)) < 1e-9
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(-4, 4, allow_nan=False))
     def test_perturbed_hadamard_formula(self, theta):
-        value = interference_unitary(perturbed_hadamard(theta)).value
+        value = interference_unitary(perturbed_hadamard(theta))
         assert abs(value - math.sin(2 * theta) ** 2) < 1e-12
 
     def test_theta_pi_over_8(self):
-        assert abs(interference_unitary(perturbed_hadamard(math.pi / 8)).value - 0.5) < 1e-12
+        assert abs(interference_unitary(perturbed_hadamard(math.pi / 8)) - 0.5) < 1e-12
 
     def test_bound(self):
         rng = np.random.default_rng(12)
         for dim in (2, 8, 32):
-            value = interference_unitary(random_unitary(dim, rng)).value
+            value = interference_unitary(random_unitary(dim, rng))
             assert -1e-9 <= value <= dim - 1 + 1e-9
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(13)
         u = random_unitary(16, rng)
-        base = interference_unitary(u).value
+        base = interference_unitary(u)
         for _ in range(5):
             p = np.eye(16)[rng.permutation(16)]
             q = np.eye(16)[rng.permutation(16)]
-            assert abs(interference_unitary(p @ u @ q).value - base) < 1e-10
+            assert abs(interference_unitary(p @ u @ q) - base) < 1e-10
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValidationError):
             interference_unitary(np.ones((2, 2)))
 
-    def test_report_carries_ibits(self):
-        report = interference_unitary(HADAMARD)
-        assert abs(report.ibits - 0.0) < 1e-12
+    def test_hadamard_is_one_ibit(self):
+        assert abs(ibits(interference_unitary(HADAMARD)) - 0.0) < 1e-12
 
 
 class TestInterferenceKraus:
@@ -109,47 +136,47 @@ class TestInterferenceKraus:
         for dim in (2, 4, 16):
             u = random_unitary(dim, rng)
             ch = KrausChannel(u[None])
-            diff = abs(interference_kraus(ch).value - interference_unitary(u).value)
+            diff = abs(interference_kraus(ch) - interference_unitary(u))
             assert diff < 1e-12
 
     def test_full_dephasing_is_zero(self):
         ch = KrausChannel(np.array([np.sqrt(0.5) * identity(2), np.sqrt(0.5) * PAULI_Z]))
-        assert abs(interference_kraus(ch).value) < 1e-12
-        assert abs(interference_kraus_naive(ch).value) < 1e-12
+        assert abs(interference_kraus(ch)) < 1e-12
+        assert abs(interference_kraus_naive(ch)) < 1e-12
 
     def test_hadamard_then_half_bitflip_is_zero(self):
         ch = KrausChannel(
             np.array([np.sqrt(0.5) * HADAMARD, np.sqrt(0.5) * PAULI_X @ HADAMARD])
         )
-        assert abs(interference_kraus(ch).value) < 1e-12
+        assert abs(interference_kraus(ch)) < 1e-12
         # cross-check against the brute-force superoperator route
-        assert abs(interference_superoperator(superoperator_from_kraus(ch)).value) < 1e-12
+        assert abs(interference_superoperator(superoperator_from_kraus(ch))) < 1e-12
 
     def test_gram_matches_naive(self):
         rng = np.random.default_rng(22)
         for _ in range(10):
             dim = int(rng.choice([2, 4, 8, 16]))
             ch = random_channel(dim, int(rng.integers(2, 9)), rng)
-            gram = interference_kraus(ch).value
-            naive = interference_kraus_naive(ch).value
+            gram = interference_kraus(ch)
+            naive = interference_kraus_naive(ch)
             assert abs(gram - naive) < 1e-9
 
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(23)
         ch = random_channel(8, 4, rng)
-        base = interference_kraus(ch).value
+        base = interference_kraus(ch)
         p = np.eye(8)[rng.permutation(8)]
         relabeled = KrausChannel(np.matmul(p, np.matmul(ch.ops, p.T)))
-        assert abs(interference_kraus(relabeled).value - base) < 1e-10
+        assert abs(interference_kraus(relabeled) - base) < 1e-10
 
     def test_decomposition_redundancy_invariance(self):
         rng = np.random.default_rng(24)
         ch = random_channel(8, 3, rng)
-        base = interference_kraus(ch).value
+        base = interference_kraus(ch)
         doubled = KrausChannel(
             np.concatenate([ch.ops * np.sqrt(0.5), ch.ops * np.sqrt(0.5)])
         )
-        assert abs(interference_kraus(doubled).value - base) < 1e-10
+        assert abs(interference_kraus(doubled) - base) < 1e-10
 
     def test_rejects_incomplete_channel(self):
         with pytest.raises(ValidationError):
@@ -164,11 +191,11 @@ class TestSuperoperator:
     def test_identity_channel(self):
         p = superoperator_from_kraus(KrausChannel(identity(4)))
         np.testing.assert_allclose(p, identity(16), atol=1e-15)
-        assert abs(interference_superoperator(p).value) < 1e-12
+        assert abs(interference_superoperator(p)) < 1e-12
 
     def test_hadamard_has_one_ibit(self):
         p = superoperator_from_kraus(KrausChannel(HADAMARD))
-        assert abs(interference_superoperator(p).value - 1.0) < 1e-12
+        assert abs(interference_superoperator(p) - 1.0) < 1e-12
 
     def test_pauli_x_permutes_density_indices(self):
         p = superoperator_from_kraus(KrausChannel(PAULI_X))
@@ -193,8 +220,8 @@ class TestSuperoperator:
             dim = int(rng.choice([2, 4, 8, 16]))
             ch = random_channel(dim, int(rng.integers(1, 9)), rng)
             diff = abs(
-                interference_superoperator(superoperator_from_kraus(ch)).value
-                - interference_kraus(ch).value
+                interference_superoperator(superoperator_from_kraus(ch))
+                - interference_kraus(ch)
             )
             assert diff < 1e-9
 
@@ -225,8 +252,8 @@ class TestNoiseFastPath:
             explicit = sandwich(
                 layered_error_channel(n, model), identity(1 << n), u
             )
-            expected = interference_kraus(explicit).value
-            fast = interference_noise_then_unitary(pauli_noise_kernel(u), model).value
+            expected = interference_kraus(explicit)
+            fast = interference_noise_then_unitary(pauli_noise_kernel(u), model)
             assert abs(fast - expected) < 1e-9, (kind, p, affected)
 
     def test_zero_probability_reduces_to_unitary(self):
@@ -234,8 +261,8 @@ class TestNoiseFastPath:
         u = random_unitary(32, rng)
         model = ErrorModel(BITFLIP, 0.0, (0, 1, 4))
         diff = abs(
-            interference_noise_then_unitary(pauli_noise_kernel(u), model).value
-            - interference_unitary(u).value
+            interference_noise_then_unitary(pauli_noise_kernel(u), model)
+            - interference_unitary(u)
         )
         assert diff < 1e-10
 
@@ -275,6 +302,21 @@ class TestBlockedWht:
         assert np.float64(fast.sum_a2).tobytes() == np.float64(slow.sum_a2).tobytes()
         for field in ("fa2", "autocorr", "q"):
             assert getattr(fast, field).tobytes() == getattr(slow, field).tobytes(), field
+
+
+class TestNoiseKernelMemory:
+    def test_peak_stays_below_three_float_matrices(self):
+        # a whole-matrix WHT of U would hold an N x N complex transient
+        # (two float matrices) next to |WHT[U]|^2, three in all
+        dim = 1024
+        u = random_unitary(dim, np.random.default_rng(3))
+        tracemalloc.start()
+        try:
+            pauli_noise_kernel(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * dim * dim * 8
 
 
 def _state(dim, rng):
