@@ -1,11 +1,12 @@
 """Grover search and Shor order-finding circuits, with error hooks.
 
-Both algorithms open with a layer of Hadamard gates.  ``build_grover`` and
-``build_shor`` return one circuit; ``AlgorithmUnitaries`` splits off the
-remainder after that initial layer, and the two views feed the "potentially
-available" versus "actually used" interference measurements.  Decoherence
-strikes only the initial layer: bit-flip or phase-flip errors after each of
-its Hadamard gates, which keeps the Kraus-operator count at 2^n_f.
+Both algorithms open with a layer of Hadamard gates on their leading
+qubits.  ``build_grover`` and ``build_shor`` return one circuit;
+``AlgorithmUnitaries`` checks that layer and splits off the remainder after
+it, and the two views feed the "potentially available" versus "actually
+used" interference measurements.  Decoherence strikes only the initial
+layer: bit-flip or phase-flip errors after each of its Hadamard gates,
+which keeps the Kraus-operator count at 2^n_f.
 """
 
 from __future__ import annotations
@@ -200,24 +201,22 @@ def build_shor(
 
 @dataclass(frozen=True, eq=False)
 class AlgorithmUnitaries:
-    """Dense views of ``circuit``, full = rest @ U(walsh), with the initial
-    Hadamard layer ``walsh`` (the first ``layer_width`` ops) kept as a
-    circuit; this is the one place that splits a circuit at its layer.
-    Each view is built the first time a measure reads it, so I_pa alone
-    never builds U_rest or its kernel."""
+    """Dense views of ``circuit``, full = rest @ W.  The initial layer W,
+    the first ``layer_width`` ops, must be one ``PerturbedHadamard`` on each
+    of qubits 0..m-1 in order (else ``ValueError``), so the layer's qubits
+    are ``range(layer_width)``.  Each view is built the first time a
+    measure reads it, so I_pa alone never builds U_rest or its kernel."""
 
     circuit: Circuit
     layer_width: int
 
-    @functools.cached_property
-    def walsh(self) -> Circuit:
-        return Circuit(self.circuit.n, self.circuit.ops[: self.layer_width])
-
-    @functools.cached_property
-    def walsh_qubits(self) -> tuple:
-        """Qubits that receive an initial Hadamard (all of them for Grover,
-        the first register for Shor)."""
-        return tuple(op.target for op in self.walsh.ops)
+    def __post_init__(self):
+        m = self.layer_width
+        hadamards = [op for op in self.circuit.ops[:m] if isinstance(op, PerturbedHadamard)]
+        if [op.target for op in hadamards] != list(range(m)):
+            raise ValueError(
+                f"the initial layer must be one Hadamard on each of qubits 0..{m - 1}, in order"
+            )
 
     @functools.cached_property
     def full(self) -> np.ndarray:
@@ -241,20 +240,14 @@ class AlgorithmUnitaries:
     def mixture_table(self) -> np.ndarray:
         """|U_full|^2 at every column a phase-flip pattern can reach.
 
-        With the layer on qubits 0..m-1 of n, the hit masks are s << (n - m)
-        for s < 2^m, and row s holds |U_full[:, s << (n - m)]|^2 (2^m x N
-        floats, 8 MB for Shor L = 4).  Raises ``ValueError`` for a layer on
-        other qubits, whose masks the row index would not name.
+        The layer sits on qubits 0..m-1 of n, so the pattern with hit mask
+        s in the layer's m qubits reaches column s << (n - m), and row s
+        holds |U_full[:, s << (n - m)]|^2 (2^m x N floats, 8 MB for Shor
+        L = 4).
         """
-        m = len(self.walsh_qubits)
-        if self.walsh_qubits != tuple(range(m)):
-            raise ValueError(
-                f"the column table needs the initial layer on qubits 0..{m - 1}, "
-                f"not {self.walsh_qubits}"
-            )
-        dim = self.full.shape[0]
-        shift = dim.bit_length() - 1 - m
-        table = np.empty((1 << m, dim))
+        m = self.layer_width
+        shift = self.circuit.n - m
+        table = np.empty((1 << m, self.full.shape[0]))
         for s in range(1 << m):
             table[s] = np.abs(self.full[:, s << shift]) ** 2
         return table
@@ -271,10 +264,10 @@ def shor_unitaries(spec: ShorSpec) -> AlgorithmUnitaries:
 
 
 def _check_affected(unitaries: AlgorithmUnitaries, model: ErrorModel) -> None:
-    if not set(model.affected) <= set(unitaries.walsh_qubits):
+    layer = tuple(range(unitaries.layer_width))
+    if not set(model.affected) <= set(layer):
         raise ValueError(
-            f"affected qubits {model.affected} outside the initial Hadamard layer "
-            f"{unitaries.walsh_qubits}"
+            f"affected qubits {model.affected} outside the initial Hadamard layer {layer}"
         )
 
 
@@ -305,10 +298,7 @@ def decoherence_point(unitaries: AlgorithmUnitaries, model: ErrorModel) -> Decoh
     raised here: ``ValueError`` if any initial Hadamard is perturbed, where
     the commutation fails.
     """
-    if not all(
-        isinstance(op, PerturbedHadamard) and op.theta == math.pi / 4
-        for op in unitaries.walsh.ops
-    ):
+    if any(op.theta != math.pi / 4 for op in unitaries.circuit.ops[: unitaries.layer_width]):
         raise ValueError(
             "the fast path needs an exact initial Hadamard layer (every angle pi/4)"
         )
@@ -328,20 +318,16 @@ def decoherent_final_probabilities(
     """Output distribution of the decohered algorithm started in |0...0>.
 
     Bit flips leave the post-layer state invariant, so the distribution is
-    the exact algorithm's.  Phase flips turn it into a mixture over
-    columns of the full unitary indexed by the flipped-qubit masks, read
-    from the rows of ``unitaries.mixture_table``.
+    the exact algorithm's.  Phase flips turn it into a mixture over rows
+    of ``unitaries.mixture_table``, indexed by the layer's hit masks.
     """
     _check_affected(unitaries, model)
     if model.kind == BITFLIP:
         return np.abs(unitaries.full[:, 0]) ** 2
     table = unitaries.mixture_table
-    dim = table.shape[1]
-    n = dim.bit_length() - 1
-    shift = n - len(unitaries.walsh_qubits)
-    probs = np.zeros(dim)
-    for mask, weight in error_subsets(n, model):
-        probs += weight * table[mask >> shift]
+    probs = np.zeros(table.shape[1])
+    for mask, weight in error_subsets(unitaries.layer_width, model):
+        probs += weight * table[mask]
     return probs
 
 

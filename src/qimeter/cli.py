@@ -90,6 +90,15 @@ def _parse_nf(text: str):
         ) from exc
 
 
+def _parse_criteria(text: str) -> list:
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"criteria must be comma-separated integers, got {text!r}"
+        ) from exc
+
+
 def _parse_workers(text: str) -> int:
     try:
         value = int(text)
@@ -152,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
-    p.add_argument("--criteria", default=None, help="comma-separated criterion numbers")
+    p.add_argument("--criteria", type=_parse_criteria, help="comma-separated criterion numbers")
     _add_parallel(p)
 
     for p in sub.choices.values():
@@ -214,10 +223,7 @@ def _run_sweep(args, algo, family):
 def _run_verify(args):
     from . import acceptance
 
-    indices = None
-    if args.criteria:
-        indices = [int(part) for part in args.criteria.split(",")]
-    results = acceptance.run_criteria(indices, parallel=args.parallel)
+    results = acceptance.run_criteria(args.criteria, parallel=args.parallel)
     failed = sum(not r.passed for r in results)
     return 0 if failed == 0 else 1
 

@@ -130,6 +130,11 @@ def _check_grid(grid, name):
         raise ValueError(f"{name} grid must be strictly increasing")
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 1 << 64:
+        raise ValueError("master seed must fit in 64 bits")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     algorithm: Union[GroverSpec, ShorSpec]
@@ -143,8 +148,7 @@ class ExperimentSpec:
             raise ValueError("alpha averaging only applies to Grover search")
         if self.average_over_alpha and isinstance(self.error_family, DecoherenceErrors):
             raise ValueError("decoherence sweeps run at a fixed marked item")
-        if not 0 <= self.master_seed < 1 << 64:
-            raise ValueError("master seed must fit in 64 bits")
+        _check_seed(self.master_seed)
 
     @property
     def n(self) -> int:
@@ -365,14 +369,14 @@ def run_decoherence_sweep(spec: ExperimentSpec) -> list:
     unitaries = grover_unitaries(algo) if grover else shor_unitaries(algo)
     ideal = None if grover else np.abs(unitaries.full[:, 0]) ** 2
     alpha = algo.alpha if grover else None
-    walsh_qubits = unitaries.walsh_qubits
+    layer = range(algo.layer_width)
     rows = []
     for p in family.probabilities:
         for n_f in family.n_f_values:
             if family.subset_policy == PREFIX_SUBSETS:
-                subsets = [walsh_qubits[:n_f]]
+                subsets = [layer[:n_f]]
             else:
-                subsets = itertools.combinations(walsh_qubits, n_f)
+                subsets = itertools.combinations(layer, n_f)
             points = [decoherence_point(unitaries, ErrorModel(family.kind, p, s)) for s in subsets]
             pa = [point.interference_pa for point in points]
             au = (point.interference_au for point in points)  # read only if reported
@@ -414,6 +418,7 @@ def cue_baseline(n: int, samples: int, seed: int = 0) -> SampleStatistics:
         raise ValueError(f"CUE baseline needs at least one qubit, got n = {n}")
     if samples < 10:
         raise ValueError("need at least 10 samples")
+    _check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 0xC0E]))
     values = [interference_unitary(haar_unitary(1 << n, rng)) for _ in range(samples)]
     mean, stddev = float(np.mean(values)), float(np.std(values, ddof=1))

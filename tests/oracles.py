@@ -293,14 +293,16 @@ def decoherence_channels(unitaries: AlgorithmUnitaries, model: ErrorModel) -> Al
     |0...0><0...0|.  This is the oracle of ``decoherence_point``, and unlike
     it accepts a perturbed initial layer.
     """
-    if not set(model.affected) <= set(unitaries.walsh_qubits):
+    n = unitaries.circuit.n
+    walsh = Circuit(n, unitaries.circuit.ops[: unitaries.layer_width])
+    layer = tuple(op.target for op in walsh.ops)
+    if not set(model.affected) <= set(layer):
         raise ValueError(
-            f"affected qubits {model.affected} outside the initial Hadamard layer "
-            f"{unitaries.walsh_qubits}"
+            f"affected qubits {model.affected} outside the initial Hadamard layer {layer}"
         )
     dim = unitaries.full.shape[0]
-    errors = layered_error_channel(dim.bit_length() - 1, model)
-    pa = sandwich(errors, circuit_unitary(unitaries.walsh), unitaries.rest)
+    errors = layered_error_channel(n, model)
+    pa = sandwich(errors, circuit_unitary(walsh), unitaries.rest)
     au = sandwich(errors, identity(dim), unitaries.rest)
     final = apply_channel(pa, basis_density(dim))
     return AlgorithmChannels(potentially_available=pa, actually_used=au, final_state=final)

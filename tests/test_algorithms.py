@@ -96,9 +96,10 @@ class TestBuildGrover:
         spec = GroverSpec(3, 5)
         full = build_grover(spec)
         uni = AlgorithmUnitaries(full, spec.layer_width)
-        assert uni.walsh.ops == full.ops[: spec.n]
+        walsh = Circuit(spec.n, full.ops[: spec.layer_width])
+        assert all(isinstance(op, PerturbedHadamard) for op in walsh.ops)
         assert uni.rest.tobytes() == circuit_unitary(Circuit(spec.n, full.ops[spec.n :])).tobytes()
-        np.testing.assert_allclose(uni.rest @ circuit_unitary(uni.walsh), uni.full, atol=1e-12)
+        np.testing.assert_allclose(uni.rest @ circuit_unitary(walsh), uni.full, atol=1e-12)
 
     def test_actually_used_interference_frozen_values(self):
         # frozen from two independent constructions (gate-wise application
@@ -145,8 +146,22 @@ class TestSpecLayout:
         phases = [op for op in full.ops if isinstance(op, DiagonalPhaseGate) and len(op.targets) == 2]
         assert len(hadamards) == spec.n_hadamards
         assert len(phases) == spec.n_qft_phases
-        assert len(AlgorithmUnitaries(full, spec.layer_width).walsh.ops) == spec.layer_width
+        AlgorithmUnitaries(full, spec.layer_width)  # the constructor checks the layer
         assert [op.target for op in hadamards[: spec.layer_width]] == list(range(spec.layer_width))
+
+    @pytest.mark.parametrize(
+        "circuit, width",
+        [
+            (Circuit(3, tuple(PerturbedHadamard(math.pi / 4, q) for q in range(2))), 3),
+            # op 2L of a Shor circuit is the modular exponentiation
+            (build_shor(ShorSpec.for_modulus(3, 2)), 5),
+            (Circuit(2, (PerturbedHadamard(math.pi / 4, 1), PerturbedHadamard(math.pi / 4, 0))), 2),
+        ],
+        ids=["shorter-than-width", "non-hadamard", "out-of-order"],
+    )
+    def test_refuses_a_misplaced_layer(self, circuit, width):
+        with pytest.raises(ValueError, match=f"qubits 0..{width - 1}"):
+            AlgorithmUnitaries(circuit, width)
 
     def test_grover_above_cap_refused(self):
         with pytest.raises(SizeLimitError, match="13 qubits"):
@@ -293,10 +308,10 @@ class TestDecoherenceChannels:
             shor_unitaries(ShorSpec.for_modulus(3, 2)),
         ):
             dim = uni.full.shape[0]
-            walsh = circuit_unitary(uni.walsh)
+            walsh = circuit_unitary(Circuit(uni.circuit.n, uni.circuit.ops[: uni.layer_width]))
             rho = walsh @ basis_density(dim) @ walsh.conj().T
             ch = layered_error_channel(
-                dim.bit_length() - 1, ErrorModel(BITFLIP, 0.37, uni.walsh_qubits)
+                uni.circuit.n, ErrorModel(BITFLIP, 0.37, tuple(range(uni.layer_width)))
             )
             np.testing.assert_allclose(apply_channel(ch, rho), rho, atol=1e-10)
 
@@ -416,7 +431,7 @@ class TestMixtureTable:
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
     def test_matches_column_oracle(self, mixture_unitaries, p):
         for uni in mixture_unitaries:
-            layer = uni.walsh_qubits
+            layer = tuple(range(uni.layer_width))
             m = len(layer)
             for affected in [layer[:1], layer[:m // 2], layer, layer[1::2], (layer[-1], layer[0])]:
                 model = ErrorModel(PHASEFLIP, p, affected)
@@ -426,24 +441,18 @@ class TestMixtureTable:
     def test_table_built_once(self, mixture_unitaries):
         uni = mixture_unitaries[0]
         assert uni.mixture_table is uni.mixture_table
-        assert uni.mixture_table.shape == (1 << len(uni.walsh_qubits), uni.full.shape[0])
+        assert uni.mixture_table.shape == (1 << uni.layer_width, uni.full.shape[0])
 
     def test_refuses_layer_off_the_leading_qubits(self):
         # a layer on qubits 1, 2: hit masks are not rows s << (n - m) of a table
         walsh = Circuit(3, (PerturbedHadamard(math.pi / 4, 1), PerturbedHadamard(math.pi / 4, 2)))
-        uni = AlgorithmUnitaries(walsh, 2)
-        model = ErrorModel(PHASEFLIP, 0.3, (1,))
         with pytest.raises(ValueError, match="qubits 0..1"):
-            uni.mixture_table
-        with pytest.raises(ValueError, match="qubits 0..1"):
-            decoherent_final_probabilities(uni, model)
-        with pytest.raises(ValueError, match="qubits 0..1"):
-            decoherence_point(uni, model)
+            AlgorithmUnitaries(walsh, 2)
 
     def test_refuses_errors_outside_the_layer(self, mixture_unitaries):
         shor = mixture_unitaries[-1]  # the second register gets no Hadamard
         with pytest.raises(ValueError, match="outside the initial Hadamard layer"):
-            decoherent_final_probabilities(shor, ErrorModel(PHASEFLIP, 0.3, (0, shor.walsh.n - 1)))
+            decoherent_final_probabilities(shor, ErrorModel(PHASEFLIP, 0.3, (0, shor.circuit.n - 1)))
 
 
 class TestSuccessMeasures:

@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+from qimeter import acceptance
 from qimeter.cli import main
 from qimeter.harness import read_results
 
@@ -120,6 +121,18 @@ class TestCueCommand:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ") and f"n = {n}" in line
+
+    @pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+    def test_seed_outside_64_bits_refused(self, seed, monkeypatch, capsys):
+        # the same refusal as a sweep's, before the first Haar draw
+        def unreachable(*args):
+            raise AssertionError("a unitary was drawn")
+
+        monkeypatch.setattr("qimeter.harness.haar_unitary", unreachable)
+        assert main(["cue-baseline", "--n", "2", "--realizations", "10", "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: master seed must fit in 64 bits\n"
 
 
 class TestConfigFile:
@@ -277,6 +290,19 @@ class TestVerifyCommand:
 
     def test_unknown_criterion_is_argument_error(self):
         assert main(["verify", "--criteria", "99"]) == 2
+
+    @pytest.mark.parametrize("criteria", ["", "1,x"])
+    def test_malformed_criteria_run_nothing(self, criteria, monkeypatch, capsys):
+        def unreachable(parallel):
+            raise AssertionError("a criterion ran")
+
+        for index, (name, _, limit) in list(acceptance.CRITERIA.items()):
+            monkeypatch.setitem(acceptance.CRITERIA, index, (name, unreachable, limit))
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--criteria", criteria])
+        assert info.value.code == 2
+        (line,) = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert repr(criteria) in line
 
     def test_zero_point_grid_rejected(self):
         with pytest.raises(SystemExit) as info:
