@@ -371,7 +371,7 @@ def run_criteria(indices=None, parallel: int = 1) -> list:
         if unknown:
             raise ValueError(f"unknown criteria {unknown}; valid: 1..{len(CRITERIA)}")
     results = []
-    for index in sorted(CRITERIA if indices is None else indices):
+    for index in sorted(set(CRITERIA if indices is None else indices)):
         result = run_criterion(index, parallel)
         print(result.line(), flush=True)
         results.append(result)

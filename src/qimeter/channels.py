@@ -83,13 +83,13 @@ def error_subsets(n: int, model: ErrorModel) -> list:
     """
     bits = [qubit_mask((q,), n) for q in model.affected]
     n_f = len(bits)
-    out = []
-    for subset in range(1 << n_f):
-        hit = [bit for b, bit in enumerate(bits) if (subset >> b) & 1]
-        weight = model.p ** len(hit) * (1.0 - model.p) ** (n_f - len(hit))
-        if weight != 0.0:
-            out.append((sum(hit), weight))
-    return out
+    # the weight depends only on the number of hits
+    weights = [model.p**k * (1.0 - model.p) ** (n_f - k) for k in range(n_f + 1)]
+    masks = [0]
+    for bit in bits:  # subsets with affected[b] hit follow those without it
+        masks += [mask | bit for mask in masks]
+    patterns = [(mask, weights[subset.bit_count()]) for subset, mask in enumerate(masks)]
+    return [(mask, weight) for mask, weight in patterns if weight != 0.0]
 
 
 def popcount(values: np.ndarray) -> np.ndarray:

@@ -7,6 +7,10 @@ exponentiation, bit reversal).  ``circuit_unitary`` and ``circuit_apply``
 share one kernel: each gate is lowered once into a real 2x2 on one qubit,
 the rows whose phase is not 1, or a row gather, and the steps run on cached
 blocks of columns.  It reproduces the bytes of the gate-by-gate oracle.
+``circuit_unitary`` checks each circuit for Shor's shape, gates on qubits
+0..m-1 around one permutation |x, y> -> |x, y XOR g(x)> on all n qubits,
+and runs such a circuit on 2^m-row stacks, one column per first-register
+column and value class of g, then scatters them into the same bytes.
 """
 
 from __future__ import annotations
@@ -195,13 +199,19 @@ def _lower(gate, n, every_row):
 
         return multiply
     if isinstance(gate, PermutationGate):
-        new_loc = gate.table[_local_index(idx, gate.targets, n)]
-        dest = idx.copy()
-        for b, t in enumerate(reversed(gate.targets)):  # bit b of new_loc goes to wire t
-            dest = (dest & ~(1 << (n - 1 - t))) | (((new_loc >> b) & 1) << (n - 1 - t))
-        src = np.argsort(dest)  # row r of the result is row src[r] of s
+        src = np.argsort(_destinations(gate, n))  # row r of the result is row src[r] of s
         return lambda s: s[src]
     raise TypeError(f"unknown gate {gate!r}")
+
+
+def _destinations(gate: PermutationGate, n: int) -> np.ndarray:
+    """The n-qubit basis index that each basis index moves to."""
+    idx = np.arange(1 << n)
+    new_loc = gate.table[_local_index(idx, gate.targets, n)]
+    dest = idx.copy()
+    for b, t in enumerate(reversed(gate.targets)):  # bit b of new_loc goes to wire t
+        dest = (dest & ~(1 << (n - 1 - t))) | (((new_loc >> b) & 1) << (n - 1 - t))
+    return dest
 
 
 def _plan(c: Circuit) -> list:
@@ -221,9 +231,59 @@ def _run(plan: list, stack: np.ndarray) -> np.ndarray:
     return stack
 
 
+def _xor_split(c: Circuit):
+    """(w, m, g) when ``c.ops[w]`` is the one n-qubit permutation, it maps
+    |x, y> to |x, y XOR g(x)> for x on qubits 0..m-1, and every other gate
+    touches only those m < n qubits; None for any other circuit."""
+    n = c.n
+    wide = [i for i, op in enumerate(c.ops) if isinstance(op, PermutationGate) and len(op.targets) == n]
+    if len(wide) != 1:
+        return None
+    w = wide[0]
+    m = 1 + max((t for op in c.ops[:w] + c.ops[w + 1 :] for t in op.targets), default=-1)
+    if not 0 < m < n:
+        return None
+    k = n - m
+    moved = _destinations(c.ops[w], n) ^ np.arange(1 << n)
+    g = (moved & ((1 << k) - 1)).reshape(1 << m, 1 << k)
+    if np.any(moved >> k) or np.any(g != g[:, :1]):
+        return None
+    return w, m, g[:, 0]
+
+
+def _xor_split_unitary(c: Circuit, w: int, m: int, g: np.ndarray) -> np.ndarray:
+    """``circuit_unitary`` of a circuit that ``_xor_split`` accepts, with the
+    gates run on 2^m rows: the n - m trailing qubits are spectators except
+    for the XOR, so column (x0, y0) holds, in rows (., y), the head gates'
+    image of the first m qubits' column x0 where g(x) = y XOR y0, and of a
+    zero column elsewhere (DECISIONS.md)."""
+    k = c.n - m
+    dim, heads, tails, bits = 1 << c.n, 1 << m, 1 << k, (2,) * k
+    plan = _plan(Circuit(m, c.ops[:w] + c.ops[w + 1 :]))
+    before = _run(plan[:w], np.eye(heads, dtype=complex))
+    zero = _run(plan[:w], np.zeros((heads, 1), dtype=complex))
+    in_class = g[:, None] == np.arange(tails)  # (x, class)
+    u = np.empty((dim, dim), dtype=complex)
+    u_bits = u.reshape(heads, tails, heads, *bits)  # (j, y, x0, bits of y0)
+    width = max(1, GATE_BLOCK_BYTES // (16 * dim))  # x0 per block, all classes each
+    for x0 in range(0, heads, width):
+        # column (x0, class) of the stack: its column x0 on rows of that class, else zero's
+        stack = np.where(in_class[:, None, :], before[:, x0 : x0 + width, None], zero[:, :, None])
+        t = _run(plan[w:], stack.reshape(heads, -1)).reshape(heads, -1, *bits)
+        for y in range(tails):
+            # class y XOR y0 along y0: reverse the class axes of y's set bits
+            flips = (slice(None, None, 1 - 2 * (y >> (k - 1 - b) & 1)) for b in range(k))
+            u_bits[:, y, x0 : x0 + width] = t[(Ellipsis, *flips)]
+    return u
+
+
 def circuit_unitary(c: Circuit) -> np.ndarray:
     """Dense unitary of the circuit (later gates multiply from the left), run on
-    blocks of identity columns: every gate acts on rows, so columns never mix."""
+    blocks of identity columns: every gate acts on rows, so columns never mix.
+    A circuit that ``_xor_split`` accepts runs on 2^m-row stacks instead."""
+    split = _xor_split(c)
+    if split is not None:
+        return _xor_split_unitary(c, *split)
     dim = 1 << c.n
     width = max(1, GATE_BLOCK_BYTES // (16 * dim))
     plan, u = _plan(c), np.empty((dim, dim), dtype=complex)

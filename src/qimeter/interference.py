@@ -20,9 +20,11 @@ that are precomputed with fast Walsh-Hadamard transforms
 (``pauli_noise_kernel`` / ``interference_noise_then_unitary``); the
 decoherence sweeps take this path.  That makes each (p, subset)
 evaluation cheap even at 12 qubits: about 60 us each on a 2-core
-machine, after the two 4096^2 kernels of a Shor L = 4 sweep took 3.0 s
-of cache-blocked Walsh-Hadamard transforms.  Building the 12-qubit
-Grover unitaries is not cheap (98.8 s on a 2-vCPU Xeon host).
+machine, after the two 4096^2 kernels of a Shor L = 4 sweep took 2.5 s
+of cache-blocked Walsh-Hadamard transforms.  Those kernels are the
+largest cost of that sweep: its two unitaries take 0.4 s on
+first-register stacks.  Building the 12-qubit Grover unitaries is not
+cheap (98.8 s on a 2-vCPU Xeon host).
 """
 
 from __future__ import annotations

@@ -16,7 +16,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from qimeter.algorithms import AlgorithmUnitaries, GroverSpec, build_grover
-from qimeter.channels import BITFLIP, ErrorModel, KrausChannel, error_subsets, popcount
+from qimeter.channels import (
+    BITFLIP,
+    ErrorModel,
+    KrausChannel,
+    error_subsets,
+    popcount,
+    qubit_mask,
+)
 from qimeter.errors import SizeLimitError, ValidationError
 from qimeter.gates import (
     Circuit,
@@ -172,6 +179,20 @@ def pauli_noise_kernel_unblocked(u: np.ndarray) -> PauliNoiseKernel:
     return PauliNoiseKernel(
         dim=dim, sum_a2=float(np.sum(a * a)), fa2=fa2, autocorr=autocorr, q=q
     )
+
+
+def error_subsets_per_subset(n: int, model: ErrorModel) -> list:
+    """``error_subsets`` with each pattern's hit list and weight built on
+    their own, one subset at a time."""
+    bits = [qubit_mask((q,), n) for q in model.affected]
+    n_f = len(bits)
+    out = []
+    for subset in range(1 << n_f):
+        hit = [bit for b, bit in enumerate(bits) if (subset >> b) & 1]
+        weight = model.p ** len(hit) * (1.0 - model.p) ** (n_f - len(hit))
+        if weight != 0.0:
+            out.append((sum(hit), weight))
+    return out
 
 
 def phaseflip_mixture(u_full: np.ndarray, model: ErrorModel) -> np.ndarray:

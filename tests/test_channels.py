@@ -8,6 +8,7 @@ from oracles import (
     apply_channel,
     basis_density,
     density_from_state,
+    error_subsets_per_subset,
     evolve_density,
     is_density_matrix,
     kron,
@@ -110,6 +111,14 @@ class TestErrorSubsets:
     def test_affected_checked_even_when_never_hit(self):
         with pytest.raises(ValueError):
             error_subsets(2, ErrorModel(BITFLIP, 0.0, (3,)))
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("n_f", range(1, 9))
+    def test_matches_per_subset_oracle(self, n_f, p):
+        # same masks, same order and the same floats, compared with ==
+        affected = tuple(np.random.default_rng(n_f).permutation(10)[:n_f].tolist())
+        model = ErrorModel(PHASEFLIP, p, affected)
+        assert error_subsets(10, model) == error_subsets_per_subset(10, model)
 
 
 class TestSandwich:

@@ -288,6 +288,19 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "criterion  1 [PASS]" in out
 
+    def test_repeated_criterion_runs_once(self, monkeypatch, capsys):
+        calls = []
+
+        def criterion(parallel):
+            calls.append(parallel)
+            return True, ""
+
+        name, _, limit = acceptance.CRITERIA[1]
+        monkeypatch.setitem(acceptance.CRITERIA, 1, (name, criterion, limit))
+        assert main(["verify", "--criteria", "1,1"]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out.count("criterion  1 [PASS]") == 1
+
     def test_unknown_criterion_is_argument_error(self):
         assert main(["verify", "--criteria", "99"]) == 2
 

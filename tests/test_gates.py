@@ -14,6 +14,8 @@ from qimeter.algorithms import (
     ShorSpec,
     build_grover,
     build_shor,
+    grover_unitaries,
+    shor_unitaries,
 )
 from qimeter.errors import SizeLimitError
 from qimeter.gates import (
@@ -267,8 +269,13 @@ def edge_circuit(rng):
     """Gates of every kind at edge angles, with half of each diagonal exactly 1
     and diagonals after the last Hadamard."""
     n = int(rng.integers(2, 6))
+    return Circuit(n, tuple(edge_ops(rng, n, int(rng.integers(3, 12)))))
+
+
+def edge_ops(rng, n, count):
+    """``count`` gates of ``edge_circuit``'s kinds on qubits 0..n-1."""
     ops = []
-    for _ in range(int(rng.integers(3, 12))):
+    for _ in range(count):
         kind = rng.random()
         targets = tuple(int(t) for t in rng.permutation(n)[: rng.integers(1, n + 1)])
         if kind < 0.35:
@@ -279,7 +286,7 @@ def edge_circuit(rng):
             ops.append(DiagonalPhaseGate(phases, targets))
         else:
             ops.append(PermutationGate(rng.permutation(1 << len(targets)), targets))
-    return Circuit(n, tuple(ops))
+    return ops
 
 
 class TestKernelMatchesGateByGate:
@@ -344,6 +351,119 @@ class TestKernelMatchesGateByGate:
         monkeypatch.setattr(gates, "GATE_BLOCK_BYTES", 16 * 8 << n)
         mixed = random_mixed_circuit(n, np.random.default_rng(8))
         c = Circuit(n, walsh_layer([0.3] * n).ops + mixed.ops)
+        tracemalloc.start()
+        try:
+            u = circuit_unitary(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * u.nbytes
+
+
+def xor_table(m, k, g, moved_x=0):
+    """|x, y> -> |x XOR moved_x, y XOR g[x]> on m + k qubits."""
+    idx = np.arange(1 << (m + k))
+    x, y = idx >> k, idx & ((1 << k) - 1)
+    return ((x ^ moved_x) << k) | (y ^ g[x])
+
+
+def xor_split_circuit(rng):
+    """Head gates on qubits 0..m-1, one permutation |x, y> -> |x, y XOR g(x)>
+    on all n qubits, head gates again.  A Hadamard layer opens the head, a
+    diagonal sits just before the permutation and one closes the circuit,
+    after its last Hadamard."""
+    m, k = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+
+    def diagonal():
+        phases = np.where(rng.random(1 << m) < 0.5, 1.0, rng.choice(EDGE_PHASES, 1 << m))
+        return DiagonalPhaseGate(phases, tuple(range(m)))
+
+    head = [PerturbedHadamard(float(rng.choice(EDGE_ANGLES)), q) for q in range(m)]
+    head += edge_ops(rng, m, int(rng.integers(0, 6)))
+    xor = PermutationGate(xor_table(m, k, rng.integers(0, 1 << k, 1 << m)), tuple(range(m + k)))
+    tail = edge_ops(rng, m, int(rng.integers(0, 8)))
+    return Circuit(m + k, (*head, diagonal(), xor, *tail, diagonal()))
+
+
+@pytest.fixture
+def split_calls(monkeypatch):
+    """Circuits that ``circuit_unitary`` sends down the XOR-split route."""
+    calls = []
+    route = gates._xor_split_unitary
+
+    def counted(c, *split):
+        calls.append(c)
+        return route(c, *split)
+
+    monkeypatch.setattr(gates, "_xor_split_unitary", counted)
+    return calls
+
+
+class TestXorSplitRoute:
+    """Circuits of Shor's shape run on first-register stacks and reproduce the
+    gate-by-gate oracle's bytes; every other circuit takes the block loop."""
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "perturbed"])
+    @pytest.mark.parametrize("R, a", [(3, 1), (3, 2), (5, 2)] + [(7, a) for a in range(1, 7)])
+    def test_shor(self, R, a, exact, split_calls):
+        spec = ShorSpec.for_modulus(R, a)
+        full = build_shor(spec) if exact else perturbed_shor(spec.L, R, a)[0]
+        circuits = with_rest(full, spec)
+        for c in circuits:
+            assert same_bytes(circuit_unitary(c), circuit_unitary_gate_by_gate(c))
+        assert split_calls == list(circuits)
+
+    def test_random_circuits(self, split_calls):
+        rng = np.random.default_rng(15)
+        for _ in range(300):
+            c = xor_split_circuit(rng)
+            assert same_bytes(circuit_unitary(c), circuit_unitary_gate_by_gate(c)), c.ops
+        assert len(split_calls) == 300
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_column_blocks(self, width, monkeypatch, split_calls):
+        # blocks of `width` first-register columns, each with all 2^k classes;
+        # 3 leaves a short last block
+        rng = np.random.default_rng(width)
+        for c in [*with_rest(*perturbed_shor(2, 3, 2)), xor_split_circuit(rng)]:
+            monkeypatch.setattr(gates, "GATE_BLOCK_BYTES", 16 * width << c.n)
+            assert same_bytes(circuit_unitary(c), circuit_unitary_gate_by_gate(c))
+        assert len(split_calls) == 3
+
+    @staticmethod
+    def fallbacks():
+        spec = ShorSpec(3, 7, 3)
+        shor = build_shor(spec)
+        head, modexp, tail = shor.ops[:6], shor.ops[6], shor.ops[7:]
+        g = np.array([pow(3, x, 7) for x in range(64)])
+        moves_x = PermutationGate(xor_table(6, 3, g, moved_x=5), tuple(range(9)))
+        idx = np.arange(512)
+        adds = PermutationGate((idx & ~7) | ((idx + g[idx >> 3]) & 7), tuple(range(9)))
+        return {
+            "moves-x": Circuit(9, (*head, moves_x, *tail)),
+            "adds-not-xors": Circuit(9, (*head, adds, *tail)),
+            "tail-hadamard": Circuit(9, (*shor.ops, PerturbedHadamard(0.37, 8))),
+            "two-wide": Circuit(9, (*head, modexp, *tail, modexp)),
+        }
+
+    @pytest.mark.parametrize("case", ["moves-x", "adds-not-xors", "tail-hadamard", "two-wide"])
+    def test_other_circuits_take_the_block_loop(self, case, split_calls):
+        c = self.fallbacks()[case]
+        assert gates._xor_split(c) is None
+        assert same_bytes(circuit_unitary(c), circuit_unitary_gate_by_gate(c))
+        assert split_calls == []
+
+    def test_taken_for_shor_not_for_grover(self, split_calls):
+        grover = grover_unitaries(GroverSpec(5, 3))
+        shor = shor_unitaries(ShorSpec(3, 5, 2))
+        for uni in (grover, shor):
+            assert uni.full.shape == uni.rest.shape
+        assert [c.ops for c in split_calls] == [shor.circuit.ops, shor.circuit.ops[6:]]
+
+    @pytest.mark.parametrize("rest", [False, True], ids=["full", "rest"])
+    def test_peak_memory_below_one_and_a_half_outputs(self, rest):
+        spec = ShorSpec(3, 7, 3)
+        c = with_rest(build_shor(spec), spec)[rest]
         tracemalloc.start()
         try:
             u = circuit_unitary(c)
