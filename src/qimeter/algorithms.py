@@ -29,6 +29,7 @@ from .gates import (
     circuit_apply,
     circuit_unitary,
     qft_circuit,
+    xor_row_copies,
 )
 from .interference import (
     PauliNoiseKernel,
@@ -219,22 +220,29 @@ class AlgorithmUnitaries:
             )
 
     @functools.cached_property
+    def rest_circuit(self) -> Circuit:
+        """The ops after the initial layer."""
+        return Circuit(self.circuit.n, self.circuit.ops[self.layer_width :])
+
+    @functools.cached_property
     def full(self) -> np.ndarray:
         return circuit_unitary(self.circuit)
 
     @functools.cached_property
     def rest(self) -> np.ndarray:
-        return circuit_unitary(Circuit(self.circuit.n, self.circuit.ops[self.layer_width :]))
+        return circuit_unitary(self.rest_circuit)
 
+    # a Shor view repeats each row 2^L times, XOR-shifted, so its kernel
+    # transforms one row in 2^L; a Grover kernel transforms every row
     @functools.cached_property
     def full_kernel(self) -> PauliNoiseKernel:
         """Row statistics of U_full that ``decoherence_point`` reads for I_pa."""
-        return pauli_noise_kernel(self.full)
+        return pauli_noise_kernel(self.full, xor_row_copies(self.circuit))
 
     @functools.cached_property
     def rest_kernel(self) -> PauliNoiseKernel:
         """Row statistics of U_rest that ``DecoherencePoint`` reads for I_au."""
-        return pauli_noise_kernel(self.rest)
+        return pauli_noise_kernel(self.rest, xor_row_copies(self.rest_circuit))
 
     @functools.cached_property
     def mixture_table(self) -> np.ndarray:

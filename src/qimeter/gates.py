@@ -277,6 +277,15 @@ def _xor_split_unitary(c: Circuit, w: int, m: int, g: np.ndarray) -> np.ndarray:
     return u
 
 
+def xor_row_copies(c: Circuit) -> int:
+    """2^(n - m) for a circuit that ``_xor_split`` accepts, else 1: each run of
+    that many rows of its unitary is the run's first row with its columns
+    XOR-shifted, U[(j, y), (x0, y0)] = U[(j, 0), (x0, y XOR y0)], as
+    ``_xor_split_unitary`` writes it (``interference.pauli_noise_kernel``)."""
+    split = _xor_split(c)
+    return 1 if split is None else 1 << (c.n - split[1])
+
+
 def circuit_unitary(c: Circuit) -> np.ndarray:
     """Dense unitary of the circuit (later gates multiply from the left), run on
     blocks of identity columns: every gate acts on rows, so columns never mix.

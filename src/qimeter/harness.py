@@ -355,7 +355,7 @@ def run_decoherence_sweep(spec: ExperimentSpec) -> list:
     I_au, U_rest and its noise kernel.  All are O(4^n) and freed on
     return.  At 12 qubits each unitary is 256 MB and the table 8 MB for
     Shor L = 4 (128 MB for Grover); a Shor L = 4 phase-flip sweep peaks
-    at 549 MB with I_pa alone and at 814 MB with both measures."""
+    at 425 MB with I_pa alone and at 688 MB with both measures."""
     family = spec.error_family
     if not isinstance(family, DecoherenceErrors):
         raise ValueError("spec does not describe a decoherence sweep")

@@ -19,12 +19,15 @@ measure collapses to two O(N) dot products against row statistics of U
 that are precomputed with fast Walsh-Hadamard transforms
 (``pauli_noise_kernel`` / ``interference_noise_then_unitary``); the
 decoherence sweeps take this path.  That makes each (p, subset)
-evaluation cheap even at 12 qubits: about 60 us each on a 2-core
-machine, after the two 4096^2 kernels of a Shor L = 4 sweep took 2.5 s
-of cache-blocked Walsh-Hadamard transforms.  Those kernels are the
-largest cost of that sweep: its two unitaries take 0.4 s on
-first-register stacks.  Building the 12-qubit Grover unitaries is not
-cheap (98.8 s on a 2-vCPU Xeon host).
+evaluation cheap even at 12 qubits: about 50 us each on a 2-vCPU host,
+after the two 4096^2 kernels of a Shor L = 4 sweep took 0.5 s.  A Shor
+view repeats each row 2^L times with its columns XOR-shifted, so those
+kernels run their cache-blocked Walsh-Hadamard transforms on 256 of the
+4096 rows (``copies``; 3.3 s over every row); about half of the 0.5 s
+is sum |U|^4 over the dense views.  The sweep's two unitaries take 0.5 s on
+first-register stacks, and its phase-flip mixture, 1.2 s, is now its
+largest stage.  Building the 12-qubit Grover unitaries is not cheap
+(98.8 s on a 2-vCPU Xeon host).
 """
 
 from __future__ import annotations
@@ -210,27 +213,53 @@ class PauliNoiseKernel:
     q: np.ndarray
 
 
-def pauli_noise_kernel(u: np.ndarray) -> PauliNoiseKernel:
+def pauli_noise_kernel(u: np.ndarray, copies: int = 1) -> PauliNoiseKernel:
+    """Row statistics of the N x N unitary ``u`` (``PauliNoiseKernel``).
+
+    ``copies`` promises that each run of that many consecutive rows is the
+    run's first row with its columns XOR-shifted by 0..copies-1:
+    u[r + y, c] = u[r, c XOR y] whenever ``copies`` divides r.  Shor's views
+    keep that promise (``gates.xor_row_copies``); 1 promises nothing.  An XOR
+    shift of a butterfly's input only swaps pairs, so each transformed entry
+    of a shifted row is +- the first row's, and its square or modulus is
+    equal.  So the transforms run on ``u[::copies]`` alone, and each squared
+    row is added ``copies`` times, in row order, as a sum over all N rows
+    adds it: the bits are those of ``copies = 1``.  sum |U|^4 stays a sum
+    over the dense ``u``.
+
+    ``ValueError`` if ``copies`` is not a power of two dividing N, or if
+    rows 1..copies-1 are not row 0 so shifted (an O(copies N) check of the
+    first run only).
+    """
     u = np.asarray(u, dtype=complex)
     dim = u.shape[0]
-    # each N x N intermediate is dropped as soon as it is consumed
+    if copies < 1 or copies & (copies - 1) or dim % copies:
+        raise ValueError(f"copies={copies} is not a power of two dividing N={dim}")
+    shifted = u[0, np.arange(dim) ^ np.arange(copies)[:, None]]
+    if u[:copies].tobytes() != shifted.tobytes():
+        raise ValueError(f"rows 1..{copies - 1} are not row 0 with its columns XOR-shifted")
     a = np.abs(u) ** 2
-    sum_a2 = float(np.sum(a * a))
-    fa = _wht_last(a)
+    a *= a
+    sum_a2 = float(np.sum(a))
     del a
-    fa2 = np.sum(fa * fa, axis=0)
-    del fa
-    autocorr = _wht_last(fa2) / dim
-    # |WHT[U_i]|^2 a block of rows at a time, so no N x N complex transient
-    fb2 = np.empty((dim, dim))
+    # sum_i WHT[A_i]^2 and sum_i (autocorrelation of U_i)^2, a block of
+    # representative rows at a time, so no N x N transient
+    fa2, cc2 = np.zeros(dim), np.zeros(dim)
+    reps = u[::copies]
     block = max(1, WHT_BLOCK_BYTES // (dim * u.itemsize))
-    for lo in range(0, dim, block):
-        fb2[lo : lo + block] = np.abs(_wht_last(u[lo : lo + block])) ** 2
-    cc = _wht_last(fb2)  # complex row autocorrelations are real
-    del fb2
-    cc /= dim
-    cc *= cc
-    q = _wht_last(np.sum(cc, axis=0))
+    for lo in range(0, reps.shape[0], block):
+        rows = reps[lo : lo + block]
+        fa = _wht_last(np.abs(rows) ** 2)
+        fa *= fa
+        cc = _wht_last(np.abs(_wht_last(rows)) ** 2)  # complex row autocorrelations are real
+        cc /= dim
+        cc *= cc
+        for fa_row, cc_row in zip(fa, cc):
+            for _ in range(copies):
+                fa2 += fa_row
+                cc2 += cc_row
+    autocorr = _wht_last(fa2) / dim
+    q = _wht_last(cc2)
     return PauliNoiseKernel(dim=dim, sum_a2=sum_a2, fa2=fa2, autocorr=autocorr, q=q)
 
 
@@ -241,6 +270,14 @@ def _index_popcounts(dim: int) -> np.ndarray:
     table = popcount(np.arange(dim))
     table.flags.writeable = False
     return table
+
+
+def _error_weights(model: ErrorModel, dim: int) -> np.ndarray:
+    """(1 - 2p)^(2 popcount(i & mask)) for every index i < dim, the mask being
+    the affected qubits: n + 1 float64 powers, one per popcount, gathered."""
+    n = dim.bit_length() - 1
+    pc = _index_popcounts(dim)[np.arange(dim) & qubit_mask(model.affected, n)]
+    return (((1.0 - 2.0 * model.p) ** 2) ** np.arange(n + 1))[pc]
 
 
 def interference_noise_then_unitary(
@@ -255,9 +292,7 @@ def interference_noise_then_unitary(
     ``tests/oracles.py`` builds.
     """
     dim = kernel.dim
-    n = dim.bit_length() - 1
-    pc = _index_popcounts(dim)[np.arange(dim) & qubit_mask(model.affected, n)]
-    weights = ((1.0 - 2.0 * model.p) ** 2) ** pc
+    weights = _error_weights(model, dim)
     if model.kind == BITFLIP:
         # sigma_x products act as XOR permutations of the input basis
         value = float(weights @ (kernel.q - kernel.fa2)) / dim

@@ -33,7 +33,12 @@ from qimeter.gates import (
     circuit_unitary,
     perturbed_hadamard,
 )
-from qimeter.interference import PauliNoiseKernel, interference_unitary
+from qimeter.interference import (
+    WHT_BLOCK_BYTES,
+    PauliNoiseKernel,
+    _wht_last,
+    interference_unitary,
+)
 from qimeter.linalg import (
     MAX_DIM,
     MAX_QUBITS,
@@ -179,6 +184,32 @@ def pauli_noise_kernel_unblocked(u: np.ndarray) -> PauliNoiseKernel:
     return PauliNoiseKernel(
         dim=dim, sum_a2=float(np.sum(a * a)), fa2=fa2, autocorr=autocorr, q=q
     )
+
+
+def pauli_noise_kernel_every_row(u: np.ndarray) -> PauliNoiseKernel:
+    """``pauli_noise_kernel`` as it was before ``copies``: every row of ``u``
+    transformed, and each statistic summed over axis 0 of an N x N array."""
+    u = np.asarray(u, dtype=complex)
+    dim = u.shape[0]
+    # each N x N intermediate is dropped as soon as it is consumed
+    a = np.abs(u) ** 2
+    sum_a2 = float(np.sum(a * a))
+    fa = _wht_last(a)
+    del a
+    fa2 = np.sum(fa * fa, axis=0)
+    del fa
+    autocorr = _wht_last(fa2) / dim
+    # |WHT[U_i]|^2 a block of rows at a time, so no N x N complex transient
+    fb2 = np.empty((dim, dim))
+    block = max(1, WHT_BLOCK_BYTES // (dim * u.itemsize))
+    for lo in range(0, dim, block):
+        fb2[lo : lo + block] = np.abs(_wht_last(u[lo : lo + block])) ** 2
+    cc = _wht_last(fb2)  # complex row autocorrelations are real
+    del fb2
+    cc /= dim
+    cc *= cc
+    q = _wht_last(np.sum(cc, axis=0))
+    return PauliNoiseKernel(dim=dim, sum_a2=sum_a2, fa2=fa2, autocorr=autocorr, q=q)
 
 
 def error_subsets_per_subset(n: int, model: ErrorModel) -> list:

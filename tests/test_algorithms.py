@@ -12,6 +12,7 @@ from oracles import (
     layered_error_channel,
     phaseflip_mixture,
 )
+from qimeter import algorithms
 from qimeter.algorithms import (
     AlgorithmUnitaries,
     GroverSpec,
@@ -340,6 +341,30 @@ class TestDecoherencePoint:
             assert kernel.sum_a2 == expected.sum_a2
             for field in ("fa2", "autocorr", "q"):
                 assert getattr(kernel, field).tobytes() == getattr(expected, field).tobytes()
+
+    @pytest.mark.parametrize(
+        "uni, copies",
+        [
+            (lambda: grover_unitaries(GroverSpec(3, 1)), 1),
+            (lambda: grover_unitaries(GroverSpec(6, 5)), 1),
+            (lambda: shor_unitaries(ShorSpec(2, 3, 2)), 4),
+            (lambda: shor_unitaries(ShorSpec(3, 7, 3)), 8),
+        ],
+        ids=["grover-3", "grover-6", "shor-L2", "shor-L3"],
+    )
+    def test_kernels_read_row_copies_from_the_circuit(self, uni, copies, monkeypatch):
+        # one transformed row per 2^L for both Shor views, every row for
+        # Grover; passed positionally, as the harness's counting wrappers take it
+        calls = []
+
+        def recording(*args):
+            calls.append(args[1:])
+            return pauli_noise_kernel(*args)
+
+        monkeypatch.setattr(algorithms, "pauli_noise_kernel", recording)
+        uni = uni()
+        uni.full_kernel, uni.rest_kernel
+        assert calls == [(copies,), (copies,)]
 
     @pytest.mark.parametrize("kind", [BITFLIP, PHASEFLIP])
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])

@@ -12,17 +12,24 @@ from oracles import (
     apply_superoperator,
     density_from_state,
     layered_error_channel,
+    pauli_noise_kernel_every_row,
     pauli_noise_kernel_unblocked,
     sandwich,
     wht_last_unblocked,
 )
+from test_gates import perturbed_shor, with_rest, xor_split_circuit
+from qimeter import interference
 from qimeter.acceptance import random_channel
-from qimeter.channels import BITFLIP, PHASEFLIP, ErrorModel, KrausChannel
+from qimeter.algorithms import GroverSpec, ShorSpec, build_shor, grover_unitaries
+from qimeter.channels import BITFLIP, PHASEFLIP, ErrorModel, KrausChannel, qubit_mask
 from qimeter.errors import SizeLimitError, ValidationError
-from qimeter.gates import circuit_unitary, perturbed_hadamard, walsh_layer
+from qimeter.gates import circuit_unitary, perturbed_hadamard, walsh_layer, xor_row_copies
+from qimeter.harness import default_probability_grid
 from qimeter.interference import (
     WHT_BLOCK_BYTES,
     PauliNoiseKernel,
+    _error_weights,
+    _index_popcounts,
     _wht_last,
     ibits,
     interference_kraus,
@@ -302,6 +309,83 @@ class TestBlockedWht:
         assert np.float64(fast.sum_a2).tobytes() == np.float64(slow.sum_a2).tobytes()
         for field in ("fa2", "autocorr", "q"):
             assert getattr(fast, field).tobytes() == getattr(slow, field).tobytes(), field
+
+
+def same_kernel(fast, slow):
+    return (
+        fast.dim == slow.dim
+        and np.float64(fast.sum_a2).tobytes() == np.float64(slow.sum_a2).tobytes()
+        and all(getattr(fast, f).tobytes() == getattr(slow, f).tobytes() for f in ("fa2", "autocorr", "q"))
+    )
+
+
+class TestRowCopies:
+    """With ``copies``, the kernel transforms one row per run of XOR-shifted
+    rows and keeps the bytes of the kernel that transforms every row."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_grover_takes_one_copy(self, n):
+        uni = grover_unitaries(GroverSpec(n, (1 << n) - 2))
+        for u in (uni.full, uni.rest):
+            assert same_kernel(pauli_noise_kernel(u, 1), pauli_noise_kernel_every_row(u))
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "perturbed"])
+    @pytest.mark.parametrize("R, a", [(3, 1), (3, 2)] + [(7, a) for a in range(1, 7)])
+    def test_shor_views(self, R, a, exact):
+        spec = ShorSpec.for_modulus(R, a)
+        full = build_shor(spec) if exact else perturbed_shor(spec.L, R, a)[0]
+        for c in with_rest(full, spec):
+            u = circuit_unitary(c)
+            assert same_kernel(pauli_noise_kernel(u, 1 << spec.L), pauli_noise_kernel_every_row(u))
+
+    def test_random_xor_split_circuits(self):
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            c = xor_split_circuit(rng)
+            u, copies = circuit_unitary(c), xor_row_copies(c)
+            assert copies > 1
+            assert same_kernel(pauli_noise_kernel(u, copies), pauli_noise_kernel_every_row(u)), c.ops
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_row_blocks(self, rows, monkeypatch):
+        # blocks of `rows` representative rows; 3 leaves a short last block
+        spec = ShorSpec(3, 7, 3)
+        for c in with_rest(build_shor(spec), spec):
+            u = circuit_unitary(c)
+            monkeypatch.setattr(interference, "WHT_BLOCK_BYTES", rows * u.shape[0] * u.itemsize)
+            assert same_kernel(pauli_noise_kernel(u, 8), pauli_noise_kernel_every_row(u))
+
+    @pytest.mark.parametrize("copies", [0, -2, 3, 6, 128])
+    def test_copies_must_be_a_power_of_two_dividing_n(self, copies):
+        u = circuit_unitary(build_shor(ShorSpec(2, 3, 2)))  # N = 64
+        with pytest.raises(ValueError, match="power of two"):
+            pauli_noise_kernel(u, copies)
+
+    def test_rows_that_are_not_shifts_refused(self):
+        with pytest.raises(ValueError, match="XOR-shifted"):
+            pauli_noise_kernel(grover_unitaries(GroverSpec(4, 3)).full, 2)
+        u = circuit_unitary(build_shor(ShorSpec(2, 3, 2)))
+        row = 3  # the last of the first run of 4
+        col = int(np.argmax(np.abs(u[row])))
+        u[row, col] *= 1 + 2.0**-52
+        with pytest.raises(ValueError, match="XOR-shifted"):
+            pauli_noise_kernel(u, 4)
+
+
+class TestErrorWeights:
+    """The weights are the per-index powers, gathered from n + 1 of them."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_equal_to_per_index_powers(self, n):
+        dim = 1 << n
+        masks = {(0,), (n - 1,), tuple(range(n)), tuple(range(0, n, 2)), tuple(range(1, n, 3))}
+        grid = [*default_probability_grid(), 0.0, 0.05, 0.123456789, 0.3, 0.5, 0.95, 1.0]
+        for affected in masks:
+            pc = _index_popcounts(dim)[np.arange(dim) & qubit_mask(affected, n)]
+            for p in grid:
+                model = ErrorModel(PHASEFLIP, p, affected)
+                per_index = ((1.0 - 2.0 * p) ** 2) ** pc
+                assert _error_weights(model, dim).tobytes() == per_index.tobytes(), (affected, p)
 
 
 class TestNoiseKernelMemory:
