@@ -76,7 +76,7 @@ def random_channel(dim: int, num_ops: int, rng: np.random.Generator) -> KrausCha
     return KrausChannel(raw @ inv_sqrt)
 
 
-def _criterion_1(parallel: int):
+def _criterion_1():
     """Walsh-Hadamard interference equals 2^n - 1 for n = 1..10."""
     worst = 0.0
     for n in range(1, 11):
@@ -85,7 +85,7 @@ def _criterion_1(parallel: int):
     return worst <= 1e-9, f"max |I(W_n) - (2^n-1)| = {worst:.2e} (tol 1e-9)"
 
 
-def _criterion_2(parallel: int):
+def _criterion_2():
     """Cross-oracle agreement on 50 random channels."""
     rng = np.random.default_rng(20240902)
     worst_super = worst_naive = worst_single = 0.0
@@ -111,7 +111,7 @@ def _criterion_2(parallel: int):
     )
 
 
-def _criterion_3(parallel: int):
+def _criterion_3():
     """Exact Grover: closed-form success, AU interference band, one-iteration value."""
     worst_s = 0.0
     au_values = {}
@@ -189,7 +189,7 @@ def _grover_decoherence_rows(kind):
     return run_decoherence_sweep(spec)
 
 
-def _criterion_5(parallel: int):
+def _criterion_5():
     """Grover bit-flip immunity: constant success, PA dies, AU survives."""
     rows = _grover_decoherence_rows(BITFLIP)
     s0 = next(r.success for r in rows if r.sweep_value == 0.0 and r.n_f == 1)
@@ -204,7 +204,7 @@ def _criterion_5(parallel: int):
     )
 
 
-def _criterion_6(parallel: int):
+def _criterion_6():
     """Grover phase-flip destruction: S(p=1) near 0.0025, monotone drop."""
     rows = _grover_decoherence_rows(PHASEFLIP)
     nf4 = [r for r in rows if r.n_f == 4]
@@ -218,7 +218,7 @@ def _criterion_6(parallel: int):
     )
 
 
-def _criterion_7(parallel: int):
+def _criterion_7():
     """Exact Shor: L=2 register-1 distribution, Eq.-5 self-success, AU growth."""
     shor2 = ShorSpec.for_modulus(3, 2)
     probs = final_probabilities(build_shor(shor2))
@@ -238,7 +238,7 @@ def _criterion_7(parallel: int):
     )
 
 
-def _criterion_8(parallel: int):
+def _criterion_8():
     """Shor bit-flips on the first register never break the algorithm."""
     worst_s = 0.0
     min_pa = min_au = float("inf")
@@ -258,7 +258,7 @@ def _criterion_8(parallel: int):
     )
 
 
-def _criterion_9(parallel: int):
+def _criterion_9():
     """Shor phase-flips: AU reaches zero, PA residual survives, S decreases."""
     spec = ExperimentSpec(
         ShorSpec.for_modulus(3, 2),
@@ -295,14 +295,14 @@ def _criterion_10(parallel: int):
     )
 
 
-def _criterion_11(parallel: int):
+def _criterion_11():
     """CUE baseline: Haar-random interference sits near N - 2."""
     stats = cue_baseline(6, 100, seed=7)
     ok = 60.0 <= stats.mean <= 63.0
     return ok, f"mean I over 100 Haar samples = {stats.mean:.3f} (need within [60, 63])"
 
 
-def _criterion_12(parallel: int):
+def _criterion_12():
     """Determinism: byte-identical CSV, parallelism-independent values."""
     spec = ExperimentSpec(
         GroverSpec(4, 2),
@@ -349,13 +349,12 @@ CRITERIA = {
 
 
 def run_criterion(index: int, parallel: int = 1) -> CriterionResult:
-    """Run one criterion against its runtime budget.  Every criterion takes
-    ``parallel`` so that ``CRITERIA`` stays a uniform table, but only
-    criteria 4 and 10 pass it on to their sweeps; criterion 12 compares
-    its own fixed worker counts, 2 and 8."""
+    """Run one criterion against its runtime budget.  Criteria 4 and 10, whose
+    functions take a parameter, get ``parallel`` for their sweeps; criterion
+    12 compares its own fixed worker counts, 2 and 8."""
     name, fn, limit = CRITERIA[index]
     start = time.perf_counter()
-    passed, details = fn(parallel)
+    passed, details = fn(parallel) if fn.__code__.co_argcount else fn()
     elapsed = time.perf_counter() - start
     if limit is not None and elapsed >= limit:
         passed = False

@@ -232,6 +232,13 @@ class AlgorithmUnitaries:
     def rest(self) -> np.ndarray:
         return circuit_unitary(self.rest_circuit)
 
+    @functools.cached_property
+    def output_probabilities(self) -> np.ndarray:
+        """|U_full[:, 0]|^2, read-only: every bit-flip point returns this array."""
+        probs = np.abs(self.full[:, 0]) ** 2
+        probs.flags.writeable = False
+        return probs
+
     # a Shor view repeats each row 2^L times, XOR-shifted, so its kernel
     # transforms one row in 2^L; a Grover kernel transforms every row
     @functools.cached_property
@@ -325,13 +332,13 @@ def decoherent_final_probabilities(
 ) -> np.ndarray:
     """Output distribution of the decohered algorithm started in |0...0>.
 
-    Bit flips leave the post-layer state invariant, so the distribution is
-    the exact algorithm's.  Phase flips turn it into a mixture over rows
+    Bit flips leave the post-layer state invariant: the exact algorithm's
+    ``output_probabilities``.  Phase flips turn it into a mixture over rows
     of ``unitaries.mixture_table``, indexed by the layer's hit masks.
     """
     _check_affected(unitaries, model)
     if model.kind == BITFLIP:
-        return np.abs(unitaries.full[:, 0]) ** 2
+        return unitaries.output_probabilities
     table = unitaries.mixture_table
     probs = np.zeros(table.shape[1])
     for mask, weight in error_subsets(unitaries.layer_width, model):

@@ -4,9 +4,9 @@ Every circuit is built from three gate kinds: the perturbed Hadamard (the
 one dense gate, always on a single qubit), diagonal phases (oracle, zero
 reflection, QFT controlled phases) and basis permutations (modular
 exponentiation, bit reversal).  ``circuit_unitary`` and ``circuit_apply``
-share one kernel: each gate is lowered once into a real 2x2 on one qubit,
-the rows whose phase is not 1, or a row gather, and the steps run on cached
-blocks of columns.  It reproduces the bytes of the gate-by-gate oracle.
+share one kernel: each distinct gate is lowered once per process, by content,
+into a real 2x2 on one qubit, the rows whose phase is not 1, or a row gather;
+the steps run on cached column blocks, with the gate-by-gate oracle's bytes.
 ``circuit_unitary`` checks each circuit for Shor's shape, gates on qubits
 0..m-1 around one permutation |x, y> -> |x, y XOR g(x)> on all n qubits,
 and runs such a circuit on 2^m-row stacks, one column per first-register
@@ -15,6 +15,7 @@ column and value class of g, then scatters them into the same bytes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,13 +27,15 @@ from .linalg import MAX_QUBITS, UNITARY_ACCEPT_TOL
 
 
 def perturbed_hadamard(theta: float) -> np.ndarray:
-    """The one-parameter Hadamard family [[cos t, sin t], [sin t, -cos t]].
+    """The one-parameter Hadamard family [[cos t, sin t], [sin t, -cos t]]:
+    theta = pi/4 is the standard Hadamard, 0 gives sigma_z and pi/2 sigma_x."""
+    return _real_hadamard(theta).astype(complex)
 
-    theta = pi/4 is the standard Hadamard, theta = 0 gives sigma_z and
-    theta = pi/2 gives sigma_x.
-    """
+
+def _real_hadamard(theta: float) -> np.ndarray:
+    """``perturbed_hadamard(theta).real``, the floats the gate kernel uses."""
     c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, s], [s, -c]], dtype=complex)
+    return np.array([[c, s], [s, -c]])
 
 
 @dataclass(frozen=True)
@@ -98,10 +101,11 @@ class Circuit:
             raise ValueError("circuit needs at least one qubit")
         if self.n > MAX_QUBITS:
             raise SizeLimitError(f"{self.n} qubits exceed the {MAX_QUBITS}-qubit cap")
-        for op in self.ops:
-            if any(t < 0 or t >= self.n for t in op.targets):
-                raise ValueError(f"gate targets {op.targets} outside 0..{self.n - 1}")
-            if len(set(op.targets)) != len(op.targets):
+        for targets in dict.fromkeys(op.targets for op in self.ops):  # in order of first use
+            if any(t < 0 or t >= self.n for t in targets):
+                raise ValueError(f"gate targets {targets} outside 0..{self.n - 1}")
+            if len(set(targets)) != len(targets):
+                op = next(op for op in self.ops if op.targets == targets)
                 raise ValueError(f"duplicate targets in {op!r}")
 
 
@@ -154,9 +158,7 @@ def qft_circuit(
         for d in range(1, m - j):
             phase = np.exp(1j * (math.pi / 2**d + next(deltas)))
             ops.append(DiagonalPhaseGate([1, 1, 1, phase], (j + d, j)))
-    rev = np.zeros(1 << m, dtype=np.int64)
-    for k in range(1 << m):
-        rev[k] = int(format(k, f"0{m}b")[::-1], 2)
+    rev = [int(format(k, f"0{m}b")[::-1], 2) for k in range(1 << m)]
     ops.append(PermutationGate(rev, tuple(range(m))))
     return Circuit(m, tuple(ops))
 
@@ -177,17 +179,29 @@ def _local_index(idx, targets, n):
     return loc
 
 
-def _lower(gate, n, every_row):
-    """One gate as a step on a C-contiguous (2^n, M) complex128 stack."""
-    if isinstance(gate, PerturbedHadamard):
-        m, q = perturbed_hadamard(gate.theta).real, gate.target
+def _content(gate, n, every_row) -> tuple:
+    """``_lower``'s arguments: the gate's kind and bits, never its reusable ``id``."""
+    if isinstance(gate, PerturbedHadamard):  # hex keeps the sign of -0.0
+        return PerturbedHadamard, float(gate.theta).hex(), gate.targets, n, False
+    if isinstance(gate, DiagonalPhaseGate):
+        return DiagonalPhaseGate, gate.phases.tobytes(), gate.targets, n, every_row
+    if isinstance(gate, PermutationGate):
+        return PermutationGate, gate.table.tobytes(), gate.targets, n, False
+    raise TypeError(f"unknown gate {gate!r}")
+
+
+@functools.lru_cache(maxsize=1024)  # a sweep's circuits share most of their gates
+def _lower(kind, data, targets, n, every_row):
+    """The ``_content`` gate as a step on a C-contiguous (2^n, M) complex128 stack."""
+    if kind is PerturbedHadamard:
+        m, q = _real_hadamard(float.fromhex(data)), targets[0]
         # real einsum on the interleaved floats; each sum starts from +0 (DECISIONS.md)
         return lambda s: np.einsum(
             "ab,xby->xay", m, s.view(float).reshape(1 << q, 2, -1)
         ).reshape(s.shape[0], -1).view(complex)
     idx = np.arange(1 << n)
-    if isinstance(gate, DiagonalPhaseGate):
-        factor = gate.phases[_local_index(idx, gate.targets, n)]
+    if kind is DiagonalPhaseGate:
+        factor = np.frombuffer(data, complex)[_local_index(idx, targets, n)]
         # a factor of 1 could change only the sign of a zero, and a later
         # Hadamard's sum from +0 forgets that sign: skip those rows if one follows
         rows = idx if every_row else np.flatnonzero(factor != 1)
@@ -198,10 +212,8 @@ def _lower(gate, n, every_row):
             return s
 
         return multiply
-    if isinstance(gate, PermutationGate):
-        src = np.argsort(_destinations(gate, n))  # row r of the result is row src[r] of s
-        return lambda s: s[src]
-    raise TypeError(f"unknown gate {gate!r}")
+    src = np.argsort(_destinations(PermutationGate(np.frombuffer(data, np.int64), targets), n))
+    return lambda s: s[src]  # row r of the result is row src[r] of s
 
 
 def _destinations(gate: PermutationGate, n: int) -> np.ndarray:
@@ -215,11 +227,9 @@ def _destinations(gate: PermutationGate, n: int) -> np.ndarray:
 
 
 def _plan(c: Circuit) -> list:
-    """The circuit's gates lowered once each (Grover repeats its reflections)."""
+    """The circuit's gates as steps, each distinct gate lowered once per process."""
     last = max((i for i, g in enumerate(c.ops) if isinstance(g, PerturbedHadamard)), default=-1)
-    keys = [(id(gate), i > last) for i, gate in enumerate(c.ops)]
-    steps = {key: _lower(gate, c.n, key[1]) for key, gate in dict(zip(keys, c.ops)).items()}
-    return [steps[key] for key in keys]
+    return [_lower(*_content(gate, c.n, i > last)) for i, gate in enumerate(c.ops)]
 
 
 def _run(plan: list, stack: np.ndarray) -> np.ndarray:

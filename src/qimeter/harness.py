@@ -38,7 +38,7 @@ from .algorithms import (
 )
 from .channels import BITFLIP, PHASEFLIP, ErrorModel
 from .errors import SizeLimitError
-from .interference import ibits, interference_unitary
+from .interference import _unitary_interference, ibits, interference_unitary
 
 PREFIX_SUBSETS = "prefix"
 ALL_SUBSETS = "all"
@@ -239,10 +239,10 @@ def _unitary_point(spec, ideal, thetas, deltas=None):
         else:
             circuit = build_grover(replace(algo, alpha=alpha), thetas)
         unitaries = AlgorithmUnitaries(circuit, algo.layer_width)
-        i_pa += weight * interference_unitary(unitaries.full)
+        i_pa += weight * _unitary_interference(unitaries.full)
         if spec.measure_au:
-            i_au += weight * interference_unitary(unitaries.rest)
-        success += weight * _success(ideal, np.abs(unitaries.full[:, 0]) ** 2, alpha)
+            i_au += weight * _unitary_interference(unitaries.rest)
+        success += weight * _success(ideal, unitaries.output_probabilities, alpha)
     total = sum(weight for _, weight in items)
     return i_pa / total, (i_au / total if spec.measure_au else None), success / total
 
@@ -367,7 +367,7 @@ def run_decoherence_sweep(spec: ExperimentSpec) -> list:
         )
     grover = isinstance(algo, GroverSpec)
     unitaries = grover_unitaries(algo) if grover else shor_unitaries(algo)
-    ideal = None if grover else np.abs(unitaries.full[:, 0]) ** 2
+    ideal = None if grover else unitaries.output_probabilities
     alpha = algo.alpha if grover else None
     layer = range(algo.layer_width)
     rows = []

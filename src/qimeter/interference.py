@@ -74,9 +74,13 @@ def interference_unitary(u: np.ndarray) -> float:
     u = np.asarray(u)
     if not check_unitary(u, UNITARY_ACCEPT_TOL):
         raise ValidationError("matrix is not unitary within tolerance")
-    n = u.shape[0]
+    return _unitary_interference(u)
+
+
+def _unitary_interference(u: np.ndarray) -> float:
+    """``interference_unitary`` unchecked, for circuits of unitary gates (DECISIONS.md)."""
     a2 = np.abs(u) ** 2
-    return _checked(n - float(np.sum(a2 * a2)))
+    return _checked(u.shape[0] - float(np.sum(a2 * a2)))
 
 
 def _require_complete(ch: KrausChannel) -> None:

@@ -282,6 +282,17 @@ def circuit_unitary_gate_by_gate(c: Circuit) -> np.ndarray:
     return u
 
 
+def circuit_target_error(n: int, ops) -> str | None:
+    """The message with which ``Circuit(n, ops)`` refuses its targets, from a
+    check of every op in order; None if it accepts them."""
+    for op in ops:
+        if any(t < 0 or t >= n for t in op.targets):
+            return f"gate targets {op.targets} outside 0..{n - 1}"
+        if len(set(op.targets)) != len(op.targets):
+            return f"duplicate targets in {op!r}"
+    return None
+
+
 # ---------------------------------------------------------------------------
 # the explicit Kraus route for decoherence on the initial layer
 

@@ -12,7 +12,7 @@ from oracles import (
     layered_error_channel,
     phaseflip_mixture,
 )
-from qimeter import algorithms
+from qimeter import algorithms, harness
 from qimeter.algorithms import (
     AlgorithmUnitaries,
     GroverSpec,
@@ -33,6 +33,7 @@ from qimeter.algorithms import (
 )
 from qimeter.channels import BITFLIP, PHASEFLIP, ErrorModel
 from qimeter.errors import SizeLimitError
+from qimeter.harness import DecoherenceErrors, ExperimentSpec, run_decoherence_sweep
 from qimeter.gates import (
     Circuit,
     DiagonalPhaseGate,
@@ -478,6 +479,41 @@ class TestMixtureTable:
         shor = mixture_unitaries[-1]  # the second register gets no Hadamard
         with pytest.raises(ValueError, match="outside the initial Hadamard layer"):
             decoherent_final_probabilities(shor, ErrorModel(PHASEFLIP, 0.3, (0, shor.circuit.n - 1)))
+
+
+class TestOutputProbabilities:
+    """|U_full[:, 0]|^2 is read once per set of views: every bit-flip point
+    and the Shor decoherence sweep's ideal distribution are that one array."""
+
+    def test_one_read_only_array(self, mixture_unitaries):
+        for uni in mixture_unitaries:
+            probs = uni.output_probabilities
+            assert probs.tobytes() == (np.abs(uni.full[:, 0]) ** 2).tobytes()
+            assert not probs.flags.writeable
+            layer = tuple(range(uni.layer_width))
+            for p in (0.0, 0.3, 1.0):
+                model = ErrorModel(BITFLIP, p, layer[1:])
+                assert decoherent_final_probabilities(uni, model) is probs
+                assert decoherence_point(uni, model).probabilities is probs
+            with pytest.raises(ValueError, match="read-only"):
+                probs[0] = 0.5
+
+    def test_shor_bitflip_sweep_compares_the_one_array(self, monkeypatch):
+        pairs = []
+
+        def recording(ideal, observed):
+            pairs.append((ideal, observed))
+            return shor_success(ideal, observed)
+
+        monkeypatch.setattr(harness, "shor_success", recording)
+        spec = ExperimentSpec(
+            ShorSpec.for_modulus(3, 2), DecoherenceErrors(BITFLIP, (0.0, 0.4), (1, 2), "all")
+        )
+        rows = run_decoherence_sweep(spec)
+        assert [row.success for row in rows] == [1.0] * 4
+        assert len(pairs) == 2 * (4 + 6)
+        assert all(ideal is observed is pairs[0][0] for ideal, observed in pairs)
+        assert not pairs[0][0].flags.writeable
 
 
 class TestSuccessMeasures:

@@ -301,6 +301,25 @@ class TestVerifyCommand:
         assert len(calls) == 1
         assert capsys.readouterr().out.count("criterion  1 [PASS]") == 1
 
+    def test_parallel_reaches_only_the_criteria_that_read_it(self, monkeypatch):
+        takes = [i for i, (_, fn, _) in acceptance.CRITERIA.items() if fn.__code__.co_argcount]
+        assert takes == [4, 10]
+        seen = {}
+
+        def sweeps(parallel):
+            seen["sweeps"] = parallel
+            return True, ""
+
+        def plain():
+            seen["plain"] = True
+            return True, ""
+
+        for index, fn in ((1, plain), (4, sweeps)):
+            name, _, limit = acceptance.CRITERIA[index]
+            monkeypatch.setitem(acceptance.CRITERIA, index, (name, fn, limit))
+        assert main(["verify", "--criteria", "1,4", "--parallel", "3"]) == 0
+        assert seen == {"sweeps": 3, "plain": True}
+
     def test_unknown_criterion_is_argument_error(self):
         assert main(["verify", "--criteria", "99"]) == 2
 

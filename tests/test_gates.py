@@ -1,12 +1,19 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import PAULI_X, circuit_unitary_gate_by_gate, embed_local, kron
+from oracles import (
+    PAULI_X,
+    circuit_target_error,
+    circuit_unitary_gate_by_gate,
+    embed_local,
+    kron,
+)
 from qimeter import gates
 from qimeter.algorithms import (
     AlgorithmUnitaries,
@@ -29,6 +36,7 @@ from qimeter.gates import (
     qft_circuit,
     walsh_layer,
 )
+from qimeter.harness import default_theta_grid
 from qimeter.linalg import HADAMARD, PAULI_Z, basis_state, identity
 
 
@@ -229,6 +237,36 @@ class TestGateValidation:
     def test_targets_inside_register(self):
         with pytest.raises(ValueError):
             Circuit(2, (pauli_x(2),))
+
+    def test_refuses_what_a_check_of_every_op_refuses(self):
+        # each distinct target tuple is checked once, in order of first use,
+        # so the first bad op is refused with the same message
+        rng = np.random.default_rng(31)
+        refused = 0
+        for _ in range(400):
+            n = int(rng.integers(1, 5))
+            ops = []
+            for _ in range(int(rng.integers(1, 8))):
+                targets = [int(t) for t in rng.permutation(n)[: rng.integers(1, 3)]]
+                if rng.random() < 0.15:  # out of range on either side, or a repeat
+                    targets[-1] = int(rng.choice([-1, n, targets[0]]))
+                targets = tuple(targets)
+                kind = rng.random()
+                if kind < 0.4:
+                    ops.append(PerturbedHadamard(0.3, targets[0]))
+                elif kind < 0.7:
+                    ops.append(DiagonalPhaseGate(np.ones(1 << len(targets)), targets))
+                else:
+                    ops.append(PermutationGate(rng.permutation(1 << len(targets)), targets))
+            expected = circuit_target_error(n, ops)
+            if expected is None:
+                assert Circuit(n, ops).ops == tuple(ops)
+                continue
+            refused += 1
+            with pytest.raises(ValueError) as info:
+                Circuit(n, ops)
+            assert str(info.value) == expected
+        assert 100 < refused < 300
 
 
 def same_bytes(a, b):
@@ -521,3 +559,64 @@ class TestKernelInputs:
     def test_stack_that_would_be_misread_refused(self, stack):
         with pytest.raises(ValueError, match="C-contiguous complex128"):
             gates._run(gates._plan(self.circuit()), stack)
+
+
+class TestLoweringCache:
+    """Each distinct gate is lowered once per process, keyed by its content
+    (never by ``id``, which a new gate takes over once the old one is freed),
+    and every circuit still gets the gate-by-gate oracle's bytes."""
+
+    def test_many_circuits_in_one_process(self):
+        # a full theta grid for every marked item (each build makes new oracle
+        # objects, which reuse the ids of freed ones), then random draws, then
+        # the same angles on other targets and registers
+        spec = GroverSpec(3, 0)
+        for theta in default_theta_grid():
+            for alpha in range(8):
+                full = build_grover(replace(spec, alpha=alpha), [theta] * spec.n_hadamards)
+                for c in with_rest(full, spec):
+                    assert same_bytes(circuit_unitary(c), circuit_unitary_gate_by_gate(c))
+        rng = np.random.default_rng(50)
+        grover, shor = GroverSpec(4, 0), ShorSpec(2, 3, 2)
+        for _ in range(50):
+            thetas = rng.uniform(0, math.pi, grover.n_hadamards)
+            full = build_grover(replace(grover, alpha=int(rng.integers(16))), thetas)
+            circuits = with_rest(full, grover)
+            thetas = rng.uniform(0, math.pi, shor.n_hadamards)
+            circuits += with_rest(build_shor(shor, thetas, rng.uniform(-3, 3, shor.n_qft_phases)), shor)
+            for c in circuits:
+                assert same_bytes(circuit_unitary(c), circuit_unitary_gate_by_gate(c))
+        for theta in (0.0, -0.0, math.pi / 2, math.pi / 4, *default_theta_grid()[1:4]):
+            for n in (1, 3, 5):
+                for q in range(n):
+                    ops = (*walsh_layer([0.3] * n).ops, *edge_ops(rng, n, 3), PerturbedHadamard(theta, q))
+                    c = Circuit(n, (*ops, *edge_ops(rng, n, 2)))
+                    assert same_bytes(circuit_unitary(c), circuit_unitary_gate_by_gate(c))
+
+    def test_each_distinct_gate_lowered_once(self):
+        spec = GroverSpec(4, 5)
+        circuit_unitary(build_grover(spec, [0.123] * spec.n_hadamards))
+        misses = gates._lower.cache_info().misses
+        # new gate objects with the same content: every step comes from the cache
+        circuit_unitary(build_grover(spec, [0.123] * spec.n_hadamards))
+        assert gates._lower.cache_info().misses == misses
+
+    def test_keys_are_exact_bits(self):
+        key = gates._content
+        assert key(PerturbedHadamard(0.0, 1), 2, False) != key(PerturbedHadamard(-0.0, 1), 2, False)
+        assert key(PerturbedHadamard(0.5, 0), 2, False) != key(PerturbedHadamard(0.5, 1), 2, False)
+        a, b = (DiagonalPhaseGate([1, -1], (0,)) for _ in range(2))
+        assert key(a, 2, False) == key(b, 2, False)
+        assert key(a, 2, False) != key(a, 2, True) != key(a, 3, True)
+        assert key(a, 2, False) != key(DiagonalPhaseGate([-1, 1], (0,)), 2, False)
+        assert key(pauli_x(0), 2, False) != key(pauli_x(1), 2, False)
+        with pytest.raises(TypeError, match="unknown gate"):
+            key(object(), 2, False)
+
+    def test_cache_stays_within_its_bound(self):
+        bound = gates._lower.cache_info().maxsize
+        thetas = np.linspace(0.01, 1.0, bound + 100)
+        c = Circuit(2, tuple(PerturbedHadamard(t, k % 2) for k, t in enumerate(thetas)))
+        column = np.ascontiguousarray(circuit_unitary_gate_by_gate(c)[:, 0])
+        assert same_bytes(circuit_apply(c, basis_state(4)), column)
+        assert gates._lower.cache_info().currsize == bound

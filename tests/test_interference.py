@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -17,19 +18,28 @@ from oracles import (
     sandwich,
     wht_last_unblocked,
 )
-from test_gates import perturbed_shor, with_rest, xor_split_circuit
-from qimeter import interference
+from test_gates import grover_angles, perturbed_shor, with_rest, xor_split_circuit
+from qimeter import acceptance, interference, linalg
 from qimeter.acceptance import random_channel
-from qimeter.algorithms import GroverSpec, ShorSpec, build_shor, grover_unitaries
+from qimeter.algorithms import GroverSpec, ShorSpec, build_grover, build_shor, grover_unitaries
 from qimeter.channels import BITFLIP, PHASEFLIP, ErrorModel, KrausChannel, qubit_mask
 from qimeter.errors import SizeLimitError, ValidationError
 from qimeter.gates import circuit_unitary, perturbed_hadamard, walsh_layer, xor_row_copies
-from qimeter.harness import default_probability_grid
+from qimeter.harness import (
+    ExperimentSpec,
+    RandomErrors,
+    SystematicErrors,
+    cue_baseline,
+    default_probability_grid,
+    run_random_sweep,
+    run_systematic_sweep,
+)
 from qimeter.interference import (
     WHT_BLOCK_BYTES,
     PauliNoiseKernel,
     _error_weights,
     _index_popcounts,
+    _unitary_interference,
     _wht_last,
     ibits,
     interference_kraus,
@@ -135,6 +145,70 @@ class TestInterferenceUnitary:
 
     def test_hadamard_is_one_ibit(self):
         assert abs(ibits(interference_unitary(HADAMARD)) - 0.0) < 1e-12
+
+
+@pytest.fixture
+def unitarity_checks(monkeypatch):
+    """The shape of every matrix ``linalg.check_unitary`` is called on, from
+    whichever qimeter module holds the name."""
+    calls = []
+    original = linalg.check_unitary
+
+    def counted(u, tol):
+        calls.append(np.shape(u))
+        return original(u, tol)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qimeter":
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def circuit_built_views():
+    """(label, circuit) for Grover n = 2..8 and Shor L = 2 and 3, exact and
+    perturbed, each with its remainder after the initial layer."""
+    for n in range(2, 9):
+        spec = GroverSpec(n, (1 << n) - 2)
+        for kind in ("pi/4", "random"):
+            for view, c in zip(("full", "rest"), with_rest(build_grover(spec, grover_angles(spec, kind)), spec)):
+                yield f"grover-{n}-{kind}-{view}", c
+    for L, R, a in [(2, 3, 2), (3, 7, 3)]:
+        spec = ShorSpec(L, R, a)
+        for kind, full in (("exact", build_shor(spec)), ("perturbed", perturbed_shor(L, R, a)[0])):
+            for view, c in zip(("full", "rest"), with_rest(full, spec)):
+                yield f"shor-{L}-{kind}-{view}", c
+
+
+class TestUnitarityEstablishedByTheGates:
+    """The sweeps reduce circuit-built unitaries without the O(N^3) check;
+    matrices from outside still go through it."""
+
+    @pytest.mark.parametrize("c", [pytest.param(c, id=label) for label, c in circuit_built_views()])
+    def test_sweep_reduction_is_interference_unitary(self, c):
+        u = circuit_unitary(c)
+        assert _unitary_interference(u).hex() == interference_unitary(u).hex()
+
+    def test_sweeps_never_check(self, unitarity_checks):
+        grid = (0.0, 0.37, math.pi / 4)
+        for algorithm, alpha in ((GroverSpec(3, 2), True), (ShorSpec(2, 3, 2), False)):
+            systematic = ExperimentSpec(algorithm, SystematicErrors(grid), average_over_alpha=alpha)
+            random = ExperimentSpec(algorithm, RandomErrors((0.0, 1.3), 3), average_over_alpha=alpha)
+            assert len(run_systematic_sweep(systematic)) == 3
+            assert len(run_random_sweep(random)) == 2
+        assert unitarity_checks == []
+
+    def test_matrices_from_outside_are_checked(self, unitarity_checks):
+        with pytest.raises(ValidationError):
+            interference_unitary(np.ones((2, 2)))
+        assert unitarity_checks == [(2, 2)]
+        passed, _ = acceptance._criterion_1()
+        assert passed
+        assert unitarity_checks[1:] == [(1 << n, 1 << n) for n in range(1, 11)]
+        del unitarity_checks[:]
+        cue_baseline(3, 12, seed=4)
+        assert unitarity_checks == [(8, 8)] * 12
 
 
 class TestInterferenceKraus:
