@@ -583,14 +583,15 @@ class TestLoweringCache:
             full = build_grover(replace(grover, alpha=int(rng.integers(16))), thetas)
             circuits = with_rest(full, grover)
             thetas = rng.uniform(0, math.pi, shor.n_hadamards)
-            circuits += with_rest(build_shor(shor, thetas, rng.uniform(-3, 3, shor.n_qft_phases)), shor)
+            deltas = rng.uniform(-3, 3, shor.n_qft_phases)
+            circuits += with_rest(build_shor(shor, thetas, deltas), shor)
             for c in circuits:
                 assert same_bytes(circuit_unitary(c), circuit_unitary_gate_by_gate(c))
         for theta in (0.0, -0.0, math.pi / 2, math.pi / 4, *default_theta_grid()[1:4]):
             for n in (1, 3, 5):
                 for q in range(n):
-                    ops = (*walsh_layer([0.3] * n).ops, *edge_ops(rng, n, 3), PerturbedHadamard(theta, q))
-                    c = Circuit(n, (*ops, *edge_ops(rng, n, 2)))
+                    head = (*walsh_layer([0.3] * n).ops, *edge_ops(rng, n, 3))
+                    c = Circuit(n, (*head, PerturbedHadamard(theta, q), *edge_ops(rng, n, 2)))
                     assert same_bytes(circuit_unitary(c), circuit_unitary_gate_by_gate(c))
 
     def test_each_distinct_gate_lowered_once(self):

@@ -172,7 +172,8 @@ def circuit_built_views():
     for n in range(2, 9):
         spec = GroverSpec(n, (1 << n) - 2)
         for kind in ("pi/4", "random"):
-            for view, c in zip(("full", "rest"), with_rest(build_grover(spec, grover_angles(spec, kind)), spec)):
+            full = build_grover(spec, grover_angles(spec, kind))
+            for view, c in zip(("full", "rest"), with_rest(full, spec)):
                 yield f"grover-{n}-{kind}-{view}", c
     for L, R, a in [(2, 3, 2), (3, 7, 3)]:
         spec = ShorSpec(L, R, a)
@@ -194,7 +195,9 @@ class TestUnitarityEstablishedByTheGates:
         grid = (0.0, 0.37, math.pi / 4)
         for algorithm, alpha in ((GroverSpec(3, 2), True), (ShorSpec(2, 3, 2), False)):
             systematic = ExperimentSpec(algorithm, SystematicErrors(grid), average_over_alpha=alpha)
-            random = ExperimentSpec(algorithm, RandomErrors((0.0, 1.3), 3), average_over_alpha=alpha)
+            random = ExperimentSpec(
+                algorithm, RandomErrors((0.0, 1.3), 3), average_over_alpha=alpha
+            )
             assert len(run_systematic_sweep(systematic)) == 3
             assert len(run_random_sweep(random)) == 2
         assert unitarity_checks == []
