@@ -278,14 +278,6 @@ def shor_unitaries(spec: ShorSpec) -> AlgorithmUnitaries:
     return AlgorithmUnitaries(build_shor(spec), spec.layer_width)
 
 
-def _check_affected(unitaries: AlgorithmUnitaries, model: ErrorModel) -> None:
-    layer = tuple(range(unitaries.layer_width))
-    if not set(model.affected) <= set(layer):
-        raise ValueError(
-            f"affected qubits {model.affected} outside the initial Hadamard layer {layer}"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class DecoherencePoint:
     """One (p, affected-subset) evaluation of a decohered algorithm; I_au is
@@ -311,19 +303,19 @@ def decoherence_point(unitaries: AlgorithmUnitaries, model: ErrorModel) -> Decoh
     explicit Kraus channels (``tests/oracles.py``) to machine precision.
     I_pa and the probabilities are evaluated here, so every refusal is
     raised here: ``ValueError`` if any initial Hadamard is perturbed, where
-    the commutation fails.
+    the commutation fails, or if an affected qubit is off the layer.
     """
     if any(op.theta != math.pi / 4 for op in unitaries.circuit.ops[: unitaries.layer_width]):
         raise ValueError(
             "the fast path needs an exact initial Hadamard layer (every angle pi/4)"
         )
-    _check_affected(unitaries, model)
+    probabilities = decoherent_final_probabilities(unitaries, model)
     flipped = replace(model, kind=BITFLIP if model.kind == PHASEFLIP else PHASEFLIP)
     return DecoherencePoint(
         unitaries=unitaries,
         model=model,
         interference_pa=interference_noise_then_unitary(unitaries.full_kernel, flipped),
-        probabilities=decoherent_final_probabilities(unitaries, model),
+        probabilities=probabilities,
     )
 
 
@@ -336,7 +328,11 @@ def decoherent_final_probabilities(
     ``output_probabilities``.  Phase flips turn it into a mixture over rows
     of ``unitaries.mixture_table``, indexed by the layer's hit masks.
     """
-    _check_affected(unitaries, model)
+    layer = tuple(range(unitaries.layer_width))
+    if not set(model.affected) <= set(layer):
+        raise ValueError(
+            f"affected qubits {model.affected} outside the initial Hadamard layer {layer}"
+        )
     if model.kind == BITFLIP:
         return unitaries.output_probabilities
     table = unitaries.mixture_table

@@ -7,10 +7,11 @@ exponentiation, bit reversal).  ``circuit_unitary`` and ``circuit_apply``
 share one kernel: each distinct gate is lowered once per process, by content,
 into a real 2x2 on one qubit, the rows whose phase is not 1, or a row gather;
 the steps run on cached column blocks, with the gate-by-gate oracle's bytes.
-``circuit_unitary`` checks each circuit for Shor's shape, gates on qubits
-0..m-1 around one permutation |x, y> -> |x, y XOR g(x)> on all n qubits,
-and runs such a circuit on 2^m-row stacks, one column per first-register
-column and value class of g, then scatters them into the same bytes.
+``circuit_unitary`` splits each circuit into head gates on qubits 0..m-1,
+one permutation |x, y> -> |x, y XOR g(x)> on all n qubits and tail gates on
+0..m-1, and runs it on 2^m-row stacks, one column per first-register column
+and value class of g; any other circuit, each Grover circuit among them, is
+all tail on m = n qubits with one class.
 """
 
 from __future__ import annotations
@@ -226,10 +227,10 @@ def _destinations(gate: PermutationGate, n: int) -> np.ndarray:
     return dest
 
 
-def _plan(c: Circuit) -> list:
-    """The circuit's gates as steps, each distinct gate lowered once per process."""
-    last = max((i for i, g in enumerate(c.ops) if isinstance(g, PerturbedHadamard)), default=-1)
-    return [_lower(*_content(gate, c.n, i > last)) for i, gate in enumerate(c.ops)]
+def _plan(n: int, ops: tuple) -> list:
+    """``ops`` on ``n`` qubits as steps, each distinct gate lowered once per process."""
+    last = max((i for i, g in enumerate(ops) if isinstance(g, PerturbedHadamard)), default=-1)
+    return [_lower(*_content(gate, n, i > last)) for i, gate in enumerate(ops)]
 
 
 def _run(plan: list, stack: np.ndarray) -> np.ndarray:
@@ -242,72 +243,57 @@ def _run(plan: list, stack: np.ndarray) -> np.ndarray:
 
 
 def _xor_split(c: Circuit):
-    """(w, m, g) when ``c.ops[w]`` is the one n-qubit permutation, it maps
-    |x, y> to |x, y XOR g(x)> for x on qubits 0..m-1, and every other gate
-    touches only those m < n qubits; None for any other circuit."""
+    """(head, tail, m, g): ``c.ops`` is ``head``, one permutation on all n
+    qubits that maps |x, y> to |x, y XOR g(x)> for x on qubits 0..m-1, then
+    ``tail``, where head and tail touch only those m qubits.  Any other
+    circuit is ((), c.ops, n, zeros): all tail, one value class."""
     n = c.n
     wide = [i for i, op in enumerate(c.ops) if isinstance(op, PermutationGate) and len(op.targets) == n]
-    if len(wide) != 1:
-        return None
-    w = wide[0]
-    m = 1 + max((t for op in c.ops[:w] + c.ops[w + 1 :] for t in op.targets), default=-1)
-    if not 0 < m < n:
-        return None
-    k = n - m
-    moved = _destinations(c.ops[w], n) ^ np.arange(1 << n)
-    g = (moved & ((1 << k) - 1)).reshape(1 << m, 1 << k)
-    if np.any(moved >> k) or np.any(g != g[:, :1]):
-        return None
-    return w, m, g[:, 0]
+    if len(wide) == 1:
+        w = wide[0]
+        head, tail = c.ops[:w], c.ops[w + 1 :]
+        m = 1 + max((t for op in head + tail for t in op.targets), default=-1)
+        k = n - m  # k = 0 passes only an identity permutation, which the split drops
+        moved = _destinations(c.ops[w], n) ^ np.arange(1 << n)
+        g = (moved & ((1 << k) - 1)).reshape(1 << m, 1 << k)
+        if not (np.any(moved >> k) or np.any(g != g[:, :1])):
+            return head, tail, m, g[:, 0]
+    return (), c.ops, n, np.zeros(1 << n, np.int64)
 
 
-def _xor_split_unitary(c: Circuit, w: int, m: int, g: np.ndarray) -> np.ndarray:
-    """``circuit_unitary`` of a circuit that ``_xor_split`` accepts, with the
-    gates run on 2^m rows: the n - m trailing qubits are spectators except
-    for the XOR, so column (x0, y0) holds, in rows (., y), the head gates'
-    image of the first m qubits' column x0 where g(x) = y XOR y0, and of a
-    zero column elsewhere (DECISIONS.md)."""
+def xor_row_copies(c: Circuit) -> int:
+    """2^(n - m) for ``c``'s ``_xor_split``: each run of that many rows of its
+    unitary is the run's first row with its columns XOR-shifted,
+    U[(j, y), (x0, y0)] = U[(j, 0), (x0, y XOR y0)], as ``circuit_unitary``
+    writes it (``interference.pauli_noise_kernel``); 1 for one value class."""
+    return 1 << (c.n - _xor_split(c)[2])
+
+
+def circuit_unitary(c: Circuit) -> np.ndarray:
+    """Dense unitary of the circuit (later gates multiply from the left), run
+    on blocks of first-register columns of its ``_xor_split`` (columns never
+    mix): column (x0, y0) holds, in rows (., y), the head's image of column x0
+    where g(x) = y XOR y0 and of a zero column elsewhere, then the tail's
+    (DECISIONS.md).  With one class (k = 0) that is a plain block loop."""
+    head, tail, m, g = _xor_split(c)
     k = c.n - m
     dim, heads, tails, bits = 1 << c.n, 1 << m, 1 << k, (2,) * k
-    plan = _plan(Circuit(m, c.ops[:w] + c.ops[w + 1 :]))
-    before = _run(plan[:w], np.eye(heads, dtype=complex))
-    zero = _run(plan[:w], np.zeros((heads, 1), dtype=complex))
-    in_class = g[:, None] == np.arange(tails)  # (x, class)
+    plan = _plan(m, head + tail)
+    before, after = plan[: len(head)], plan[len(head) :]
+    if k:
+        zero = _run(before, np.zeros((heads, 1), dtype=complex))
     u = np.empty((dim, dim), dtype=complex)
     u_bits = u.reshape(heads, tails, heads, *bits)  # (j, y, x0, bits of y0)
     width = max(1, GATE_BLOCK_BYTES // (16 * dim))  # x0 per block, all classes each
     for x0 in range(0, heads, width):
-        # column (x0, class) of the stack: its column x0 on rows of that class, else zero's
-        stack = np.where(in_class[:, None, :], before[:, x0 : x0 + width, None], zero[:, :, None])
-        t = _run(plan[w:], stack.reshape(heads, -1)).reshape(heads, -1, *bits)
+        stack = _run(before, np.eye(heads, min(width, heads - x0), -x0, dtype=complex))
+        if k:  # column (x0, class): x0's on rows x of that class, else zero's
+            stack = np.where(g[:, None, None] == np.arange(tails), stack[..., None], zero[..., None])
+        t = _run(after, stack.reshape(heads, -1)).reshape(heads, -1, *bits)
         for y in range(tails):
             # class y XOR y0 along y0: reverse the class axes of y's set bits
             flips = (slice(None, None, 1 - 2 * (y >> (k - 1 - b) & 1)) for b in range(k))
             u_bits[:, y, x0 : x0 + width] = t[(Ellipsis, *flips)]
-    return u
-
-
-def xor_row_copies(c: Circuit) -> int:
-    """2^(n - m) for a circuit that ``_xor_split`` accepts, else 1: each run of
-    that many rows of its unitary is the run's first row with its columns
-    XOR-shifted, U[(j, y), (x0, y0)] = U[(j, 0), (x0, y XOR y0)], as
-    ``_xor_split_unitary`` writes it (``interference.pauli_noise_kernel``)."""
-    split = _xor_split(c)
-    return 1 if split is None else 1 << (c.n - split[1])
-
-
-def circuit_unitary(c: Circuit) -> np.ndarray:
-    """Dense unitary of the circuit (later gates multiply from the left), run on
-    blocks of identity columns: every gate acts on rows, so columns never mix.
-    A circuit that ``_xor_split`` accepts runs on 2^m-row stacks instead."""
-    split = _xor_split(c)
-    if split is not None:
-        return _xor_split_unitary(c, *split)
-    dim = 1 << c.n
-    width = max(1, GATE_BLOCK_BYTES // (16 * dim))
-    plan, u = _plan(c), np.empty((dim, dim), dtype=complex)
-    for j in range(0, dim, width):
-        u[:, j : j + width] = _run(plan, np.eye(dim, min(width, dim - j), -j, dtype=complex))
     return u
 
 
@@ -316,4 +302,4 @@ def circuit_apply(c: Circuit, psi: np.ndarray) -> np.ndarray:
     psi = np.array(psi, dtype=complex, order="C")
     if psi.shape != (1 << c.n,):
         raise ValueError(f"state of dimension {psi.shape} does not match n={c.n}")
-    return _run(_plan(c), psi.reshape(-1, 1)).reshape(-1)
+    return _run(_plan(c.n, c.ops), psi.reshape(-1, 1)).reshape(-1)

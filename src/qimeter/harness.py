@@ -369,6 +369,8 @@ def run_decoherence_sweep(spec: ExperimentSpec) -> list:
     unitaries = grover_unitaries(algo) if grover else shor_unitaries(algo)
     ideal = None if grover else unitaries.output_probabilities
     alpha = algo.alpha if grover else None
+    # a Shor bit-flip point observes ``ideal`` itself: its success is evaluated once
+    exact = None if grover else shor_success(ideal, ideal)
     layer = range(algo.layer_width)
     rows = []
     for p in family.probabilities:
@@ -380,7 +382,8 @@ def run_decoherence_sweep(spec: ExperimentSpec) -> list:
             points = [decoherence_point(unitaries, ErrorModel(family.kind, p, s)) for s in subsets]
             pa = [point.interference_pa for point in points]
             au = (point.interference_au for point in points)  # read only if reported
-            success = [_success(ideal, point.probabilities, alpha) for point in points]
+            observed = (point.probabilities for point in points)
+            success = [exact if o is ideal else _success(ideal, o, alpha) for o in observed]
             rows.append(_make_row(spec, p, n_f, pa, au, success, len(points)))
     return rows
 
@@ -486,26 +489,40 @@ def write_results(rows: Sequence, path, format: str = "csv") -> None:
 
 
 def read_results(path, format: str = "csv") -> list:
-    """Parse a results file back into ``ResultRow`` records."""
+    """Parse a results file back into ``ResultRow`` records.  Each CSV cell
+    and JSON value is typed by its column (``_column_types``; a JSON int
+    passes for a float, and null for an empty cell); a value of another type,
+    a missing or extra column or a short or long CSV row is a ``ValueError``."""
     if format not in ("csv", "json"):
         raise ValueError(f"unknown output format {format!r}")
+    columns = _column_types(ResultRow)
+    names = [name for name, _, _ in columns]
     with open(path, "r", newline="") as handle:
         if format == "json":
-            return [ResultRow(**record) for record in json.load(handle)]
-        columns = _column_types(ResultRow)
-        reader = csv.reader(handle)
-        header = next(reader)
-        if header != [name for name, _, _ in columns]:
-            raise ValueError(f"unexpected CSV header {header}")
-        rows = []
-        for raw in reader:
-            if len(raw) != len(columns):
-                raise ValueError(
-                    f"CSV line {reader.line_num} has {len(raw)} cells, "
-                    f"expected {len(columns)}"
-                )
-            cells = zip(raw, columns)
-            rows.append(
-                ResultRow(*(None if c == "" and opt else kind(c) for c, (_, kind, opt) in cells))
-            )
-        return rows
+            records = [(f"JSON record {i}", r) for i, r in enumerate(json.load(handle), 1)]
+        else:
+            reader = csv.reader(handle)
+            header = next(reader, None)  # None for an empty file
+            if header != names:
+                raise ValueError(f"unexpected CSV header {header}")
+            records = [(f"CSV line {reader.line_num}", raw) for raw in reader]
+    rows = []
+    for where, record in records:
+        if format == "csv":
+            if len(record) != len(names):
+                raise ValueError(f"{where} has {len(record)} cells, expected {len(names)}")
+            record = dict(zip(names, record))
+        if not isinstance(record, dict) or sorted(record) != sorted(names):
+            raise ValueError(f"{where} does not hold exactly the columns {names}")
+        values = []
+        for name, kind, optional in columns:
+            cell = record[name]
+            empty = (cell is None or cell == "") and optional
+            try:  # text is parsed; float(10**400) overflows
+                if not (empty or isinstance(cell, str) and cell or type(cell) in (int, kind)):
+                    raise ValueError
+                values.append(None if empty else kind(cell))
+            except (ValueError, OverflowError):
+                raise ValueError(f"{where}: {name} = {cell!r} is not {kind.__name__}") from None
+        rows.append(ResultRow(*values))
+    return rows

@@ -1,4 +1,6 @@
+import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -333,6 +335,15 @@ class TestDecoherencePoint:
         with pytest.raises(ValueError, match="exact initial Hadamard layer"):
             decoherence_point(uni, model)
 
+    @pytest.mark.parametrize("kind", [BITFLIP, PHASEFLIP])
+    def test_refuses_errors_outside_the_layer_before_i_pa(self, kind):
+        # qubit 5 is in the register (6 qubits) but not in the layer (0..3)
+        uni = shor_unitaries(ShorSpec.for_modulus(3, 2))
+        message = "affected qubits (1, 5) outside the initial Hadamard layer (0, 1, 2, 3)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            decoherence_point(uni, ErrorModel(kind, 0.3, (1, 5)))
+        assert "full_kernel" not in vars(uni)
+
     def test_kernels_built_once(self):
         uni = grover_unitaries(GroverSpec(3, 1))
         k_full, k_rest = uni.full_kernel, uni.rest_kernel
@@ -511,9 +522,20 @@ class TestOutputProbabilities:
         )
         rows = run_decoherence_sweep(spec)
         assert [row.success for row in rows] == [1.0] * 4
-        assert len(pairs) == 2 * (4 + 6)
-        assert all(ideal is observed is pairs[0][0] for ideal, observed in pairs)
-        assert not pairs[0][0].flags.writeable
+        # 2 * (4 + 6) points, each observing the ideal array: one evaluation
+        [(ideal, observed)] = pairs
+        assert ideal is observed
+        assert not ideal.flags.writeable
+
+    def test_shor_bitflip_sweep_checks_the_ideal(self, monkeypatch):
+        halved = functools.cached_property(lambda uni: np.abs(uni.full[:, 0]) ** 2 / 2)
+        halved.__set_name__(AlgorithmUnitaries, "output_probabilities")
+        monkeypatch.setattr(AlgorithmUnitaries, "output_probabilities", halved)
+        spec = ExperimentSpec(
+            ShorSpec.for_modulus(3, 2), DecoherenceErrors(BITFLIP, (0.0, 0.4), (1, 2), "all")
+        )
+        with pytest.raises(ValueError, match=r"ideal distribution sums to 0\.[45]\d*, not 1"):
+            run_decoherence_sweep(spec)
 
 
 class TestSuccessMeasures:

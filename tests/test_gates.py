@@ -424,49 +424,80 @@ def xor_split_circuit(rng):
 
 
 @pytest.fixture
-def split_calls(monkeypatch):
-    """Circuits that ``circuit_unitary`` sends down the XOR-split route."""
+def splits(monkeypatch):
+    """(circuit, split) for each ``gates._xor_split`` that ``circuit_unitary``
+    and ``xor_row_copies`` take."""
     calls = []
-    route = gates._xor_split_unitary
+    split = gates._xor_split
 
-    def counted(c, *split):
-        calls.append(c)
-        return route(c, *split)
+    def recorded(c):
+        calls.append((c, split(c)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(gates, "_xor_split_unitary", counted)
+    monkeypatch.setattr(gates, "_xor_split", recorded)
     return calls
 
 
+def is_one_class(c, split):
+    """``split`` is ((), c.ops, n, zeros): all tail, on every qubit."""
+    head, tail, m, g = split
+    return head == () and tail is c.ops and m == c.n and g.shape == (1 << c.n,) and not g.any()
+
+
+def is_xor_split(c, split, m):
+    """``split`` cuts ``c`` around one permutation on all n qubits, with the
+    first register on qubits 0..m-1."""
+    head, tail, split_m, g = split
+    wide = c.ops[len(head)]
+    return (
+        split_m == m < c.n
+        and head + (wide,) + tail == c.ops
+        and isinstance(wide, PermutationGate)
+        and len(wide.targets) == c.n
+        and g.shape == (1 << m,)
+    )
+
+
 class TestXorSplitRoute:
-    """Circuits of Shor's shape run on first-register stacks and reproduce the
-    gate-by-gate oracle's bytes; every other circuit takes the block loop."""
+    """Every circuit runs as head, XOR, tail on first-register stacks and
+    reproduces the gate-by-gate oracle's bytes: a circuit of Shor's shape
+    with one column per first-register column and value class of g, any
+    other circuit as all tail on every qubit, with one class."""
 
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "perturbed"])
     @pytest.mark.parametrize("R, a", [(3, 1), (3, 2), (5, 2)] + [(7, a) for a in range(1, 7)])
-    def test_shor(self, R, a, exact, split_calls):
+    def test_shor(self, R, a, exact, splits):
         spec = ShorSpec.for_modulus(R, a)
         full = build_shor(spec) if exact else perturbed_shor(spec.L, R, a)[0]
         circuits = with_rest(full, spec)
         for c in circuits:
             assert same_bytes(circuit_unitary(c), circuit_unitary_gate_by_gate(c))
-        assert split_calls == list(circuits)
+        assert [c for c, _ in splits] == list(circuits)
+        powers = [pow(a, x, R) for x in range(1 << 2 * spec.L)]
+        for c, split in splits:
+            assert is_xor_split(c, split, 2 * spec.L)
+            assert split[3].tolist() == powers
 
-    def test_random_circuits(self, split_calls):
+    def test_random_circuits(self, splits):
         rng = np.random.default_rng(15)
         for _ in range(300):
             c = xor_split_circuit(rng)
             assert same_bytes(circuit_unitary(c), circuit_unitary_gate_by_gate(c)), c.ops
-        assert len(split_calls) == 300
+        assert len(splits) == 300
+        for c, split in splits:
+            m = 1 + max(t for op in c.ops if len(op.targets) < c.n for t in op.targets)
+            assert is_xor_split(c, split, m)
 
     @pytest.mark.parametrize("width", [1, 2, 3])
-    def test_column_blocks(self, width, monkeypatch, split_calls):
+    def test_column_blocks(self, width, monkeypatch, splits):
         # blocks of `width` first-register columns, each with all 2^k classes;
         # 3 leaves a short last block
         rng = np.random.default_rng(width)
         for c in [*with_rest(*perturbed_shor(2, 3, 2)), xor_split_circuit(rng)]:
             monkeypatch.setattr(gates, "GATE_BLOCK_BYTES", 16 * width << c.n)
             assert same_bytes(circuit_unitary(c), circuit_unitary_gate_by_gate(c))
-        assert len(split_calls) == 3
+        assert len(splits) == 3
+        assert all(split[2] < c.n for c, split in splits)
 
     @staticmethod
     def fallbacks():
@@ -485,18 +516,68 @@ class TestXorSplitRoute:
         }
 
     @pytest.mark.parametrize("case", ["moves-x", "adds-not-xors", "tail-hadamard", "two-wide"])
-    def test_other_circuits_take_the_block_loop(self, case, split_calls):
+    def test_other_circuits_are_one_class(self, case, splits):
         c = self.fallbacks()[case]
-        assert gates._xor_split(c) is None
         assert same_bytes(circuit_unitary(c), circuit_unitary_gate_by_gate(c))
-        assert split_calls == []
+        [(_, split)] = splits
+        assert is_one_class(c, split)
 
-    def test_taken_for_shor_not_for_grover(self, split_calls):
-        grover = grover_unitaries(GroverSpec(5, 3))
-        shor = shor_unitaries(ShorSpec(3, 5, 2))
-        for uni in (grover, shor):
-            assert uni.full.shape == uni.rest.shape
-        assert [c.ops for c in split_calls] == [shor.circuit.ops, shor.circuit.ops[6:]]
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_grover_views_are_one_class(self, n, splits):
+        spec = GroverSpec(n, (1 << n) - 2)
+        uni = grover_unitaries(spec)
+        uni.full, uni.rest, uni.full_kernel, uni.rest_kernel
+        circuits = [uni.circuit, uni.rest_circuit]
+        assert [c for c, _ in splits] == circuits * 2
+        assert all(is_one_class(c, split) for c, split in splits)
+
+    def test_shor_views_split_at_the_first_register(self, splits):
+        uni = shor_unitaries(ShorSpec(3, 5, 2))
+        uni.full, uni.rest, uni.full_kernel, uni.rest_kernel
+        assert [c for c, _ in splits] == [uni.circuit, uni.rest_circuit] * 2
+        assert all(is_xor_split(c, split, 6) for c, split in splits)
+
+    def test_split_drops_an_identity_permutation(self):
+        # every qubit is in the first register (k = 0), so the split holds
+        # only for a permutation that moves nothing
+        n, rng = 4, np.random.default_rng(9)
+        head, tail = (
+            [op for op in edge_ops(rng, n, 8) if not isinstance(op, PermutationGate)]
+            for _ in range(2)
+        )
+        c = Circuit(n, (*head, PermutationGate(np.arange(16), tuple(range(n))), *tail))
+        split = gates._xor_split(c)
+        assert split[:3] == (tuple(head), tuple(tail), n) and not split[3].any()
+        assert same_bytes(circuit_unitary(c), circuit_unitary_gate_by_gate(c))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_lone_xor_has_an_empty_first_register(self, n):
+        # m = 0: the permutation XORs the one value 5 % 2^n into every index
+        c = Circuit(n, (PermutationGate(np.arange(1 << n) ^ 5 % (1 << n), tuple(range(n))),))
+        split = gates._xor_split(c)
+        assert split[:3] == ((), (), 0) and split[3].tolist() == [5 % (1 << n)]
+        assert same_bytes(circuit_unitary(c), circuit_unitary_gate_by_gate(c))
+
+    def test_one_class_does_no_class_work(self, monkeypatch):
+        # one head pass and one tail pass per block of identity columns, and
+        # no zero column: the stacks that reach the kernel, in order
+        shapes = []
+        run = gates._run
+
+        def recorded(plan, stack):
+            shapes.append(stack.shape)
+            return run(plan, stack)
+
+        monkeypatch.setattr(gates, "_run", recorded)
+        monkeypatch.setattr(gates, "GATE_BLOCK_BYTES", 16 * 6 << 4)
+        circuit_unitary(build_grover(GroverSpec(4, 3)))
+        assert shapes == [(16, 6), (16, 6)] * 2 + [(16, 4), (16, 4)]
+        shapes.clear()
+        monkeypatch.setattr(gates, "GATE_BLOCK_BYTES", 16 * 3 << 6)
+        circuit_unitary(build_shor(ShorSpec(2, 3, 2)))
+        # the zero column, then per block the head on 3 columns and the tail
+        # on their 3 x 4 class columns
+        assert shapes == [(16, 1)] + [(16, 3), (16, 12)] * 5 + [(16, 1), (16, 4)]
 
     @pytest.mark.parametrize("rest", [False, True], ids=["full", "rest"])
     def test_peak_memory_below_one_and_a_half_outputs(self, rest):
@@ -557,8 +638,9 @@ class TestKernelInputs:
         ids=["strided", "fortran", "float"],
     )
     def test_stack_that_would_be_misread_refused(self, stack):
+        c = self.circuit()
         with pytest.raises(ValueError, match="C-contiguous complex128"):
-            gates._run(gates._plan(self.circuit()), stack)
+            gates._run(gates._plan(c.n, c.ops), stack)
 
 
 class TestLoweringCache:

@@ -24,12 +24,14 @@ Summing the phase-flip mixture in reverse order, for example, leaves both
 decoherence CSVs unchanged but changes both JSON twins.
 """
 
+import io
 import json
 from pathlib import Path
 
 import pytest
 
 from qimeter.cli import main
+from qimeter.harness import read_results, write_results
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -75,3 +77,14 @@ def test_json_records_carry_the_csv_columns(name, tmp_path):
     records = json.loads(json_out.read_text())
     assert isinstance(records, list) and records
     assert all(list(record) == header for record in records)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_files_read_back_to_their_bytes(name, fmt):
+    # read_results gives every value its column's type, so writing the rows
+    # back reproduces the file: an int read as a float would print as 4.0
+    path = GOLDEN / f"{name}.{fmt}"
+    buffer = io.StringIO()
+    write_results(read_results(path, fmt), buffer, fmt)
+    assert buffer.getvalue() == path.read_text()

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import numpy as np
@@ -518,6 +519,82 @@ class TestResultsIO:
         lines[2] = edit(lines[2])
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"CSV line 3 has {cells} cells, expected 11"):
+            read_results(path, "csv")
+
+    def json_with(self, tmp_path, edit):
+        """The rows written as JSON with ``edit`` applied to record 2."""
+        path = tmp_path / "rows.json"
+        write_results(self.rows(), path, "json")
+        records = json.loads(path.read_text())
+        edit(records[1])
+        path.write_text(json.dumps(records))
+        return path
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda r: r.pop("seed"), "does not hold exactly the columns"),
+            (lambda r: r.update(extra=1), "does not hold exactly the columns"),
+            (lambda r: r.update(n=None), "n = None is not int"),
+            (lambda r: r.update(success_stderr=None), "success_stderr = None is not float"),
+            (lambda r: r.update(sweep_value="a"), "sweep_value = 'a' is not float"),
+            (lambda r: r.update(sweep_value=""), "sweep_value = '' is not float"),
+            (lambda r: r.update(sweep_value=[0.5]), r"sweep_value = \[0.5\] is not float"),
+            (lambda r: r.update(n=4.0), "n = 4.0 is not int"),
+            (lambda r: r.update(success=10**400), "success = 1000.* is not float"),
+            (lambda r: r.update(seed=True), "seed = True is not int"),
+            (lambda r: r.update(success=False), "success = False is not float"),
+        ],
+        ids=[
+            "missing", "extra", "null-int", "null-float", "text", "empty", "list",
+            "float-for-int", "huge-int-for-float", "bool-for-int", "bool-for-float",
+        ],
+    )
+    def test_malformed_json_record_rejected(self, edit, message, tmp_path):
+        with pytest.raises(ValueError, match=f"JSON record 2:? {message}"):
+            read_results(self.json_with(tmp_path, edit), "json")
+
+    def test_empty_csv_file_rejected(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="unexpected CSV header None"):
+            read_results(path, "csv")
+
+    def test_json_record_that_is_not_a_record_rejected(self, tmp_path):
+        path = tmp_path / "rows.json"
+        path.write_text("[[0.5, 4]]")
+        with pytest.raises(ValueError, match="JSON record 1 does not hold exactly the columns"):
+            read_results(path, "json")
+
+    def test_json_values_typed_like_csv_cells(self, tmp_path):
+        # an int passes for a float, and every optional column takes null
+        def edit(record):
+            record.update(sweep_value=1, n_f=None, interference_au=None, success=0)
+
+        row = read_results(self.json_with(tmp_path, edit), "json")[1]
+        assert (row.sweep_value, row.success) == (1.0, 0.0)
+        assert type(row.sweep_value) is float and type(row.success) is float
+        assert row.n_f is None and row.interference_au is None
+
+    @pytest.mark.parametrize(
+        "column, cell, message",
+        [
+            (0, "a", "sweep_value = 'a' is not float"),
+            (1, "", "n = '' is not int"),
+            (1, "4.0", "n = '4.0' is not int"),
+            (8, "", "success_stderr = '' is not float"),
+        ],
+        ids=["text", "empty-int", "float-for-int", "empty-float"],
+    )
+    def test_malformed_csv_cell_rejected(self, column, cell, message, tmp_path):
+        path = tmp_path / "rows.csv"
+        write_results(self.rows(), path, "csv")
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[column] = cell
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"CSV line 3: {message}"):
             read_results(path, "csv")
 
 
