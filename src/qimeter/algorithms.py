@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import BITFLIP, PHASEFLIP, ErrorModel, error_subsets
-from .errors import SizeLimitError
+from .errors import SizeLimitError, as_int
 from .gates import (
     Circuit,
     DiagonalPhaseGate,
@@ -50,6 +50,8 @@ class GroverSpec:
     n_qft_phases = 0  # a class constant, not a field
 
     def __post_init__(self):
+        for name in ("n", "alpha") + (() if self.k_override is None else ("k_override",)):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.n < 2:
             raise ValueError("Grover search needs at least two qubits")
         if not 0 <= self.alpha < 1 << self.n:
@@ -82,6 +84,8 @@ class ShorSpec:
     a: int
 
     def __post_init__(self):
+        for name in ("L", "R", "a"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.R < 2 or self.L != self.R.bit_length():
             raise ValueError(f"L={self.L} does not match floor(log2({self.R}))+1")
         if not 0 < self.a < self.R:
@@ -164,13 +168,11 @@ def build_grover(
 def modexp_permutation(spec: ShorSpec) -> PermutationGate:
     """|x>|y> -> |x>|y XOR f(x)> with f(x) = a^x mod R."""
     L = spec.L
-    table = np.empty(1 << spec.n, dtype=np.int64)
     f = np.array([pow(spec.a, x, spec.R) for x in range(1 << spec.layer_width)], dtype=np.int64)
     idx = np.arange(1 << spec.n, dtype=np.int64)
     x = idx >> L
     y = idx & ((1 << L) - 1)
-    table[:] = (x << L) | (y ^ f[x])
-    return PermutationGate(table, tuple(range(spec.n)))
+    return PermutationGate((x << L) | (y ^ f[x]), tuple(range(spec.n)))
 
 
 def build_shor(
@@ -239,8 +241,6 @@ class AlgorithmUnitaries:
         probs.flags.writeable = False
         return probs
 
-    # a Shor view repeats each row 2^L times, XOR-shifted, so its kernel
-    # transforms one row in 2^L; a Grover kernel transforms every row
     @functools.cached_property
     def full_kernel(self) -> PauliNoiseKernel:
         """Row statistics of U_full that ``decoherence_point`` reads for I_pa."""
@@ -255,16 +255,13 @@ class AlgorithmUnitaries:
     def mixture_table(self) -> np.ndarray:
         """|U_full|^2 at every column a phase-flip pattern can reach.
 
-        The layer sits on qubits 0..m-1 of n, so the pattern with hit mask
-        s in the layer's m qubits reaches column s << (n - m), and row s
-        holds |U_full[:, s << (n - m)]|^2 (2^m x N floats, 8 MB for Shor
-        L = 4).
+        The layer sits on qubits 0..m-1 of n, so the pattern with hit mask s
+        in the layer's m qubits reaches column s << (n - m): row s of the
+        C-contiguous 2^m x N table (8 MB for Shor L = 4) is that column's |.|^2.
         """
-        m = self.layer_width
-        shift = self.circuit.n - m
-        table = np.empty((1 << m, self.full.shape[0]))
-        for s in range(1 << m):
-            table[s] = np.abs(self.full[:, s << shift]) ** 2
+        cols = self.full[:, :: 1 << (self.circuit.n - self.layer_width)]
+        table = np.abs(cols.T, out=np.empty(cols.shape[::-1]))
+        table **= 2
         return table
 
 
@@ -348,16 +345,24 @@ def decoherent_final_probabilities(
 
 def shor_success(ideal: np.ndarray, observed: np.ndarray) -> float:
     """One minus half the total-variation distance between distributions."""
-    ideal = np.asarray(ideal, dtype=float)
-    observed = np.asarray(observed, dtype=float)
+    return _success_against(_distribution("ideal", ideal), observed)
+
+
+def _success_against(ideal: np.ndarray, observed: np.ndarray) -> float:
+    """``shor_success`` for an ``ideal`` it has accepted: a sweep checks its ideal once."""
+    observed = _distribution("observed", observed)
     if ideal.shape != observed.shape:
         raise ValueError(f"length mismatch: {ideal.shape} vs {observed.shape}")
-    for name, dist in (("ideal", ideal), ("observed", observed)):
-        total = float(np.sum(dist))
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError(f"{name} distribution sums to {total}, not 1")
     value = 1.0 - 0.5 * float(np.sum(np.abs(ideal - observed)))
     return min(max(value, 0.0), 1.0)
+
+
+def _distribution(name: str, dist: np.ndarray) -> np.ndarray:
+    dist = np.asarray(dist, dtype=float)
+    total = float(np.sum(dist))
+    if abs(total - 1.0) > 1e-6:
+        raise ValueError(f"{name} distribution sums to {total}, not 1")
+    return dist
 
 
 def final_probabilities(circuit: Circuit) -> np.ndarray:

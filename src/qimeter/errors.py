@@ -1,4 +1,6 @@
-"""Exception types shared across the library."""
+"""Exception types and the integer check shared across the library."""
+
+import numbers
 
 
 class SizeLimitError(ValueError):
@@ -7,3 +9,10 @@ class SizeLimitError(ValueError):
 
 class ValidationError(ValueError):
     """An operator or state fails a numerical validity check."""
+
+
+def as_int(value, name: str) -> int:
+    """``value`` as an int; ``ValueError`` unless it is a Python or numpy integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)

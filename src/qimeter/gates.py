@@ -213,16 +213,16 @@ def _lower(kind, data, targets, n, every_row):
             return s
 
         return multiply
-    src = np.argsort(_destinations(PermutationGate(np.frombuffer(data, np.int64), targets), n))
+    src = np.argsort(_destinations(np.frombuffer(data, np.int64), targets, n))
     return lambda s: s[src]  # row r of the result is row src[r] of s
 
 
-def _destinations(gate: PermutationGate, n: int) -> np.ndarray:
-    """The n-qubit basis index that each basis index moves to."""
+def _destinations(table: np.ndarray, targets: tuple, n: int) -> np.ndarray:
+    """The n-qubit basis index that each basis index moves to under ``table`` on ``targets``."""
     idx = np.arange(1 << n)
-    new_loc = gate.table[_local_index(idx, gate.targets, n)]
+    new_loc = table[_local_index(idx, targets, n)]
     dest = idx.copy()
-    for b, t in enumerate(reversed(gate.targets)):  # bit b of new_loc goes to wire t
+    for b, t in enumerate(reversed(targets)):  # bit b of new_loc goes to wire t
         dest = (dest & ~(1 << (n - 1 - t))) | (((new_loc >> b) & 1) << (n - 1 - t))
     return dest
 
@@ -254,7 +254,7 @@ def _xor_split(c: Circuit):
         head, tail = c.ops[:w], c.ops[w + 1 :]
         m = 1 + max((t for op in head + tail for t in op.targets), default=-1)
         k = n - m  # k = 0 passes only an identity permutation, which the split drops
-        moved = _destinations(c.ops[w], n) ^ np.arange(1 << n)
+        moved = _destinations(c.ops[w].table, c.ops[w].targets, n) ^ np.arange(1 << n)
         g = (moved & ((1 << k) - 1)).reshape(1 << m, 1 << k)
         if not (np.any(moved >> k) or np.any(g != g[:, :1])):
             return head, tail, m, g[:, 0]

@@ -28,6 +28,8 @@ from .algorithms import (
     AlgorithmUnitaries,
     GroverSpec,
     ShorSpec,
+    _distribution,
+    _success_against,
     build_grover,
     build_shor,
     decoherence_point,
@@ -37,7 +39,7 @@ from .algorithms import (
     shor_unitaries,
 )
 from .channels import BITFLIP, PHASEFLIP, ErrorModel
-from .errors import SizeLimitError
+from .errors import SizeLimitError, as_int
 from .interference import _unitary_interference, ibits, interference_unitary
 
 PREFIX_SUBSETS = "prefix"
@@ -91,6 +93,7 @@ class RandomErrors:
     def __post_init__(self):
         _check_grid(self.epsilons, "epsilon")
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
+        object.__setattr__(self, "realizations", as_int(self.realizations, "realizations"))
         if self.realizations < 1:
             raise ValueError("need at least one realization")
 
@@ -114,7 +117,7 @@ class DecoherenceErrors:
         object.__setattr__(
             self, "probabilities", tuple(float(p) for p in self.probabilities)
         )
-        object.__setattr__(self, "n_f_values", tuple(int(v) for v in self.n_f_values))
+        object.__setattr__(self, "n_f_values", tuple(as_int(v, "n_f") for v in self.n_f_values))
         if not self.n_f_values or any(v < 1 for v in self.n_f_values):
             raise ValueError("n_f values must be positive")
         if self.subset_policy not in (PREFIX_SUBSETS, ALL_SUBSETS):
@@ -130,9 +133,11 @@ def _check_grid(grid, name):
         raise ValueError(f"{name} grid must be strictly increasing")
 
 
-def _check_seed(seed: int) -> None:
+def _check_seed(seed: int) -> int:
+    seed = as_int(seed, "master seed")
     if not 0 <= seed < 1 << 64:
         raise ValueError("master seed must fit in 64 bits")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -148,7 +153,7 @@ class ExperimentSpec:
             raise ValueError("alpha averaging only applies to Grover search")
         if self.average_over_alpha and isinstance(self.error_family, DecoherenceErrors):
             raise ValueError("decoherence sweeps run at a fixed marked item")
-        _check_seed(self.master_seed)
+        object.__setattr__(self, "master_seed", _check_seed(self.master_seed))
 
     @property
     def n(self) -> int:
@@ -269,15 +274,15 @@ def _marked_items(spec: ExperimentSpec, thetas):
 
 
 def _success(ideal, probabilities, alpha) -> float:
-    """The marked item's probability, or for Shor (``alpha`` None) ``shor_success``."""
-    return shor_success(ideal, probabilities) if alpha is None else float(probabilities[alpha])
+    """The marked item's probability, or for Shor (``alpha`` None) ``_success_against``."""
+    return _success_against(ideal, probabilities) if alpha is None else float(probabilities[alpha])
 
 
 def _shor_ideal(algorithm):
-    """Output distribution of the exact Shor circuit; None for Grover."""
+    """Output distribution of the exact Shor circuit, checked once; None for Grover."""
     if isinstance(algorithm, GroverSpec):
         return None
-    return final_probabilities(build_shor(algorithm))
+    return _distribution("ideal", final_probabilities(build_shor(algorithm)))
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +358,8 @@ def run_decoherence_sweep(spec: ExperimentSpec) -> list:
     part on first use: U_full and its noise kernel, for phase flips the
     column table of the output mixture, and, only when the spec measures
     I_au, U_rest and its noise kernel.  All are O(4^n) and freed on
-    return.  At 12 qubits each unitary is 256 MB and the table 8 MB for
-    Shor L = 4 (128 MB for Grover); a Shor L = 4 phase-flip sweep peaks
-    at 425 MB with I_pa alone and at 688 MB with both measures."""
+    return: at 12 qubits each unitary is 256 MB, and the table 8 MB for
+    Shor L = 4 (128 MB for Grover)."""
     family = spec.error_family
     if not isinstance(family, DecoherenceErrors):
         raise ValueError("spec does not describe a decoherence sweep")
@@ -421,7 +425,7 @@ def cue_baseline(n: int, samples: int, seed: int = 0) -> SampleStatistics:
         raise ValueError(f"CUE baseline needs at least one qubit, got n = {n}")
     if samples < 10:
         raise ValueError("need at least 10 samples")
-    _check_seed(seed)
+    seed = _check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, 0xC0E]))
     values = [interference_unitary(haar_unitary(1 << n, rng)) for _ in range(samples)]
     mean, stddev = float(np.mean(values)), float(np.std(values, ddof=1))

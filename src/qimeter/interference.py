@@ -16,18 +16,9 @@ Three equivalent evaluation routes are provided, each returning a float
 For channels of the form {U · E_l} with E_l a layered Pauli error
 (diagonal sigma_z products or XOR-permutation sigma_x products), the
 measure collapses to two O(N) dot products against row statistics of U
-that are precomputed with fast Walsh-Hadamard transforms
-(``pauli_noise_kernel`` / ``interference_noise_then_unitary``); the
-decoherence sweeps take this path.  That makes each (p, subset)
-evaluation cheap even at 12 qubits: about 50 us each on a 2-vCPU host,
-after the two 4096^2 kernels of a Shor L = 4 sweep took 0.5 s.  A Shor
-view repeats each row 2^L times with its columns XOR-shifted, so those
-kernels run their cache-blocked Walsh-Hadamard transforms on 256 of the
-4096 rows (``copies``; 3.3 s over every row); about half of the 0.5 s
-is sum |U|^4 over the dense views.  The sweep's two unitaries take 0.5 s on
-first-register stacks, and its phase-flip mixture, 1.2 s, is now its
-largest stage.  Building the 12-qubit Grover unitaries is not cheap
-(98.8 s on a 2-vCPU Xeon host).
+that ``pauli_noise_kernel`` precomputes with fast Walsh-Hadamard
+transforms (``interference_noise_then_unitary``); the decoherence sweeps
+take this path.
 """
 
 from __future__ import annotations
@@ -50,8 +41,7 @@ ORACLE_MAX_DIM = 64
 
 KRAUS_COMPLETENESS_TOL = 1e-6
 
-# bytes of rows per block of _wht_last; the block and its scratch buffer
-# (1 MiB together) stay in a core's L2 cache
+# bytes of complex rows per pauli_noise_kernel block; with its transforms it fits in L2
 WHT_BLOCK_BYTES = 1 << 19
 
 
@@ -79,8 +69,14 @@ def interference_unitary(u: np.ndarray) -> float:
 
 def _unitary_interference(u: np.ndarray) -> float:
     """``interference_unitary`` unchecked, for circuits of unitary gates (DECISIONS.md)."""
-    a2 = np.abs(u) ** 2
-    return _checked(u.shape[0] - float(np.sum(a2 * a2)))
+    return _checked(u.shape[0] - _sum_abs4(u))
+
+
+def _sum_abs4(u: np.ndarray) -> float:
+    """sum_{i,k} |U[i,k]|^4, holding one N x N float array."""
+    a = np.abs(u) ** 2
+    a *= a
+    return float(np.sum(a))
 
 
 def _require_complete(ch: KrausChannel) -> None:
@@ -157,42 +153,31 @@ def interference_superoperator(p: np.ndarray) -> float:
 def _wht_last(a: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along the last axis.
 
-    Rows go through the transform a block at a time: every butterfly stage
-    of one block runs before the next block is read, ping-ponging between
-    the block's output rows and a scratch buffer, so the block stays in
-    cache.  Stage s pairs the entries that differ in index bit s, lowest bit
-    first, and forms x0 + x1 and x0 - x1 as the textbook in-place transform
-    does, so the bits are the same.  Only the layout differs: each stage
-    reads the pairs as even and odd entries and writes the sums to the first
-    half of the row and the differences to the second (constant geometry),
-    which rotates the index bits right by one.  After all log2 N stages the
-    rows are back in natural order, and every ufunc call runs over N/2
-    entries instead of over runs of 2^s.
+    The stages ping-pong between the output and one scratch array of its
+    size, so a cache-sized block of rows stays in cache.  Stage s pairs the
+    entries that differ in index bit s, lowest first, and forms x0 + x1 and
+    x0 - x1 as the textbook in-place transform does, so the bits are the
+    same.  Only the layout differs: each stage writes the sums of the even
+    and odd entries to the first half of the row and their differences to
+    the second (constant geometry), rotating the index bits right by one.
+    After log2 N stages the rows are back in natural order, and every ufunc
+    call runs over N/2 entries instead of over runs of 2^s.
     """
-    dtype = complex if np.iscomplexobj(a) else float
-    a = np.asarray(a, dtype=dtype)
+    a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
     n = a.shape[-1]
     half = n // 2
-    src_rows = a.reshape(-1, n)
-    rows = src_rows.shape[0]
-    out = np.empty((rows, n), dtype=dtype)
+    src = a.reshape(-1, n)
+    out = np.empty(src.shape, a.dtype)
+    tmp = np.empty(src.shape, a.dtype)
     stages = n.bit_length() - 1
-    block = max(1, min(rows, WHT_BLOCK_BYTES // (n * out.itemsize)))
-    scratch = np.empty((block, n), dtype=dtype)
-    for lo in range(0, rows, block):
-        hi = min(lo + block, rows)
-        src = src_rows[lo:hi]
-        out_block, tmp = out[lo:hi], scratch[: hi - lo]
-        if stages == 0:
-            out_block[...] = src
-        for stage in range(stages):
-            # alternate so that the last stage writes the output block
-            dst = out_block if (stages - stage) % 2 else tmp
-            even, odd = src[:, 0::2], src[:, 1::2]
-            np.add(even, odd, out=dst[:, :half])
-            np.subtract(even, odd, out=dst[:, half:])
-            src = dst
-    return out.reshape(a.shape)
+    for stage in range(stages):
+        # alternate so that the last stage writes the output
+        dst = out if (stages - stage) % 2 else tmp
+        even, odd = src[:, 0::2], src[:, 1::2]
+        np.add(even, odd, out=dst[:, :half])
+        np.subtract(even, odd, out=dst[:, half:])
+        src = dst
+    return out.reshape(a.shape) if stages else a.copy()  # N = 1: the identity
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,10 +211,10 @@ def pauli_noise_kernel(u: np.ndarray, copies: int = 1) -> PauliNoiseKernel:
     keep that promise (``gates.xor_row_copies``); 1 promises nothing.  An XOR
     shift of a butterfly's input only swaps pairs, so each transformed entry
     of a shifted row is +- the first row's, and its square or modulus is
-    equal.  So the transforms run on ``u[::copies]`` alone, and each squared
-    row is added ``copies`` times, in row order, as a sum over all N rows
-    adds it: the bits are those of ``copies = 1``.  sum |U|^4 stays a sum
-    over the dense ``u``.
+    equal.  So the transforms run on ``u[::copies]`` alone, a block of
+    ``WHT_BLOCK_BYTES`` at a time, and each squared row is added ``copies``
+    times, in row order, as a sum over all N rows adds it: the bits are
+    those of ``copies = 1``.  sum |U|^4 is ``_sum_abs4`` of the dense ``u``.
 
     ``ValueError`` if ``copies`` is not a power of two dividing N, or if
     rows 1..copies-1 are not row 0 so shifted (an O(copies N) check of the
@@ -242,12 +227,8 @@ def pauli_noise_kernel(u: np.ndarray, copies: int = 1) -> PauliNoiseKernel:
     shifted = u[0, np.arange(dim) ^ np.arange(copies)[:, None]]
     if u[:copies].tobytes() != shifted.tobytes():
         raise ValueError(f"rows 1..{copies - 1} are not row 0 with its columns XOR-shifted")
-    a = np.abs(u) ** 2
-    a *= a
-    sum_a2 = float(np.sum(a))
-    del a
-    # sum_i WHT[A_i]^2 and sum_i (autocorrelation of U_i)^2, a block of
-    # representative rows at a time, so no N x N transient
+    sum_a2 = _sum_abs4(u)
+    # sum_i WHT[A_i]^2 and sum_i (autocorrelation of U_i)^2, with no N x N transient
     fa2, cc2 = np.zeros(dim), np.zeros(dim)
     reps = u[::copies]
     block = max(1, WHT_BLOCK_BYTES // (dim * u.itemsize))

@@ -14,6 +14,7 @@ from oracles import (
     layered_error_channel,
     phaseflip_mixture,
 )
+from test_gates import grover_angles, perturbed_shor
 from qimeter import algorithms, harness
 from qimeter.algorithms import (
     AlgorithmUnitaries,
@@ -166,6 +167,25 @@ class TestSpecLayout:
     def test_refuses_a_misplaced_layer(self, circuit, width):
         with pytest.raises(ValueError, match=f"qubits 0..{width - 1}"):
             AlgorithmUnitaries(circuit, width)
+
+    @pytest.mark.parametrize("bad", [2.0, 2.5, "2", True], ids=["whole-float", "float", "string", "bool"])
+    @pytest.mark.parametrize("field", ["n", "alpha", "k_override"])
+    def test_grover_fields_must_be_integers(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            GroverSpec(**{"n": 3, "alpha": 2, "k_override": 1, field: bad})
+
+    @pytest.mark.parametrize("bad", [3.0, 3.5, "3", True], ids=["whole-float", "float", "string", "bool"])
+    @pytest.mark.parametrize("field", ["L", "R", "a"])
+    def test_shor_fields_must_be_integers(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ShorSpec(**{"L": 3, "R": 7, "a": 3, field: bad})
+
+    def test_numpy_integers_pass_as_ints(self):
+        grover = GroverSpec(np.int64(3), np.uint8(2), np.int32(1))
+        shor = ShorSpec(np.int64(3), np.int16(7), np.uint64(3))
+        for spec in (grover, shor):
+            assert all(type(value) is int for value in vars(spec).values() if value is not None)
+        assert (grover, shor) == (GroverSpec(3, 2, 1), ShorSpec(3, 7, 3))
 
     def test_grover_above_cap_refused(self):
         with pytest.raises(SizeLimitError, match="13 qubits"):
@@ -475,6 +495,24 @@ class TestMixtureTable:
                 fast = decoherent_final_probabilities(uni, model)
                 assert fast.tobytes() == phaseflip_mixture(uni.full, model).tobytes(), (m, affected)
 
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "perturbed"])
+    @pytest.mark.parametrize(
+        "spec",
+        [GroverSpec(n, 1) for n in range(2, 9)]
+        + [ShorSpec.for_modulus(R, a) for R, a in [(3, 1), (3, 2)] + [(7, a) for a in range(1, 7)]],
+        ids=lambda spec: f"grover-{spec.n}" if isinstance(spec, GroverSpec) else f"shor-{spec.R}-{spec.a}",
+    )
+    def test_one_gather_is_the_column_table(self, spec, exact):
+        if isinstance(spec, GroverSpec):
+            circuit = build_grover(spec, None if exact else grover_angles(spec, "random"))
+        else:
+            circuit = build_shor(spec) if exact else perturbed_shor(spec.L, spec.R, spec.a)[0]
+        uni = AlgorithmUnitaries(circuit, spec.layer_width)
+        shift = circuit.n - spec.layer_width
+        columns = [np.abs(uni.full[:, s << shift]) ** 2 for s in range(1 << spec.layer_width)]
+        assert uni.mixture_table.flags.c_contiguous
+        assert uni.mixture_table.tobytes() == np.array(columns).tobytes()
+
     def test_table_built_once(self, mixture_unitaries):
         uni = mixture_unitaries[0]
         assert uni.mixture_table is uni.mixture_table
@@ -558,6 +596,14 @@ class TestSuccessMeasures:
         ideal = np.array([0.5, 0.5, 0.0, 0.0])
         observed = np.array([0.25, 0.25, 0.25, 0.25])
         assert abs(shor_success(ideal, observed) - 0.5) < 1e-12
+
+    def test_shor_success_names_the_distribution_it_refuses(self):
+        with pytest.raises(ValueError, match="ideal distribution sums to 0.7"):
+            shor_success(np.array([0.7, 0.0]), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="observed distribution sums to 0.7"):
+            shor_success(np.array([1.0, 0.0]), np.array([0.7, 0.0]))
+        with pytest.raises(ValueError, match="length mismatch"):
+            shor_success([0.5, 0.5], [1.0])
 
     def test_shor_success_rejects_bad_input(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
+import functools
 import io
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from oracles import alpha_averaged_grover
 
 from qimeter import algorithms, harness
 from qimeter.algorithms import (
+    AlgorithmUnitaries,
     GroverSpec,
     ShorSpec,
     build_grover,
@@ -651,3 +654,89 @@ class TestSpecValidation:
     def test_seed_range(self):
         with pytest.raises(ValueError):
             grover_spec(SystematicErrors(GRID3), master_seed=1 << 64)
+
+    @pytest.mark.parametrize("bad", [1.0, 1.5, "1", True], ids=["whole-float", "float", "string", "bool"])
+    def test_n_f_must_be_an_integer(self, bad):
+        with pytest.raises(ValueError, match="n_f must be an integer"):
+            DecoherenceErrors(BITFLIP, (0.5,), (1, bad), "all")
+
+    @pytest.mark.parametrize("bad", [2.0, 2.5, "2", True], ids=["whole-float", "float", "string", "bool"])
+    def test_realizations_must_be_an_integer(self, bad):
+        with pytest.raises(ValueError, match="realizations must be an integer"):
+            RandomErrors((0.1,), bad)
+
+    @pytest.mark.parametrize("bad", [1.0, 1.5, "1", True], ids=["whole-float", "float", "string", "bool"])
+    def test_seed_must_be_an_integer(self, bad):
+        with pytest.raises(ValueError, match="master seed must be an integer"):
+            grover_spec(SystematicErrors(GRID3), master_seed=bad)
+        with pytest.raises(ValueError, match="master seed must be an integer"):
+            cue_baseline(1, 10, bad)
+
+    def test_numpy_integers_pass_as_ints(self):
+        decoherence = DecoherenceErrors(BITFLIP, (0.5,), (np.int64(1), np.uint8(2)), "all")
+        random = RandomErrors((0.1,), np.int32(3))
+        spec = grover_spec(random, master_seed=np.uint64(7))
+        values = (*decoherence.n_f_values, random.realizations, spec.master_seed)
+        assert values == (1, 2, 3, 7) and all(type(v) is int for v in values)
+        assert json.loads(json.dumps([asdict(row) for row in run_random_sweep(spec)]))
+
+
+class TestShorSuccessChecks:
+    """Every Shor sweep checks its ideal distribution once and each point's
+    own distribution and shape at that point."""
+
+    FAMILIES = {
+        "systematic": (SystematicErrors(GRID3), run_systematic_sweep, 3),
+        "random": (RandomErrors((0.0, 0.5), 4), run_random_sweep, 8),
+        # 2 * (4 + 6) points, and shor_success(ideal, ideal) checks the ideal
+        # under both names for the bit-flip points
+        "decoherence": (
+            DecoherenceErrors(PHASEFLIP, (0.0, 0.4), (1, 2), "all"),
+            run_decoherence_sweep,
+            2 * (4 + 6) + 1,
+        ),
+    }
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        names = []
+        distribution = algorithms._distribution
+
+        def recording(name, dist):
+            names.append(name)
+            return distribution(name, dist)
+
+        for module in (algorithms, harness):
+            monkeypatch.setattr(module, "_distribution", recording)
+        return names
+
+    @pytest.mark.parametrize("sweep", FAMILIES)
+    def test_ideal_checked_once(self, sweep, checked):
+        family, run, observed = self.FAMILIES[sweep]
+        rows = run(ExperimentSpec(ShorSpec.for_modulus(3, 2), family))
+        assert checked.count("ideal") == 1
+        assert checked.count("observed") == observed
+        assert all(0.0 <= row.success <= 1.0 for row in rows)
+
+    @pytest.mark.parametrize("sweep", ["systematic", "random"])
+    def test_refuses_an_ideal_that_does_not_sum_to_one(self, sweep, monkeypatch):
+        family, run, _ = self.FAMILIES[sweep]
+        monkeypatch.setattr(harness, "final_probabilities", lambda c: final_probabilities(c) / 2)
+        with pytest.raises(ValueError, match=r"ideal distribution sums to 0\.[45]\d*, not 1"):
+            run(ExperimentSpec(ShorSpec.for_modulus(3, 2), family))
+
+    @pytest.mark.parametrize("sweep", FAMILIES)
+    def test_points_check_their_own_distribution(self, sweep, monkeypatch):
+        family, run, _ = self.FAMILIES[sweep]
+        # halve every point's distribution, but not the sweep's ideal
+        if sweep == "decoherence":
+            mixture = algorithms.decoherent_final_probabilities
+            monkeypatch.setattr(
+                algorithms, "decoherent_final_probabilities", lambda uni, model: mixture(uni, model) / 2
+            )
+        else:
+            halved = functools.cached_property(lambda uni: np.abs(uni.full[:, 0]) ** 2 / 2)
+            halved.__set_name__(AlgorithmUnitaries, "output_probabilities")
+            monkeypatch.setattr(AlgorithmUnitaries, "output_probabilities", halved)
+        with pytest.raises(ValueError, match=r"observed distribution sums to 0\.[45]\d*, not 1"):
+            run(ExperimentSpec(ShorSpec.for_modulus(3, 2), family))

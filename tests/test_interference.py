@@ -21,7 +21,14 @@ from oracles import (
 from test_gates import grover_angles, perturbed_shor, with_rest, xor_split_circuit
 from qimeter import acceptance, interference, linalg
 from qimeter.acceptance import random_channel
-from qimeter.algorithms import GroverSpec, ShorSpec, build_grover, build_shor, grover_unitaries
+from qimeter.algorithms import (
+    GroverSpec,
+    ShorSpec,
+    build_grover,
+    build_shor,
+    grover_unitaries,
+    shor_unitaries,
+)
 from qimeter.channels import BITFLIP, PHASEFLIP, ErrorModel, KrausChannel, qubit_mask
 from qimeter.errors import SizeLimitError, ValidationError
 from qimeter.gates import circuit_unitary, perturbed_hadamard, walsh_layer, xor_row_copies
@@ -351,20 +358,14 @@ class TestNoiseFastPath:
         assert diff < 1e-10
 
 
-class TestBlockedWht:
-    """The cache-blocked transform is bit for bit the one-stage-at-a-time one."""
-
-    @staticmethod
-    def _rows(n, complex_input):
-        # two full blocks and a short third one
-        block = WHT_BLOCK_BYTES // (n * (16 if complex_input else 8))
-        return 2 * block + 3
+class TestWalshHadamard:
+    """The constant-geometry transform is bit for bit the one-stage-at-a-time one."""
 
     @pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("n", [1, 2, 8, 64, 4096])
     def test_matches_unblocked(self, n, complex_input):
         rng = np.random.default_rng(n)
-        for shape in [(n,), (self._rows(n, complex_input), n), (3, 5, n)]:
+        for shape in [(n,), (37, n), (3, 5, n)]:
             a = rng.standard_normal(shape)
             if complex_input:
                 a = a + 1j * rng.standard_normal(shape)
@@ -372,10 +373,13 @@ class TestBlockedWht:
             assert fast.shape == a.shape and fast.dtype == wht_last_unblocked(a).dtype
             assert fast.tobytes() == wht_last_unblocked(a).tobytes(), shape
 
-    def test_input_untouched(self):
-        a = np.arange(16.0).reshape(2, 8)
-        _wht_last(a)
-        assert np.array_equal(a, np.arange(16.0).reshape(2, 8))
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_input_untouched(self, n):
+        a = np.arange(2.0 * n).reshape(2, n)
+        for x in (a, a + 1j, a[:, None]):
+            before = x.copy()
+            _wht_last(x)
+            assert x.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("dim", [2, 8, 64, 512])
     def test_kernel_fields_match_unblocked(self, dim):
@@ -394,6 +398,40 @@ def same_kernel(fast, slow):
         and np.float64(fast.sum_a2).tobytes() == np.float64(slow.sum_a2).tobytes()
         and all(getattr(fast, f).tobytes() == getattr(slow, f).tobytes() for f in ("fa2", "autocorr", "q"))
     )
+
+
+class TestKernelBlocks:
+    """``pauli_noise_kernel`` is the one place that blocks rows: it hands
+    ``_wht_last`` at most ``WHT_BLOCK_BYTES`` of rows per call, in blocks of
+    as many complex rows as fit, and keeps the bytes of the every-row kernel."""
+
+    @pytest.mark.parametrize(
+        "uni",
+        [
+            pytest.param(grover_unitaries(GroverSpec(5, 3)), id="grover-5"),
+            pytest.param(grover_unitaries(GroverSpec(8, 3)), id="grover-8"),
+            pytest.param(shor_unitaries(ShorSpec(3, 7, 3)), id="shor-3"),
+        ],
+    )
+    @pytest.mark.parametrize("view", ["full", "rest"])
+    def test_blocks_fit_the_budget(self, uni, view, monkeypatch):
+        u = getattr(uni, view)
+        circuit = uni.circuit if view == "full" else uni.rest_circuit
+        reps = u.shape[0] // xor_row_copies(circuit)
+        sizes = []
+
+        def recording(a):
+            sizes.append(np.asarray(a).nbytes)
+            return _wht_last(a)
+
+        monkeypatch.setattr(interference, "_wht_last", recording)
+        kernel = pauli_noise_kernel(u, xor_row_copies(circuit))
+        monkeypatch.undo()
+        assert same_kernel(kernel, pauli_noise_kernel_every_row(u))
+        assert max(sizes) <= WHT_BLOCK_BYTES
+        # three transforms per block, then one each for fa2 and cc2
+        block = WHT_BLOCK_BYTES // (16 * u.shape[0])
+        assert len(sizes) == 3 * -(-reps // block) + 2
 
 
 class TestRowCopies:
