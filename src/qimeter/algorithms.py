@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .channels import BITFLIP, PHASEFLIP, ErrorModel, error_subsets
+from .channels import BITFLIP, PHASEFLIP, ErrorModel, popcount, qubit_mask
 from .errors import SizeLimitError, as_int
 from .gates import (
     Circuit,
@@ -33,7 +33,8 @@ from .gates import (
 )
 from .interference import (
     PauliNoiseKernel,
-    interference_noise_then_unitary,
+    interference_from_class_sums,
+    noise_class_sums,
     pauli_noise_kernel,
 )
 from .linalg import MAX_QUBITS, basis_state
@@ -221,6 +222,15 @@ class AlgorithmUnitaries:
                 f"the initial layer must be one Hadamard on each of qubits 0..{m - 1}, in order"
             )
 
+    def require_fast_path(self, affected) -> None:
+        """``ValueError``, reading no view, if an initial Hadamard is perturbed
+        (the fast path's sigma_z H = H sigma_x fails) or ``affected`` is off it."""
+        if any(op.theta != math.pi / 4 for op in self.circuit.ops[: self.layer_width]):
+            raise ValueError("the fast path needs an exact initial Hadamard layer (every angle pi/4)")
+        layer = tuple(range(self.layer_width))
+        if not set(affected) <= set(layer):
+            raise ValueError(f"affected qubits {affected} outside the initial Hadamard layer {layer}")
+
     @functools.cached_property
     def rest_circuit(self) -> Circuit:
         """The ops after the initial layer."""
@@ -243,12 +253,12 @@ class AlgorithmUnitaries:
 
     @functools.cached_property
     def full_kernel(self) -> PauliNoiseKernel:
-        """Row statistics of U_full that ``decoherence_point`` reads for I_pa."""
+        """Row statistics of U_full that ``SubsetClassSums`` reads for I_pa."""
         return pauli_noise_kernel(self.full, xor_row_copies(self.circuit))
 
     @functools.cached_property
     def rest_kernel(self) -> PauliNoiseKernel:
-        """Row statistics of U_rest that ``DecoherencePoint`` reads for I_au."""
+        """Row statistics of U_rest that ``SubsetClassSums`` reads for I_au."""
         return pauli_noise_kernel(self.rest, xor_row_copies(self.rest_circuit))
 
     @functools.cached_property
@@ -276,67 +286,80 @@ def shor_unitaries(spec: ShorSpec) -> AlgorithmUnitaries:
 
 
 @dataclass(frozen=True, eq=False)
-class DecoherencePoint:
-    """One (p, affected-subset) evaluation of a decohered algorithm; I_au is
-    evaluated, on U_rest's noise kernel, the first time it is read."""
+class SubsetClassSums:
+    """The p-independent sums of decoherence on the subset S of the initial
+    layer, by hits inside S (DECISIONS.md): ``pa`` and ``au`` are the
+    ``noise_class_sums`` of U_full's kernel, error kind swapped (sigma_z H =
+    H sigma_x), and of U_rest's; ``mixture`` row w sums the ``mixture_table``
+    rows of the patterns within S of w hits.  Each is built on first read,
+    after ``require_fast_path``."""
 
     unitaries: AlgorithmUnitaries
-    model: ErrorModel
-    interference_pa: float
-    probabilities: np.ndarray
+    kind: str
+    affected: tuple
+
+    def __post_init__(self):
+        self.unitaries.require_fast_path(self.affected)
+
+    @functools.cached_property
+    def pa(self) -> np.ndarray:
+        mask = qubit_mask(self.affected, self.unitaries.circuit.n)
+        swapped = BITFLIP if self.kind == PHASEFLIP else PHASEFLIP
+        return noise_class_sums(self.unitaries.full_kernel, swapped, mask)
+
+    @functools.cached_property
+    def au(self) -> np.ndarray:
+        mask = qubit_mask(self.affected, self.unitaries.circuit.n)
+        return noise_class_sums(self.unitaries.rest_kernel, self.kind, mask)
+
+    @functools.cached_property
+    def mixture(self) -> np.ndarray:
+        m = self.unitaries.layer_width
+        rows = np.arange(1 << m)
+        rows = rows[(rows & qubit_mask(self.affected, m)) == rows]  # the patterns within S
+        hits, table = popcount(rows), self.unitaries.mixture_table
+        return np.array([table[rows[hits == w]].sum(axis=0) for w in range(len(self.affected) + 1)])
+
+
+@dataclass(frozen=True, eq=False)
+class DecoherencePoint:
+    """One (p, affected-subset) evaluation of a decohered algorithm from the
+    subset's class sums, each measure evaluated the first time it is read."""
+
+    sums: SubsetClassSums
+    p: float
+
+    @functools.cached_property
+    def interference_pa(self) -> float:
+        return interference_from_class_sums(self.sums.pa, self.p)
 
     @functools.cached_property
     def interference_au(self) -> float:
-        return interference_noise_then_unitary(self.unitaries.rest_kernel, self.model)
+        return interference_from_class_sums(self.sums.au, self.p)
+
+    @functools.cached_property
+    def probabilities(self) -> np.ndarray:
+        """The output distribution from |0...0>: bit flips leave the post-layer
+        state as it is, and phase flips give sum_w p^w (1 - p)^(n_f - w)
+        mixture[w] (``0.0 ** 0`` is 1.0, so p = 0 and 1 need no case)."""
+        if self.sums.kind == BITFLIP:
+            return self.sums.unitaries.output_probabilities
+        n_f = len(self.sums.affected)
+        probs = np.zeros(self.sums.mixture.shape[1])
+        for w, row in enumerate(self.sums.mixture):
+            probs += self.p**w * (1.0 - self.p) ** (n_f - w) * row
+        return probs
 
 
 def decoherence_point(unitaries: AlgorithmUnitaries, model: ErrorModel) -> DecoherencePoint:
-    """Fast-path decoherence evaluation; requires an exact initial layer.
-
-    Commuting each Pauli error through the exact Hadamard on its qubit
-    turns the PA channel into noise-then-unitary form with the error kind
-    swapped (sigma_z H = H sigma_x), so both measures reduce to
-    ``interference_noise_then_unitary`` on a noise kernel.  Matches the
-    explicit Kraus channels (``tests/oracles.py``) to machine precision.
-    I_pa and the probabilities are evaluated here, so every refusal is
-    raised here: ``ValueError`` if any initial Hadamard is perturbed, where
-    the commutation fails, or if an affected qubit is off the layer.
-    """
-    if any(op.theta != math.pi / 4 for op in unitaries.circuit.ops[: unitaries.layer_width]):
-        raise ValueError(
-            "the fast path needs an exact initial Hadamard layer (every angle pi/4)"
-        )
-    probabilities = decoherent_final_probabilities(unitaries, model)
-    flipped = replace(model, kind=BITFLIP if model.kind == PHASEFLIP else PHASEFLIP)
-    return DecoherencePoint(
-        unitaries=unitaries,
-        model=model,
-        interference_pa=interference_noise_then_unitary(unitaries.full_kernel, flipped),
-        probabilities=probabilities,
-    )
+    """Fast-path evaluation of one (p, subset) point, refused where ``SubsetClassSums``
+    is; matches the explicit Kraus channels (``tests/oracles.py``) to machine precision."""
+    return DecoherencePoint(SubsetClassSums(unitaries, model.kind, model.affected), model.p)
 
 
-def decoherent_final_probabilities(
-    unitaries: AlgorithmUnitaries, model: ErrorModel
-) -> np.ndarray:
-    """Output distribution of the decohered algorithm started in |0...0>.
-
-    Bit flips leave the post-layer state invariant: the exact algorithm's
-    ``output_probabilities``.  Phase flips turn it into a mixture over rows
-    of ``unitaries.mixture_table``, indexed by the layer's hit masks.
-    """
-    layer = tuple(range(unitaries.layer_width))
-    if not set(model.affected) <= set(layer):
-        raise ValueError(
-            f"affected qubits {model.affected} outside the initial Hadamard layer {layer}"
-        )
-    if model.kind == BITFLIP:
-        return unitaries.output_probabilities
-    table = unitaries.mixture_table
-    probs = np.zeros(table.shape[1])
-    for mask, weight in error_subsets(unitaries.layer_width, model):
-        probs += weight * table[mask]
-    return probs
+def decoherent_final_probabilities(unitaries: AlgorithmUnitaries, model: ErrorModel) -> np.ndarray:
+    """Output distribution of the decohered algorithm started in |0...0>."""
+    return decoherence_point(unitaries, model).probabilities
 
 
 # ---------------------------------------------------------------------------

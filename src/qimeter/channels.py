@@ -3,7 +3,7 @@
 A channel is a stack of Kraus operators E_l with sum_l E_l† E_l = 1; it
 acts on a density matrix as rho -> sum_l E_l rho E_l†.  An ``ErrorModel``
 places independent single-qubit Pauli errors (probability p) on a chosen
-subset of qubits, which yields 2^n_f error patterns (``error_subsets``).
+subset of n_f qubits, which yields 2^n_f error patterns.
 """
 
 from __future__ import annotations
@@ -74,29 +74,11 @@ def qubit_mask(qubits, n: int) -> int:
     return mask
 
 
-def error_subsets(n: int, model: ErrorModel) -> list:
-    """(mask, probability) of every error pattern that can occur.
-
-    Patterns come in binary order of the error subset: bit b of the subset
-    index set <=> qubit ``affected[b]`` hit.  ``mask`` is the hit qubits'
-    ``qubit_mask``; patterns of zero probability (p = 0 or 1) are dropped.
-    """
-    bits = [qubit_mask((q,), n) for q in model.affected]
-    n_f = len(bits)
-    # the weight depends only on the number of hits
-    weights = [model.p**k * (1.0 - model.p) ** (n_f - k) for k in range(n_f + 1)]
-    masks = [0]
-    for bit in bits:  # subsets with affected[b] hit follow those without it
-        masks += [mask | bit for mask in masks]
-    patterns = [(mask, weights[subset.bit_count()]) for subset, mask in enumerate(masks)]
-    return [(mask, weight) for mask, weight in patterns if weight != 0.0]
-
-
 def popcount(values: np.ndarray) -> np.ndarray:
-    """Number of set bits of each integer entry."""
-    out = np.zeros(values.shape, dtype=np.int64)
-    v = values.astype(np.int64)
-    while np.any(v):
-        out += v & 1
-        v >>= 1
-    return out
+    """Number of set bits of each non-negative integer entry: a SWAR count,
+    summing bits in pairs, nibbles and then bytes, in a few passes at any width."""
+    v = np.asarray(values).astype(np.uint64)
+    v = v - ((v >> 1) & 0x5555555555555555)
+    v = (v & 0x3333333333333333) + ((v >> 2) & 0x3333333333333333)
+    v = (v + (v >> 4)) & 0x0F0F0F0F0F0F0F0F
+    return ((v * 0x0101010101010101) >> 56).astype(np.int64)  # the byte sums, added in the top byte

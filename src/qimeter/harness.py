@@ -26,19 +26,20 @@ import numpy as np
 
 from .algorithms import (
     AlgorithmUnitaries,
+    DecoherencePoint,
     GroverSpec,
     ShorSpec,
+    SubsetClassSums,
     _distribution,
     _success_against,
     build_grover,
     build_shor,
-    decoherence_point,
     final_probabilities,
     grover_unitaries,
     shor_success,
     shor_unitaries,
 )
-from .channels import BITFLIP, PHASEFLIP, ErrorModel
+from .channels import BITFLIP, PHASEFLIP
 from .errors import SizeLimitError, as_int
 from .interference import _unitary_interference, ibits, interference_unitary
 
@@ -354,12 +355,15 @@ def run_decoherence_sweep(spec: ExperimentSpec) -> list:
     of the first register according to the subset policy; Grover uses the
     policy as given (prefix = first n_f qubits).
 
-    The sweep runs in the calling process and builds its setup once, each
-    part on first use: U_full and its noise kernel, for phase flips the
-    column table of the output mixture, and, only when the spec measures
-    I_au, U_rest and its noise kernel.  All are O(4^n) and freed on
-    return: at 12 qubits each unitary is 256 MB, and the table 8 MB for
-    Shor L = 4 (128 MB for Grover)."""
+    The sweep runs in the calling process, refuses a perturbed layer, then
+    builds its setup once, each part on first use: U_full and its noise
+    kernel, for phase flips the column table of the output mixture, and,
+    only when the spec measures I_au, U_rest and its noise kernel.  All are
+    O(4^n) and freed on return: at 12 qubits each unitary is 256 MB, and the
+    table 8 MB for Shor L = 4 (128 MB for Grover).  Each subset then costs
+    one O(N) pass per kernel and 2^n_f table rows (``SubsetClassSums``, one
+    alive at a time), and each point O(n_f) per measure and O(n_f N) for
+    the mixture."""
     family = spec.error_family
     if not isinstance(family, DecoherenceErrors):
         raise ValueError("spec does not describe a decoherence sweep")
@@ -371,25 +375,30 @@ def run_decoherence_sweep(spec: ExperimentSpec) -> list:
         )
     grover = isinstance(algo, GroverSpec)
     unitaries = grover_unitaries(algo) if grover else shor_unitaries(algo)
+    layer = tuple(range(algo.layer_width))
+    unitaries.require_fast_path(layer)
     ideal = None if grover else unitaries.output_probabilities
     alpha = algo.alpha if grover else None
     # a Shor bit-flip point observes ``ideal`` itself: its success is evaluated once
     exact = None if grover else shor_success(ideal, ideal)
-    layer = range(algo.layer_width)
-    rows = []
-    for p in family.probabilities:
-        for n_f in family.n_f_values:
-            if family.subset_policy == PREFIX_SUBSETS:
-                subsets = [layer[:n_f]]
-            else:
-                subsets = itertools.combinations(layer, n_f)
-            points = [decoherence_point(unitaries, ErrorModel(family.kind, p, s)) for s in subsets]
-            pa = [point.interference_pa for point in points]
-            au = (point.interference_au for point in points)  # read only if reported
-            observed = (point.probabilities for point in points)
-            success = [exact if o is ideal else _success(ideal, o, alpha) for o in observed]
-            rows.append(_make_row(spec, p, n_f, pa, au, success, len(points)))
-    return rows
+    # (I_pa, I_au, success) samples per (p, n_f), in subset order
+    cells = [[([], [], []) for _ in family.n_f_values] for _ in family.probabilities]
+    prefix = family.subset_policy == PREFIX_SUBSETS
+    for n_f, column in zip(family.n_f_values, zip(*cells)):
+        for subset in [layer[:n_f]] if prefix else itertools.combinations(layer, n_f):
+            sums = SubsetClassSums(unitaries, family.kind, subset)
+            for p, (pa, au, success) in zip(family.probabilities, column):
+                point = DecoherencePoint(sums, p)
+                pa.append(point.interference_pa)
+                if spec.measure_au:
+                    au.append(point.interference_au)
+                observed = point.probabilities
+                success.append(exact if observed is ideal else _success(ideal, observed, alpha))
+    return [
+        _make_row(spec, p, n_f, pa, au, success, len(pa))
+        for p, row in zip(family.probabilities, cells)
+        for n_f, (pa, au, success) in zip(family.n_f_values, row)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -438,11 +447,10 @@ def cue_baseline(n: int, samples: int, seed: int = 0) -> SampleStatistics:
 
 def _make_row(spec, sweep_value, n_f, pa, au, success, n_samples, stderr=False):
     """One row from the I_pa, I_au and success samples of a sweep point,
-    each column averaged in sample order.  ``au`` is read only when the
-    spec measures I_au, so a lazy column builds U_rest only then.
-    ``stderr`` adds the standard error over ``n_samples`` realizations."""
+    each column averaged in sample order; ``au`` is read only when the spec
+    measures I_au.  ``stderr`` adds the standard error over ``n_samples``."""
     i_pa = float(np.mean(pa))
-    i_au = float(np.mean(list(au))) if spec.measure_au else None
+    i_au = float(np.mean(au)) if spec.measure_au else None
     spread = 0.0
     if stderr and n_samples > 1:
         spread = float(np.std(success, ddof=1)) / math.sqrt(n_samples)

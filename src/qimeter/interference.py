@@ -13,17 +13,15 @@ Three equivalent evaluation routes are provided, each returning a float
   triple sum as an independent oracle.
 * ``interference_unitary`` - the unitary special case, N - sum |U|^4.
 
-For channels of the form {U · E_l} with E_l a layered Pauli error
-(diagonal sigma_z products or XOR-permutation sigma_x products), the
-measure collapses to two O(N) dot products against row statistics of U
-that ``pauli_noise_kernel`` precomputes with fast Walsh-Hadamard
-transforms (``interference_noise_then_unitary``); the decoherence sweeps
-take this path.
+For channels of the form {U · E_l} with E_l a layered Pauli error on a
+qubit subset S, the measure weighs a row statistic of U, precomputed with
+fast Walsh-Hadamard transforms (``pauli_noise_kernel``), by the number of
+hits inside S: one O(N) pass per subset sums it by that class
+(``noise_class_sums``); the decoherence sweeps take this path.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -191,8 +189,7 @@ class PauliNoiseKernel:
     * ``q`` - WHT of sum_i |XOR autocorrelation of row U_i|^2
     * ``sum_a2`` - sum A^2 (the unitary's own quartic term)
 
-    Every (error probability, qubit subset) evaluation is then a pair of
-    O(N) dot products against these vectors.
+    Each qubit subset then sums one of them by class (``noise_class_sums``).
     """
 
     dim: int
@@ -248,40 +245,29 @@ def pauli_noise_kernel(u: np.ndarray, copies: int = 1) -> PauliNoiseKernel:
     return PauliNoiseKernel(dim=dim, sum_a2=sum_a2, fa2=fa2, autocorr=autocorr, q=q)
 
 
-@functools.cache
-def _index_popcounts(dim: int) -> np.ndarray:
-    """popcount(i) for every basis index i < dim, shared by all calls (one
-    read-only array per register size, at most 2^12 entries)."""
-    table = popcount(np.arange(dim))
-    table.flags.writeable = False
-    return table
+def noise_class_sums(kernel: PauliNoiseKernel, kind: str, mask: int) -> np.ndarray:
+    """C[h], h = 0..popcount(mask): ``kind`` errors of probability p on the
+    qubits of ``mask``, then U, have interference sum_h ((1 - 2p)^2)^h C[h],
+    as they weigh index i of a kernel vector by ((1 - 2p)^2)^popcount(i & mask)."""
+    hits = popcount(np.arange(kernel.dim) & mask)
+    if kind == BITFLIP:
+        # XOR permutations of the input basis; N is a power of two, so
+        # dividing first gives the bits of dividing last
+        return np.bincount(hits, (kernel.q - kernel.fa2) / kernel.dim)
+    sums = np.bincount(hits, kernel.autocorr)  # diagonal sign patterns
+    sums[0] -= kernel.sum_a2  # the unitary's own quartic term, weight 1 at every p
+    return sums
 
 
-def _error_weights(model: ErrorModel, dim: int) -> np.ndarray:
-    """(1 - 2p)^(2 popcount(i & mask)) for every index i < dim, the mask being
-    the affected qubits: n + 1 float64 powers, one per popcount, gathered."""
-    n = dim.bit_length() - 1
-    pc = _index_popcounts(dim)[np.arange(dim) & qubit_mask(model.affected, n)]
-    return (((1.0 - 2.0 * model.p) ** 2) ** np.arange(n + 1))[pc]
+def interference_from_class_sums(sums: np.ndarray, p: float) -> float:
+    """sum_h ((1 - 2p)^2)^h sums[h]: ``noise_class_sums`` at error probability p."""
+    return _checked(float(((1.0 - 2.0 * p) ** 2) ** np.arange(len(sums)) @ sums))
 
 
-def interference_noise_then_unitary(
-    kernel: PauliNoiseKernel, model: ErrorModel
-) -> float:
-    """Interference of the channel {U · E_l}: layered Pauli errors, then U.
-
-    ``kernel`` is ``pauli_noise_kernel(U)``, an O(N^2 log N) precomputation
-    that every (p, subset) evaluation of a sweep shares; each call then
-    costs O(N).  Equals ``interference_kraus`` of the explicit channel with
-    one Kraus operator U · E_l per error pattern, which the oracle in
-    ``tests/oracles.py`` builds.
-    """
-    dim = kernel.dim
-    weights = _error_weights(model, dim)
-    if model.kind == BITFLIP:
-        # sigma_x products act as XOR permutations of the input basis
-        value = float(weights @ (kernel.q - kernel.fa2)) / dim
-    else:
-        # sigma_z products act as diagonal sign patterns
-        value = float(weights @ kernel.autocorr) - kernel.sum_a2
-    return _checked(value)
+def interference_noise_then_unitary(kernel: PauliNoiseKernel, model: ErrorModel) -> float:
+    """Interference of the channel {U · E_l}: layered Pauli errors, then U;
+    one subset's class sums of ``kernel = pauli_noise_kernel(U)`` at one p.
+    Equals ``interference_kraus`` of the explicit channel with one Kraus
+    operator U · E_l per error pattern (``tests/oracles.py``)."""
+    mask = qubit_mask(model.affected, kernel.dim.bit_length() - 1)
+    return interference_from_class_sums(noise_class_sums(kernel, model.kind, mask), model.p)

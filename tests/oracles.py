@@ -20,7 +20,6 @@ from qimeter.channels import (
     BITFLIP,
     ErrorModel,
     KrausChannel,
-    error_subsets,
     popcount,
     qubit_mask,
 )
@@ -212,6 +211,24 @@ def pauli_noise_kernel_every_row(u: np.ndarray) -> PauliNoiseKernel:
     return PauliNoiseKernel(dim=dim, sum_a2=sum_a2, fa2=fa2, autocorr=autocorr, q=q)
 
 
+def error_subsets(n: int, model: ErrorModel) -> list:
+    """(mask, probability) of every error pattern that can occur.
+
+    Patterns come in binary order of the error subset: bit b of the subset
+    index set <=> qubit ``affected[b]`` hit.  ``mask`` is the hit qubits'
+    ``qubit_mask``; patterns of zero probability (p = 0 or 1) are dropped.
+    """
+    bits = [qubit_mask((q,), n) for q in model.affected]
+    n_f = len(bits)
+    # the weight depends only on the number of hits
+    weights = [model.p**k * (1.0 - model.p) ** (n_f - k) for k in range(n_f + 1)]
+    masks = [0]
+    for bit in bits:  # subsets with affected[b] hit follow those without it
+        masks += [mask | bit for mask in masks]
+    patterns = [(mask, weights[subset.bit_count()]) for subset, mask in enumerate(masks)]
+    return [(mask, weight) for mask, weight in patterns if weight != 0.0]
+
+
 def error_subsets_per_subset(n: int, model: ErrorModel) -> list:
     """``error_subsets`` with each pattern's hit list and weight built on
     their own, one subset at a time."""
@@ -224,6 +241,18 @@ def error_subsets_per_subset(n: int, model: ErrorModel) -> list:
         if weight != 0.0:
             out.append((sum(hit), weight))
     return out
+
+
+def noise_then_unitary_per_index(kernel: PauliNoiseKernel, model: ErrorModel) -> float:
+    """``interference_noise_then_unitary`` as one dot product over every
+    index i < N, with its own weight ((1 - 2p)^2)^popcount(i & mask)."""
+    dim = kernel.dim
+    mask = qubit_mask(model.affected, dim.bit_length() - 1)
+    hits = np.array([(i & mask).bit_count() for i in range(dim)])
+    weights = ((1.0 - 2.0 * model.p) ** 2) ** hits
+    if model.kind == BITFLIP:
+        return float(weights @ (kernel.q - kernel.fa2)) / dim
+    return float(weights @ kernel.autocorr) - kernel.sum_a2
 
 
 def phaseflip_mixture(u_full: np.ndarray, model: ErrorModel) -> np.ndarray:

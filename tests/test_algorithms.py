@@ -482,8 +482,8 @@ def mixture_unitaries():
 
 
 class TestMixtureTable:
-    """The phase-flip mixture read from the column table is bit for bit the
-    column-by-column sum over U_full."""
+    """The phase-flip mixture read from the column table's class sums is the
+    column-by-column sum over U_full, up to summation order (1e-12)."""
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
     def test_matches_column_oracle(self, mixture_unitaries, p):
@@ -493,7 +493,10 @@ class TestMixtureTable:
             for affected in [layer[:1], layer[:m // 2], layer, layer[1::2], (layer[-1], layer[0])]:
                 model = ErrorModel(PHASEFLIP, p, affected)
                 fast = decoherent_final_probabilities(uni, model)
-                assert fast.tobytes() == phaseflip_mixture(uni.full, model).tobytes(), (m, affected)
+                oracle = phaseflip_mixture(uni.full, model)
+                np.testing.assert_allclose(
+                    fast, oracle, rtol=1e-12, atol=1e-12, err_msg=str(affected)
+                )
 
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "perturbed"])
     @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from oracles import (
     apply_channel,
     basis_density,
     density_from_state,
+    error_subsets,
     error_subsets_per_subset,
     evolve_density,
     is_density_matrix,
@@ -16,7 +17,7 @@ from oracles import (
     pauli_error_kraus,
     sandwich,
 )
-from qimeter.channels import BITFLIP, PHASEFLIP, ErrorModel, KrausChannel, error_subsets
+from qimeter.channels import BITFLIP, PHASEFLIP, ErrorModel, KrausChannel, popcount
 from qimeter.errors import SizeLimitError
 from qimeter.gates import circuit_unitary, walsh_layer
 from qimeter.linalg import PAULI_Z, identity
@@ -119,6 +120,17 @@ class TestErrorSubsets:
         affected = tuple(np.random.default_rng(n_f).permutation(10)[:n_f].tolist())
         model = ErrorModel(PHASEFLIP, p, affected)
         assert error_subsets(10, model) == error_subsets_per_subset(10, model)
+
+
+class TestPopcount:
+    def test_matches_int_bit_count(self):
+        rng = np.random.default_rng(9)
+        top = [(1 << 63) - 1]
+        values = np.concatenate([np.arange(1 << 13), rng.integers(0, 1 << 63, 999), top])
+        expected = [int(v).bit_count() for v in values]
+        assert popcount(values).tolist() == expected
+        assert popcount(values.reshape(-1, 2)).tolist() == np.reshape(expected, (-1, 2)).tolist()
+        assert popcount(values).dtype == np.int64
 
 
 class TestSandwich:

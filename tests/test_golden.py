@@ -22,6 +22,16 @@ digits, so they miss a change in the last bits; the JSON twins hold every
 float as its shortest round-trip repr, so they pin the last bit too.
 Summing the phase-flip mixture in reverse order, for example, leaves both
 decoherence CSVs unchanged but changes both JSON twins.
+
+The three decoherence twins were rewritten when each (p, subset) point began
+to be read from per-subset class sums (DECISIONS.md, "Decoherence points
+from per-subset class sums").  That moved 251, 68 and 99 values of the
+grover-decoherence, shor-decoherence and shor-decoherence-phaseflip twins
+(interference and success values by at most 1.4e-14 absolute and 2.4e-13
+relative, i-bits by at most 3.4e-13), and left all seven CSV files
+unchanged.  The rounding-noise rows above read as before: success
+2.0e-16, 1.7e-16 and 1.1e-16 at p = 1, n_f = 2..4, and I_au = 0 (ibits
+-inf) at p = 0.5, n_f = 4.
 """
 
 import io

@@ -1,12 +1,23 @@
 import functools
 import io
+import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import alpha_averaged_grover
+from oracles import (
+    alpha_averaged_grover,
+    decoherence_channels,
+    noise_then_unitary_per_index,
+    pauli_noise_kernel_unblocked,
+    phaseflip_mixture,
+)
 
 from qimeter import algorithms, harness
 from qimeter.algorithms import (
@@ -18,8 +29,9 @@ from qimeter.algorithms import (
     final_probabilities,
     grover_unitaries,
     shor_success,
+    shor_unitaries,
 )
-from qimeter.channels import BITFLIP, PHASEFLIP
+from qimeter.channels import BITFLIP, PHASEFLIP, ErrorModel
 from qimeter.errors import SizeLimitError
 from qimeter.harness import (
     DecoherenceErrors,
@@ -38,6 +50,7 @@ from qimeter.harness import (
     run_systematic_sweep,
     write_results,
 )
+from qimeter.interference import interference_kraus
 
 GRID3 = (0.0, math.pi / 4, math.pi / 2)
 
@@ -316,15 +329,9 @@ class TestDecoherenceSweep:
         assert run_decoherence_sweep(spec) == first
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("measure_au", [False, True])
-    @pytest.mark.parametrize(
-        "algorithm, kind",
-        [(GroverSpec(3, 1), PHASEFLIP), (ShorSpec.for_modulus(3, 2), BITFLIP)],
-        ids=["grover", "shor"],
-    )
-    def test_builds_only_what_it_reports(self, algorithm, kind, measure_au, monkeypatch):
-        # U_full and its kernel serve I_pa and the success; U_rest and its
-        # kernel serve I_au alone
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Calls of the two set-up functions, as ``algorithms`` reaches them."""
         calls = {"circuit_unitary": 0, "pauli_noise_kernel": 0}
         for name in calls:
             def counting(*args, _name=name, _original=getattr(algorithms, name)):
@@ -332,11 +339,61 @@ class TestDecoherenceSweep:
                 return _original(*args)
 
             monkeypatch.setattr(algorithms, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("measure_au", [False, True])
+    @pytest.mark.parametrize(
+        "algorithm, kind",
+        [(GroverSpec(3, 1), PHASEFLIP), (ShorSpec.for_modulus(3, 2), BITFLIP)],
+        ids=["grover", "shor"],
+    )
+    def test_builds_only_what_it_reports(self, algorithm, kind, measure_au, built):
+        # U_full and its kernel serve I_pa and the success; U_rest and its
+        # kernel serve I_au alone
         errors = DecoherenceErrors(kind, (0.0, 0.5), (1, 2), "all")
         rows = run_decoherence_sweep(ExperimentSpec(algorithm, errors, measure_au=measure_au))
-        built = 2 if measure_au else 1
-        assert calls == {"circuit_unitary": built, "pauli_noise_kernel": built}
+        views = 2 if measure_au else 1
+        assert built == {"circuit_unitary": views, "pauli_noise_kernel": views}
         assert all((row.interference_au is not None) == measure_au for row in rows)
+
+    @pytest.mark.parametrize(
+        "views, perturbed",
+        [
+            ("grover_unitaries", lambda spec: build_grover(spec, [0.6] * spec.n_hadamards)),
+            ("shor_unitaries", lambda spec: build_shor(spec, [0.6] + [math.pi / 4] * 7)),  # L = 2
+        ],
+        ids=["grover", "shor"],
+    )
+    def test_refuses_a_perturbed_layer_before_building(self, views, perturbed, built, monkeypatch):
+        # sigma_z H(theta) = H(theta) sigma_x only at theta = pi/4: a sweep on
+        # a perturbed layer refuses before any view, kernel or table exists
+        algorithm = GroverSpec(3, 1) if views == "grover_unitaries" else ShorSpec.for_modulus(3, 2)
+        uni = AlgorithmUnitaries(perturbed(algorithm), algorithm.layer_width)
+        monkeypatch.setattr(harness, views, lambda spec: uni)
+        for kind in (BITFLIP, PHASEFLIP):
+            spec = ExperimentSpec(algorithm, DecoherenceErrors(kind, (0.0, 0.5), (1, 2), "all"))
+            with pytest.raises(ValueError, match="exact initial Hadamard layer"):
+                run_decoherence_sweep(spec)
+        assert built == {"circuit_unitary": 0, "pauli_noise_kernel": 0}
+        assert not {"full", "rest", "mixture_table", "output_probabilities"} & set(vars(uni))
+
+    def test_output_independent_of_blas_threads(self, tmp_path):
+        # the class sums reduce through bincount, 1-D dots and elementwise
+        # sums, none of which a BLAS thread count can split
+        argv = "shor-decoherence --L 3 --R 7 --a 3 --error-kind phaseflip --format json".split()
+        src = Path(__file__).resolve().parent.parent / "src"
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}.json"
+            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+            code = "import sys; from qimeter.cli import main; sys.exit(main(sys.argv[1:]))"
+            result = subprocess.run(
+                [sys.executable, "-c", code, *argv, "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_period_divisibility_controls_large_p_success(self):
         # phase flips on the whole first register at n=9: when the period
@@ -369,6 +426,84 @@ class TestDecoherenceSweep:
                 DecoherenceErrors(BITFLIP, (0.5,), (1,), "prefix"),
                 average_over_alpha=True,
             )
+
+
+SWEEP_PROBABILITIES = (0.0, 0.05, 0.5, 0.95, 1.0)
+ORACLE_ALGORITHMS = (
+    [GroverSpec(n, 1) for n in range(2, 9)]
+    + [ShorSpec.for_modulus(3, a) for a in (1, 2)]
+    + [ShorSpec.for_modulus(7, a) for a in range(1, 7)]
+)
+
+
+@functools.cache
+def _oracle_views(algorithm):
+    grover = isinstance(algorithm, GroverSpec)
+    views = grover_unitaries(algorithm) if grover else shor_unitaries(algorithm)
+    kernels = (pauli_noise_kernel_unblocked(views.full), pauli_noise_kernel_unblocked(views.rest))
+    return views, kernels
+
+
+@functools.cache
+def _oracle_point(algorithm, kind, affected, p):
+    """(I_pa, I_au, success) of one decoherence point: the explicit Kraus
+    channels where N <= 64, else the per-index weights on unblocked kernels
+    and the column-by-column mixture."""
+    views, (full_kernel, rest_kernel) = _oracle_views(algorithm)
+    model = ErrorModel(kind, p, affected)
+    ideal = np.abs(views.full[:, 0]) ** 2
+    if views.full.shape[0] <= 64:
+        channels = decoherence_channels(views, model)
+        pa = interference_kraus(channels.potentially_available)
+        au = interference_kraus(channels.actually_used)
+        observed = np.diag(channels.final_state).real
+    else:
+        swapped = ErrorModel(PHASEFLIP if kind == BITFLIP else BITFLIP, p, affected)
+        pa = noise_then_unitary_per_index(full_kernel, swapped)
+        au = noise_then_unitary_per_index(rest_kernel, model)
+        # bit flips leave the post-layer state |+...+> as it is
+        observed = ideal if kind == BITFLIP else phaseflip_mixture(views.full, model)
+    if isinstance(algorithm, GroverSpec):
+        return pa, au, observed[algorithm.alpha]
+    return pa, au, min(max(1.0 - 0.5 * np.sum(np.abs(ideal - observed)), 0.0), 1.0)
+
+
+class TestDecoherenceSweepOracles:
+    """Every row of a decoherence sweep is the mean, over its subsets, of
+    points evaluated by an independent route (``_oracle_point``), within
+    1e-12 relative and 1e-12 absolute."""
+
+    @pytest.mark.parametrize("measure_au", [True, False], ids=["au", "no-au"])
+    @pytest.mark.parametrize("policy", ["prefix", "all"])
+    @pytest.mark.parametrize("kind", [BITFLIP, PHASEFLIP])
+    @pytest.mark.parametrize(
+        "algorithm",
+        ORACLE_ALGORITHMS,
+        ids=lambda a: f"grover-{a.n}" if isinstance(a, GroverSpec) else f"shor-{a.R}-{a.a}",
+    )
+    def test_rows_match_oracles(self, algorithm, kind, policy, measure_au):
+        layer = tuple(range(algorithm.layer_width))
+        # subsets of one and two qubits, and the whole layer: 2^n_f Kraus
+        # operators per point keep the explicit route cheap
+        n_f_values = tuple(sorted({1, 2, len(layer)}))
+        errors = DecoherenceErrors(kind, SWEEP_PROBABILITIES, n_f_values, policy)
+        rows = run_decoherence_sweep(ExperimentSpec(algorithm, errors, measure_au=measure_au))
+        assert len(rows) == len(SWEEP_PROBABILITIES) * len(n_f_values)
+        for row in rows:
+            if policy == "prefix":
+                subsets = [layer[: row.n_f]]
+            else:
+                subsets = list(itertools.combinations(layer, row.n_f))
+            points = [_oracle_point(algorithm, kind, s, row.sweep_value) for s in subsets]
+            pa, au, success = (float(np.mean(column)) for column in zip(*points))
+            where = (row.sweep_value, row.n_f)
+            assert row.n_samples == len(subsets)
+            assert row.interference_pa == pytest.approx(pa, rel=1e-12, abs=1e-12), where
+            assert row.success == pytest.approx(success, rel=1e-12, abs=1e-12), where
+            if measure_au:
+                assert row.interference_au == pytest.approx(au, rel=1e-12, abs=1e-12), where
+            else:
+                assert row.interference_au is None and row.ibits_au is None
 
 
 class TestWorkerPool:
@@ -728,15 +863,12 @@ class TestShorSuccessChecks:
     @pytest.mark.parametrize("sweep", FAMILIES)
     def test_points_check_their_own_distribution(self, sweep, monkeypatch):
         family, run, _ = self.FAMILIES[sweep]
-        # halve every point's distribution, but not the sweep's ideal
-        if sweep == "decoherence":
-            mixture = algorithms.decoherent_final_probabilities
-            monkeypatch.setattr(
-                algorithms, "decoherent_final_probabilities", lambda uni, model: mixture(uni, model) / 2
-            )
-        else:
-            halved = functools.cached_property(lambda uni: np.abs(uni.full[:, 0]) ** 2 / 2)
-            halved.__set_name__(AlgorithmUnitaries, "output_probabilities")
-            monkeypatch.setattr(AlgorithmUnitaries, "output_probabilities", halved)
+        # halve every point's distribution, but not the sweep's ideal: a
+        # phase-flip point reads the mixture table, the others U_full's column 0
+        name = "mixture_table" if sweep == "decoherence" else "output_probabilities"
+        original = vars(AlgorithmUnitaries)[name].func
+        halved = functools.cached_property(lambda uni: original(uni) / 2)
+        halved.__set_name__(AlgorithmUnitaries, name)
+        monkeypatch.setattr(AlgorithmUnitaries, name, halved)
         with pytest.raises(ValueError, match=r"observed distribution sums to 0\.[45]\d*, not 1"):
             run(ExperimentSpec(ShorSpec.for_modulus(3, 2), family))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import tracemalloc
@@ -13,6 +14,7 @@ from oracles import (
     apply_superoperator,
     density_from_state,
     layered_error_channel,
+    noise_then_unitary_per_index,
     pauli_noise_kernel_every_row,
     pauli_noise_kernel_unblocked,
     sandwich,
@@ -29,7 +31,7 @@ from qimeter.algorithms import (
     grover_unitaries,
     shor_unitaries,
 )
-from qimeter.channels import BITFLIP, PHASEFLIP, ErrorModel, KrausChannel, qubit_mask
+from qimeter.channels import BITFLIP, PHASEFLIP, ErrorModel, KrausChannel
 from qimeter.errors import SizeLimitError, ValidationError
 from qimeter.gates import circuit_unitary, perturbed_hadamard, walsh_layer, xor_row_copies
 from qimeter.harness import (
@@ -44,8 +46,6 @@ from qimeter.harness import (
 from qimeter.interference import (
     WHT_BLOCK_BYTES,
     PauliNoiseKernel,
-    _error_weights,
-    _index_popcounts,
     _unitary_interference,
     _wht_last,
     ibits,
@@ -487,20 +487,23 @@ class TestRowCopies:
             pauli_noise_kernel(u, 4)
 
 
-class TestErrorWeights:
-    """The weights are the per-index powers, gathered from n + 1 of them."""
+class TestClassSums:
+    """One subset's class sums, evaluated at any p, give the per-index dot
+    product of ``tests/oracles.py`` up to summation order."""
 
     @pytest.mark.parametrize("n", range(2, 13))
-    def test_equal_to_per_index_powers(self, n):
+    def test_equal_to_per_index_weights(self, n):
+        # a kernel of random positive statistics: the formula is linear in them
         dim = 1 << n
+        fa2, extra, autocorr = np.random.default_rng(n).uniform(0.1, 1.0, (3, dim))
+        kernel = PauliNoiseKernel(dim=dim, sum_a2=0.0, fa2=fa2, autocorr=autocorr, q=fa2 + extra)
         masks = {(0,), (n - 1,), tuple(range(n)), tuple(range(0, n, 2)), tuple(range(1, n, 3))}
-        grid = [*default_probability_grid(), 0.0, 0.05, 0.123456789, 0.3, 0.5, 0.95, 1.0]
-        for affected in masks:
-            pc = _index_popcounts(dim)[np.arange(dim) & qubit_mask(affected, n)]
-            for p in grid:
-                model = ErrorModel(PHASEFLIP, p, affected)
-                per_index = ((1.0 - 2.0 * p) ** 2) ** pc
-                assert _error_weights(model, dim).tobytes() == per_index.tobytes(), (affected, p)
+        grid = [*default_probability_grid(), 0.05, 0.123456789, 0.3, 0.95]
+        for affected, kind, p in itertools.product(masks, (BITFLIP, PHASEFLIP), grid):
+            model = ErrorModel(kind, p, affected)
+            oracle = noise_then_unitary_per_index(kernel, model)
+            fast = interference_noise_then_unitary(kernel, model)
+            assert fast == pytest.approx(oracle, rel=1e-12, abs=1e-12), (affected, kind, p)
 
 
 class TestNoiseKernelMemory:
