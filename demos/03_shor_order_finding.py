@@ -10,6 +10,7 @@ follows.
 
 from qimeter import (
     ShorSpec,
+    circuit_unitary,
     final_probabilities,
     interference_unitary,
     register1_marginal,
@@ -30,8 +31,8 @@ for R, a in [(3, 2), (7, 3)]:
         if p > 0.01:
             print(f"  outcome {k:3d}: probability {p:.4f}")
 
-    i_pa = interference_unitary(unitaries.full)
-    i_au = interference_unitary(unitaries.rest)
+    i_pa = interference_unitary(circuit_unitary(unitaries.circuit))
+    i_au = interference_unitary(circuit_unitary(unitaries.rest_circuit))
     print(f"potentially available interference: {i_pa:9.3f}  (bound {1 << spec.n} - 1)")
     print(f"actually used interference:         {i_au:9.3f}  (grows exponentially with n)")
     print()

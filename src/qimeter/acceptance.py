@@ -122,10 +122,13 @@ def _criterion_3():
         for alpha in range(1 << n):
             psi = circuit_apply(build_grover(GroverSpec(n, alpha)), basis_state(1 << n))
             worst_s = max(worst_s, abs(abs(psi[alpha]) ** 2 - closed))
-        au_values[n] = interference_unitary(grover_unitaries(GroverSpec(n, 0)).rest)
+        rest = grover_unitaries(GroverSpec(n, 0)).rest_circuit
+        au_values[n] = interference_unitary(circuit_unitary(rest))
     band_violations = {n: v for n, v in au_values.items() if not 3.0 <= v <= 4.5}
 
-    one_iter = interference_unitary(grover_unitaries(GroverSpec(4, 2, k_override=1)).rest)
+    one_iter = interference_unitary(
+        circuit_unitary(grover_unitaries(GroverSpec(4, 2, k_override=1)).rest_circuit)
+    )
     target = 8.0 - 24.0 / 16.0
     one_iter_ok = abs(one_iter - target) <= 0.05 * target
 
@@ -228,8 +231,10 @@ def _criterion_7():
     dist_err = float(np.max(np.abs(reg1 - expected)))
     self_success = shor_success(probs, probs)
 
-    au2 = interference_unitary(shor_unitaries(shor2).rest)
-    au3 = interference_unitary(shor_unitaries(ShorSpec.for_modulus(7, 3)).rest)
+    au2 = interference_unitary(circuit_unitary(shor_unitaries(shor2).rest_circuit))
+    au3 = interference_unitary(
+        circuit_unitary(shor_unitaries(ShorSpec.for_modulus(7, 3)).rest_circuit)
+    )
     ratio = au3 / au2
     ok = dist_err <= 1e-9 and self_success == 1.0 and ratio > 4.0
     return ok, (

@@ -203,13 +203,41 @@ def build_shor(
 # decoherence during the initial Hadamard layer
 
 
+def representative_rows(u: np.ndarray, copies: int) -> np.ndarray:
+    """Rows 0, copies, 2 copies, ... of the N x N unitary ``u`` as their own
+    array, which ``u`` need not outlive; ``u`` itself when ``copies`` is 1.
+
+    ``copies`` promises that each run of that many consecutive rows is the
+    run's first row with its columns XOR-shifted by 0..copies-1 (the rows
+    that ``interference.pauli_noise_kernel`` reads).  ``ValueError`` if
+    ``copies`` is not a power of two dividing N, or if rows 1..copies-1 are
+    not row 0 so shifted (an O(copies N) check of the first run only).
+    """
+    dim = u.shape[0]
+    if copies < 1 or copies & (copies - 1) or dim % copies:
+        raise ValueError(f"copies={copies} is not a power of two dividing N={dim}")
+    shifted = u[0, np.arange(dim) ^ np.arange(copies)[:, None]]
+    if u[:copies].tobytes() != shifted.tobytes():
+        raise ValueError(f"rows 1..{copies - 1} are not row 0 with its columns XOR-shifted")
+    return u if copies == 1 else np.array(u[::copies])
+
+
 @dataclass(frozen=True, eq=False)
 class AlgorithmUnitaries:
-    """Dense views of ``circuit``, full = rest @ W.  The initial layer W,
-    the first ``layer_width`` ops, must be one ``PerturbedHadamard`` on each
-    of qubits 0..m-1 in order (else ``ValueError``), so the layer's qubits
-    are ``range(layer_width)``.  Each view is built the first time a
-    measure reads it, so I_pa alone never builds U_rest or its kernel."""
+    """The unitaries of ``circuit``, full = rest @ W, each held as its
+    representative rows.  The initial layer W, the first ``layer_width``
+    ops, must be one ``PerturbedHadamard`` on each of qubits 0..m-1 in order
+    (else ``ValueError``), so the layer's qubits are ``range(layer_width)``.
+
+    ``full_rows`` and ``rest_rows`` are (rows, copies) pairs, each from one
+    ``circuit_unitary`` call whose dense result is dropped once
+    ``representative_rows`` has taken its rows (Grover's rows are the whole
+    matrix).  Every measure reduces those rows, and each view and reduction
+    is built the first time a measure reads it, so I_pa alone never builds
+    U_rest or its kernel.  Building one view's rows drops the other's, so
+    one dense unitary is alive at a time: a caller reads every reduction of
+    U_full that it needs before the first of U_rest, or U_full is built
+    again."""
 
     circuit: Circuit
     layer_width: int
@@ -236,43 +264,57 @@ class AlgorithmUnitaries:
         """The ops after the initial layer."""
         return Circuit(self.circuit.n, self.circuit.ops[self.layer_width :])
 
-    @functools.cached_property
-    def full(self) -> np.ndarray:
-        return circuit_unitary(self.circuit)
+    def _rows(self, circuit: Circuit, other: str) -> tuple:
+        vars(self).pop(other, None)  # the other view's rows, before this view is built
+        copies = xor_row_copies(circuit)
+        return representative_rows(circuit_unitary(circuit), copies), copies
 
     @functools.cached_property
-    def rest(self) -> np.ndarray:
-        return circuit_unitary(self.rest_circuit)
+    def full_rows(self) -> tuple:
+        """(rows, copies) of U_full (``pauli_noise_kernel``)."""
+        return self._rows(self.circuit, "rest_rows")
+
+    @functools.cached_property
+    def rest_rows(self) -> tuple:
+        """(rows, copies) of U_rest (``pauli_noise_kernel``)."""
+        return self._rows(self.rest_circuit, "full_rows")
 
     @functools.cached_property
     def output_probabilities(self) -> np.ndarray:
-        """|U_full[:, 0]|^2, read-only: every bit-flip point returns this array."""
-        probs = np.abs(self.full[:, 0]) ** 2
+        """|U_full[:, 0]|^2, read-only: every bit-flip point returns this array.
+        Column 0 is U_full[(j, y), 0] = rows[j, y], so it is rows[:, :copies]."""
+        rows, copies = self.full_rows
+        probs = (np.abs(rows[:, :copies]) ** 2).ravel()
         probs.flags.writeable = False
         return probs
 
     @functools.cached_property
     def full_kernel(self) -> PauliNoiseKernel:
         """Row statistics of U_full that ``SubsetClassSums`` reads for I_pa."""
-        return pauli_noise_kernel(self.full, xor_row_copies(self.circuit))
+        return pauli_noise_kernel(*self.full_rows)
 
     @functools.cached_property
     def rest_kernel(self) -> PauliNoiseKernel:
         """Row statistics of U_rest that ``SubsetClassSums`` reads for I_au."""
-        return pauli_noise_kernel(self.rest, xor_row_copies(self.rest_circuit))
+        return pauli_noise_kernel(*self.rest_rows)
 
     @functools.cached_property
     def mixture_table(self) -> np.ndarray:
         """|U_full|^2 at every column a phase-flip pattern can reach.
 
         The layer sits on qubits 0..m-1 of n, so the pattern with hit mask s
-        in the layer's m qubits reaches column s << (n - m): row s of the
-        C-contiguous 2^m x N table (8 MB for Shor L = 4) is that column's |.|^2.
+        in the layer's m qubits reaches column s << k, k = n - m: row s of
+        the C-contiguous 2^m x N table (8 MB for Shor L = 4) is that column's
+        |.|^2.  The first register of the XOR split holds the layer, so
+        ``copies`` divides 2^k and U_full[(j, y), s << k] = rows[j, (s << k) + y]:
+        the table is |rows|^2 seen as (j, s, y) and transposed to (s, j, y).
         """
-        cols = self.full[:, :: 1 << (self.circuit.n - self.layer_width)]
-        table = np.abs(cols.T, out=np.empty(cols.shape[::-1]))
+        rows, copies = self.full_rows
+        m, k = self.layer_width, self.circuit.n - self.layer_width
+        cols = rows.reshape(rows.shape[0], 1 << m, 1 << k)[:, :, :copies].transpose(1, 0, 2)
+        table = np.abs(cols, out=np.empty(cols.shape))
         table **= 2
-        return table
+        return table.reshape(1 << m, -1)
 
 
 def grover_unitaries(spec: GroverSpec) -> AlgorithmUnitaries:
@@ -320,6 +362,22 @@ class SubsetClassSums:
         hits, table = popcount(rows), self.unitaries.mixture_table
         return np.array([table[rows[hits == w]].sum(axis=0) for w in range(len(self.affected) + 1)])
 
+    def probabilities(self, ps) -> tuple:
+        """The output distribution from |0...0> at each error probability of
+        ``ps``: bit flips leave the post-layer state as it is, so each is
+        ``output_probabilities``, and phase flips give sum_w p^w (1 - p)^(n_f - w)
+        mixture[w], one row of a len(ps) x N grid summed class by class (``0.0 ** 0``
+        is 1.0, so p = 0 and 1 need no case).  Each element gets the product of
+        its Python-float coefficient and the class entry, added in class order,
+        so a row is the same at any ``ps`` that holds its p."""
+        if self.kind == BITFLIP:
+            return (self.unitaries.output_probabilities,) * len(ps)
+        n_f = len(self.affected)
+        probs = np.zeros((len(ps), self.mixture.shape[1]))
+        for w, row in enumerate(self.mixture):
+            probs += np.array([p**w * (1.0 - p) ** (n_f - w) for p in ps])[:, None] * row
+        return tuple(probs)
+
 
 @dataclass(frozen=True, eq=False)
 class DecoherencePoint:
@@ -339,15 +397,8 @@ class DecoherencePoint:
 
     @functools.cached_property
     def probabilities(self) -> np.ndarray:
-        """The output distribution from |0...0>: bit flips leave the post-layer
-        state as it is, and phase flips give sum_w p^w (1 - p)^(n_f - w)
-        mixture[w] (``0.0 ** 0`` is 1.0, so p = 0 and 1 need no case)."""
-        if self.sums.kind == BITFLIP:
-            return self.sums.unitaries.output_probabilities
-        n_f = len(self.sums.affected)
-        probs = np.zeros(self.sums.mixture.shape[1])
-        for w, row in enumerate(self.sums.mixture):
-            probs += self.p**w * (1.0 - self.p) ** (n_f - w) * row
+        """The output distribution from |0...0> (``SubsetClassSums.probabilities``)."""
+        (probs,) = self.sums.probabilities((self.p,))
         return probs
 
 

@@ -233,9 +233,9 @@ def _algorithm_id(algorithm) -> str:
 
 def _unitary_point(spec, ideal, thetas, deltas=None):
     """Mean (I_pa, I_au, success) over the marked items at one angle
-    assignment, each weighted as ``_marked_items`` says.  U_full gives
-    I_pa, and its column 0 (the image of |0...0>) gives the output
-    distribution; U_rest is built only for I_au."""
+    assignment, each weighted as ``_marked_items`` says.  U_full's rows
+    give I_pa, and its column 0 (the image of |0...0>) the output
+    distribution; U_rest is built after them, and only for I_au."""
     algo = spec.algorithm
     items = _marked_items(spec, thetas)
     i_pa = i_au = success = 0.0
@@ -245,10 +245,10 @@ def _unitary_point(spec, ideal, thetas, deltas=None):
         else:
             circuit = build_grover(replace(algo, alpha=alpha), thetas)
         unitaries = AlgorithmUnitaries(circuit, algo.layer_width)
-        i_pa += weight * _unitary_interference(unitaries.full)
-        if spec.measure_au:
-            i_au += weight * _unitary_interference(unitaries.rest)
+        i_pa += weight * _unitary_interference(*unitaries.full_rows)
         success += weight * _success(ideal, unitaries.output_probabilities, alpha)
+        if spec.measure_au:
+            i_au += weight * _unitary_interference(*unitaries.rest_rows)
     total = sum(weight for _, weight in items)
     return i_pa / total, (i_au / total if spec.measure_au else None), success / total
 
@@ -356,14 +356,17 @@ def run_decoherence_sweep(spec: ExperimentSpec) -> list:
     policy as given (prefix = first n_f qubits).
 
     The sweep runs in the calling process, refuses a perturbed layer, then
-    builds its setup once, each part on first use: U_full and its noise
-    kernel, for phase flips the column table of the output mixture, and,
-    only when the spec measures I_au, U_rest and its noise kernel.  All are
-    O(4^n) and freed on return: at 12 qubits each unitary is 256 MB, and the
-    table 8 MB for Shor L = 4 (128 MB for Grover).  Each subset then costs
-    one O(N) pass per kernel and 2^n_f table rows (``SubsetClassSums``, one
-    alive at a time), and each point O(n_f) per measure and O(n_f N) for
-    the mixture."""
+    builds its setup once, in this order: U_full's representative rows and
+    noise kernel, for phase flips the column table of the output mixture,
+    and, only when the spec measures I_au, U_rest's rows and kernel.  Each
+    dense unitary (256 MB at 12 qubits) is alive only while it is built and
+    its rows are taken (16 MB for Shor L = 4; Grover's rows are the whole
+    matrix, dropped before U_rest is built), so the Shor L = 4 phase-flip
+    sweep peaks at about 320 MB.  The table is 8 MB for Shor L = 4 (128 MB
+    for Grover).  All are freed on return.  Each subset then costs one O(N)
+    pass per kernel, 2^n_f table rows and one weighing of its mixtures for
+    the whole p grid (``SubsetClassSums``, one alive at a time), and each
+    point O(n_f) per measure."""
     family = spec.error_family
     if not isinstance(family, DecoherenceErrors):
         raise ValueError("spec does not describe a decoherence sweep")
@@ -377,6 +380,9 @@ def run_decoherence_sweep(spec: ExperimentSpec) -> list:
     unitaries = grover_unitaries(algo) if grover else shor_unitaries(algo)
     layer = tuple(range(algo.layer_width))
     unitaries.require_fast_path(layer)
+    # U_full's kernel before its phase-flip table, so that the kernel's
+    # transient and the table are never alive at once
+    unitaries.full_kernel
     ideal = None if grover else unitaries.output_probabilities
     alpha = algo.alpha if grover else None
     # a Shor bit-flip point observes ``ideal`` itself: its success is evaluated once
@@ -387,13 +393,14 @@ def run_decoherence_sweep(spec: ExperimentSpec) -> list:
     for n_f, column in zip(family.n_f_values, zip(*cells)):
         for subset in [layer[:n_f]] if prefix else itertools.combinations(layer, n_f):
             sums = SubsetClassSums(unitaries, family.kind, subset)
-            for p, (pa, au, success) in zip(family.probabilities, column):
+            # before the first I_au: every reduction of U_full precedes U_rest
+            observed = sums.probabilities(family.probabilities)
+            for p, (pa, au, success), probs in zip(family.probabilities, column, observed):
                 point = DecoherencePoint(sums, p)
                 pa.append(point.interference_pa)
                 if spec.measure_au:
                     au.append(point.interference_au)
-                observed = point.probabilities
-                success.append(exact if observed is ideal else _success(ideal, observed, alpha))
+                success.append(exact if probs is ideal else _success(ideal, probs, alpha))
     return [
         _make_row(spec, p, n_f, pa, au, success, len(pa))
         for p, row in zip(family.probabilities, cells)

@@ -65,15 +65,25 @@ def interference_unitary(u: np.ndarray) -> float:
     return _unitary_interference(u)
 
 
-def _unitary_interference(u: np.ndarray) -> float:
-    """``interference_unitary`` unchecked, for circuits of unitary gates (DECISIONS.md)."""
-    return _checked(u.shape[0] - _sum_abs4(u))
+def _unitary_interference(rows: np.ndarray, copies: int = 1) -> float:
+    """``interference_unitary`` unchecked, for circuits of unitary gates
+    (DECISIONS.md), of the unitary with representative rows ``rows``
+    (``pauli_noise_kernel``; with ``copies`` = 1, ``rows`` is the unitary)."""
+    return _checked(rows.shape[1] - _sum_abs4(rows, copies))
 
 
-def _sum_abs4(u: np.ndarray) -> float:
-    """sum_{i,k} |U[i,k]|^4, holding one N x N float array."""
-    a = np.abs(u) ** 2
+def _sum_abs4(rows: np.ndarray, copies: int = 1) -> float:
+    """sum_{i,k} |U[i,k]|^4 of the unitary with representative rows ``rows``:
+    ``np.sum`` of the dense N x N array of |U|^4.  With ``copies`` > 1 that
+    array is gathered from |rows|^4 by U[(j, y), c] = rows[j, c XOR y], with
+    one ``np.take`` that writes it C-contiguous, in U's row order, so the
+    pairwise sum adds the same terms in the same order and gives the same
+    bits.  (``a[:, xor]`` holds the same values in another memory order, and
+    its sum differs at Shor L = 2 and 3.)"""
+    a = np.abs(rows) ** 2
     a *= a
+    if copies > 1:
+        a = np.take(a, np.arange(copies)[:, None] ^ np.arange(a.shape[1]), axis=1)
     return float(np.sum(a))
 
 
@@ -199,41 +209,37 @@ class PauliNoiseKernel:
     q: np.ndarray
 
 
-def pauli_noise_kernel(u: np.ndarray, copies: int = 1) -> PauliNoiseKernel:
-    """Row statistics of the N x N unitary ``u`` (``PauliNoiseKernel``).
+def pauli_noise_kernel(rows: np.ndarray, copies: int = 1) -> PauliNoiseKernel:
+    """Row statistics (``PauliNoiseKernel``) of the N x N unitary U whose
+    representative rows are ``rows``: row j of ``rows`` is row j * copies of
+    U, and each run of ``copies`` consecutive rows of U is the run's first
+    row with its columns XOR-shifted by 0..copies-1, U[r + y, c] =
+    U[r, c XOR y] whenever ``copies`` divides r.  Shor's views keep that
+    promise (``gates.xor_row_copies``), and
+    ``algorithms.representative_rows`` checks it where it takes the rows;
+    with ``copies`` = 1, ``rows`` is U.  An XOR shift of a butterfly's input
+    only swaps pairs, so each transformed entry of a shifted row is +- the
+    first row's, and its square or modulus is equal.  So the transforms run
+    on ``rows`` alone, a block of ``WHT_BLOCK_BYTES`` at a time, and each
+    squared row is added ``copies`` times, in row order, as a sum over all N
+    rows adds it: the bits are those of the dense U at ``copies = 1``.
 
-    ``copies`` promises that each run of that many consecutive rows is the
-    run's first row with its columns XOR-shifted by 0..copies-1:
-    u[r + y, c] = u[r, c XOR y] whenever ``copies`` divides r.  Shor's views
-    keep that promise (``gates.xor_row_copies``); 1 promises nothing.  An XOR
-    shift of a butterfly's input only swaps pairs, so each transformed entry
-    of a shifted row is +- the first row's, and its square or modulus is
-    equal.  So the transforms run on ``u[::copies]`` alone, a block of
-    ``WHT_BLOCK_BYTES`` at a time, and each squared row is added ``copies``
-    times, in row order, as a sum over all N rows adds it: the bits are
-    those of ``copies = 1``.  sum |U|^4 is ``_sum_abs4`` of the dense ``u``.
-
-    ``ValueError`` if ``copies`` is not a power of two dividing N, or if
-    rows 1..copies-1 are not row 0 so shifted (an O(copies N) check of the
-    first run only).
+    ``ValueError`` unless ``copies`` is a power of two and ``rows`` holds
+    N / copies rows of N entries.
     """
-    u = np.asarray(u, dtype=complex)
-    dim = u.shape[0]
-    if copies < 1 or copies & (copies - 1) or dim % copies:
-        raise ValueError(f"copies={copies} is not a power of two dividing N={dim}")
-    shifted = u[0, np.arange(dim) ^ np.arange(copies)[:, None]]
-    if u[:copies].tobytes() != shifted.tobytes():
-        raise ValueError(f"rows 1..{copies - 1} are not row 0 with its columns XOR-shifted")
-    sum_a2 = _sum_abs4(u)
+    rows = np.asarray(rows, dtype=complex)
+    reps, dim = rows.shape
+    if copies < 1 or copies & (copies - 1) or reps * copies != dim:
+        raise ValueError(f"{reps} rows of {dim} entries do not make N x N with copies={copies}")
+    sum_a2 = _sum_abs4(rows, copies)
     # sum_i WHT[A_i]^2 and sum_i (autocorrelation of U_i)^2, with no N x N transient
     fa2, cc2 = np.zeros(dim), np.zeros(dim)
-    reps = u[::copies]
-    block = max(1, WHT_BLOCK_BYTES // (dim * u.itemsize))
-    for lo in range(0, reps.shape[0], block):
-        rows = reps[lo : lo + block]
-        fa = _wht_last(np.abs(rows) ** 2)
+    block = max(1, WHT_BLOCK_BYTES // (dim * rows.itemsize))
+    for lo in range(0, reps, block):
+        chunk = rows[lo : lo + block]
+        fa = _wht_last(np.abs(chunk) ** 2)
         fa *= fa
-        cc = _wht_last(np.abs(_wht_last(rows)) ** 2)  # complex row autocorrelations are real
+        cc = _wht_last(np.abs(_wht_last(chunk)) ** 2)  # complex row autocorrelations are real
         cc /= dim
         cc *= cc
         for fa_row, cc_row in zip(fa, cc):

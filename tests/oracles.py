@@ -392,10 +392,11 @@ def decoherence_channels(unitaries: AlgorithmUnitaries, model: ErrorModel) -> Al
         raise ValueError(
             f"affected qubits {model.affected} outside the initial Hadamard layer {layer}"
         )
-    dim = unitaries.full.shape[0]
+    dim = 1 << n
+    rest = circuit_unitary(unitaries.rest_circuit)
     errors = layered_error_channel(n, model)
-    pa = sandwich(errors, circuit_unitary(walsh), unitaries.rest)
-    au = sandwich(errors, identity(dim), unitaries.rest)
+    pa = sandwich(errors, circuit_unitary(walsh), rest)
+    au = sandwich(errors, identity(dim), rest)
     final = apply_channel(pa, basis_density(dim))
     return AlgorithmChannels(potentially_available=pa, actually_used=au, final_state=final)
 

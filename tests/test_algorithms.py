@@ -12,9 +12,11 @@ from oracles import (
     density_from_state,
     grover_success,
     layered_error_channel,
+    pauli_noise_kernel_every_row,
     phaseflip_mixture,
 )
 from test_gates import grover_angles, perturbed_shor
+from test_interference import same_kernel
 from qimeter import algorithms, harness
 from qimeter.algorithms import (
     AlgorithmUnitaries,
@@ -31,6 +33,7 @@ from qimeter.algorithms import (
     grover_zero_reflection,
     modexp_permutation,
     register1_marginal,
+    representative_rows,
     shor_success,
     shor_unitaries,
 )
@@ -45,6 +48,7 @@ from qimeter.gates import (
     circuit_unitary,
 )
 from qimeter.interference import (
+    _unitary_interference,
     interference_kraus,
     interference_noise_then_unitary,
     interference_unitary,
@@ -94,8 +98,8 @@ class TestBuildGrover:
 
     def test_full_is_unitary(self):
         uni = grover_unitaries(GroverSpec(4, 2))
-        assert check_unitary(uni.full, 1e-10)
-        assert check_unitary(uni.rest, 1e-10)
+        assert check_unitary(circuit_unitary(uni.circuit), 1e-10)
+        assert check_unitary(circuit_unitary(uni.rest_circuit), 1e-10)
 
     def test_rest_excludes_initial_layer(self):
         spec = GroverSpec(3, 5)
@@ -103,18 +107,21 @@ class TestBuildGrover:
         uni = AlgorithmUnitaries(full, spec.layer_width)
         walsh = Circuit(spec.n, full.ops[: spec.layer_width])
         assert all(isinstance(op, PerturbedHadamard) for op in walsh.ops)
-        assert uni.rest.tobytes() == circuit_unitary(Circuit(spec.n, full.ops[spec.n :])).tobytes()
-        np.testing.assert_allclose(uni.rest @ circuit_unitary(walsh), uni.full, atol=1e-12)
+        rest = circuit_unitary(uni.rest_circuit)
+        assert rest.tobytes() == circuit_unitary(Circuit(spec.n, full.ops[spec.n :])).tobytes()
+        np.testing.assert_allclose(rest @ circuit_unitary(walsh), circuit_unitary(full), atol=1e-12)
 
     def test_actually_used_interference_frozen_values(self):
         # frozen from two independent constructions (gate-wise application
         # and dense np.linalg.matrix_power); sits above the rough "about 4"
         # figure-level summary
-        value = interference_unitary(grover_unitaries(GroverSpec(4, 2)).rest)
+        rest = grover_unitaries(GroverSpec(4, 2)).rest_circuit
+        value = interference_unitary(circuit_unitary(rest))
         assert abs(value - 4.656615257263) < 1e-9
 
     def test_one_iteration_peak(self):
-        value = interference_unitary(grover_unitaries(GroverSpec(4, 2, k_override=1)).rest)
+        uni = grover_unitaries(GroverSpec(4, 2, k_override=1))
+        value = interference_unitary(circuit_unitary(uni.rest_circuit))
         target = 8 - 24 / 16
         assert abs(value - target) <= 0.05 * target
         assert abs(value - 6.5625) < 1e-12
@@ -252,8 +259,8 @@ class TestBuildShor:
 
     def test_full_is_unitary(self):
         uni = shor_unitaries(ShorSpec.for_modulus(3, 2))
-        assert check_unitary(uni.full, 1e-10)
-        assert check_unitary(uni.rest, 1e-10)
+        assert check_unitary(circuit_unitary(uni.circuit), 1e-10)
+        assert check_unitary(circuit_unitary(uni.rest_circuit), 1e-10)
 
     def test_register_distribution_ignores_register_phases(self):
         spec = ShorSpec.for_modulus(3, 2)
@@ -268,8 +275,10 @@ class TestBuildShor:
         )
 
     def test_actually_used_interference_grows(self):
-        au2 = interference_unitary(shor_unitaries(ShorSpec.for_modulus(3, 2)).rest)
-        au3 = interference_unitary(shor_unitaries(ShorSpec.for_modulus(7, 3)).rest)
+        au2, au3 = (
+            interference_unitary(circuit_unitary(shor_unitaries(ShorSpec.for_modulus(R, a)).rest_circuit))
+            for R, a in [(3, 2), (7, 3)]
+        )
         # QFT (x) identity after a permutation: I = N - 2^L exactly
         assert abs(au2 - 60.0) < 1e-9
         assert abs(au3 - 504.0) < 1e-9
@@ -289,7 +298,9 @@ class TestDecoherenceChannels:
         chans = decoherence_channels(uni, ErrorModel(BITFLIP, 0.0, (0, 1, 2)))
         assert len(chans.potentially_available) == 1
         assert len(chans.actually_used) == 1
-        np.testing.assert_allclose(chans.potentially_available.ops[0], uni.full, atol=1e-12)
+        np.testing.assert_allclose(
+            chans.potentially_available.ops[0], circuit_unitary(uni.circuit), atol=1e-12
+        )
 
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_deterministic_channels_match_unitary_interference(self, p):
@@ -311,7 +322,7 @@ class TestDecoherenceChannels:
     def test_bitflip_keeps_success(self):
         spec = GroverSpec(4, 2)
         uni = grover_unitaries(spec)
-        exact = grover_success(density_from_state(uni.full[:, 0]), spec.alpha)
+        exact = grover_success(density_from_state(circuit_unitary(uni.circuit)[:, 0]), spec.alpha)
         for p in (0.2, 0.5, 0.9):
             chans = decoherence_channels(uni, ErrorModel(BITFLIP, p, (0, 1, 2, 3)))
             assert abs(grover_success(chans.final_state, spec.alpha) - exact) < 1e-9
@@ -331,7 +342,7 @@ class TestDecoherenceChannels:
             grover_unitaries(GroverSpec(4, 0)),
             shor_unitaries(ShorSpec.for_modulus(3, 2)),
         ):
-            dim = uni.full.shape[0]
+            dim = 1 << uni.circuit.n
             walsh = circuit_unitary(Circuit(uni.circuit.n, uni.circuit.ops[: uni.layer_width]))
             rho = walsh @ basis_density(dim) @ walsh.conj().T
             ch = layered_error_channel(
@@ -349,7 +360,9 @@ class TestDecoherencePoint:
         model = ErrorModel(PHASEFLIP, 0.3, (0, 1, 2))
         explicit = interference_kraus(decoherence_channels(uni, model).potentially_available)
         swapped = ErrorModel(BITFLIP, 0.3, (0, 1, 2))
-        formula = interference_noise_then_unitary(pauli_noise_kernel(uni.full), swapped)
+        formula = interference_noise_then_unitary(
+            pauli_noise_kernel(circuit_unitary(uni.circuit)), swapped
+        )
         assert explicit == pytest.approx(3.4308712137, abs=1e-9)
         assert formula == pytest.approx(2.8068842775, abs=1e-9)
         with pytest.raises(ValueError, match="exact initial Hadamard layer"):
@@ -368,8 +381,8 @@ class TestDecoherencePoint:
         uni = grover_unitaries(GroverSpec(3, 1))
         k_full, k_rest = uni.full_kernel, uni.rest_kernel
         assert uni.full_kernel is k_full and uni.rest_kernel is k_rest
-        for kernel, u in ((k_full, uni.full), (k_rest, uni.rest)):
-            expected = pauli_noise_kernel(u)
+        for kernel, circuit in ((k_full, uni.circuit), (k_rest, uni.rest_circuit)):
+            expected = pauli_noise_kernel(circuit_unitary(circuit))
             assert kernel.sum_a2 == expected.sum_a2
             for field in ("fa2", "autocorr", "q"):
                 assert getattr(kernel, field).tobytes() == getattr(expected, field).tobytes()
@@ -493,33 +506,15 @@ class TestMixtureTable:
             for affected in [layer[:1], layer[:m // 2], layer, layer[1::2], (layer[-1], layer[0])]:
                 model = ErrorModel(PHASEFLIP, p, affected)
                 fast = decoherent_final_probabilities(uni, model)
-                oracle = phaseflip_mixture(uni.full, model)
+                oracle = phaseflip_mixture(circuit_unitary(uni.circuit), model)
                 np.testing.assert_allclose(
                     fast, oracle, rtol=1e-12, atol=1e-12, err_msg=str(affected)
                 )
 
-    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "perturbed"])
-    @pytest.mark.parametrize(
-        "spec",
-        [GroverSpec(n, 1) for n in range(2, 9)]
-        + [ShorSpec.for_modulus(R, a) for R, a in [(3, 1), (3, 2)] + [(7, a) for a in range(1, 7)]],
-        ids=lambda spec: f"grover-{spec.n}" if isinstance(spec, GroverSpec) else f"shor-{spec.R}-{spec.a}",
-    )
-    def test_one_gather_is_the_column_table(self, spec, exact):
-        if isinstance(spec, GroverSpec):
-            circuit = build_grover(spec, None if exact else grover_angles(spec, "random"))
-        else:
-            circuit = build_shor(spec) if exact else perturbed_shor(spec.L, spec.R, spec.a)[0]
-        uni = AlgorithmUnitaries(circuit, spec.layer_width)
-        shift = circuit.n - spec.layer_width
-        columns = [np.abs(uni.full[:, s << shift]) ** 2 for s in range(1 << spec.layer_width)]
-        assert uni.mixture_table.flags.c_contiguous
-        assert uni.mixture_table.tobytes() == np.array(columns).tobytes()
-
     def test_table_built_once(self, mixture_unitaries):
         uni = mixture_unitaries[0]
         assert uni.mixture_table is uni.mixture_table
-        assert uni.mixture_table.shape == (1 << uni.layer_width, uni.full.shape[0])
+        assert uni.mixture_table.shape == (1 << uni.layer_width, 1 << uni.circuit.n)
 
     def test_refuses_layer_off_the_leading_qubits(self):
         # a layer on qubits 1, 2: hit masks are not rows s << (n - m) of a table
@@ -533,6 +528,70 @@ class TestMixtureTable:
             decoherent_final_probabilities(shor, ErrorModel(PHASEFLIP, 0.3, (0, shor.circuit.n - 1)))
 
 
+ROW_SPECS = [GroverSpec(n, 1) for n in range(2, 9)] + [
+    ShorSpec.for_modulus(R, a) for R in (3, 5, 7) for a in range(1, R) if math.gcd(a, R) == 1
+]
+
+
+class TestRowsRoute:
+    """Every reduction of a view reads its representative rows and gives the
+    bytes of the same reduction of the dense unitary: sum |U|^4 (with I), the
+    four kernel fields, and for U_full the mixture table and column 0."""
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "perturbed"])
+    @pytest.mark.parametrize(
+        "spec",
+        ROW_SPECS,
+        ids=lambda spec: f"grover-{spec.n}" if isinstance(spec, GroverSpec) else f"shor-{spec.R}-{spec.a}",
+    )
+    def test_same_bytes_as_dense(self, spec, exact):
+        grover = isinstance(spec, GroverSpec)
+        if grover:
+            circuit = build_grover(spec, None if exact else grover_angles(spec, "random"))
+        else:
+            circuit = build_shor(spec) if exact else perturbed_shor(spec.L, spec.R, spec.a)[0]
+        uni = AlgorithmUnitaries(circuit, spec.layer_width)
+        u = circuit_unitary(circuit)
+        shift = circuit.n - spec.layer_width
+        columns = [np.abs(u[:, s << shift]) ** 2 for s in range(1 << spec.layer_width)]
+        assert uni.mixture_table.flags.c_contiguous
+        assert uni.mixture_table.tobytes() == np.array(columns).tobytes()
+        assert uni.output_probabilities.tobytes() == (np.abs(u[:, 0]) ** 2).tobytes()
+        for c, view in ((circuit, "full_rows"), (uni.rest_circuit, "rest_rows")):
+            u = circuit_unitary(c)
+            rows, copies = getattr(uni, view)
+            assert copies == (1 if grover else 1 << spec.L)
+            assert rows.tobytes() == u[::copies].tobytes()
+            assert _unitary_interference(rows, copies).hex() == interference_unitary(u).hex()
+            assert same_kernel(pauli_noise_kernel(rows, copies), pauli_noise_kernel_every_row(u))
+
+
+class TestRepresentativeRows:
+    """``representative_rows`` checks the XOR promise of the rows it takes."""
+
+    @pytest.mark.parametrize("copies", [0, -2, 3, 6, 128])
+    def test_copies_must_be_a_power_of_two_dividing_n(self, copies):
+        u = circuit_unitary(build_shor(ShorSpec(2, 3, 2)))  # N = 64
+        with pytest.raises(ValueError, match="power of two"):
+            representative_rows(u, copies)
+
+    def test_rows_that_are_not_shifts_refused(self):
+        with pytest.raises(ValueError, match="XOR-shifted"):
+            representative_rows(circuit_unitary(build_grover(GroverSpec(4, 3))), 2)
+        u = circuit_unitary(build_shor(ShorSpec(2, 3, 2)))
+        row = 3  # the last of the first run of 4
+        col = int(np.argmax(np.abs(u[row])))
+        u[row, col] *= 1 + 2.0**-52
+        with pytest.raises(ValueError, match="XOR-shifted"):
+            representative_rows(u, 4)
+
+    def test_one_copy_is_the_matrix(self):
+        u = circuit_unitary(build_grover(GroverSpec(4, 3)))
+        assert representative_rows(u, 1) is u
+        rows = representative_rows(circuit_unitary(build_shor(ShorSpec(2, 3, 2))), 4)
+        assert rows.base is None and rows.shape == (16, 64)
+
+
 class TestOutputProbabilities:
     """|U_full[:, 0]|^2 is read once per set of views: every bit-flip point
     and the Shor decoherence sweep's ideal distribution are that one array."""
@@ -540,7 +599,7 @@ class TestOutputProbabilities:
     def test_one_read_only_array(self, mixture_unitaries):
         for uni in mixture_unitaries:
             probs = uni.output_probabilities
-            assert probs.tobytes() == (np.abs(uni.full[:, 0]) ** 2).tobytes()
+            assert probs.tobytes() == (np.abs(circuit_unitary(uni.circuit)[:, 0]) ** 2).tobytes()
             assert not probs.flags.writeable
             layer = tuple(range(uni.layer_width))
             for p in (0.0, 0.3, 1.0):
@@ -569,7 +628,9 @@ class TestOutputProbabilities:
         assert not ideal.flags.writeable
 
     def test_shor_bitflip_sweep_checks_the_ideal(self, monkeypatch):
-        halved = functools.cached_property(lambda uni: np.abs(uni.full[:, 0]) ** 2 / 2)
+        halved = functools.cached_property(
+            lambda uni: np.abs(circuit_unitary(uni.circuit)[:, 0]) ** 2 / 2
+        )
         halved.__set_name__(AlgorithmUnitaries, "output_probabilities")
         monkeypatch.setattr(AlgorithmUnitaries, "output_probabilities", halved)
         spec = ExperimentSpec(

@@ -374,14 +374,14 @@ class TestKernelMatchesGateByGate:
         full = build_grover(spec, grover_angles(spec, "random"))
         _, rest = with_rest(full, spec)
         uni = AlgorithmUnitaries(full, spec.layer_width)
-        assert same_bytes(uni.rest, circuit_unitary_gate_by_gate(rest))
+        assert same_bytes(circuit_unitary(uni.rest_circuit), circuit_unitary_gate_by_gate(rest))
 
     @pytest.mark.parametrize("L, R, a", [(2, 3, 2), (3, 7, 3)])
     def test_shor_rest_view(self, L, R, a):
         full, spec = perturbed_shor(L, R, a)
         _, rest = with_rest(full, spec)
         uni = AlgorithmUnitaries(full, spec.layer_width)
-        assert same_bytes(uni.rest, circuit_unitary_gate_by_gate(rest))
+        assert same_bytes(circuit_unitary(uni.rest_circuit), circuit_unitary_gate_by_gate(rest))
 
     def test_peak_memory_is_one_output(self, monkeypatch):
         # the oracle holds two N x N stacks at once and fails this bound
@@ -526,15 +526,15 @@ class TestXorSplitRoute:
     def test_grover_views_are_one_class(self, n, splits):
         spec = GroverSpec(n, (1 << n) - 2)
         uni = grover_unitaries(spec)
-        uni.full, uni.rest, uni.full_kernel, uni.rest_kernel
-        circuits = [uni.circuit, uni.rest_circuit]
-        assert [c for c, _ in splits] == circuits * 2
+        uni.full_kernel, uni.rest_kernel
+        # each view's rows split its circuit for xor_row_copies and for circuit_unitary
+        assert [c for c, _ in splits] == [uni.circuit] * 2 + [uni.rest_circuit] * 2
         assert all(is_one_class(c, split) for c, split in splits)
 
     def test_shor_views_split_at_the_first_register(self, splits):
         uni = shor_unitaries(ShorSpec(3, 5, 2))
-        uni.full, uni.rest, uni.full_kernel, uni.rest_kernel
-        assert [c for c, _ in splits] == [uni.circuit, uni.rest_circuit] * 2
+        uni.full_kernel, uni.rest_kernel
+        assert [c for c, _ in splits] == [uni.circuit] * 2 + [uni.rest_circuit] * 2
         assert all(is_xor_split(c, split, 6) for c, split in splits)
 
     def test_split_drops_an_identity_permutation(self):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import asdict
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from qimeter.algorithms import (
 )
 from qimeter.channels import BITFLIP, PHASEFLIP, ErrorModel
 from qimeter.errors import SizeLimitError
+from qimeter.gates import circuit_unitary
 from qimeter.harness import (
     DecoherenceErrors,
     ExperimentSpec,
@@ -375,7 +377,28 @@ class TestDecoherenceSweep:
             with pytest.raises(ValueError, match="exact initial Hadamard layer"):
                 run_decoherence_sweep(spec)
         assert built == {"circuit_unitary": 0, "pauli_noise_kernel": 0}
-        assert not {"full", "rest", "mixture_table", "output_probabilities"} & set(vars(uni))
+        assert not {"full_rows", "rest_rows", "mixture_table", "output_probabilities"} & set(vars(uni))
+
+    @pytest.mark.parametrize(
+        "algorithm", [ShorSpec.for_modulus(7, 3), GroverSpec(4, 1)], ids=["shor", "grover"]
+    )
+    def test_one_dense_unitary_alive_at_a_time(self, algorithm, monkeypatch):
+        # each view's dense unitary is gone before the next one is built and
+        # when the sweep returns; Grover's rows are the whole matrix
+        dense = []
+        original = algorithms.circuit_unitary
+
+        def tracked(circuit):
+            assert [ref() for ref in dense] == [None] * len(dense)
+            u = original(circuit)
+            dense.append(weakref.ref(u))
+            return u
+
+        monkeypatch.setattr(algorithms, "circuit_unitary", tracked)
+        errors = DecoherenceErrors(PHASEFLIP, (0.0, 0.5), (1, 2), "all")
+        run_decoherence_sweep(ExperimentSpec(algorithm, errors, measure_au=True))
+        assert len(dense) == 2
+        assert [ref() for ref in dense] == [None, None]
 
     def test_output_independent_of_blas_threads(self, tmp_path):
         # the class sums reduce through bincount, 1-D dots and elementwise
@@ -440,8 +463,8 @@ ORACLE_ALGORITHMS = (
 def _oracle_views(algorithm):
     grover = isinstance(algorithm, GroverSpec)
     views = grover_unitaries(algorithm) if grover else shor_unitaries(algorithm)
-    kernels = (pauli_noise_kernel_unblocked(views.full), pauli_noise_kernel_unblocked(views.rest))
-    return views, kernels
+    full, rest = circuit_unitary(views.circuit), circuit_unitary(views.rest_circuit)
+    return views, full, (pauli_noise_kernel_unblocked(full), pauli_noise_kernel_unblocked(rest))
 
 
 @functools.cache
@@ -449,10 +472,10 @@ def _oracle_point(algorithm, kind, affected, p):
     """(I_pa, I_au, success) of one decoherence point: the explicit Kraus
     channels where N <= 64, else the per-index weights on unblocked kernels
     and the column-by-column mixture."""
-    views, (full_kernel, rest_kernel) = _oracle_views(algorithm)
+    views, full, (full_kernel, rest_kernel) = _oracle_views(algorithm)
     model = ErrorModel(kind, p, affected)
-    ideal = np.abs(views.full[:, 0]) ** 2
-    if views.full.shape[0] <= 64:
+    ideal = np.abs(full[:, 0]) ** 2
+    if full.shape[0] <= 64:
         channels = decoherence_channels(views, model)
         pa = interference_kraus(channels.potentially_available)
         au = interference_kraus(channels.actually_used)
@@ -462,7 +485,7 @@ def _oracle_point(algorithm, kind, affected, p):
         pa = noise_then_unitary_per_index(full_kernel, swapped)
         au = noise_then_unitary_per_index(rest_kernel, model)
         # bit flips leave the post-layer state |+...+> as it is
-        observed = ideal if kind == BITFLIP else phaseflip_mixture(views.full, model)
+        observed = ideal if kind == BITFLIP else phaseflip_mixture(full, model)
     if isinstance(algorithm, GroverSpec):
         return pa, au, observed[algorithm.alpha]
     return pa, au, min(max(1.0 - 0.5 * np.sum(np.abs(ideal - observed)), 0.0), 1.0)

@@ -29,6 +29,7 @@ from qimeter.algorithms import (
     build_grover,
     build_shor,
     grover_unitaries,
+    representative_rows,
     shor_unitaries,
 )
 from qimeter.channels import BITFLIP, PHASEFLIP, ErrorModel, KrausChannel
@@ -415,9 +416,9 @@ class TestKernelBlocks:
     )
     @pytest.mark.parametrize("view", ["full", "rest"])
     def test_blocks_fit_the_budget(self, uni, view, monkeypatch):
-        u = getattr(uni, view)
         circuit = uni.circuit if view == "full" else uni.rest_circuit
-        reps = u.shape[0] // xor_row_copies(circuit)
+        u, copies = circuit_unitary(circuit), xor_row_copies(circuit)
+        reps = u.shape[0] // copies
         sizes = []
 
         def recording(a):
@@ -425,7 +426,7 @@ class TestKernelBlocks:
             return _wht_last(a)
 
         monkeypatch.setattr(interference, "_wht_last", recording)
-        kernel = pauli_noise_kernel(u, xor_row_copies(circuit))
+        kernel = pauli_noise_kernel(representative_rows(u, copies), copies)
         monkeypatch.undo()
         assert same_kernel(kernel, pauli_noise_kernel_every_row(u))
         assert max(sizes) <= WHT_BLOCK_BYTES
@@ -441,7 +442,7 @@ class TestRowCopies:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_grover_takes_one_copy(self, n):
         uni = grover_unitaries(GroverSpec(n, (1 << n) - 2))
-        for u in (uni.full, uni.rest):
+        for u in map(circuit_unitary, (uni.circuit, uni.rest_circuit)):
             assert same_kernel(pauli_noise_kernel(u, 1), pauli_noise_kernel_every_row(u))
 
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "perturbed"])
@@ -450,8 +451,9 @@ class TestRowCopies:
         spec = ShorSpec.for_modulus(R, a)
         full = build_shor(spec) if exact else perturbed_shor(spec.L, R, a)[0]
         for c in with_rest(full, spec):
-            u = circuit_unitary(c)
-            assert same_kernel(pauli_noise_kernel(u, 1 << spec.L), pauli_noise_kernel_every_row(u))
+            u, copies = circuit_unitary(c), 1 << spec.L
+            rows = representative_rows(u, copies)
+            assert same_kernel(pauli_noise_kernel(rows, copies), pauli_noise_kernel_every_row(u))
 
     def test_random_xor_split_circuits(self):
         rng = np.random.default_rng(17)
@@ -459,7 +461,8 @@ class TestRowCopies:
             c = xor_split_circuit(rng)
             u, copies = circuit_unitary(c), xor_row_copies(c)
             assert copies > 1
-            assert same_kernel(pauli_noise_kernel(u, copies), pauli_noise_kernel_every_row(u)), c.ops
+            rows = representative_rows(u, copies)
+            assert same_kernel(pauli_noise_kernel(rows, copies), pauli_noise_kernel_every_row(u)), c.ops
 
     @pytest.mark.parametrize("rows", [1, 2, 3])
     def test_row_blocks(self, rows, monkeypatch):
@@ -468,23 +471,16 @@ class TestRowCopies:
         for c in with_rest(build_shor(spec), spec):
             u = circuit_unitary(c)
             monkeypatch.setattr(interference, "WHT_BLOCK_BYTES", rows * u.shape[0] * u.itemsize)
-            assert same_kernel(pauli_noise_kernel(u, 8), pauli_noise_kernel_every_row(u))
+            reps = representative_rows(u, 8)
+            assert same_kernel(pauli_noise_kernel(reps, 8), pauli_noise_kernel_every_row(u))
 
-    @pytest.mark.parametrize("copies", [0, -2, 3, 6, 128])
-    def test_copies_must_be_a_power_of_two_dividing_n(self, copies):
+    @pytest.mark.parametrize("copies, rows", [(0, 64), (-2, 64), (3, 64), (4, 64), (4, 8)])
+    def test_rows_must_make_n_by_n(self, copies, rows):
+        # the rows' XOR promise is checked where they are taken
+        # (``algorithms.representative_rows``); the kernel checks their shape
         u = circuit_unitary(build_shor(ShorSpec(2, 3, 2)))  # N = 64
-        with pytest.raises(ValueError, match="power of two"):
-            pauli_noise_kernel(u, copies)
-
-    def test_rows_that_are_not_shifts_refused(self):
-        with pytest.raises(ValueError, match="XOR-shifted"):
-            pauli_noise_kernel(grover_unitaries(GroverSpec(4, 3)).full, 2)
-        u = circuit_unitary(build_shor(ShorSpec(2, 3, 2)))
-        row = 3  # the last of the first run of 4
-        col = int(np.argmax(np.abs(u[row])))
-        u[row, col] *= 1 + 2.0**-52
-        with pytest.raises(ValueError, match="XOR-shifted"):
-            pauli_noise_kernel(u, 4)
+        with pytest.raises(ValueError, match="do not make N x N"):
+            pauli_noise_kernel(u[:rows], copies)
 
 
 class TestClassSums:
