@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .gates import (
     angle_list,
     circuit_apply,
     circuit_unitary,
+    layer_view_rows,
     qft_circuit,
     xor_row_copies,
 )
@@ -232,7 +233,8 @@ class AlgorithmUnitaries:
     ``full_rows`` and ``rest_rows`` are (rows, copies) pairs, each from one
     ``circuit_unitary`` call whose dense result is dropped once
     ``representative_rows`` has taken its rows (Grover's rows are the whole
-    matrix).  Every measure reduces those rows, and each view and reduction
+    matrix), unless ``stacked_unitaries`` took them from a stacked pass.
+    Every measure reduces those rows, and each view and reduction
     is built the first time a measure reads it, so I_pa alone never builds
     U_rest or its kernel.  Building one view's rows drops the other's, so
     one dense unitary is alive at a time: a caller reads every reduction of
@@ -315,6 +317,50 @@ class AlgorithmUnitaries:
         table = np.abs(cols, out=np.empty(cols.shape))
         table **= 2
         return table.reshape(1 << m, -1)
+
+
+# bytes of view rows per stacked pass of ``stacked_unitaries`` (DECISIONS.md,
+# "One stacked pass per sweep point")
+STACK_BYTES = 1 << 19
+
+
+def stacked_unitaries(
+    circuits: Iterable[Circuit], layer_width: int, rest: bool
+) -> Iterator[AlgorithmUnitaries]:
+    """``AlgorithmUnitaries`` of each of ``circuits``, in order, with U_full's
+    rows and, with ``rest``, U_rest's already taken from ``layer_view_rows``
+    passes over as many circuits as fit ``STACK_BYTES``; the circuits differ
+    only in diagonal phases after the layer.  How many fit depends only on
+    the circuits' size.  If one circuit's views do not fit, each is built
+    on first read, one dense view at a time, as ``AlgorithmUnitaries`` does."""
+    group, size = [], None
+    for c in circuits:  # each circuit lives only as long as its group
+        if size is None:
+            dim = 1 << c.n
+            size = STACK_BYTES // ((1 + rest) * 16 * dim * dim // xor_row_copies(c))
+        group.append(AlgorithmUnitaries(c, layer_width))
+        if len(group) >= size:  # with size 0, each item alone and unstacked
+            yield from _stacked(group, rest) if size else group
+            group = []
+    if group:
+        yield from _stacked(group, rest)
+
+
+def _stacked(group: list, rest: bool) -> Iterator[AlgorithmUnitaries]:
+    """``group`` with its views taken from one ``layer_view_rows`` pass.  An
+    item's views are dropped when the next item is asked for (a later read
+    builds them again), so the next pass runs beside no earlier view."""
+    rows, copies = layer_view_rows([u.circuit for u in group], group[0].layer_width, rest)
+    rows.reverse()
+    for unitaries in group:
+        views = rows.pop()
+        vars(unitaries)["full_rows"] = views[-1], copies
+        if rest:
+            vars(unitaries)["rest_rows"] = views[0], copies
+        del views
+        yield unitaries
+        vars(unitaries).pop("full_rows", None)
+        vars(unitaries).pop("rest_rows", None)
 
 
 def grover_unitaries(spec: GroverSpec) -> AlgorithmUnitaries:

@@ -11,7 +11,9 @@ the steps run on cached column blocks, with the gate-by-gate oracle's bytes.
 one permutation |x, y> -> |x, y XOR g(x)> on all n qubits and tail gates on
 0..m-1, and runs it on 2^m-row stacks, one column per first-register column
 and value class of g; any other circuit, each Grover circuit among them, is
-all tail on m = n qubits with one class.
+all tail on m = n qubits with one class.  ``layer_view_rows`` runs the same
+steps once for several circuits that differ only in diagonal phases, and for
+both of their views, U_full = U_rest · W and U_rest, on one column stack.
 """
 
 from __future__ import annotations
@@ -227,10 +229,48 @@ def _destinations(table: np.ndarray, targets: tuple, n: int) -> np.ndarray:
     return dest
 
 
+def _contents(n: int, ops: tuple) -> list:
+    """``_lower``'s arguments for each of ``ops`` on ``n`` qubits."""
+    last = max((i for i, g in enumerate(ops) if isinstance(g, PerturbedHadamard)), default=-1)
+    return [_content(gate, n, i > last) for i, gate in enumerate(ops)]
+
+
 def _plan(n: int, ops: tuple) -> list:
     """``ops`` on ``n`` qubits as steps, each distinct gate lowered once per process."""
-    last = max((i for i, g in enumerate(ops) if isinstance(g, PerturbedHadamard)), default=-1)
-    return [_lower(*_content(gate, n, i > last)) for i, gate in enumerate(ops)]
+    return [_lower(*content) for content in _contents(n, ops)]
+
+
+def _stack_plan(n: int, op_lists: list, shared: int = 0, skip: int | None = None) -> list:
+    """The gate lists ``op_lists``, of equal length, as one plan on ``n``
+    qubits for a stack of equal column blocks, block b for list b: a step
+    where every list lowers the same, else ``_per_block`` of each list's
+    diagonal.  ``ValueError`` naming the first position that holds anything
+    else, or a diagonal that differs among the first ``shared``.  Position
+    ``skip`` is checked but not lowered."""
+    plan = []
+    for i, column in enumerate(zip(*(_contents(n, ops) for ops in op_lists))):
+        first = column[0]
+        if all(content == first for content in column):
+            if i != skip:
+                plan.append(_lower(*first))
+        elif i >= shared and all(c[0] is DiagonalPhaseGate and c[2:] == first[2:] for c in column):
+            plan.append(_per_block([_lower(*content) for content in column]))
+        else:
+            raise ValueError(f"gate {i} differs between stacked circuits")
+    return plan
+
+
+def _per_block(diagonals: list):
+    """One step: diagonal step b of ``diagonals`` on column block b of the stack,
+    in place, the blocks of equal width."""
+
+    def multiply(s):
+        width = s.shape[1] // len(diagonals)
+        for b, step in enumerate(diagonals):
+            step(s[:, b * width : (b + 1) * width])
+        return s
+
+    return multiply
 
 
 def _run(plan: list, stack: np.ndarray) -> np.ndarray:
@@ -269,6 +309,13 @@ def xor_row_copies(c: Circuit) -> int:
     return 1 << (c.n - _xor_split(c)[2])
 
 
+def _by_class(g: np.ndarray, tails: int, columns: np.ndarray, zero: np.ndarray) -> np.ndarray:
+    """Column (..., x0, y0) holds ``columns[:, ..., x0]`` on the rows x where
+    g(x) = y0 and ``zero[:, ..., 0]`` on the others, y0 = 0..tails-1."""
+    ours = (g[:, None] == np.arange(tails)).reshape(len(g), *(1,) * (columns.ndim - 1), tails)
+    return np.where(ours, columns[..., None], zero[..., None])
+
+
 def circuit_unitary(c: Circuit) -> np.ndarray:
     """Dense unitary of the circuit (later gates multiply from the left), run
     on blocks of first-register columns of its ``_xor_split`` (columns never
@@ -287,8 +334,8 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     width = max(1, GATE_BLOCK_BYTES // (16 * dim))  # x0 per block, all classes each
     for x0 in range(0, heads, width):
         stack = _run(before, np.eye(heads, min(width, heads - x0), -x0, dtype=complex))
-        if k:  # column (x0, class): x0's on rows x of that class, else zero's
-            stack = np.where(g[:, None, None] == np.arange(tails), stack[..., None], zero[..., None])
+        if k:
+            stack = _by_class(g, tails, stack, zero)
         t = _run(after, stack.reshape(heads, -1)).reshape(heads, -1, *bits)
         for y in range(tails):
             # class y XOR y0 along y0: reverse the class axes of y's set bits
@@ -303,3 +350,59 @@ def circuit_apply(c: Circuit, psi: np.ndarray) -> np.ndarray:
     if psi.shape != (1 << c.n,):
         raise ValueError(f"state of dimension {psi.shape} does not match n={c.n}")
     return _run(_plan(c.n, c.ops), psi.reshape(-1, 1)).reshape(-1)
+
+
+def _before_tail(layer, before, g, tails, count, views) -> np.ndarray:
+    """``layer_view_rows``' stack for the tail: ``count`` blocks of ``views``
+    views, [I | W] or [W], with W the ``layer`` steps run on I, each run
+    through ``before`` and, with classes (``tails`` > 1), spread to the
+    class columns.  Its caller hands it to ``_run`` without a name, so no
+    step's input outlives that step."""
+    # with classes, column 0 of each view is the zero column of _by_class
+    heads, shift = len(g), int(tails > 1)
+    w = _run(layer, np.eye(heads, heads + shift, shift, dtype=complex))
+    stack = np.zeros((heads, count, views, heads + shift), dtype=complex)
+    stack[:, :, -1] = w[:, None]
+    del w
+    if views > 1:
+        diagonal = np.arange(heads)
+        stack[diagonal, :, 0, diagonal + shift] = 1
+    stack = _run(before, stack.reshape(heads, -1)).reshape(heads, -1, heads + shift)
+    if tails > 1:
+        stack = _by_class(g, tails, stack[..., 1:], stack[..., :1])
+    return stack.reshape(heads, -1)
+
+
+def layer_view_rows(circuits: Sequence[Circuit], layer_width: int, rest: bool = True) -> tuple:
+    """(rows, copies): the representative rows (``xor_row_copies``) of every
+    circuit's unitary U_full = U_rest · W and, with ``rest``, of its U_rest,
+    from one column-stacked pass, each its own C-contiguous array,
+    ``tobytes()``-equal to ``circuit_unitary``'s; ``rows[c][-1]`` is U_full's
+    of ``circuits[c]``, ``rows[c][0]`` U_rest's.  W is the first
+    ``layer_width`` gates, shared.
+
+    Columns never mix, so the stack [I | W] of each circuit, W the layer's
+    steps run on I, goes once through the rest gates: the head, the class
+    columns and the tail of the rest circuit's ``_xor_split``, which must
+    hold the layer in its first register.  The circuits must have equal n,
+    equal gate counts and the same gates but for diagonal phases outside the
+    layer (else ``ValueError``, naming the position): each step they share
+    runs once on every column, and each differing diagonal on its own
+    circuit's block (DECISIONS.md, "One stacked pass per sweep point")."""
+    first = circuits[0]
+    for c in circuits[1:]:
+        if c.n != first.n:
+            raise ValueError(f"stacked circuits on {first.n} and {c.n} qubits")
+        if len(c.ops) != len(first.ops):
+            raise ValueError(f"stacked circuits of {len(first.ops)} and {len(c.ops)} gates")
+    head, _, m, g = _xor_split(Circuit(first.n, first.ops[layer_width:]))
+    if any(t >= m for op in first.ops[:layer_width] for t in op.targets):
+        raise ValueError(f"the layer acts outside the first register, qubits 0..{m - 1}")
+    k = first.n - m
+    heads, tails, views = 1 << m, 1 << k, 1 + rest
+    cut = layer_width + len(head)  # the XOR permutation, whose step is the class columns
+    plan = _stack_plan(m, [c.ops for c in circuits], layer_width, cut if k else None)
+    layer, before, after = plan[:layer_width], plan[layer_width:cut], plan[cut:]
+    rows = _run(after, _before_tail(layer, before, g, tails, len(circuits), views))
+    rows = rows.reshape(heads, len(circuits), views, -1)
+    return [[np.array(rows[:, c, v]) for v in range(views)] for c in range(len(circuits))], tails

@@ -25,7 +25,6 @@ from typing import Sequence, Union, get_args, get_type_hints
 import numpy as np
 
 from .algorithms import (
-    AlgorithmUnitaries,
     DecoherencePoint,
     GroverSpec,
     ShorSpec,
@@ -38,6 +37,7 @@ from .algorithms import (
     grover_unitaries,
     shor_success,
     shor_unitaries,
+    stacked_unitaries,
 )
 from .channels import BITFLIP, PHASEFLIP
 from .errors import SizeLimitError, as_int
@@ -235,16 +235,24 @@ def _unitary_point(spec, ideal, thetas, deltas=None):
     """Mean (I_pa, I_au, success) over the marked items at one angle
     assignment, each weighted as ``_marked_items`` says.  U_full's rows
     give I_pa, and its column 0 (the image of |0...0>) the output
-    distribution; U_rest is built after them, and only for I_au."""
+    distribution; U_rest only I_au, so it is built only when the spec
+    measures it.  The items' circuits differ only in the oracle, so
+    ``stacked_unitaries`` builds the views of as many of them as fit in
+    one stacked pass (both views together when I_au is measured), or, when
+    one item's views do not fit, one dense view at a time, U_full first."""
     algo = spec.algorithm
     items = _marked_items(spec, thetas)
+
+    def circuits():
+        for alpha, _ in items:
+            if alpha is None:
+                yield build_shor(algo, thetas, deltas)
+            else:
+                yield build_grover(replace(algo, alpha=alpha), thetas)
+
     i_pa = i_au = success = 0.0
-    for alpha, weight in items:
-        if alpha is None:
-            circuit = build_shor(algo, thetas, deltas)
-        else:
-            circuit = build_grover(replace(algo, alpha=alpha), thetas)
-        unitaries = AlgorithmUnitaries(circuit, algo.layer_width)
+    views = stacked_unitaries(circuits(), algo.layer_width, spec.measure_au)
+    for (alpha, weight), unitaries in zip(items, views):
         i_pa += weight * _unitary_interference(*unitaries.full_rows)
         success += weight * _success(ideal, unitaries.output_probabilities, alpha)
         if spec.measure_au:

@@ -1,6 +1,8 @@
 import functools
+import itertools
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from qimeter.algorithms import (
     representative_rows,
     shor_success,
     shor_unitaries,
+    stacked_unitaries,
 )
 from qimeter.channels import BITFLIP, PHASEFLIP, ErrorModel
 from qimeter.errors import SizeLimitError
@@ -46,6 +49,7 @@ from qimeter.gates import (
     PerturbedHadamard,
     circuit_apply,
     circuit_unitary,
+    xor_row_copies,
 )
 from qimeter.interference import (
     _unitary_interference,
@@ -564,6 +568,103 @@ class TestRowsRoute:
             assert rows.tobytes() == u[::copies].tobytes()
             assert _unitary_interference(rows, copies).hex() == interference_unitary(u).hex()
             assert same_kernel(pauli_noise_kernel(rows, copies), pauli_noise_kernel_every_row(u))
+
+
+STACK_THETAS = (0.0, 0.37, math.pi / 4, 1.1, math.pi / 2)
+
+
+def assert_stacked_views(circuits, layer_width, rest) -> list:
+    """Each ``stacked_unitaries`` view taken from a stacked pass has the bytes
+    of ``circuit_unitary``'s representative rows of that view's circuit, and
+    U_rest is taken only with ``rest``; a circuit whose views were not stacked
+    has no view built yet.  Returns which circuits were stacked."""
+    stacked = []
+    for c, uni in itertools.zip_longest(circuits, stacked_unitaries(circuits, layer_width, rest)):
+        assert uni.circuit is c and uni.layer_width == layer_width
+        stacked.append("full_rows" in vars(uni))
+        if not stacked[-1]:
+            assert not {"full_rows", "rest_rows"} & set(vars(uni))
+            continue
+        copies = xor_row_copies(c)
+        rows = representative_rows(circuit_unitary(c), copies)
+        assert uni.full_rows[1] == copies and uni.full_rows[0].tobytes() == rows.tobytes()
+        assert uni.output_probabilities.tobytes() == (np.abs(rows[:, :copies]) ** 2).tobytes()
+        assert ("rest_rows" in vars(uni)) == rest
+        if rest:
+            rows = representative_rows(circuit_unitary(uni.rest_circuit), copies)
+            assert uni.rest_rows[1] == copies and uni.rest_rows[0].tobytes() == rows.tobytes()
+    return stacked
+
+
+class TestStackedUnitaries:
+    """The circuits of one sweep point share every gate but the oracle, so
+    ``stacked_unitaries`` takes their views from stacked passes of as many
+    circuits as ``STACK_BYTES`` holds, each view with ``circuit_unitary``'s
+    bytes, and leaves a circuit whose views do not fit to be built lazily."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_grover_weight_classes(self, n):
+        self.assert_weight_classes(n, STACK_THETAS)
+
+    def test_grover_n8_stacks_at_four_mib(self, monkeypatch):
+        # the module's budget stacks no n = 8 view; at 4 MiB two classes share a pass
+        monkeypatch.setattr(algorithms, "STACK_BYTES", 1 << 22)
+        self.assert_weight_classes(8, (0.37,))
+
+    @staticmethod
+    def assert_weight_classes(n, thetas):
+        spec = GroverSpec(n, 0)
+        for theta in thetas:
+            angles = [theta] * spec.n_hadamards
+            circuits = [build_grover(replace(spec, alpha=(1 << w) - 1), angles) for w in range(n + 1)]
+            for rest in (True, False):
+                fit = algorithms.STACK_BYTES // ((1 + rest) * 16 << 2 * n)
+                assert assert_stacked_views(circuits, n, rest) == [bool(fit)] * (n + 1)
+
+    @pytest.mark.parametrize("eps", [0.5, math.pi])
+    def test_alpha_averaged_random_realizations(self, eps):
+        spec = GroverSpec(4, 0)
+        rng = np.random.default_rng(17)
+        for _ in range(3):
+            thetas = rng.uniform(math.pi / 4 - eps / 2, math.pi / 4 + eps / 2, spec.n_hadamards)
+            circuits = [build_grover(replace(spec, alpha=alpha), thetas) for alpha in range(16)]
+            assert all(assert_stacked_views(circuits, spec.n, True))
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "perturbed"])
+    @pytest.mark.parametrize("a", [1, 2])
+    def test_shor_every_base_of_three(self, a, exact):
+        spec = ShorSpec.for_modulus(3, a)
+        circuit = build_shor(spec) if exact else perturbed_shor(spec.L, spec.R, a)[0]
+        for rest in (True, False):
+            assert assert_stacked_views([circuit], spec.layer_width, rest) == [True]
+
+    def test_classes_split_across_stacks(self, monkeypatch):
+        # n = 6: 128 KiB of both views per class, so the seven classes take
+        # more than one pass at the module's budget, and fewer with U_full alone
+        passes = []
+        run = algorithms.layer_view_rows
+
+        def recorded(circuits, layer_width, rest):
+            passes.append(len(circuits))
+            return run(circuits, layer_width, rest)
+
+        monkeypatch.setattr(algorithms, "layer_view_rows", recorded)
+        spec = GroverSpec(6, 0)
+        thetas = [0.37] * spec.n_hadamards
+        circuits = [build_grover(replace(spec, alpha=(1 << w) - 1), thetas) for w in range(7)]
+        for rest in (True, False):
+            passes.clear()
+            assert all(assert_stacked_views(circuits, 6, rest))
+            size = algorithms.STACK_BYTES // ((1 + rest) * 16 << 12)
+            assert passes == [size] * (7 // size) + [7 % size] * (7 % size > 0)
+            assert len(passes) > 1 or not rest
+
+    def test_views_that_do_not_fit_are_built_one_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(algorithms, "STACK_BYTES", (2 * 16 << 8) - 1)
+        spec = GroverSpec(4, 0)
+        circuits = [build_grover(replace(spec, alpha=alpha)) for alpha in range(3)]
+        assert assert_stacked_views(circuits, 4, True) == [False] * 3
+        assert assert_stacked_views(circuits, 4, False) == [True] * 3
 
 
 class TestRepresentativeRows:

@@ -22,6 +22,7 @@ from qimeter.algorithms import (
     build_grover,
     build_shor,
     grover_unitaries,
+    representative_rows,
     shor_unitaries,
 )
 from qimeter.errors import SizeLimitError
@@ -32,9 +33,11 @@ from qimeter.gates import (
     PerturbedHadamard,
     circuit_apply,
     circuit_unitary,
+    layer_view_rows,
     perturbed_hadamard,
     qft_circuit,
     walsh_layer,
+    xor_row_copies,
 )
 from qimeter.harness import default_theta_grid
 from qimeter.linalg import HADAMARD, PAULI_Z, basis_state, identity
@@ -590,6 +593,95 @@ class TestXorSplitRoute:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * u.nbytes
+
+
+def edge_diagonal(rng, targets):
+    size = 1 << len(targets)
+    return DiagonalPhaseGate(np.where(rng.random(size) < 0.5, 1.0, rng.choice(EDGE_PHASES, size)), targets)
+
+
+def stacked_family(rng, count):
+    """(circuits, m): ``count`` circuits that share a layer of edge-angle
+    Hadamards on qubits 0..m-1 and every later gate but the diagonals, which
+    each circuit draws anew (``edge_ops``' phases, half of them 1).  Half the
+    time an XOR permutation onto k more qubits sits among the later gates;
+    a diagonal on the whole first register closes each circuit."""
+    m, k = int(rng.integers(1, 5)), int(rng.integers(1, 3)) * int(rng.random() < 0.5)
+    layer = [PerturbedHadamard(float(rng.choice(EDGE_ANGLES)), q) for q in range(m)]
+    later = edge_ops(rng, m, int(rng.integers(1, 10)))
+    if k:
+        xor = PermutationGate(xor_table(m, k, rng.integers(0, 1 << k, 1 << m)), tuple(range(m + k)))
+        later.insert(int(rng.integers(0, len(later) + 1)), xor)
+    later.append(edge_diagonal(rng, tuple(range(m))))
+
+    def redrawn(op):
+        return edge_diagonal(rng, op.targets) if isinstance(op, DiagonalPhaseGate) else op
+
+    return [Circuit(m + k, (*layer, *map(redrawn, later))) for _ in range(count)], m
+
+
+def assert_views_match(circuits, layer_width, rest):
+    """Every view of ``layer_view_rows`` has the bytes of ``circuit_unitary``'s
+    representative rows of that view's circuit."""
+    rows, copies = layer_view_rows(circuits, layer_width, rest)
+    assert [len(views) for views in rows] == [1 + rest] * len(circuits)
+    for c, views in zip(circuits, rows):
+        assert copies == xor_row_copies(c)
+        assert same_bytes(views[-1], representative_rows(circuit_unitary(c), copies)), c.ops
+        if rest:
+            rest_unitary = circuit_unitary(Circuit(c.n, c.ops[layer_width:]))
+            assert same_bytes(views[0], representative_rows(rest_unitary, copies)), c.ops
+
+
+class TestLayerViewRows:
+    """One column-stacked pass gives each view of each circuit the bytes of
+    its own ``circuit_unitary`` call, and refuses circuits that differ in
+    anything but a diagonal's phases after the layer."""
+
+    @pytest.mark.parametrize("rest", [True, False], ids=["both", "full"])
+    def test_edge_families(self, rest):
+        rng = np.random.default_rng(23)
+        for _ in range(150):
+            assert_views_match(*stacked_family(rng, int(rng.integers(1, 5))), rest)
+
+    @pytest.mark.parametrize("L, R, a", [(2, 3, 2), (3, 7, 3)])
+    def test_perturbed_shor(self, L, R, a):
+        full, spec = perturbed_shor(L, R, a)
+        assert_views_match([full], spec.layer_width, True)
+
+    def test_refuses_another_hadamard_angle(self):
+        spec = GroverSpec(3, 0)
+        thetas = [0.37] * spec.n_hadamards
+        for position in (1, 5):  # in the layer, and after it
+            nudged = list(thetas)
+            nudged[position - (position > 3)] += 1e-9  # the oracle sits at gate 3
+            circuits = [build_grover(spec, thetas), build_grover(replace(spec, alpha=5), nudged)]
+            with pytest.raises(ValueError, match=f"gate {position} differs between stacked circuits"):
+                layer_view_rows(circuits, spec.n)
+
+    def test_refuses_another_permutation(self):
+        # bases 2 and 3 of R = 7: the modular exponentiation after the layer
+        circuits = [build_shor(ShorSpec(3, 7, a)) for a in (2, 3)]
+        with pytest.raises(ValueError, match="gate 6 differs between stacked circuits"):
+            layer_view_rows(circuits, 6)
+
+    def test_refuses_another_gate_count(self):
+        circuits = [build_grover(GroverSpec(3, 0)), build_grover(GroverSpec(3, 5, k_override=1))]
+        with pytest.raises(ValueError, match="stacked circuits of 19 and 11 gates"):
+            layer_view_rows(circuits, 3)
+
+    def test_refuses_another_register(self):
+        circuits = [build_grover(GroverSpec(3, 0)), build_grover(GroverSpec(4, 5))]
+        with pytest.raises(ValueError, match="stacked circuits on 3 and 4 qubits"):
+            layer_view_rows(circuits, 3)
+
+    def test_refuses_a_layer_outside_the_first_register(self):
+        # the XOR permutation after the layer splits off qubit 2, which the layer touches
+        xor = PermutationGate(xor_table(2, 1, np.array([0, 1, 1, 0])), (0, 1, 2))
+        layer = (PerturbedHadamard(0.3, 0), PerturbedHadamard(0.3, 2))
+        c = Circuit(3, (*layer, DiagonalPhaseGate([1, 1j, -1, 1], (0, 1)), xor))
+        with pytest.raises(ValueError, match="the layer acts outside the first register"):
+            layer_view_rows([c], 2)
 
 
 class TestKernelInputs:

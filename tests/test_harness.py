@@ -52,7 +52,7 @@ from qimeter.harness import (
     run_systematic_sweep,
     write_results,
 )
-from qimeter.interference import interference_kraus
+from qimeter.interference import _unitary_interference, interference_kraus
 
 GRID3 = (0.0, math.pi / 4, math.pi / 2)
 
@@ -282,6 +282,73 @@ class TestRandomSweep:
         )
         rows = run_random_sweep(spec, parallel=2)
         assert rows[0].interference_pa == max(r.interference_pa for r in rows)
+
+
+class TestStackedPoints:
+    """A unitary-error point takes its views from stacked passes and gives
+    the bits of one ``AlgorithmUnitaries`` per marked item, each view built
+    on its own."""
+
+    @staticmethod
+    def draws(spec, grid_index, eps, count):
+        """(thetas, deltas) of each realization, as ``_random_task`` draws them."""
+        algo = spec.algorithm
+        sampler = RandomAngleSampler(spec.master_seed, f"random:{harness._algorithm_id(algo)}")
+        for realization in range(count):
+            rng = sampler.stream(grid_index, realization)
+            thetas = rng.uniform(math.pi / 4 - eps / 2, math.pi / 4 + eps / 2, algo.n_hadamards)
+            yield thetas, rng.uniform(-eps / 2, eps / 2, algo.n_qft_phases)
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+        run = algorithms.layer_view_rows
+
+        def recorded(circuits, layer_width, rest):
+            calls.append(len(circuits))
+            return run(circuits, layer_width, rest)
+
+        monkeypatch.setattr(algorithms, "layer_view_rows", recorded)
+        return calls
+
+    def test_alpha_averaged_random_point_to_the_bit(self, passes):
+        spec = ExperimentSpec(
+            GroverSpec(4, 0), RandomErrors((0.5, 1.3, math.pi), 4), average_over_alpha=True, master_seed=9
+        )
+        for g, eps in enumerate(spec.error_family.epsilons):
+            points = harness._random_task(spec, None, (g, eps, 0, 4))
+            for point, (thetas, _) in zip(points, self.draws(spec, g, eps, 4), strict=True):
+                i_pa = i_au = success = 0.0
+                for alpha in range(16):
+                    uni = AlgorithmUnitaries(build_grover(GroverSpec(4, alpha), thetas), 4)
+                    i_pa += _unitary_interference(*uni.full_rows)
+                    success += float(uni.output_probabilities[alpha])
+                    i_au += _unitary_interference(*uni.rest_rows)
+                assert point == (i_pa / 16, i_au / 16, success / 16)
+        assert passes == [16] * 12
+
+    def test_shor_point_to_the_bit(self, passes):
+        algo = ShorSpec.for_modulus(3, 2)
+        # complex amplitudes: a success read through scalar abs(x) ** 2 moves
+        # some probabilities by an ulp, and 15 of these 80 successes with them
+        spec = ExperimentSpec(algo, RandomErrors((0.5, 1.0, 2.0, 3.0), 20), master_seed=4)
+        ideal = harness._shor_ideal(algo)
+        for g, eps in enumerate(spec.error_family.epsilons):
+            for thetas, deltas in self.draws(spec, g, eps, 20):
+                uni = AlgorithmUnitaries(build_shor(algo, thetas, deltas), algo.layer_width)
+                expected = (
+                    _unitary_interference(*uni.full_rows),
+                    _unitary_interference(*uni.rest_rows),
+                    algorithms._success_against(ideal, uni.output_probabilities),
+                )
+                assert harness._unitary_point(spec, ideal, thetas, deltas) == expected
+        assert passes == [1] * 80
+
+    def test_alpha_averaged_parallel_matches_serial(self):
+        spec = ExperimentSpec(
+            GroverSpec(4, 0), RandomErrors((0.7, 2.0), 40), average_over_alpha=True, master_seed=6
+        )
+        assert run_random_sweep(spec, parallel=1) == run_random_sweep(spec, parallel=2)
 
 
 class TestDecoherenceSweep:
