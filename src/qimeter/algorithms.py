@@ -142,29 +142,37 @@ def grover_zero_reflection(n: int) -> DiagonalPhaseGate:
 def build_grover(
     spec: GroverSpec, hadamard_thetas: Sequence[float] | None = None
 ) -> Circuit:
-    """The Grover search circuit for ``spec``.
+    """The Grover search circuit for ``spec`` (``grover_circuits``)."""
+    return next(grover_circuits(spec, (spec.alpha,), hadamard_thetas))
+
+
+def grover_circuits(
+    spec: GroverSpec, alphas: Iterable[int], hadamard_thetas: Sequence[float] | None = None
+) -> Iterator[Circuit]:
+    """The Grover search circuit of ``spec`` with marked item alpha, for
+    each of ``alphas`` in turn, each built when it is asked for.
 
     The circuit is the initial Hadamard layer followed by ``k`` iterations
     of [oracle, layer, zero reflection, layer].  ``hadamard_thetas`` gives
     one angle per Hadamard position in that order (``spec.n_hadamards``
-    angles, default pi/4 everywhere).
+    angles, default pi/4 everywhere).  Every circuit holds the same
+    Hadamard and zero-reflection objects and its own oracle, so a stacked
+    pass (``gates.layer_view_rows``) knows them shared by identity.
     """
     n, k = spec.n, spec.iterations
     label = f"Hadamard angles (n + 2nk for n={n}, k={k})"
     angles = iter(angle_list(hadamard_thetas, spec.n_hadamards, math.pi / 4, label))
-
-    def layer():
-        return [PerturbedHadamard(next(angles), q) for q in range(n)]
-
-    ops = layer()
-    r1 = grover_oracle(n, spec.alpha)
+    layers = [[PerturbedHadamard(next(angles), q) for q in range(n)] for _ in range(2 * k + 1)]
     r2 = grover_zero_reflection(n)
-    for _ in range(k):
-        ops.append(r1)
-        ops.extend(layer())
-        ops.append(r2)
-        ops.extend(layer())
-    return Circuit(n, tuple(ops))
+    for alpha in alphas:
+        ops = list(layers[0])
+        r1 = grover_oracle(n, GroverSpec(n, alpha).alpha)  # alpha checked
+        for i in range(k):
+            ops.append(r1)
+            ops.extend(layers[2 * i + 1])
+            ops.append(r2)
+            ops.extend(layers[2 * i + 2])
+        yield Circuit(n, tuple(ops))
 
 
 def modexp_permutation(spec: ShorSpec) -> PermutationGate:

@@ -59,7 +59,8 @@ class PermutationGate:
     targets: tuple
 
     def __post_init__(self):
-        table = np.asarray(self.table, dtype=np.int64)
+        table = np.array(self.table, dtype=np.int64)  # our own read-only copy
+        table.flags.writeable = False
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "targets", tuple(self.targets))
         if table.shape != (1 << len(self.targets),):
@@ -79,7 +80,8 @@ class DiagonalPhaseGate:
     targets: tuple
 
     def __post_init__(self):
-        phases = np.asarray(self.phases, dtype=complex)
+        phases = np.array(self.phases, dtype=complex)  # our own read-only copy
+        phases.flags.writeable = False
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "targets", tuple(self.targets))
         if phases.shape != (1 << len(self.targets),):
@@ -229,15 +231,9 @@ def _destinations(table: np.ndarray, targets: tuple, n: int) -> np.ndarray:
     return dest
 
 
-def _contents(n: int, ops: tuple) -> list:
-    """``_lower``'s arguments for each of ``ops`` on ``n`` qubits."""
-    last = max((i for i, g in enumerate(ops) if isinstance(g, PerturbedHadamard)), default=-1)
-    return [_content(gate, n, i > last) for i, gate in enumerate(ops)]
-
-
-def _plan(n: int, ops: tuple) -> list:
-    """``ops`` on ``n`` qubits as steps, each distinct gate lowered once per process."""
-    return [_lower(*content) for content in _contents(n, ops)]
+def _last_hadamard(ops: tuple) -> int:
+    """The position of the last ``PerturbedHadamard`` in ``ops``, or -1."""
+    return next((i for i in reversed(range(len(ops))) if isinstance(ops[i], PerturbedHadamard)), -1)
 
 
 def _stack_plan(n: int, op_lists: list, shared: int = 0, skip: int | None = None) -> list:
@@ -246,9 +242,16 @@ def _stack_plan(n: int, op_lists: list, shared: int = 0, skip: int | None = None
     where every list lowers the same, else ``_per_block`` of each list's
     diagonal.  ``ValueError`` naming the first position that holds anything
     else, or a diagonal that differs among the first ``shared``.  Position
-    ``skip`` is checked but not lowered."""
-    plan = []
-    for i, column in enumerate(zip(*(_contents(n, ops) for ops in op_lists))):
+    ``skip`` is checked but not lowered.  Where every list holds the same
+    object, and the lists end their Hadamards at the same position, that
+    object lowers the same for all: its content is taken once."""
+    lasts = [_last_hadamard(ops) for ops in op_lists]
+    one_last, plan = len(set(lasts)) == 1, []
+    for i, gates in enumerate(zip(*op_lists)):
+        if one_last and all(g is gates[0] for g in gates):
+            column = [_content(gates[0], n, i > lasts[0])]
+        else:
+            column = [_content(g, n, i > last) for g, last in zip(gates, lasts)]
         first = column[0]
         if all(content == first for content in column):
             if i != skip:
@@ -325,7 +328,7 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     head, tail, m, g = _xor_split(c)
     k = c.n - m
     dim, heads, tails, bits = 1 << c.n, 1 << m, 1 << k, (2,) * k
-    plan = _plan(m, head + tail)
+    plan = _stack_plan(m, [head + tail])
     before, after = plan[: len(head)], plan[len(head) :]
     if k:
         zero = _run(before, np.zeros((heads, 1), dtype=complex))
@@ -349,7 +352,7 @@ def circuit_apply(c: Circuit, psi: np.ndarray) -> np.ndarray:
     psi = np.array(psi, dtype=complex, order="C")
     if psi.shape != (1 << c.n,):
         raise ValueError(f"state of dimension {psi.shape} does not match n={c.n}")
-    return _run(_plan(c.n, c.ops), psi.reshape(-1, 1)).reshape(-1)
+    return _run(_stack_plan(c.n, [c.ops]), psi.reshape(-1, 1)).reshape(-1)
 
 
 def _before_tail(layer, before, g, tails, count, views) -> np.ndarray:

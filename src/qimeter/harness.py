@@ -19,7 +19,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Sequence, Union, get_args, get_type_hints
 
 import numpy as np
@@ -31,9 +31,9 @@ from .algorithms import (
     SubsetClassSums,
     _distribution,
     _success_against,
-    build_grover,
     build_shor,
     final_probabilities,
+    grover_circuits,
     grover_unitaries,
     shor_success,
     shor_unitaries,
@@ -236,22 +236,20 @@ def _unitary_point(spec, ideal, thetas, deltas=None):
     assignment, each weighted as ``_marked_items`` says.  U_full's rows
     give I_pa, and its column 0 (the image of |0...0>) the output
     distribution; U_rest only I_au, so it is built only when the spec
-    measures it.  The items' circuits differ only in the oracle, so
+    measures it.  The items' circuits, built one at a time by
+    ``grover_circuits``, share every gate object but the oracle, so
     ``stacked_unitaries`` builds the views of as many of them as fit in
     one stacked pass (both views together when I_au is measured), or, when
     one item's views do not fit, one dense view at a time, U_full first."""
     algo = spec.algorithm
     items = _marked_items(spec, thetas)
-
-    def circuits():
-        for alpha, _ in items:
-            if alpha is None:
-                yield build_shor(algo, thetas, deltas)
-            else:
-                yield build_grover(replace(algo, alpha=alpha), thetas)
+    if isinstance(algo, GroverSpec):
+        circuits = grover_circuits(algo, [alpha for alpha, _ in items], thetas)
+    else:
+        circuits = [build_shor(algo, thetas, deltas)]
 
     i_pa = i_au = success = 0.0
-    views = stacked_unitaries(circuits(), algo.layer_width, spec.measure_au)
+    views = stacked_unitaries(circuits, algo.layer_width, spec.measure_au)
     for (alpha, weight), unitaries in zip(items, views):
         i_pa += weight * _unitary_interference(*unitaries.full_rows)
         success += weight * _success(ideal, unitaries.output_probabilities, alpha)

@@ -39,7 +39,8 @@ ORACLE_MAX_DIM = 64
 
 KRAUS_COMPLETENESS_TOL = 1e-6
 
-# bytes of complex rows per pauli_noise_kernel block; with its transforms it fits in L2
+# bytes of complex rows per pauli_noise_kernel block (with its transforms it
+# fits in L2), and of the dense |U|^4 array per block of _sum_abs4's sum
 WHT_BLOCK_BYTES = 1 << 19
 
 
@@ -73,18 +74,30 @@ def _unitary_interference(rows: np.ndarray, copies: int = 1) -> float:
 
 
 def _sum_abs4(rows: np.ndarray, copies: int = 1) -> float:
-    """sum_{i,k} |U[i,k]|^4 of the unitary with representative rows ``rows``:
-    ``np.sum`` of the dense N x N array of |U|^4.  With ``copies`` > 1 that
-    array is gathered from |rows|^4 by U[(j, y), c] = rows[j, c XOR y], with
-    one ``np.take`` that writes it C-contiguous, in U's row order, so the
-    pairwise sum adds the same terms in the same order and gives the same
-    bits.  (``a[:, xor]`` holds the same values in another memory order, and
-    its sum differs at Shor L = 2 and 3.)"""
-    a = np.abs(rows) ** 2
-    a *= a
-    if copies > 1:
-        a = np.take(a, np.arange(copies)[:, None] ^ np.arange(a.shape[1]), axis=1)
-    return float(np.sum(a))
+    """sum_{i,k} |U[i,k]|^4 of the unitary with representative rows ``rows``,
+    with the bits of ``np.sum`` of the dense |U|^4, which is never built:
+    ``np.sum`` halves a contiguous array of 2^j >= 256 entries recursively,
+    so each block of ``WHT_BLOCK_BYTES`` (whole rows, 2^i of them) is one
+    ``np.sum`` and the block sums are added by the same halving tree
+    (DECISIONS.md, "Views held as representative rows").  Any other N is
+    one block, as that tree halves only a power of two evenly.  With
+    ``copies`` > 1 a block is gathered C-contiguous by
+    U[(j, y), c] = rows[j, c XOR y]."""
+    dim = rows.shape[1]
+    per = min(dim, 1 << max(1, WHT_BLOCK_BYTES // (8 * dim)).bit_length() - 1)  # 2^i dense rows
+    if dim & (dim - 1):
+        per = dim
+    xor = np.arange(copies)[:, None] ^ np.arange(dim) if copies > 1 else None
+    sums = []
+    for lo in range(0, dim, per):
+        a = np.abs(rows[lo // copies : (lo + per - 1) // copies + 1]) ** 2
+        a *= a
+        if copies > 1:  # rows (j, y) of the block, y from xor's row lo % copies on
+            a = np.take(a, xor[lo % copies : lo % copies + per], axis=1)
+        sums.append(np.sum(a))
+    while len(sums) > 1:
+        sums = [x + y for x, y in zip(sums[::2], sums[1::2])]
+    return float(sums[0])
 
 
 def _require_complete(ch: KrausChannel) -> None:

@@ -303,6 +303,26 @@ def _apply_gate(gate, arr, n):
     raise TypeError(f"unknown gate {gate!r}")
 
 
+def build_grover_unshared(spec: GroverSpec, thetas) -> Circuit:
+    """The Grover circuit of ``spec`` at the Hadamard angles ``thetas``, every
+    gate a new object: the initial layer, then k iterations of [oracle,
+    layer, zero reflection, layer]."""
+    n, angles = spec.n, iter(thetas)
+
+    def diagonal(alpha):
+        phases = np.ones(1 << n, dtype=complex)
+        phases[alpha] = -1
+        return DiagonalPhaseGate(phases, tuple(range(n)))
+
+    def layer():
+        return [PerturbedHadamard(next(angles), q) for q in range(n)]
+
+    ops = layer()
+    for _ in range(spec.iterations):
+        ops += [diagonal(spec.alpha), *layer(), diagonal(0), *layer()]
+    return Circuit(n, tuple(ops))
+
+
 def circuit_unitary_gate_by_gate(c: Circuit) -> np.ndarray:
     """Dense unitary of the circuit, one gate at a time on the identity."""
     u = np.eye(1 << c.n, dtype=complex)

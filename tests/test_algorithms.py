@@ -10,6 +10,7 @@ import pytest
 from oracles import (
     apply_channel,
     basis_density,
+    build_grover_unshared,
     decoherence_channels,
     density_from_state,
     grover_success,
@@ -29,6 +30,7 @@ from qimeter.algorithms import (
     decoherence_point,
     decoherent_final_probabilities,
     final_probabilities,
+    grover_circuits,
     grover_iteration_count,
     grover_oracle,
     grover_unitaries,
@@ -144,6 +146,47 @@ class TestBuildGrover:
     def test_marked_item_validated(self):
         with pytest.raises(ValueError):
             GroverSpec(2, 4)
+
+
+# the edge angles, the signed zero, and a random list per n
+GROVER_CIRCUIT_ANGLES = (0.0, -0.0, 0.37, math.pi / 4, math.pi / 2, "random")
+
+
+class TestGroverCircuits:
+    """``grover_circuits`` gives each marked item the circuit of a build of
+    its own, with every gate but the oracle one shared object."""
+
+    @pytest.mark.parametrize("angle", GROVER_CIRCUIT_ANGLES, ids=repr)
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_same_bytes_as_unshared_builds(self, n, angle):
+        spec = GroverSpec(n, 0)
+        rng = np.random.default_rng(n)
+        if angle == "random":
+            thetas = list(rng.uniform(0, math.pi, spec.n_hadamards))
+        else:
+            thetas = [angle] * spec.n_hadamards
+        alphas = list(range(1 << n)) if n <= 4 else [0, 1, (1 << n) - 1, *rng.integers(2, 1 << n, 2)]
+        circuits = list(grover_circuits(spec, alphas, thetas))
+        assert len(circuits) == len(alphas)
+        for alpha, c in zip(alphas, circuits):
+            unshared = build_grover_unshared(replace(spec, alpha=int(alpha)), thetas)
+            assert circuit_unitary(c).tobytes() == circuit_unitary(unshared).tobytes()
+        oracles = [n + i * (2 * n + 2) for i in range(spec.iterations)]
+        for c in circuits[1:]:
+            assert [i for i, (a, b) in enumerate(zip(c.ops, circuits[0].ops)) if a is not b] == oracles
+        assert assert_stacked_views(circuits, n, True) == [n < 8] * len(alphas)  # n = 8 does not fit
+
+    def test_built_when_asked_for(self):
+        circuits = grover_circuits(GroverSpec(3, 0), [1, 8])
+        assert isinstance(next(circuits), Circuit)
+        with pytest.raises(ValueError, match="marked item 8 outside 0..7"):
+            next(circuits)
+
+    def test_build_grover_is_one_item(self):
+        spec = GroverSpec(4, 9, k_override=2)
+        (shared,) = grover_circuits(spec, [9], [0.3] * spec.n_hadamards)
+        alone = build_grover(spec, [0.3] * spec.n_hadamards)
+        assert circuit_unitary(shared).tobytes() == circuit_unitary(alone).tobytes()
 
 
 class TestSpecLayout:

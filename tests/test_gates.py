@@ -21,6 +21,7 @@ from qimeter.algorithms import (
     ShorSpec,
     build_grover,
     build_shor,
+    grover_circuits,
     grover_unitaries,
     representative_rows,
     shor_unitaries,
@@ -240,6 +241,18 @@ class TestGateValidation:
     def test_targets_inside_register(self):
         with pytest.raises(ValueError):
             Circuit(2, (pauli_x(2),))
+
+    def test_gates_own_read_only_arrays(self):
+        # the checks ran on the caller's values: a later write to them must not reach the gate
+        phases, table = np.array([1, 1j]), np.array([1, 0])
+        diagonal, permutation = DiagonalPhaseGate(phases, (0,)), PermutationGate(table, (0,))
+        phases[1], table[:] = 5, [0, 1]
+        assert diagonal.phases.tolist() == [1, 1j] and permutation.table.tolist() == [1, 0]
+        u = circuit_unitary(Circuit(1, (diagonal, permutation)))
+        assert u.tobytes() == np.array([[0, 1j], [1, 0]]).tobytes()
+        for array in (diagonal.phases, permutation.table):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
     def test_refuses_what_a_check_of_every_op_refuses(self):
         # each distinct target tuple is checked once, in order of first use,
@@ -659,6 +672,19 @@ class TestLayerViewRows:
             with pytest.raises(ValueError, match=f"gate {position} differs between stacked circuits"):
                 layer_view_rows(circuits, spec.n)
 
+    @pytest.mark.parametrize("position", [1, 5, 18])  # in the layer, after it, the last gate
+    @pytest.mark.parametrize("angles", [(0.37, 0.37 + 1e-9), (0.0, -0.0)], ids=["nudged", "signed-zero"])
+    def test_refuses_one_hadamard_among_shared_objects(self, position, angles):
+        # every other gate is one object in both circuits; -0.0 == 0.0, but
+        # its Hadamard has other bits ([[1, -0], [-0, -1]])
+        spec = GroverSpec(3, 0)
+        circuits = list(grover_circuits(spec, [0, 5], [angles[0]] * spec.n_hadamards))
+        ops = list(circuits[1].ops)
+        ops[position] = PerturbedHadamard(angles[1], ops[position].target)
+        circuits[1] = Circuit(3, tuple(ops))
+        with pytest.raises(ValueError, match=f"gate {position} differs between stacked circuits"):
+            layer_view_rows(circuits, spec.n)
+
     def test_refuses_another_permutation(self):
         # bases 2 and 3 of R = 7: the modular exponentiation after the layer
         circuits = [build_shor(ShorSpec(3, 7, a)) for a in (2, 3)]
@@ -732,7 +758,7 @@ class TestKernelInputs:
     def test_stack_that_would_be_misread_refused(self, stack):
         c = self.circuit()
         with pytest.raises(ValueError, match="C-contiguous complex128"):
-            gates._run(gates._plan(c.n, c.ops), stack)
+            gates._run(gates._stack_plan(c.n, [c.ops]), stack)
 
 
 class TestLoweringCache:

@@ -20,7 +20,7 @@ from oracles import (
     phaseflip_mixture,
 )
 
-from qimeter import algorithms, harness
+from qimeter import algorithms, gates, harness
 from qimeter.algorithms import (
     AlgorithmUnitaries,
     GroverSpec,
@@ -28,6 +28,7 @@ from qimeter.algorithms import (
     build_grover,
     build_shor,
     final_probabilities,
+    grover_circuits,
     grover_unitaries,
     shor_success,
     shor_unitaries,
@@ -143,11 +144,12 @@ WEIGHT_CLASS_THETAS = (0.0, 0.37, math.pi / 4, 1.1, math.pi / 2)
 def count_grover_builds(monkeypatch):
     calls = []
 
-    def counting(spec, thetas=None):
-        calls.append(spec.alpha)
-        return build_grover(spec, thetas)
+    def counting(spec, alphas, thetas=None):
+        for alpha, circuit in zip(alphas, grover_circuits(spec, alphas, thetas)):
+            calls.append(alpha)
+            yield circuit
 
-    monkeypatch.setattr(harness, "build_grover", counting)
+    monkeypatch.setattr(harness, "grover_circuits", counting)
     return calls
 
 
@@ -343,6 +345,23 @@ class TestStackedPoints:
                 )
                 assert harness._unitary_point(spec, ideal, thetas, deltas) == expected
         assert passes == [1] * 80
+
+    def test_shared_gates_keyed_once(self, monkeypatch):
+        # one n = 5 point, six weight classes of 53 gates: each gate that the
+        # circuits share is one object, keyed once; each oracle is keyed once per class
+        contents = []
+        content = gates._content
+
+        def counted(gate, n, every_row):
+            contents.append(gate)
+            return content(gate, n, every_row)
+
+        monkeypatch.setattr(gates, "_content", counted)
+        algo = GroverSpec(5, 0)
+        spec = ExperimentSpec(algo, SystematicErrors((0.37,)), average_over_alpha=True)
+        harness._unitary_point(spec, None, [0.37] * algo.n_hadamards)
+        width, oracles, classes = algo.n_hadamards + 2 * algo.iterations, algo.iterations, algo.n + 1
+        assert len(contents) == width - oracles + classes * oracles == 73
 
     def test_alpha_averaged_parallel_matches_serial(self):
         spec = ExperimentSpec(

@@ -47,6 +47,7 @@ from qimeter.harness import (
 from qimeter.interference import (
     WHT_BLOCK_BYTES,
     PauliNoiseKernel,
+    _sum_abs4,
     _unitary_interference,
     _wht_last,
     ibits,
@@ -131,6 +132,12 @@ class TestInterferenceUnitary:
 
     def test_theta_pi_over_8(self):
         assert abs(interference_unitary(perturbed_hadamard(math.pi / 8)) - 0.5) < 1e-12
+
+    @pytest.mark.parametrize("dim", [3, 400, 1500])
+    def test_dimension_not_a_power_of_two(self, dim):
+        u = random_unitary(dim, np.random.default_rng(dim))
+        assert interference_unitary(identity(dim)) == 0
+        assert interference_unitary(u) == dim - dense_sum_abs4(u, 1)
 
     def test_bound(self):
         rng = np.random.default_rng(12)
@@ -481,6 +488,59 @@ class TestRowCopies:
         u = circuit_unitary(build_shor(ShorSpec(2, 3, 2)))  # N = 64
         with pytest.raises(ValueError, match="do not make N x N"):
             pauli_noise_kernel(u[:rows], copies)
+
+
+def random_rows(n, copies, seed):
+    """N / copies random complex rows of N = 2^n entries, with no transient."""
+    rows = np.empty((1 << n >> copies.bit_length() - 1, 1 << n), dtype=complex)
+    np.random.default_rng(seed).random(out=rows.view(float))
+    return rows
+
+
+def dense_sum_abs4(rows, copies):
+    """``np.sum`` of the dense |U|^4 array, U[(j, y), c] = rows[j, c XOR y]."""
+    a = np.abs(rows) ** 2
+    a *= a
+    if copies > 1:
+        a = np.take(a, np.arange(copies)[:, None] ^ np.arange(a.shape[1]), axis=1)
+    return float(np.sum(a))
+
+
+class TestSumAbs4:
+    """sum |U|^4, summed a block of the dense array at a time and the block
+    sums added by numpy's halving tree, has the bits of ``np.sum`` of the
+    dense array; this rests on numpy's pairwise blocking (DECISIONS.md)."""
+
+    @pytest.mark.parametrize(
+        "n, copies", [(n, 1) for n in range(1, 13)] + [(3 * L, 1 << L) for L in (2, 3, 4)]
+    )
+    def test_bits_of_the_dense_sum(self, n, copies):
+        rows = random_rows(n, copies, n)
+        tracemalloc.start()
+        try:
+            value = _sum_abs4(rows, copies)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value.hex() == dense_sum_abs4(rows, copies).hex()
+        # one block of the dense array at a time, never the N x N array
+        assert peak < 3 * WHT_BLOCK_BYTES + 2 * rows.nbytes // (1 << n) * copies
+
+    @pytest.mark.parametrize("n, copies", [(6, 1), (6, 4), (8, 1), (9, 8), (10, 1)])
+    def test_small_blocks(self, n, copies, monkeypatch):
+        # 128-entry blocks, the leaf of numpy's tree: fewer dense rows per block than copies at n = 6
+        monkeypatch.setattr(interference, "WHT_BLOCK_BYTES", 1024)
+        rows = random_rows(n, copies, 3)
+        assert _sum_abs4(rows, copies).hex() == dense_sum_abs4(rows, copies).hex()
+
+    @pytest.mark.parametrize("dim", [3, 400, 1500])
+    @pytest.mark.parametrize("block", [1024, None])
+    def test_dimension_not_a_power_of_two(self, dim, block, monkeypatch):
+        # numpy's tree halves such an N unevenly: the dense array is one block
+        if block:
+            monkeypatch.setattr(interference, "WHT_BLOCK_BYTES", block)
+        rows = np.random.default_rng(dim).random((dim, dim)) + 0j
+        assert _sum_abs4(rows).hex() == dense_sum_abs4(rows, 1).hex()
 
 
 class TestClassSums:
