@@ -7,13 +7,15 @@ exponentiation, bit reversal).  ``circuit_unitary`` and ``circuit_apply``
 share one kernel: each distinct gate is lowered once per process, by content,
 into a real 2x2 on one qubit, the rows whose phase is not 1, or a row gather;
 the steps run on cached column blocks, with the gate-by-gate oracle's bytes.
-``circuit_unitary`` splits each circuit into head gates on qubits 0..m-1,
-one permutation |x, y> -> |x, y XOR g(x)> on all n qubits and tail gates on
-0..m-1, and runs it on 2^m-row stacks, one column per first-register column
-and value class of g; any other circuit, each Grover circuit among them, is
-all tail on m = n qubits with one class.  ``layer_view_rows`` runs the same
-steps once for several circuits that differ only in diagonal phases, and for
-both of their views, U_full = U_rest · W and U_rest, on one column stack.
+One pass, ``_column_blocks``, builds every unitary: it splits the circuits
+into head gates on qubits 0..m-1, one permutation |x, y> -> |x, y XOR g(x)>
+on all n qubits and tail gates on 0..m-1, and runs them on 2^m-row stacks,
+one block of first-register columns at a time, one column per column and
+value class of g; any other circuit, each Grover circuit among them, is all
+tail on m = n qubits with one class.  It takes several circuits that differ
+only in diagonal phases, and both of their views, U_full = U_rest · W and
+U_rest, on one column stack.  ``circuit_unitary`` scatters its blocks into
+the dense unitary; ``layer_view_rows`` joins them into representative rows.
 """
 
 from __future__ import annotations
@@ -71,6 +73,9 @@ class PermutationGate:
         if not np.array_equal(np.sort(table), np.arange(table.size)):
             raise ValueError("permutation table is not a bijection")
 
+    def __reduce__(self):  # a copy or unpickled gate is checked and frozen again
+        return type(self), (self.table, self.targets)
+
 
 @dataclass(frozen=True, eq=False)
 class DiagonalPhaseGate:
@@ -91,6 +96,9 @@ class DiagonalPhaseGate:
             )
         if np.max(np.abs(np.abs(phases) - 1.0)) > UNITARY_ACCEPT_TOL:
             raise ValueError("diagonal phase entries must have unit modulus")
+
+    def __reduce__(self):  # a copy or unpickled gate is checked and frozen again
+        return type(self), (self.phases, self.targets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,8 +179,8 @@ def qft_circuit(
 # ---------------------------------------------------------------------------
 # gate application kernel
 
-# bytes of identity columns per block of circuit_unitary: the block stays
-# in cache while every gate of the circuit passes over it
+# bytes of columns per block of _column_blocks, over every stacked circuit
+# and view: the block stays in cache while every gate passes over it
 GATE_BLOCK_BYTES = 1 << 22
 
 
@@ -213,7 +221,9 @@ def _lower(kind, data, targets, n, every_row):
         factor = factor[rows, None]
 
         def multiply(s):
-            s[rows] *= factor
+            part = s[rows]
+            # numpy multiplies a lone element in place by a loop that rounds otherwise
+            s[rows] = part * factor if part.size == 1 else np.multiply(part, factor, out=part)
             return s
 
         return multiply
@@ -285,23 +295,23 @@ def _run(plan: list, stack: np.ndarray) -> np.ndarray:
     return stack
 
 
-def _xor_split(c: Circuit):
-    """(head, tail, m, g): ``c.ops`` is ``head``, one permutation on all n
-    qubits that maps |x, y> to |x, y XOR g(x)> for x on qubits 0..m-1, then
-    ``tail``, where head and tail touch only those m qubits.  Any other
-    circuit is ((), c.ops, n, zeros): all tail, one value class."""
-    n = c.n
-    wide = [i for i, op in enumerate(c.ops) if isinstance(op, PermutationGate) and len(op.targets) == n]
+def _xor_split(n: int, ops: tuple):
+    """(head, tail, m, g): ``ops``, on ``n`` qubits, is ``head``, one
+    permutation on all n qubits that maps |x, y> to |x, y XOR g(x)> for x on
+    qubits 0..m-1, then ``tail``, where head and tail touch only those m
+    qubits.  Any other gate list is ((), ops, n, zeros): all tail, one value
+    class."""
+    wide = [i for i, op in enumerate(ops) if isinstance(op, PermutationGate) and len(op.targets) == n]
     if len(wide) == 1:
         w = wide[0]
-        head, tail = c.ops[:w], c.ops[w + 1 :]
+        head, tail = ops[:w], ops[w + 1 :]
         m = 1 + max((t for op in head + tail for t in op.targets), default=-1)
         k = n - m  # k = 0 passes only an identity permutation, which the split drops
-        moved = _destinations(c.ops[w].table, c.ops[w].targets, n) ^ np.arange(1 << n)
+        moved = _destinations(ops[w].table, ops[w].targets, n) ^ np.arange(1 << n)
         g = (moved & ((1 << k) - 1)).reshape(1 << m, 1 << k)
         if not (np.any(moved >> k) or np.any(g != g[:, :1])):
             return head, tail, m, g[:, 0]
-    return (), c.ops, n, np.zeros(1 << n, np.int64)
+    return (), ops, n, np.zeros(1 << n, np.int64)
 
 
 def xor_row_copies(c: Circuit) -> int:
@@ -309,37 +319,70 @@ def xor_row_copies(c: Circuit) -> int:
     unitary is the run's first row with its columns XOR-shifted,
     U[(j, y), (x0, y0)] = U[(j, 0), (x0, y XOR y0)], as ``circuit_unitary``
     writes it (``interference.pauli_noise_kernel``); 1 for one value class."""
-    return 1 << (c.n - _xor_split(c)[2])
+    return 1 << (c.n - _xor_split(c.n, c.ops)[2])
 
 
-def _by_class(g: np.ndarray, tails: int, columns: np.ndarray, zero: np.ndarray) -> np.ndarray:
-    """Column (..., x0, y0) holds ``columns[:, ..., x0]`` on the rows x where
-    g(x) = y0 and ``zero[:, ..., 0]`` on the others, y0 = 0..tails-1."""
-    ours = (g[:, None] == np.arange(tails)).reshape(len(g), *(1,) * (columns.ndim - 1), tails)
-    return np.where(ours, columns[..., None], zero[..., None])
+def _column_blocks(circuits: Sequence[Circuit], layer_width: int, views: int):
+    """(x0, t) for each block of first-register columns from x0 on:
+    ``t[:, c, v, x, y0]`` is column (x0 + x, y0) of view v of
+    ``circuits[c]`` on its representative rows (``xor_row_copies``), the
+    last view U_full = U_rest · W and, with two ``views``, view 0 U_rest.
+    W is the first ``layer_width`` gates, shared.
+
+    Columns never mix, so each block's stack [I | W], W the layer's steps
+    run on I, goes once through the rest gates: the head, the class columns
+    and the tail of the rest's ``_xor_split``, which must hold the layer in
+    its first register.  Before the tail, column (x0, y0) holds the head's
+    image of column x0 on the rows x where g(x) = y0 and of a zero column
+    elsewhere (DECISIONS.md).  The circuits must have equal n, equal gate counts and
+    the same gates but for diagonal phases outside the layer (else
+    ``ValueError``, naming the position): each step they share runs once on
+    every column, and each differing diagonal on its own circuit's block."""
+    first, count = circuits[0], len(circuits)
+    for c in circuits[1:]:
+        if c.n != first.n:
+            raise ValueError(f"stacked circuits on {first.n} and {c.n} qubits")
+        if len(c.ops) != len(first.ops):
+            raise ValueError(f"stacked circuits of {len(first.ops)} and {len(c.ops)} gates")
+    head, _, m, g = _xor_split(first.n, first.ops[layer_width:])
+    if any(t >= m for op in first.ops[:layer_width] for t in op.targets):
+        raise ValueError(f"the layer acts outside the first register, qubits 0..{m - 1}")
+    heads, tails = 1 << m, 1 << (first.n - m)
+    shift = int(tails > 1)  # with classes, column 0 of each view's block is the zero column
+    cut = layer_width + len(head)  # the XOR permutation, whose step is the class columns
+    plan = _stack_plan(m, [c.ops for c in circuits], layer_width, cut if shift else None)
+    layer, before, after = plan[:layer_width], plan[layer_width:cut], plan[cut:]
+    ours = (g[:, None] == np.arange(tails)).reshape(heads, 1, 1, 1, tails)
+    width = max(1, GATE_BLOCK_BYTES // (16 * count * views << first.n))  # x0 per block
+
+    def spread(x0):
+        """Block x0 run through the layer and the head, on its class columns;
+        ``_run`` takes it unnamed, so no step's input outlives that step."""
+        x = np.arange(min(width, heads - x0))
+        eye = np.zeros((heads, shift + len(x)), dtype=complex)
+        eye[x0 + x, shift + x] = 1
+        stack = np.zeros((heads, count, views, eye.shape[1]), dtype=complex)
+        stack[x0 + x, :, :-1, shift + x] = 1  # U_rest's columns: I
+        stack[:, :, -1] = _run(layer, eye)[:, None]  # U_full's: W, the layer's steps on I
+        stack = _run(before, stack.reshape(heads, -1)).reshape(stack.shape)
+        if shift:
+            stack = np.where(ours, stack[..., 1:, None], stack[..., :1, None])
+        return stack.reshape(heads, -1)
+
+    for x0 in range(0, heads, width):
+        yield x0, _run(after, spread(x0)).reshape(heads, count, views, -1, tails)
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
-    """Dense unitary of the circuit (later gates multiply from the left), run
-    on blocks of first-register columns of its ``_xor_split`` (columns never
-    mix): column (x0, y0) holds, in rows (., y), the head's image of column x0
-    where g(x) = y XOR y0 and of a zero column elsewhere, then the tail's
-    (DECISIONS.md).  With one class (k = 0) that is a plain block loop."""
-    head, tail, m, g = _xor_split(c)
-    k = c.n - m
-    dim, heads, tails, bits = 1 << c.n, 1 << m, 1 << k, (2,) * k
-    plan = _stack_plan(m, [head + tail])
-    before, after = plan[: len(head)], plan[len(head) :]
-    if k:
-        zero = _run(before, np.zeros((heads, 1), dtype=complex))
-    u = np.empty((dim, dim), dtype=complex)
-    u_bits = u.reshape(heads, tails, heads, *bits)  # (j, y, x0, bits of y0)
-    width = max(1, GATE_BLOCK_BYTES // (16 * dim))  # x0 per block, all classes each
-    for x0 in range(0, heads, width):
-        stack = _run(before, np.eye(heads, min(width, heads - x0), -x0, dtype=complex))
-        if k:
-            stack = _by_class(g, tails, stack, zero)
-        t = _run(after, stack.reshape(heads, -1)).reshape(heads, -1, *bits)
+    """Dense unitary of the circuit (later gates multiply from the left):
+    each block of ``_column_blocks`` holds rows (j, 0), and row (j, y) is
+    row (j, 0) with its columns (x0, y0) XOR-shifted to (x0, y XOR y0)."""
+    u = np.empty((1 << c.n, 1 << c.n), dtype=complex)
+    for x0, t in _column_blocks([c], 0, 1):
+        heads, _, _, width, tails = t.shape
+        k = tails.bit_length() - 1
+        t = t.reshape(heads, width, *(2,) * k)
+        u_bits = u.reshape(heads, tails, heads, *(2,) * k)  # (j, y, x0, bits of y0)
         for y in range(tails):
             # class y XOR y0 along y0: reverse the class axes of y's set bits
             flips = (slice(None, None, 1 - 2 * (y >> (k - 1 - b) & 1)) for b in range(k))
@@ -355,57 +398,18 @@ def circuit_apply(c: Circuit, psi: np.ndarray) -> np.ndarray:
     return _run(_stack_plan(c.n, [c.ops]), psi.reshape(-1, 1)).reshape(-1)
 
 
-def _before_tail(layer, before, g, tails, count, views) -> np.ndarray:
-    """``layer_view_rows``' stack for the tail: ``count`` blocks of ``views``
-    views, [I | W] or [W], with W the ``layer`` steps run on I, each run
-    through ``before`` and, with classes (``tails`` > 1), spread to the
-    class columns.  Its caller hands it to ``_run`` without a name, so no
-    step's input outlives that step."""
-    # with classes, column 0 of each view is the zero column of _by_class
-    heads, shift = len(g), int(tails > 1)
-    w = _run(layer, np.eye(heads, heads + shift, shift, dtype=complex))
-    stack = np.zeros((heads, count, views, heads + shift), dtype=complex)
-    stack[:, :, -1] = w[:, None]
-    del w
-    if views > 1:
-        diagonal = np.arange(heads)
-        stack[diagonal, :, 0, diagonal + shift] = 1
-    stack = _run(before, stack.reshape(heads, -1)).reshape(heads, -1, heads + shift)
-    if tails > 1:
-        stack = _by_class(g, tails, stack[..., 1:], stack[..., :1])
-    return stack.reshape(heads, -1)
-
-
 def layer_view_rows(circuits: Sequence[Circuit], layer_width: int, rest: bool = True) -> tuple:
     """(rows, copies): the representative rows (``xor_row_copies``) of every
     circuit's unitary U_full = U_rest · W and, with ``rest``, of its U_rest,
-    from one column-stacked pass, each its own C-contiguous array,
-    ``tobytes()``-equal to ``circuit_unitary``'s; ``rows[c][-1]`` is U_full's
-    of ``circuits[c]``, ``rows[c][0]`` U_rest's.  W is the first
-    ``layer_width`` gates, shared.
-
-    Columns never mix, so the stack [I | W] of each circuit, W the layer's
-    steps run on I, goes once through the rest gates: the head, the class
-    columns and the tail of the rest circuit's ``_xor_split``, which must
-    hold the layer in its first register.  The circuits must have equal n,
-    equal gate counts and the same gates but for diagonal phases outside the
-    layer (else ``ValueError``, naming the position): each step they share
-    runs once on every column, and each differing diagonal on its own
-    circuit's block (DECISIONS.md, "One stacked pass per sweep point")."""
-    first = circuits[0]
-    for c in circuits[1:]:
-        if c.n != first.n:
-            raise ValueError(f"stacked circuits on {first.n} and {c.n} qubits")
-        if len(c.ops) != len(first.ops):
-            raise ValueError(f"stacked circuits of {len(first.ops)} and {len(c.ops)} gates")
-    head, _, m, g = _xor_split(Circuit(first.n, first.ops[layer_width:]))
-    if any(t >= m for op in first.ops[:layer_width] for t in op.targets):
-        raise ValueError(f"the layer acts outside the first register, qubits 0..{m - 1}")
-    k = first.n - m
-    heads, tails, views = 1 << m, 1 << k, 1 + rest
-    cut = layer_width + len(head)  # the XOR permutation, whose step is the class columns
-    plan = _stack_plan(m, [c.ops for c in circuits], layer_width, cut if k else None)
-    layer, before, after = plan[:layer_width], plan[layer_width:cut], plan[cut:]
-    rows = _run(after, _before_tail(layer, before, g, tails, len(circuits), views))
-    rows = rows.reshape(heads, len(circuits), views, -1)
-    return [[np.array(rows[:, c, v]) for v in range(views)] for c in range(len(circuits))], tails
+    each view's ``_column_blocks`` joined into its own C-contiguous array,
+    ``tobytes()``-equal to ``circuit_unitary``'s; ``rows[c][-1]`` is
+    U_full's of ``circuits[c]``, ``rows[c][0]`` U_rest's.  W is the first
+    ``layer_width`` gates, shared (DECISIONS.md, "One stacked pass per sweep
+    point")."""
+    blocks = [t for _, t in _column_blocks(circuits, layer_width, 1 + rest)]
+    heads, tails = blocks[0].shape[0], blocks[0].shape[-1]
+    rows = [
+        [np.concatenate([t[:, c, v] for t in blocks], axis=1).reshape(heads, -1) for v in range(1 + rest)]
+        for c in range(len(circuits))
+    ]
+    return rows, tails

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import tracemalloc
 from dataclasses import replace
 
@@ -254,6 +256,27 @@ class TestGateValidation:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
+    @pytest.mark.parametrize(
+        "duplicate",
+        [lambda g: pickle.loads(pickle.dumps(g)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_copies_own_read_only_arrays(self, duplicate):
+        # unpickling a frozen dataclass skips __post_init__, which freezes the array
+        for gate, name in [
+            (DiagonalPhaseGate([1, 1j, -1, np.exp(0.3j)], (1, 0)), "phases"),
+            (PermutationGate([2, 0, 3, 1], (0, 1)), "table"),
+        ]:
+            twin = duplicate(gate)
+            array = getattr(twin, name)
+            assert type(twin) is type(gate) and twin.targets == gate.targets
+            assert array.tobytes() == getattr(gate, name).tobytes()
+            assert gates._content(twin, 2, True) == gates._content(gate, 2, True)
+            with pytest.raises(ValueError, match="read-only"):
+                array[1] = 5
+            u = circuit_unitary(Circuit(2, (twin,)))
+            assert u.tobytes() == circuit_unitary(Circuit(2, (gate,))).tobytes()
+
     def test_refuses_what_a_check_of_every_op_refuses(self):
         # each distinct target tuple is checked once, in order of first use,
         # so the first bad op is refused with the same message
@@ -384,6 +407,26 @@ class TestKernelMatchesGateByGate:
             column = np.ascontiguousarray(circuit_unitary_gate_by_gate(c)[:, 0])
             assert same_bytes(circuit_apply(c, basis_state(1 << n)), column)
 
+    def test_lone_element_diagonal(self, monkeypatch):
+        # one row with a phase other than 1, before a Hadamard, on a
+        # one-column stack: numpy multiplies one element in place by a loop
+        # that rounds otherwise
+        monkeypatch.setattr(gates, "GATE_BLOCK_BYTES", 16 << 2)  # one column per block
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            angles, phases = rng.uniform(0, math.pi, 3), np.exp(1j * rng.uniform(0, 2 * math.pi, 2))
+            complex_amplitudes = (  # the product's rounding shows only on complex inputs
+                PerturbedHadamard(angles[0], 0),
+                PerturbedHadamard(angles[1], 1),
+                DiagonalPhaseGate([1, phases[0]], (0,)),
+                PerturbedHadamard(angles[2], 0),
+            )
+            lone = DiagonalPhaseGate([1, 1, 1, phases[1]], (0, 1))
+            c = Circuit(2, (*complex_amplitudes, lone, PerturbedHadamard(0.3, 0)))
+            oracle = circuit_unitary_gate_by_gate(c)
+            assert same_bytes(circuit_unitary(c), oracle)
+            assert same_bytes(circuit_apply(c, basis_state(4)), np.ascontiguousarray(oracle[:, 0]))
+
     @pytest.mark.parametrize("n", [3, 5])
     def test_grover_rest_view(self, n):
         spec = GroverSpec(n, 1)
@@ -441,35 +484,47 @@ def xor_split_circuit(rng):
 
 @pytest.fixture
 def splits(monkeypatch):
-    """(circuit, split) for each ``gates._xor_split`` that ``circuit_unitary``
+    """((n, ops), split) for each ``gates._xor_split`` that ``circuit_unitary``
     and ``xor_row_copies`` take."""
     calls = []
     split = gates._xor_split
 
-    def recorded(c):
-        calls.append((c, split(c)))
+    def recorded(n, ops):
+        calls.append(((n, ops), split(n, ops)))
         return calls[-1][1]
 
     monkeypatch.setattr(gates, "_xor_split", recorded)
     return calls
 
 
-def is_one_class(c, split):
-    """``split`` is ((), c.ops, n, zeros): all tail, on every qubit."""
-    head, tail, m, g = split
-    return head == () and tail is c.ops and m == c.n and g.shape == (1 << c.n,) and not g.any()
+def split_args(c):
+    """(n, ops), the arguments of ``gates._xor_split`` for ``c``."""
+    return c.n, c.ops
 
 
-def is_xor_split(c, split, m):
-    """``split`` cuts ``c`` around one permutation on all n qubits, with the
-    first register on qubits 0..m-1."""
-    head, tail, split_m, g = split
-    wide = c.ops[len(head)]
+def splits_of(splits, circuits):
+    """The recorded splits took, in order, the gate list of each of ``circuits``."""
+    return len(splits) == len(circuits) and all(
+        n == c.n and ops is c.ops for ((n, ops), _), c in zip(splits, circuits)
+    )
+
+
+def is_one_class(args, split):
+    """``split`` is ((), ops, n, zeros): all tail, on every qubit."""
+    (n, ops), (head, tail, m, g) = args, split
+    return head == () and tail is ops and m == n and g.shape == (1 << n,) and not g.any()
+
+
+def is_xor_split(args, split, m):
+    """``split`` cuts ``ops`` around one permutation on all n qubits, with
+    the first register on qubits 0..m-1."""
+    (n, ops), (head, tail, split_m, g) = args, split
+    wide = ops[len(head)]
     return (
-        split_m == m < c.n
-        and head + (wide,) + tail == c.ops
+        split_m == m < n
+        and head + (wide,) + tail == ops
         and isinstance(wide, PermutationGate)
-        and len(wide.targets) == c.n
+        and len(wide.targets) == n
         and g.shape == (1 << m,)
     )
 
@@ -488,7 +543,7 @@ class TestXorSplitRoute:
         circuits = with_rest(full, spec)
         for c in circuits:
             assert same_bytes(circuit_unitary(c), circuit_unitary_gate_by_gate(c))
-        assert [c for c, _ in splits] == list(circuits)
+        assert splits_of(splits, circuits)
         powers = [pow(a, x, R) for x in range(1 << 2 * spec.L)]
         for c, split in splits:
             assert is_xor_split(c, split, 2 * spec.L)
@@ -500,9 +555,9 @@ class TestXorSplitRoute:
             c = xor_split_circuit(rng)
             assert same_bytes(circuit_unitary(c), circuit_unitary_gate_by_gate(c)), c.ops
         assert len(splits) == 300
-        for c, split in splits:
-            m = 1 + max(t for op in c.ops if len(op.targets) < c.n for t in op.targets)
-            assert is_xor_split(c, split, m)
+        for (n, ops), split in splits:
+            m = 1 + max(t for op in ops if len(op.targets) < n for t in op.targets)
+            assert is_xor_split((n, ops), split, m)
 
     @pytest.mark.parametrize("width", [1, 2, 3])
     def test_column_blocks(self, width, monkeypatch, splits):
@@ -513,7 +568,7 @@ class TestXorSplitRoute:
             monkeypatch.setattr(gates, "GATE_BLOCK_BYTES", 16 * width << c.n)
             assert same_bytes(circuit_unitary(c), circuit_unitary_gate_by_gate(c))
         assert len(splits) == 3
-        assert all(split[2] < c.n for c, split in splits)
+        assert all(split[2] < n for (n, _), split in splits)
 
     @staticmethod
     def fallbacks():
@@ -536,7 +591,7 @@ class TestXorSplitRoute:
         c = self.fallbacks()[case]
         assert same_bytes(circuit_unitary(c), circuit_unitary_gate_by_gate(c))
         [(_, split)] = splits
-        assert is_one_class(c, split)
+        assert is_one_class(split_args(c), split)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_grover_views_are_one_class(self, n, splits):
@@ -544,13 +599,13 @@ class TestXorSplitRoute:
         uni = grover_unitaries(spec)
         uni.full_kernel, uni.rest_kernel
         # each view's rows split its circuit for xor_row_copies and for circuit_unitary
-        assert [c for c, _ in splits] == [uni.circuit] * 2 + [uni.rest_circuit] * 2
+        assert splits_of(splits, [uni.circuit] * 2 + [uni.rest_circuit] * 2)
         assert all(is_one_class(c, split) for c, split in splits)
 
     def test_shor_views_split_at_the_first_register(self, splits):
         uni = shor_unitaries(ShorSpec(3, 5, 2))
         uni.full_kernel, uni.rest_kernel
-        assert [c for c, _ in splits] == [uni.circuit] * 2 + [uni.rest_circuit] * 2
+        assert splits_of(splits, [uni.circuit] * 2 + [uni.rest_circuit] * 2)
         assert all(is_xor_split(c, split, 6) for c, split in splits)
 
     def test_split_drops_an_identity_permutation(self):
@@ -562,7 +617,7 @@ class TestXorSplitRoute:
             for _ in range(2)
         )
         c = Circuit(n, (*head, PermutationGate(np.arange(16), tuple(range(n))), *tail))
-        split = gates._xor_split(c)
+        split = gates._xor_split(*split_args(c))
         assert split[:3] == (tuple(head), tuple(tail), n) and not split[3].any()
         assert same_bytes(circuit_unitary(c), circuit_unitary_gate_by_gate(c))
 
@@ -570,30 +625,31 @@ class TestXorSplitRoute:
     def test_lone_xor_has_an_empty_first_register(self, n):
         # m = 0: the permutation XORs the one value 5 % 2^n into every index
         c = Circuit(n, (PermutationGate(np.arange(1 << n) ^ 5 % (1 << n), tuple(range(n))),))
-        split = gates._xor_split(c)
+        split = gates._xor_split(*split_args(c))
         assert split[:3] == ((), (), 0) and split[3].tolist() == [5 % (1 << n)]
         assert same_bytes(circuit_unitary(c), circuit_unitary_gate_by_gate(c))
 
     def test_one_class_does_no_class_work(self, monkeypatch):
-        # one head pass and one tail pass per block of identity columns, and
-        # no zero column: the stacks that reach the kernel, in order
+        # the stacks that a step runs on, in order: with one class, one tail
+        # pass per block of identity columns and no zero column
         shapes = []
         run = gates._run
 
         def recorded(plan, stack):
-            shapes.append(stack.shape)
+            if plan:
+                shapes.append(stack.shape)
             return run(plan, stack)
 
         monkeypatch.setattr(gates, "_run", recorded)
         monkeypatch.setattr(gates, "GATE_BLOCK_BYTES", 16 * 6 << 4)
         circuit_unitary(build_grover(GroverSpec(4, 3)))
-        assert shapes == [(16, 6), (16, 6)] * 2 + [(16, 4), (16, 4)]
+        assert shapes == [(16, 6), (16, 6), (16, 4)]
         shapes.clear()
         monkeypatch.setattr(gates, "GATE_BLOCK_BYTES", 16 * 3 << 6)
         circuit_unitary(build_shor(ShorSpec(2, 3, 2)))
-        # the zero column, then per block the head on 3 columns and the tail
-        # on their 3 x 4 class columns
-        assert shapes == [(16, 1)] + [(16, 3), (16, 12)] * 5 + [(16, 1), (16, 4)]
+        # with classes, per block the head on its 3 columns and one zero
+        # column, then the tail on their 3 x 4 class columns
+        assert shapes == [(16, 4), (16, 12)] * 5 + [(16, 2), (16, 4)]
 
     @pytest.mark.parametrize("rest", [False, True], ids=["full", "rest"])
     def test_peak_memory_below_one_and_a_half_outputs(self, rest):
@@ -613,14 +669,16 @@ def edge_diagonal(rng, targets):
     return DiagonalPhaseGate(np.where(rng.random(size) < 0.5, 1.0, rng.choice(EDGE_PHASES, size)), targets)
 
 
-def stacked_family(rng, count):
-    """(circuits, m): ``count`` circuits that share a layer of edge-angle
-    Hadamards on qubits 0..m-1 and every later gate but the diagonals, which
+def stacked_family(rng, count, layer_ops=0):
+    """(circuits, layer_width): ``count`` circuits that share a layer of
+    edge-angle Hadamards on qubits 0..m-1, then ``layer_ops`` ``edge_ops``
+    gates on those qubits, and every later gate but the diagonals, which
     each circuit draws anew (``edge_ops``' phases, half of them 1).  Half the
     time an XOR permutation onto k more qubits sits among the later gates;
     a diagonal on the whole first register closes each circuit."""
     m, k = int(rng.integers(1, 5)), int(rng.integers(1, 3)) * int(rng.random() < 0.5)
     layer = [PerturbedHadamard(float(rng.choice(EDGE_ANGLES)), q) for q in range(m)]
+    layer += edge_ops(rng, m, layer_ops)
     later = edge_ops(rng, m, int(rng.integers(1, 10)))
     if k:
         xor = PermutationGate(xor_table(m, k, rng.integers(0, 1 << k, 1 << m)), tuple(range(m + k)))
@@ -630,7 +688,7 @@ def stacked_family(rng, count):
     def redrawn(op):
         return edge_diagonal(rng, op.targets) if isinstance(op, DiagonalPhaseGate) else op
 
-    return [Circuit(m + k, (*layer, *map(redrawn, later))) for _ in range(count)], m
+    return [Circuit(m + k, (*layer, *map(redrawn, later))) for _ in range(count)], len(layer)
 
 
 def assert_views_match(circuits, layer_width, rest):
@@ -644,6 +702,18 @@ def assert_views_match(circuits, layer_width, rest):
         if rest:
             rest_unitary = circuit_unitary(Circuit(c.n, c.ops[layer_width:]))
             assert same_bytes(views[0], representative_rows(rest_unitary, copies)), c.ops
+
+
+def assert_views_match_gate_by_gate(circuits, layer_width, rest):
+    """Every view of ``layer_view_rows`` has the bytes of the gate-by-gate
+    oracle's representative rows of that view's circuit; the rows' copies."""
+    rows, copies = layer_view_rows(circuits, layer_width, rest)
+    for c, views in zip(circuits, rows):
+        expected = [Circuit(c.n, c.ops[layer_width:])] * rest + [c]
+        assert len(views) == len(expected)
+        for view, e in zip(views, expected):
+            assert same_bytes(view, representative_rows(circuit_unitary_gate_by_gate(e), copies)), e.ops
+    return copies
 
 
 class TestLayerViewRows:
@@ -661,6 +731,39 @@ class TestLayerViewRows:
     def test_perturbed_shor(self, L, R, a):
         full, spec = perturbed_shor(L, R, a)
         assert_views_match([full], spec.layer_width, True)
+
+    @staticmethod
+    def block_families():
+        """(circuits, layer_width): edge families, some with diagonals and
+        permutations in the layer, the Grover n = 4 classes at random angles
+        and the perturbed Shor L = 2 and 3 circuits."""
+        rng = np.random.default_rng(41)
+        families = [stacked_family(rng, int(rng.integers(1, 5)), int(rng.integers(0, 4))) for _ in range(40)]
+        spec = GroverSpec(4, 0)
+        classes = grover_circuits(spec, [0, 1, 3, 7, 15], grover_angles(spec, "random"))
+        families.append((list(classes), spec.layer_width))
+        for L, R, a in [(2, 3, 2), (3, 7, 3)]:
+            full, spec = perturbed_shor(L, R, a)
+            families.append(([full], spec.layer_width))
+        return families
+
+    @pytest.mark.parametrize("rest", [True, False], ids=["both", "full"])
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_column_blocks(self, width, rest, monkeypatch):
+        # blocks of `width` first-register columns; 3 leaves a short last block
+        starts, blocks = [], gates._column_blocks
+
+        def recorded(*args):
+            for x0, t in blocks(*args):
+                starts.append(x0)
+                yield x0, t
+
+        monkeypatch.setattr(gates, "_column_blocks", recorded)
+        for circuits, layer_width in self.block_families():
+            n, starts[:] = circuits[0].n, []
+            monkeypatch.setattr(gates, "GATE_BLOCK_BYTES", 16 * width * len(circuits) * (1 + rest) << n)
+            copies = assert_views_match_gate_by_gate(circuits, layer_width, rest)
+            assert starts == list(range(0, (1 << n) // copies, width))
 
     def test_refuses_another_hadamard_angle(self):
         spec = GroverSpec(3, 0)
