@@ -221,9 +221,7 @@ def _lower(kind, data, targets, n, every_row):
         factor = factor[rows, None]
 
         def multiply(s):
-            part = s[rows]
-            # numpy multiplies a lone element in place by a loop that rounds otherwise
-            s[rows] = part * factor if part.size == 1 else np.multiply(part, factor, out=part)
+            s[rows] = s[rows] * factor  # out of place, as the oracle multiplies
             return s
 
         return multiply
@@ -344,13 +342,14 @@ def _column_blocks(circuits: Sequence[Circuit], layer_width: int, views: int):
             raise ValueError(f"stacked circuits on {first.n} and {c.n} qubits")
         if len(c.ops) != len(first.ops):
             raise ValueError(f"stacked circuits of {len(first.ops)} and {len(c.ops)} gates")
-    head, _, m, g = _xor_split(first.n, first.ops[layer_width:])
+    head, tail, m, g = _xor_split(first.n, first.ops[layer_width:])
     if any(t >= m for op in first.ops[:layer_width] for t in op.targets):
         raise ValueError(f"the layer acts outside the first register, qubits 0..{m - 1}")
     heads, tails = 1 << m, 1 << (first.n - m)
     shift = int(tails > 1)  # with classes, column 0 of each view's block is the zero column
     cut = layer_width + len(head)  # the XOR permutation, whose step is the class columns
-    plan = _stack_plan(m, [c.ops for c in circuits], layer_width, cut if shift else None)
+    split = len(head) + len(tail) < len(first.ops) - layer_width  # else cut is no permutation
+    plan = _stack_plan(m, [c.ops for c in circuits], layer_width, cut if split else None)
     layer, before, after = plan[:layer_width], plan[layer_width:cut], plan[cut:]
     ours = (g[:, None] == np.arange(tails)).reshape(heads, 1, 1, 1, tails)
     width = max(1, GATE_BLOCK_BYTES // (16 * count * views << first.n))  # x0 per block
@@ -359,11 +358,10 @@ def _column_blocks(circuits: Sequence[Circuit], layer_width: int, views: int):
         """Block x0 run through the layer and the head, on its class columns;
         ``_run`` takes it unnamed, so no step's input outlives that step."""
         x = np.arange(min(width, heads - x0))
-        eye = np.zeros((heads, shift + len(x)), dtype=complex)
-        eye[x0 + x, shift + x] = 1
-        stack = np.zeros((heads, count, views, eye.shape[1]), dtype=complex)
-        stack[x0 + x, :, :-1, shift + x] = 1  # U_rest's columns: I
-        stack[:, :, -1] = _run(layer, eye)[:, None]  # U_full's: W, the layer's steps on I
+        stack = np.zeros((heads, count, views, shift + len(x)), dtype=complex)
+        stack[x0 + x, :, :, shift + x] = 1  # I
+        if layer:  # U_full's columns: W, the layer's steps on I
+            stack[:, :, -1] = _run(layer, stack[:, 0, -1].copy())[:, None]
         stack = _run(before, stack.reshape(heads, -1)).reshape(stack.shape)
         if shift:
             stack = np.where(ours, stack[..., 1:, None], stack[..., :1, None])
