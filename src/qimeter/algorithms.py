@@ -6,7 +6,9 @@ qubits.  ``build_grover`` and ``build_shor`` return one circuit;
 it, and the two views feed the "potentially available" versus "actually
 used" interference measurements.  Decoherence strikes only the initial
 layer: bit-flip or phase-flip errors after each of its Hadamard gates,
-which keeps the Kraus-operator count at 2^n_f.
+which keeps the Kraus-operator count at 2^n_f.  Grover search with one
+angle at every Hadamard needs no circuit: ``grover_uniform_measures``
+gives its measures in closed form.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .gates import (
 )
 from .interference import (
     PauliNoiseKernel,
+    _checked,
     interference_from_class_sums,
     noise_class_sums,
     pauli_noise_kernel,
@@ -58,6 +61,8 @@ class GroverSpec:
             raise ValueError("Grover search needs at least two qubits")
         if not 0 <= self.alpha < 1 << self.n:
             raise ValueError(f"marked item {self.alpha} outside 0..{(1 << self.n) - 1}")
+        if self.k_override is not None and self.k_override < 0:
+            raise ValueError(f"k_override={self.k_override} is negative")
         if self.n > MAX_QUBITS:
             raise SizeLimitError(
                 f"Grover search on {self.n} qubits exceeds the {MAX_QUBITS}-qubit cap"
@@ -173,6 +178,92 @@ def grover_circuits(
             ops.append(r2)
             ops.extend(layers[2 * i + 2])
         yield Circuit(n, tuple(ops))
+
+
+def grover_uniform_measures(spec: GroverSpec, alpha: int, theta: float, measure_au: bool) -> tuple:
+    """(I_pa, I_au, success) of the Grover circuit of ``spec`` with marked item
+    ``alpha`` (not ``spec.alpha``) and every Hadamard angle ``theta``, in
+    closed form with no matrix; I_au is None unless ``measure_au``
+    (DECISIONS.md, "Uniform-angle Grover points in closed form").
+
+    The layer L = h(theta)^(x)n is real, symmetric and its own inverse, so
+    with v = L e_0, v_i = cos^(n-|i|) sin^|i|, the iterate G = (I - 2 v v^T)
+    (I - 2 e_alpha e_alpha^T) gives G^k = I + W C_k W^T, W = [e_alpha, v],
+    C_0 = 0 and C_k = C_(k-1) + C_1 + C_(k-1) W^T W C_1.  So U_rest = G^k and
+    U_full = G^k L = L + W C_k (W^T L), where v^T L = e_0^T.  An entry of
+    either view depends on (i, j) only through the counts of the bit triples
+    (alpha_q, i_q, j_q), so each sum |U|^4 runs over those classes: each
+    class's entry is computed first, rows and columns alpha and 0 with
+    their own terms, and its fourth power is weighted by the class size.
+    The success is sin^2((2k + 1) asin v_alpha)."""
+    n, k = spec.n, spec.iterations
+    ones = bin(GroverSpec(n, alpha).alpha).count("1")  # alpha checked
+    sizes, cos_counts, signs, (i_a, j_a, j_0, diagonal) = _bit_triple_classes(n - ones, ones)
+    c, s = math.cos(theta), math.sin(theta)
+    cos_pow = np.array([c**e for e in range(n + 1)])
+    sin_pow = np.array([s**e for e in range(n + 1)])
+    l_ij, v_i, v_j, l_aj = cos_pow[cos_counts] * sin_pow[n - cos_counts] * signs
+    v_alpha = cos_pow[n - ones] * sin_pow[ones]
+    step = np.array([[-2.0, 0.0], [4.0 * v_alpha, -2.0]])  # C_1
+    turn = np.array([[1.0, v_alpha], [v_alpha, 1.0]]) @ step  # W^T W C_1
+    ck = np.zeros((2, 2))
+    for _ in range(k):
+        ck = ck + step + ck @ turn
+    (c00, c01), (c10, c11) = ck
+
+    full = l_ij + c10 * v_i * l_aj + c11 * v_i * j_0 + i_a * (c00 * l_aj + c01 * j_0)
+    i_pa = _interference_from_classes(full, sizes, 1 << n)
+    i_au = None
+    if measure_au:
+        rest = diagonal + c00 * (i_a & j_a) + c01 * i_a * v_j + c10 * v_i * j_a + c11 * v_i * v_j
+        i_au = _interference_from_classes(rest, sizes, 1 << n)
+    # asin v_alpha from 1 - v_alpha^2 = sum_(i != alpha) v_i^2, a sum of
+    # positive terms: 1 - v_alpha^2 itself cancels when v_alpha is near 1
+    column = j_0 & ~i_a  # one class per class of rows i != alpha
+    others = float(np.sum(sizes[column] * v_i[column] ** 2))
+    return i_pa, i_au, math.sin((2 * k + 1) * math.atan2(v_alpha, math.sqrt(others))) ** 2
+
+
+def _interference_from_classes(entries: np.ndarray, sizes: np.ndarray, dim: int) -> float:
+    """dim - sum |U|^4 of a real dim x dim unitary whose class c holds sizes[c]
+    entries equal to entries[c]."""
+    fourth = entries * entries
+    fourth *= fourth
+    return _checked(dim - float(np.sum(sizes * fourth)))
+
+
+@functools.cache
+def _bit_triple_classes(zeros: int, ones: int) -> tuple:
+    """The classes of index pairs (i, j) that share the counts of the bit
+    triples (alpha_q, i_q, j_q) over the qubits q, for a marked item alpha
+    of ``zeros`` 0 bits and ``ones`` 1 bits, as read-only arrays over the
+    classes: the number of pairs in each; for each of L_ij, v_i = L_i0,
+    v_j and L_alpha,j, where L_xy is the product over q of h[x_q, y_q], the
+    number of factors cos (the others are sin) and the sign; and the masks
+    i = alpha, j = alpha, j = 0 and i = j."""
+
+    def splits(m):  # the counts of the pairs (i_q, j_q) 00, 01, 10, 11 over m qubits
+        return [
+            (m - p - q - r, p, q, r)
+            for p in range(m + 1)
+            for q in range(m + 1 - p)
+            for r in range(m + 1 - p - q)
+        ]
+
+    rows = [zero + one for zero in splits(zeros) for one in splits(ones)]
+    fact = math.factorial
+    sizes = [fact(zeros) * fact(ones) // math.prod(map(fact, row)) for row in rows]
+    sizes = np.array(sizes, dtype=float)
+    counts = np.array(rows)  # counts[c, t]: qubits with triple t = 4 alpha_q + 2 i_q + j_q
+    a, i, j = np.arange(8) >> 2, np.arange(8) >> 1 & 1, np.arange(8) & 1
+    zero = 0 * a
+    pairs = [(i, j), (i, zero), (j, zero), (a, j)]
+    cos_counts = np.array([counts @ (x == y) for x, y in pairs])  # h[0, 0] = cos, h[1, 1] = -cos
+    signs = np.array([1.0 - 2 * (counts @ (x & y) & 1) for x, y in pairs])
+    masks = tuple(counts @ (x != y) == 0 for x, y in [(i, a), (j, a), (j, zero), (i, j)])
+    for array in (sizes, cos_counts, signs, *masks):
+        array.flags.writeable = False
+    return sizes, cos_counts, signs, masks
 
 
 def modexp_permutation(spec: ShorSpec) -> PermutationGate:

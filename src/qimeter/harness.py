@@ -34,6 +34,7 @@ from .algorithms import (
     build_shor,
     final_probabilities,
     grover_circuits,
+    grover_uniform_measures,
     grover_unitaries,
     shor_success,
     shor_unitaries,
@@ -41,6 +42,7 @@ from .algorithms import (
 )
 from .channels import BITFLIP, PHASEFLIP
 from .errors import SizeLimitError, as_int
+from .gates import angle_list
 from .interference import _unitary_interference, ibits, interference_unitary
 
 PREFIX_SUBSETS = "prefix"
@@ -233,49 +235,73 @@ def _algorithm_id(algorithm) -> str:
 
 def _unitary_point(spec, ideal, thetas, deltas=None):
     """Mean (I_pa, I_au, success) over the marked items at one angle
-    assignment, each weighted as ``_marked_items`` says.  U_full's rows
-    give I_pa, and its column 0 (the image of |0...0>) the output
-    distribution; U_rest only I_au, so it is built only when the spec
-    measures it.  The items' circuits, built one at a time by
-    ``grover_circuits``, share every gate object but the oracle, so
-    ``stacked_unitaries`` builds the views of as many of them as fit in
-    one stacked pass (both views together when I_au is measured), or, when
-    one item's views do not fit, one dense view at a time, U_full first."""
-    algo = spec.algorithm
-    items = _marked_items(spec, thetas)
-    if isinstance(algo, GroverSpec):
-        circuits = grover_circuits(algo, [alpha for alpha, _ in items], thetas)
-    else:
-        circuits = [build_shor(algo, thetas, deltas)]
+    assignment, each weighted as ``_marked_items`` says; I_au is None
+    unless the spec measures it.
 
+    A Grover point whose Hadamard angles are all equal builds no circuit:
+    ``grover_uniform_measures`` gives each item's measures in closed form.
+    Any other point reads them from its views.  U_full's rows give I_pa,
+    and its column 0 (the image of |0...0>) the output distribution;
+    U_rest only I_au, so it is built only when the spec measures it.  The
+    items' circuits, built one at a time by ``grover_circuits``, share
+    every gate object but the oracle, so ``stacked_unitaries`` builds the
+    views of as many of them as fit in one stacked pass (both views
+    together when I_au is measured), or, when one item's views do not fit,
+    one dense view at a time, U_full first."""
+    algo = spec.algorithm
+    grover = isinstance(algo, GroverSpec)
+    if grover:
+        thetas = angle_list(thetas, algo.n_hadamards, math.pi / 4, "Hadamard angles")
+    uniform = grover and all(theta == thetas[0] for theta in thetas)
+    items = _marked_items(spec, uniform)
+    if uniform:
+        points = (
+            grover_uniform_measures(algo, alpha, thetas[0], spec.measure_au) for alpha, _ in items
+        )
+    else:
+        points = _view_measures(spec, ideal, items, thetas, deltas)
     i_pa = i_au = success = 0.0
-    views = stacked_unitaries(circuits, algo.layer_width, spec.measure_au)
-    for (alpha, weight), unitaries in zip(items, views):
-        i_pa += weight * _unitary_interference(*unitaries.full_rows)
-        success += weight * _success(ideal, unitaries.output_probabilities, alpha)
+    for (_, weight), (pa, au, p_success) in zip(items, points):
+        i_pa += weight * pa
+        success += weight * p_success
         if spec.measure_au:
-            i_au += weight * _unitary_interference(*unitaries.rest_rows)
+            i_au += weight * au
     total = sum(weight for _, weight in items)
     return i_pa / total, (i_au / total if spec.measure_au else None), success / total
 
 
-def _marked_items(spec: ExperimentSpec, thetas):
+def _view_measures(spec, ideal, items, thetas, deltas):
+    """(I_pa, I_au or None, success) of each marked item, from its views."""
+    algo = spec.algorithm
+    if isinstance(algo, GroverSpec):
+        circuits = grover_circuits(algo, [alpha for alpha, _ in items], thetas)
+    else:
+        circuits = [build_shor(algo, thetas, deltas)]
+    views = stacked_unitaries(circuits, algo.layer_width, spec.measure_au)
+    for (alpha, _), unitaries in zip(items, views):
+        i_pa = _unitary_interference(*unitaries.full_rows)
+        success = _success(ideal, unitaries.output_probabilities, alpha)
+        i_au = _unitary_interference(*unitaries.rest_rows) if spec.measure_au else None
+        yield i_pa, i_au, success
+
+
+def _marked_items(spec: ExperimentSpec, uniform: bool):
     """(marked item, weight) pairs a point averages over; ((None, 1),) for
     Shor.
 
-    When every Hadamard angle is equal, the Grover circuit for alpha is the
-    circuit for pi(alpha) conjugated by the qubit permutation pi, which
-    leaves |0...0>, both interferences and the success probability as they
-    are.  An alpha-averaged point then evaluates one marked item per
-    Hamming weight w, alpha = 2^w - 1, weighted C(n, w).  Any other angle
-    list counts every marked item once."""
+    When every Hadamard angle is equal (``uniform``), the Grover circuit
+    for alpha is the circuit for pi(alpha) conjugated by the qubit
+    permutation pi, which leaves |0...0>, both interferences and the
+    success probability as they are.  An alpha-averaged point then
+    evaluates one marked item per Hamming weight w, alpha = 2^w - 1,
+    weighted C(n, w).  Any other angle list counts every marked item once."""
     algo = spec.algorithm
     if not isinstance(algo, GroverSpec):
         return ((None, 1),)
     if not spec.average_over_alpha:
         return ((algo.alpha, 1),)
     n = algo.n
-    if all(theta == thetas[0] for theta in thetas):
+    if uniform:
         return tuple(((1 << w) - 1, math.comb(n, w)) for w in range(n + 1))
     return tuple((alpha, 1) for alpha in range(1 << n))
 

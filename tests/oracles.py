@@ -2,9 +2,9 @@
 
 Dense Kronecker products, explicit embeddings, literal density-matrix
 updates, the gate-by-gate circuit unitary, the explicit Kraus route for
-decoherence and the per-item loop of an alpha-averaged Grover point: each
-one is the textbook construction that a library fast path is checked
-against.
+decoherence, the per-item loop of an alpha-averaged Grover point and the
+uniform-angle Grover measures to 50 digits: each one is the textbook
+construction that a library fast path is checked against.
 Conventions follow ``qimeter.linalg`` (qubit 0 is the most significant bit
 of the basis index).
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import mpmath
 import numpy as np
 
 from qimeter.algorithms import AlgorithmUnitaries, GroverSpec, build_grover
@@ -444,3 +445,100 @@ def alpha_averaged_grover(spec: GroverSpec, thetas) -> tuple[float, float, float
         success += abs(u_full[alpha, 0]) ** 2
     count = 1 << spec.n
     return i_pa / count, i_au / count, success / count
+
+
+# ---------------------------------------------------------------------------
+# uniform-angle Grover to 50 digits
+
+EXACT_DIGITS = 50
+
+
+@mpmath.workdps(EXACT_DIGITS)
+def grover_uniform_exact(n: int, alpha: int, theta: float, k: int) -> tuple:
+    """(I_pa, I_au, success) of Grover search on n qubits with marked item
+    ``alpha``, k iterations and every Hadamard angle ``theta`` (the double
+    itself, read exactly), as mpmath numbers good to ``EXACT_DIGITS``.
+
+    It uses G^k = I + W C_k W^T, W = [e_alpha, v] (DECISIONS.md, "Uniform-angle
+    Grover points in closed form"), but sums each fourth power over all
+    (i, j) at once: the entries off row and column alpha (U_rest), or off
+    row alpha and column 0 (U_full), are one polynomial in the layer's
+    entries, and its binomially expanded fourth power factorizes over the
+    qubits.  The rows and columns left out are summed in closed form, and
+    the success is U_full[alpha, 0]^2.  That expansion cancels (DECISIONS.md),
+    which 50 digits absorb; ``grover_uniform_dense`` checks it at small n."""
+    mp = mpmath.mp
+    c, s = mp.cos(mp.mpf(theta)), mp.sin(mp.mpf(theta))
+    h = [[c, s], [s, -c]]
+    ones = bin(alpha).count("1")
+    v_alpha = c ** (n - ones) * s**ones
+    gram = mp.matrix([[1, v_alpha], [v_alpha, 1]])
+    step = mp.matrix([[-2, 0], [4 * v_alpha, -2]])
+    ck = mp.zeros(2, 2)
+    for _ in range(k):
+        ck = ck + step + ck * gram * step
+    c00, c01, c10, c11 = ck[0, 0], ck[0, 1], ck[1, 0], ck[1, 1]
+
+    def per_qubit(term):
+        """sum over (i, j) of prod_q term(alpha_q, i_q, j_q), a product of one
+        factor per qubit that depends only on alpha_q."""
+        zero, one = (mp.fsum(term(b, x, y) for x in (0, 1) for y in (0, 1)) for b in (0, 1))
+        return zero ** (n - ones) * one**ones
+
+    power4 = mp.fsum(x**4 for x in (c, s)) ** n  # sum_i v_i^4, and sum_j L_alpha,j^4
+
+    # U_full off row alpha and column 0: L_ij + C10 v_i L_alpha,j
+    def generic_term(m):  # L_ij^(4-m) (v_i L_alpha,j)^m, summed over (i, j)
+        return per_qubit(lambda b, x, y: h[x][y] ** (4 - m) * (h[x][0] * h[b][y]) ** m)
+
+    generic = mp.fsum(mp.binomial(4, m) * c10**m * generic_term(m) for m in range(5))
+    generic_edge = (1 + c10 * v_alpha) ** 4 * power4  # its row alpha, and its column 0
+    r, q = 1 + c00 + c10 * v_alpha, 1 + c10 * v_alpha + c11
+    corner = r * v_alpha + c01 + c11 * v_alpha
+    full4 = (
+        generic - 2 * generic_edge + (v_alpha * (1 + c10 * v_alpha)) ** 4
+        + (r**4 + q**4) * (power4 - v_alpha**4) + corner**4
+    )
+    # U_rest off row and column alpha: delta_ij + C11 v_i v_j
+    # sum_i (1 + C11 v_i^2)^4, with sum_i v_i^(2m) = (cos^2m + sin^2m)^n
+    diagonal = mp.fsum(
+        mp.binomial(4, m) * c11**m * (c ** (2 * m) + s ** (2 * m)) ** n for m in range(5)
+    )
+    power8 = (c**8 + s**8) ** n
+    generic = c11**4 * (power4**2 - power8) + diagonal
+    generic_edge = c11**4 * v_alpha**4 * (power4 - v_alpha**4) + (1 + c11 * v_alpha**2) ** 4
+    rest_corner = 1 + c00 + (c01 + c10) * v_alpha + c11 * v_alpha**2
+    rest4 = (
+        generic - 2 * generic_edge + (1 + c11 * v_alpha**2) ** 4
+        + ((c01 + c11 * v_alpha) ** 4 + (c10 + c11 * v_alpha) ** 4) * (power4 - v_alpha**4)
+        + rest_corner**4
+    )
+    dim = 2**n
+    return dim - full4, dim - rest4, corner**2
+
+
+@mpmath.workdps(EXACT_DIGITS)
+def grover_uniform_dense(n: int, alpha: int, theta: float, k: int) -> tuple:
+    """``grover_uniform_exact`` from dense mpmath matrices: the layer L as a
+    Kronecker product, the iterate G = L R_0 L O_alpha, U_rest = G^k and
+    U_full = U_rest L, each sum |U|^4 entry by entry."""
+    mp = mpmath.mp
+    c, s = mp.cos(mp.mpf(theta)), mp.sin(mp.mpf(theta))
+    dim = 1 << n
+    h = [[c, s], [s, -c]]
+
+    def entry(x, y):
+        return mp.fprod(h[(x >> q) & 1][(y >> q) & 1] for q in range(n))
+
+    layer = mp.matrix([[entry(x, y) for y in range(dim)] for x in range(dim)])
+    oracle, zero = mp.eye(dim), mp.eye(dim)
+    oracle[alpha, alpha] = zero[0, 0] = -1
+    iterate, rest = layer * zero * layer * oracle, mp.eye(dim)
+    for _ in range(k):
+        rest = iterate * rest
+    full = rest * layer
+
+    def fourth(u):
+        return mp.fsum(u[x, y] ** 4 for x in range(dim) for y in range(dim))
+
+    return dim - fourth(full), dim - fourth(rest), full[alpha, 0] ** 2

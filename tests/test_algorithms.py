@@ -14,6 +14,8 @@ from oracles import (
     decoherence_channels,
     density_from_state,
     grover_success,
+    grover_uniform_dense,
+    grover_uniform_exact,
     layered_error_channel,
     pauli_noise_kernel_every_row,
     phaseflip_mixture,
@@ -33,6 +35,7 @@ from qimeter.algorithms import (
     grover_circuits,
     grover_iteration_count,
     grover_oracle,
+    grover_uniform_measures,
     grover_unitaries,
     grover_zero_reflection,
     modexp_permutation,
@@ -240,6 +243,12 @@ class TestSpecLayout:
         for spec in (grover, shor):
             assert all(type(value) is int for value in vars(spec).values() if value is not None)
         assert (grover, shor) == (GroverSpec(3, 2, 1), ShorSpec(3, 7, 3))
+
+    def test_negative_k_override_refused(self):
+        # k = -1 would ask for n - 2n Hadamard angles, and an empty uniform list
+        with pytest.raises(ValueError, match="k_override=-1 is negative"):
+            GroverSpec(3, 1, k_override=-1)
+        assert GroverSpec(3, 1, k_override=0).n_hadamards == 3
 
     def test_grover_above_cap_refused(self):
         with pytest.raises(SizeLimitError, match="13 qubits"):
@@ -708,6 +717,96 @@ class TestStackedUnitaries:
         circuits = [build_grover(replace(spec, alpha=alpha)) for alpha in range(3)]
         assert assert_stacked_views(circuits, 4, True) == [False] * 3
         assert assert_stacked_views(circuits, 4, False) == [True] * 3
+
+
+UNIFORM_THETAS = (0.0, 0.0245, math.pi / 8, math.pi / 4, 3 * math.pi / 8, 1.1, math.pi / 2)
+
+# the closed form's measured error against 50 digits (DECISIONS.md, "Uniform-
+# angle Grover points in closed form"), with about 2.5 times headroom: I_pa
+# and I_au within 32 N eps (N = 2^n, eps = 2^-52; at most 11.8 N eps measured,
+# at theta = 0.0245), the success within 3e-14 (1.1e-14 measured, n = 12)
+INTERFERENCE_EPS = 32
+SUCCESS_TOL = 3e-14
+# the stacked gate pass is within 118.5 N eps of the closed form at n = 8
+GATE_PASS_EPS = 256
+
+
+def uniform_cases(n):
+    """Every weight class alpha = 2^w - 1 at k = 0, 1 and the optimal k."""
+    return [GroverSpec(n, (1 << w) - 1, k) for w in range(n + 1) for k in (0, 1, None)]
+
+
+class TestGroverUniformMeasures:
+    """``grover_uniform_measures`` against the 50-digit oracle for n <= 12 and
+    against the stacked gate pass for n <= 8."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_exact_oracle_matches_dense_matrices(self, n):
+        for alpha in range(1 << n):
+            for k in (1, 2, 3):
+                factored = grover_uniform_exact(n, alpha, 0.37, k)
+                dense = grover_uniform_dense(n, alpha, 0.37, k)
+                assert all(abs(x - y) < 1e-45 for x, y in zip(factored, dense))
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_exact_oracle(self, n):
+        floor = INTERFERENCE_EPS * 2.0 ** (n - 52)
+        for spec in uniform_cases(n):
+            for theta in UNIFORM_THETAS:
+                got = grover_uniform_measures(spec, spec.alpha, theta, True)
+                i_pa, i_au, success = grover_uniform_exact(n, spec.alpha, theta, spec.iterations)
+                assert abs(got[0] - i_pa) <= floor and abs(got[1] - i_au) <= floor
+                assert abs(got[2] - success) <= SUCCESS_TOL
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_stacked_gate_pass(self, n):
+        floor = GATE_PASS_EPS * 2.0 ** (n - 52)
+        weights = range(n + 1) if n <= 6 else (0, 1, n // 2, n)  # n = 7, 8 build each view alone
+        for theta in UNIFORM_THETAS:
+            for k in (0, 1, None):
+                spec = GroverSpec(n, 0, k)
+                alphas = [(1 << w) - 1 for w in weights]
+                circuits = grover_circuits(spec, alphas, [theta] * spec.n_hadamards)
+                for alpha, uni in zip(alphas, stacked_unitaries(circuits, n, True)):
+                    i_pa = _unitary_interference(*uni.full_rows)
+                    success = float(uni.output_probabilities[alpha])
+                    got = grover_uniform_measures(spec, alpha, theta, True)
+                    assert abs(got[0] - i_pa) <= floor and abs(got[2] - success) <= 1e-13
+                    assert abs(got[1] - _unitary_interference(*uni.rest_rows)) <= floor
+
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_no_iteration_is_the_layer(self, n):
+        # C_0 = 0: U_rest = I and U_full = L, with sum |L|^4 = (2 cos^4 + 2 sin^4)^n
+        c, s = math.cos(0.3), math.sin(0.3)
+        for w in range(n + 1):
+            i_pa, i_au, success = grover_uniform_measures(GroverSpec(n, 0, 0), (1 << w) - 1, 0.3, True)
+            assert i_au == 0.0
+            assert i_pa == pytest.approx(2**n - (2 * c**4 + 2 * s**4) ** n, rel=1e-13)
+            assert success == pytest.approx((c ** (n - w) * s**w) ** 2, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_signed_permutation_edges_read_zero(self, n):
+        # at theta = 0 and pi/2 every gate is a signed permutation
+        for spec in uniform_cases(n):
+            for theta in (0.0, math.pi / 2):
+                i_pa, i_au, _ = grover_uniform_measures(spec, spec.alpha, theta, True)
+                assert i_pa == 0.0 and i_au == 0.0
+
+    def test_measures_i_au_only_when_asked(self):
+        spec = GroverSpec(4, 3)
+        with_au = grover_uniform_measures(spec, 3, 0.3, True)
+        i_pa, i_au, success = grover_uniform_measures(spec, 3, 0.3, False)
+        assert i_au is None and (i_pa, success) == (with_au[0], with_au[2])
+
+    def test_depends_on_alpha_through_its_weight(self):
+        spec = GroverSpec(6, 0)
+        weight_three = grover_uniform_measures(spec, 0b000111, 0.3, True)
+        assert grover_uniform_measures(spec, 0b101001, 0.3, True) == weight_three
+
+    @pytest.mark.parametrize("alpha", [-1, 16])
+    def test_refuses_an_alpha_outside_the_register(self, alpha):
+        with pytest.raises(ValueError, match="marked item"):
+            grover_uniform_measures(GroverSpec(4, 0), alpha, 0.3, True)
 
 
 class TestRepresentativeRows:

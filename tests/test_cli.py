@@ -23,6 +23,15 @@ class TestSweepCommands:
         assert abs(rows[1].sweep_value - 0.7853981633974483) < 1e-12
         assert rows[1].success > 0.9
 
+    def test_grover_systematic_n10_digits_are_true(self, tmp_path):
+        # I_au at theta = 0.3 is 0.669311525908397 to 15 digits (the 50-digit
+        # oracle); the stacked gate pass wrote 0.669311525999
+        out = tmp_path / "rows.csv"
+        argv = ["grover-systematic", "--n", "10", "--alpha", "2", "--grid", "0.3:1.2:2"]
+        assert main(argv + ["--out", str(out)]) == 0
+        first = out.read_text().splitlines()[1].split(",")
+        assert first[:2] == ["0.3", "10"] and first[4] == "0.669311525908"
+
     def test_grover_random_json(self, tmp_path):
         out = tmp_path / "rows.json"
         code = main(

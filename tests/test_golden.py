@@ -32,6 +32,24 @@ relative, i-bits by at most 3.4e-13), and left all seven CSV files
 unchanged.  The rounding-noise rows above read as before: success
 2.0e-16, 1.7e-16 and 1.1e-16 at p = 1, n_f = 2..4, and I_au = 0 (ibits
 -inf) at p = 0.5, n_f = 4.
+
+The Grover systematic and random twins were rewritten again when a
+uniform-angle Grover point began to be evaluated in closed form
+(DECISIONS.md, "Uniform-angle Grover points in closed form").  That moved
+33 values of the systematic twin, each by at most 1.1e-14, and the 5
+values of the random twin's eps = 0 row, by at most 1.8e-15.  35 of the 38
+moved values are now closer to their 50-digit values; the eps = 0 row,
+exact Grover at pi/4, is now exact.  Three are farther, by at most one
+ulp: I_pa and its i-bits at theta = pi/16 (now 3.2e-15 and 2.2e-15 off)
+and the success at 7 pi/16 (now 7.6e-17 off).  One CSV cell changed: the
+success at theta = 3 pi/8 in ``grover-systematic.csv``, from
+0.650512695313 to 0.650512695312.  At theta = pi/8 and 3 pi/8 (the grid's
+doubles) the 50-digit successes are 0.65051269531249998901 and
+0.65051269531250003296.  The nearest double to both is 0.6505126953125, a
+12-digit tie that ``.12g`` rounds to even, "...312".  The gate pass gave
+one ulp above it at 3 pi/8, which printed "...313"; the closed form gives
+that nearest double itself.  At pi/8 it gives one ulp below (the gate
+pass gave three below), which prints "...312" as before.
 """
 
 import io

@@ -15,6 +15,7 @@ import pytest
 from oracles import (
     alpha_averaged_grover,
     decoherence_channels,
+    grover_uniform_exact,
     noise_then_unitary_per_index,
     pauli_noise_kernel_unblocked,
     phaseflip_mixture,
@@ -29,9 +30,11 @@ from qimeter.algorithms import (
     build_shor,
     final_probabilities,
     grover_circuits,
+    grover_uniform_measures,
     grover_unitaries,
     shor_success,
     shor_unitaries,
+    stacked_unitaries,
 )
 from qimeter.channels import BITFLIP, PHASEFLIP, ErrorModel
 from qimeter.errors import SizeLimitError
@@ -153,9 +156,34 @@ def count_grover_builds(monkeypatch):
     return calls
 
 
+def count_closed_forms(monkeypatch):
+    calls = []
+
+    def counting(spec, alpha, theta, measure_au):
+        calls.append(alpha)
+        return grover_uniform_measures(spec, alpha, theta, measure_au)
+
+    monkeypatch.setattr(harness, "grover_uniform_measures", counting)
+    return calls
+
+
+def exact_alpha_average(spec: GroverSpec, theta: float) -> tuple:
+    """The 50-digit mean (I_pa, I_au, success) over all 2^n marked items."""
+    n = spec.n
+    values = [
+        [math.comb(n, w) * x for x in grover_uniform_exact(n, (1 << w) - 1, theta, spec.iterations)]
+        for w in range(n + 1)
+    ]
+    return tuple(sum(column) / 2**n for column in zip(*values))
+
+
 class TestAlphaWeightClasses:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_matches_per_alpha_oracle(self, n):
+        # the gate-by-gate mean over every item agrees to 1e-12 relative, and
+        # both are within 256 N eps of the 50-digit value; where that value is
+        # 0 to 31 digits (n = 2, theta = pi/4: I_pa), the gate pass reads 4.4e-16
+        floor = 256 * 2.0 ** (n - 52)
         spec = ExperimentSpec(
             GroverSpec(n, 0), SystematicErrors(WEIGHT_CLASS_THETAS), average_over_alpha=True
         )
@@ -163,21 +191,24 @@ class TestAlphaWeightClasses:
         for row in rows:
             thetas = [row.sweep_value] * spec.algorithm.n_hadamards
             expected = alpha_averaged_grover(spec.algorithm, thetas)
+            exact = exact_alpha_average(spec.algorithm, row.sweep_value)
             observed = (row.interference_pa, row.interference_au, row.success)
-            for got, want in zip(observed, expected):
-                assert abs(got - want) <= 1e-12 * abs(want)
+            for got, want, value in zip(observed, expected, exact):
+                assert abs(got - value) <= floor and abs(want - value) <= floor
+                assert abs(got - want) <= 1e-12 * abs(want) or abs(value) <= floor
             assert row.n_samples == 2**n
         for edge in (rows[0], rows[-1]):
             assert edge.interference_pa == 0.0 and edge.interference_au == 0.0
 
     @pytest.mark.parametrize("n", [3, 5])
-    def test_uniform_angle_builds_one_pair_per_weight(self, n, monkeypatch):
-        calls = count_grover_builds(monkeypatch)
+    def test_uniform_angle_builds_no_circuit(self, n, monkeypatch):
+        builds, closed_forms = count_grover_builds(monkeypatch), count_closed_forms(monkeypatch)
         spec = ExperimentSpec(
             GroverSpec(n, 0), SystematicErrors((0.37,)), average_over_alpha=True
         )
         (row,) = run_systematic_sweep(spec)
-        assert calls == [(1 << w) - 1 for w in range(n + 1)]
+        assert builds == []
+        assert closed_forms == [(1 << w) - 1 for w in range(n + 1)]
         assert row.n_samples == 2**n
 
     def test_nudged_angle_builds_every_item(self, monkeypatch):
@@ -194,13 +225,22 @@ class TestAlphaWeightClasses:
             assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_random_sweep_shortcut_only_at_zero_epsilon(self, monkeypatch):
-        calls = count_grover_builds(monkeypatch)
+        builds, closed_forms = count_grover_builds(monkeypatch), count_closed_forms(monkeypatch)
         spec = ExperimentSpec(
             GroverSpec(3, 0), RandomErrors((0.0, 0.5), 1), average_over_alpha=True
         )
         rows = run_random_sweep(spec)
-        assert calls == [0, 1, 3, 7] + list(range(8))
+        assert closed_forms == [0, 1, 3, 7]
+        assert builds == list(range(8))
         assert [row.n_samples for row in rows] == [1, 1]
+
+    @pytest.mark.parametrize("average", [True, False])
+    def test_angle_list_of_the_wrong_length_refused(self, average):
+        # a uniform list of any length would pass the test for equal angles
+        spec = ExperimentSpec(GroverSpec(3, 2), SystematicErrors((0.37,)), average_over_alpha=average)
+        for count in (0, spec.algorithm.n_hadamards - 1, spec.algorithm.n_hadamards + 1):
+            with pytest.raises(ValueError, match=f"expected 15 Hadamard angles, got {count}"):
+                harness._unitary_point(spec, None, [0.37] * count)
 
 
 class TestRandomSweep:
@@ -347,8 +387,9 @@ class TestStackedPoints:
         assert passes == [1] * 80
 
     def test_shared_gates_keyed_once(self, monkeypatch):
-        # one n = 5 point, six weight classes of 53 gates: each gate that the
-        # circuits share is one object, keyed once; each oracle is keyed once per class
+        # the six weight classes of n = 5 at one angle, 53 gates each: each
+        # gate that the circuits share is one object, keyed once; each oracle
+        # is keyed once per class
         contents = []
         content = gates._content
 
@@ -358,8 +399,10 @@ class TestStackedPoints:
 
         monkeypatch.setattr(gates, "_content", counted)
         algo = GroverSpec(5, 0)
-        spec = ExperimentSpec(algo, SystematicErrors((0.37,)), average_over_alpha=True)
-        harness._unitary_point(spec, None, [0.37] * algo.n_hadamards)
+        alphas = [(1 << w) - 1 for w in range(algo.n + 1)]
+        circuits = grover_circuits(algo, alphas, [0.37] * algo.n_hadamards)
+        for unitaries in stacked_unitaries(circuits, algo.n, True):
+            unitaries.full_rows, unitaries.rest_rows
         width, oracles, classes = algo.n_hadamards + 2 * algo.iterations, algo.iterations, algo.n + 1
         assert len(contents) == width - oracles + classes * oracles == 73
 
