@@ -8,7 +8,7 @@ used" interference measurements.  Decoherence strikes only the initial
 layer: bit-flip or phase-flip errors after each of its Hadamard gates,
 which keeps the Kraus-operator count at 2^n_f.  Grover search with one
 angle at every Hadamard needs no circuit: ``grover_uniform_measures``
-gives its measures in closed form.
+gives its measures in closed form, for a whole grid of angles at once.
 """
 
 from __future__ import annotations
@@ -180,9 +180,18 @@ def grover_circuits(
         yield Circuit(n, tuple(ops))
 
 
-def grover_uniform_measures(spec: GroverSpec, alpha: int, theta: float, measure_au: bool) -> tuple:
+# elements of one theta-by-class array in ``grover_uniform_measures``: a
+# block of angles holds as many as fit, and at least one (DECISIONS.md,
+# "Sweeps evaluate their grid as arrays")
+THETA_BLOCK_ENTRIES = 1 << 11
+
+
+def grover_uniform_measures(
+    spec: GroverSpec, alpha: int, thetas: Sequence[float], measure_au: bool
+) -> tuple:
     """(I_pa, I_au, success) of the Grover circuit of ``spec`` with marked item
-    ``alpha`` (not ``spec.alpha``) and every Hadamard angle ``theta``, in
+    ``alpha`` (not ``spec.alpha``) and every Hadamard angle theta, for each
+    theta of ``thetas``: three float arrays with one value per angle, in
     closed form with no matrix; I_au is None unless ``measure_au``
     (DECISIONS.md, "Uniform-angle Grover points in closed form").
 
@@ -195,21 +204,37 @@ def grover_uniform_measures(spec: GroverSpec, alpha: int, theta: float, measure_
     (alpha_q, i_q, j_q), so each sum |U|^4 runs over those classes: each
     class's entry is computed first, rows and columns alpha and 0 with
     their own terms, and its fourth power is weighted by the class size.
-    The success is sin^2((2k + 1) asin v_alpha)."""
+    The success is sin^2((2k + 1) asin v_alpha).
+
+    The angles run in blocks of ``THETA_BLOCK_ENTRIES // classes``, each a
+    theta-by-class array whose rows are reduced one at a time, so a value
+    has the same bits in any grid that holds its angle."""
+    ones = bin(GroverSpec(spec.n, alpha).alpha).count("1")  # alpha checked
+    classes = _bit_triple_classes(spec.n - ones, ones)
+    thetas = [float(theta) for theta in thetas]
+    block = max(1, THETA_BLOCK_ENTRIES // len(classes[0]))
+    i_pa, i_au, success = [], [], []
+    for lo in range(0, len(thetas), block):
+        pa, au, p_success = _uniform_block(spec, ones, classes, thetas[lo : lo + block], measure_au)
+        i_pa += pa
+        success += p_success
+        if measure_au:
+            i_au += au
+    return np.array(i_pa), np.array(i_au) if measure_au else None, np.array(success)
+
+
+def _uniform_block(spec: GroverSpec, ones: int, classes: tuple, thetas: list, measure_au: bool):
+    """``grover_uniform_measures`` at the angles of one block."""
     n, k = spec.n, spec.iterations
-    ones = bin(GroverSpec(n, alpha).alpha).count("1")  # alpha checked
-    sizes, cos_counts, signs, (i_a, j_a, j_0, diagonal) = _bit_triple_classes(n - ones, ones)
-    c, s = math.cos(theta), math.sin(theta)
-    cos_pow = np.array([c**e for e in range(n + 1)])
-    sin_pow = np.array([s**e for e in range(n + 1)])
-    l_ij, v_i, v_j, l_aj = cos_pow[cos_counts] * sin_pow[n - cos_counts] * signs
-    v_alpha = cos_pow[n - ones] * sin_pow[ones]
-    step = np.array([[-2.0, 0.0], [4.0 * v_alpha, -2.0]])  # C_1
-    turn = np.array([[1.0, v_alpha], [v_alpha, 1.0]]) @ step  # W^T W C_1
-    ck = np.zeros((2, 2))
-    for _ in range(k):
-        ck = ck + step + ck @ turn
-    (c00, c01), (c10, c11) = ck
+    sizes, cos_counts, signs, (i_a, j_a, j_0, diagonal) = classes
+    cos_pow = np.array([[c**e for e in range(n + 1)] for c in map(math.cos, thetas)])
+    sin_pow = np.array([[s**e for e in range(n + 1)] for s in map(math.sin, thetas)])
+    entries = cos_pow[:, cos_counts]  # theta-by-class arrays
+    entries *= sin_pow[:, n - cos_counts]
+    entries *= signs
+    l_ij, v_i, v_j, l_aj = np.moveaxis(entries, 1, 0)
+    v_alpha = cos_pow[:, n - ones] * sin_pow[:, ones]
+    c00, c01, c10, c11 = _iterate_coefficients(v_alpha, k).reshape(-1, 4, 1).transpose(1, 0, 2)
 
     full = l_ij + c10 * v_i * l_aj + c11 * v_i * j_0 + i_a * (c00 * l_aj + c01 * j_0)
     i_pa = _interference_from_classes(full, sizes, 1 << n)
@@ -220,16 +245,44 @@ def grover_uniform_measures(spec: GroverSpec, alpha: int, theta: float, measure_
     # asin v_alpha from 1 - v_alpha^2 = sum_(i != alpha) v_i^2, a sum of
     # positive terms: 1 - v_alpha^2 itself cancels when v_alpha is near 1
     column = j_0 & ~i_a  # one class per class of rows i != alpha
-    others = float(np.sum(sizes[column] * v_i[column] ** 2))
-    return i_pa, i_au, math.sin((2 * k + 1) * math.atan2(v_alpha, math.sqrt(others))) ** 2
+    others = _row_sums(sizes[column] * v_i[:, column] ** 2)
+    success = [
+        math.sin((2 * k + 1) * math.atan2(v, math.sqrt(rest_sum))) ** 2
+        for v, rest_sum in zip(v_alpha.tolist(), others)
+    ]
+    return i_pa, i_au, success
 
 
-def _interference_from_classes(entries: np.ndarray, sizes: np.ndarray, dim: int) -> float:
-    """dim - sum |U|^4 of a real dim x dim unitary whose class c holds sizes[c]
-    entries equal to entries[c]."""
+def _iterate_coefficients(v_alpha: np.ndarray, k: int) -> np.ndarray:
+    """C_k of G^k = I + W C_k W^T for each of ``v_alpha``, a len(v_alpha) x 2 x 2
+    array.  The 2 x 2 products run stacked, one BLAS product per value, with
+    the bits of one product at a time; products expanded by hand differ."""
+    step = np.zeros((len(v_alpha), 2, 2))  # C_1
+    step[:, 0, 0] = step[:, 1, 1] = -2.0
+    step[:, 1, 0] = 4.0 * v_alpha
+    gram = np.ones((len(v_alpha), 2, 2))  # W^T W
+    gram[:, 0, 1] = gram[:, 1, 0] = v_alpha
+    turn = gram @ step
+    ck = np.zeros((len(v_alpha), 2, 2))
+    for _ in range(k):
+        ck = ck + step + ck @ turn
+    return ck
+
+
+def _row_sums(rows: np.ndarray) -> list:
+    """The sum of each row of a 2-D array, each row summed as its own 1-D
+    array, so with the bits of ``np.sum(row)``: one sum along the rows of a
+    short-rowed array adds in another order."""
+    return [float(np.add.reduce(row)) for row in rows]
+
+
+def _interference_from_classes(entries: np.ndarray, sizes: np.ndarray, dim: int) -> list:
+    """dim - sum |U|^4 of a real dim x dim unitary, for each row of ``entries``,
+    whose class c holds sizes[c] entries equal to entries[:, c]."""
     fourth = entries * entries
     fourth *= fourth
-    return _checked(dim - float(np.sum(sizes * fourth)))
+    fourth *= sizes
+    return [_checked(dim - total) for total in _row_sums(fourth)]
 
 
 @functools.cache
@@ -479,7 +532,9 @@ class SubsetClassSums:
     ``noise_class_sums`` of U_full's kernel, error kind swapped (sigma_z H =
     H sigma_x), and of U_rest's; ``mixture`` row w sums the ``mixture_table``
     rows of the patterns within S of w hits.  Each is built on first read,
-    after ``require_fast_path``."""
+    after ``require_fast_path``.  The measures are read for a grid of error
+    probabilities at once (``DecoherencePoint`` reads a grid of one), each
+    value with the bits it has in any grid that holds its p."""
 
     unitaries: AlgorithmUnitaries
     kind: str
@@ -507,38 +562,53 @@ class SubsetClassSums:
         hits, table = popcount(rows), self.unitaries.mixture_table
         return np.array([table[rows[hits == w]].sum(axis=0) for w in range(len(self.affected) + 1)])
 
-    def probabilities(self, ps) -> tuple:
+    def interference_pa(self, ps) -> list:
+        """I_pa at each error probability of ``ps``, one 1-D dot per p
+        (``interference_from_class_sums``)."""
+        return [interference_from_class_sums(self.pa, p) for p in ps]
+
+    def interference_au(self, ps) -> list:
+        """I_au at each error probability of ``ps``, as ``interference_pa``."""
+        return [interference_from_class_sums(self.au, p) for p in ps]
+
+    def probabilities(self, ps) -> np.ndarray:
         """The output distribution from |0...0> at each error probability of
-        ``ps``: bit flips leave the post-layer state as it is, so each is
-        ``output_probabilities``, and phase flips give sum_w p^w (1 - p)^(n_f - w)
-        mixture[w], one row of a len(ps) x N grid summed class by class (``0.0 ** 0``
-        is 1.0, so p = 0 and 1 need no case).  Each element gets the product of
-        its Python-float coefficient and the class entry, added in class order,
-        so a row is the same at any ``ps`` that holds its p."""
+        ``ps``, as the rows of a read-only len(ps) x N array.  Bit flips leave
+        the post-layer state as it is, so each row is ``output_probabilities``
+        (a broadcast view of it), and phase flips give sum_w p^w (1 - p)^(n_f - w)
+        mixture[w], summed class by class (``0.0 ** 0`` is 1.0, so p = 0 and 1
+        need no case).  Each element gets the product of its Python-float
+        coefficient and the class entry, added in class order, so a row is
+        the same at any ``ps`` that holds its p."""
         if self.kind == BITFLIP:
-            return (self.unitaries.output_probabilities,) * len(ps)
+            probs = self.unitaries.output_probabilities
+            return np.broadcast_to(probs, (len(ps), len(probs)))
         n_f = len(self.affected)
         probs = np.zeros((len(ps), self.mixture.shape[1]))
         for w, row in enumerate(self.mixture):
             probs += np.array([p**w * (1.0 - p) ** (n_f - w) for p in ps])[:, None] * row
-        return tuple(probs)
+        probs.flags.writeable = False
+        return probs
 
 
 @dataclass(frozen=True, eq=False)
 class DecoherencePoint:
-    """One (p, affected-subset) evaluation of a decohered algorithm from the
-    subset's class sums, each measure evaluated the first time it is read."""
+    """One (p, affected-subset) evaluation of a decohered algorithm: the
+    subset's class sums read at a grid of one p, each measure evaluated the
+    first time it is read."""
 
     sums: SubsetClassSums
     p: float
 
     @functools.cached_property
     def interference_pa(self) -> float:
-        return interference_from_class_sums(self.sums.pa, self.p)
+        (value,) = self.sums.interference_pa((self.p,))
+        return value
 
     @functools.cached_property
     def interference_au(self) -> float:
-        return interference_from_class_sums(self.sums.au, self.p)
+        (value,) = self.sums.interference_au((self.p,))
+        return value
 
     @functools.cached_property
     def probabilities(self) -> np.ndarray:
@@ -569,18 +639,27 @@ def shor_success(ideal: np.ndarray, observed: np.ndarray) -> float:
 
 def _success_against(ideal: np.ndarray, observed: np.ndarray) -> float:
     """``shor_success`` for an ``ideal`` it has accepted: a sweep checks its ideal once."""
+    (value,) = _successes_against(ideal, np.asarray(observed, dtype=float)[None])
+    return value
+
+
+def _successes_against(ideal: np.ndarray, observed: np.ndarray) -> list:
+    """``_success_against`` of each row of the 2-D ``observed``, each row
+    checked and summed on its own (``_row_sums``)."""
     observed = _distribution("observed", observed)
-    if ideal.shape != observed.shape:
-        raise ValueError(f"length mismatch: {ideal.shape} vs {observed.shape}")
-    value = 1.0 - 0.5 * float(np.sum(np.abs(ideal - observed)))
-    return min(max(value, 0.0), 1.0)
+    if ideal.shape != observed.shape[1:]:
+        raise ValueError(f"length mismatch: {ideal.shape} vs {observed.shape[1:]}")
+    values = [1.0 - 0.5 * gap for gap in _row_sums(np.abs(ideal - observed))]
+    return [min(max(value, 0.0), 1.0) for value in values]
 
 
 def _distribution(name: str, dist: np.ndarray) -> np.ndarray:
+    """``dist`` as a float array, once each of its rows (or the 1-D ``dist``
+    itself) is found to sum to 1 within 1e-6."""
     dist = np.asarray(dist, dtype=float)
-    total = float(np.sum(dist))
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError(f"{name} distribution sums to {total}, not 1")
+    for total in _row_sums(np.atleast_2d(dist)):
+        if abs(total - 1.0) > 1e-6:
+            raise ValueError(f"{name} distribution sums to {total}, not 1")
     return dist
 
 

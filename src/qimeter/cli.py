@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--subset-policy", choices=(ALL_SUBSETS, PREFIX_SUBSETS), default=None,
                 help="average over all n_f-subsets or use the first n_f qubits",
             )
-        else:
+        elif command != "grover-systematic":  # its grid is one closed form, in this process
             _add_parallel(p)
         p.add_argument("--grid", type=_parse_grid, default=None, help="sweep grid start:stop:points")
         p.add_argument("--measure", choices=("pa", "both"), default="both")
@@ -196,7 +196,8 @@ def _run_sweep(args, algo, family):
     algorithm, average = _build_algorithm(args, algo)
     if family == "systematic":
         error_family = SystematicErrors(args.grid or default_theta_grid())
-        runner, options = run_systematic_sweep, {"parallel": args.parallel}
+        runner = run_systematic_sweep
+        options = {"parallel": args.parallel} if algo == "shor" else {}
     elif family == "random":
         realizations = args.realizations
         if realizations is None:

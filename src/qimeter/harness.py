@@ -25,12 +25,12 @@ from typing import Sequence, Union, get_args, get_type_hints
 import numpy as np
 
 from .algorithms import (
-    DecoherencePoint,
     GroverSpec,
     ShorSpec,
     SubsetClassSums,
     _distribution,
     _success_against,
+    _successes_against,
     build_shor,
     final_probabilities,
     grover_circuits,
@@ -239,29 +239,44 @@ def _unitary_point(spec, ideal, thetas, deltas=None):
     unless the spec measures it.
 
     A Grover point whose Hadamard angles are all equal builds no circuit:
-    ``grover_uniform_measures`` gives each item's measures in closed form.
-    Any other point reads them from its views.  U_full's rows give I_pa,
-    and its column 0 (the image of |0...0>) the output distribution;
-    U_rest only I_au, so it is built only when the spec measures it.  The
-    items' circuits, built one at a time by ``grover_circuits``, share
-    every gate object but the oracle, so ``stacked_unitaries`` builds the
-    views of as many of them as fit in one stacked pass (both views
-    together when I_au is measured), or, when one item's views do not fit,
-    one dense view at a time, U_full first."""
+    it is a grid of one angle for ``_uniform_grid``.  Any other point reads
+    its items' measures from their views.  U_full's rows give I_pa, and
+    its column 0 (the image of |0...0>) the output distribution; U_rest
+    only I_au, so it is built only when the spec measures it.  The items'
+    circuits, built one at a time by ``grover_circuits``, share every gate
+    object but the oracle, so ``stacked_unitaries`` builds the views of as
+    many of them as fit in one stacked pass (both views together when I_au
+    is measured), or, when one item's views do not fit, one dense view at a
+    time, U_full first."""
     algo = spec.algorithm
-    grover = isinstance(algo, GroverSpec)
-    if grover:
+    if isinstance(algo, GroverSpec):
         thetas = angle_list(thetas, algo.n_hadamards, math.pi / 4, "Hadamard angles")
-    uniform = grover and all(theta == thetas[0] for theta in thetas)
-    items = _marked_items(spec, uniform)
-    if uniform:
-        points = (
-            grover_uniform_measures(algo, alpha, thetas[0], spec.measure_au) for alpha, _ in items
-        )
-    else:
-        points = _view_measures(spec, ideal, items, thetas, deltas)
+        if all(theta == thetas[0] for theta in thetas):
+            values = _uniform_grid(spec, thetas[:1])
+            return tuple(None if column is None else float(column[0]) for column in values)
+    items = _marked_items(spec, False)
+    points = _view_measures(spec, ideal, items, thetas, deltas)
     i_pa = i_au = success = 0.0
     for (_, weight), (pa, au, p_success) in zip(items, points):
+        i_pa += weight * pa
+        success += weight * p_success
+        if spec.measure_au:
+            i_au += weight * au
+    total = sum(weight for _, weight in items)
+    return i_pa / total, (i_au / total if spec.measure_au else None), success / total
+
+
+def _uniform_grid(spec, thetas):
+    """``_unitary_point`` of a Grover spec at every Hadamard angle theta, for
+    each theta of ``thetas``: (I_pa, I_au or None, success) arrays, one value
+    per angle.  Each marked item of ``_marked_items`` is one closed form over
+    the whole grid (``grover_uniform_measures``); the items are weighed in
+    the order of ``_unitary_point``'s loop, elementwise, so each value has
+    the bits of its one-angle point."""
+    items = _marked_items(spec, True)
+    i_pa, i_au, success = np.zeros(len(thetas)), np.zeros(len(thetas)), np.zeros(len(thetas))
+    for alpha, weight in items:
+        pa, au, p_success = grover_uniform_measures(spec.algorithm, alpha, thetas, spec.measure_au)
         i_pa += weight * pa
         success += weight * p_success
         if spec.measure_au:
@@ -324,13 +339,22 @@ def _shor_ideal(algorithm):
 
 def run_systematic_sweep(spec: ExperimentSpec, parallel: int = 1) -> list:
     """One row per theta; every Hadamard angle (Shor: QFT Hadamards too)
-    is set to the grid value, QFT phases stay unperturbed."""
+    is set to the grid value, QFT phases stay unperturbed.
+
+    A Grover sweep evaluates its whole grid at once in the calling process
+    (``_uniform_grid``); ``parallel`` worker processes reach only Shor's
+    points, one per theta."""
     family = spec.error_family
     if not isinstance(family, SystematicErrors):
         raise ValueError("spec does not describe a systematic sweep")
-    n_thetas = spec.algorithm.n_hadamards
-    point = functools.partial(_unitary_point, spec, _shor_ideal(spec.algorithm))
-    results = _map_ordered(point, [[theta] * n_thetas for theta in family.thetas], parallel)
+    algo = spec.algorithm
+    if isinstance(algo, GroverSpec):
+        i_pa, i_au, success = _uniform_grid(spec, family.thetas)
+        results = zip(i_pa, itertools.repeat(None) if i_au is None else i_au, success)
+    else:
+        point = functools.partial(_unitary_point, spec, _shor_ideal(algo))
+        grid = [[theta] * algo.n_hadamards for theta in family.thetas]
+        results = _map_ordered(point, grid, parallel)
     n_samples = 1 << spec.n if spec.average_over_alpha else 1
     return [
         _make_row(spec, theta, None, [i_pa], [i_au], [success], n_samples)
@@ -397,8 +421,10 @@ def run_decoherence_sweep(spec: ExperimentSpec) -> list:
     sweep peaks at about 320 MB.  The table is 8 MB for Shor L = 4 (128 MB
     for Grover).  All are freed on return.  Each subset then costs one O(N)
     pass per kernel, 2^n_f table rows and one weighing of its mixtures for
-    the whole p grid (``SubsetClassSums``, one alive at a time), and each
-    point O(n_f) per measure."""
+    the whole p grid (``SubsetClassSums``, one alive at a time).  The
+    subset's measures come for the whole grid at once: per p, one dot of
+    n_f + 1 terms per measure and, for a Shor phase-flip sweep, one O(N)
+    row of the success grid (``_successes_against``)."""
     family = spec.error_family
     if not isinstance(family, DecoherenceErrors):
         raise ValueError("spec does not describe a decoherence sweep")
@@ -420,22 +446,28 @@ def run_decoherence_sweep(spec: ExperimentSpec) -> list:
     # a Shor bit-flip point observes ``ideal`` itself: its success is evaluated once
     exact = None if grover else shor_success(ideal, ideal)
     # (I_pa, I_au, success) samples per (p, n_f), in subset order
-    cells = [[([], [], []) for _ in family.n_f_values] for _ in family.probabilities]
+    ps = family.probabilities
+    cells = [[([], [], []) for _ in family.n_f_values] for _ in ps]
     prefix = family.subset_policy == PREFIX_SUBSETS
     for n_f, column in zip(family.n_f_values, zip(*cells)):
         for subset in [layer[:n_f]] if prefix else itertools.combinations(layer, n_f):
             sums = SubsetClassSums(unitaries, family.kind, subset)
             # before the first I_au: every reduction of U_full precedes U_rest
-            observed = sums.probabilities(family.probabilities)
-            for p, (pa, au, success), probs in zip(family.probabilities, column, observed):
-                point = DecoherencePoint(sums, p)
-                pa.append(point.interference_pa)
-                if spec.measure_au:
-                    au.append(point.interference_au)
-                success.append(exact if probs is ideal else _success(ideal, probs, alpha))
+            observed = sums.probabilities(ps)
+            if grover:
+                successes = observed[:, alpha].tolist()
+            elif family.kind == BITFLIP:  # every row is the ideal itself
+                successes = [exact] * len(ps)
+            else:
+                successes = _successes_against(ideal, observed)
+            i_pa = sums.interference_pa(ps)
+            i_au = sums.interference_au(ps) if spec.measure_au else itertools.repeat(None)
+            for samples, values in zip(column, zip(i_pa, i_au, successes)):
+                for sample, value in zip(samples, values):
+                    sample.append(value)
     return [
         _make_row(spec, p, n_f, pa, au, success, len(pa))
-        for p, row in zip(family.probabilities, cells)
+        for p, row in zip(ps, cells)
         for n_f, (pa, au, success) in zip(family.n_f_values, row)
     ]
 

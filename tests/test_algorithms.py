@@ -731,6 +731,12 @@ SUCCESS_TOL = 3e-14
 GATE_PASS_EPS = 256
 
 
+def uniform_point(spec, alpha, theta, measure_au=True):
+    """``grover_uniform_measures`` at a grid of one angle, as floats."""
+    values = grover_uniform_measures(spec, alpha, [theta], measure_au)
+    return tuple(None if column is None else float(column[0]) for column in values)
+
+
 def uniform_cases(n):
     """Every weight class alpha = 2^w - 1 at k = 0, 1 and the optimal k."""
     return [GroverSpec(n, (1 << w) - 1, k) for w in range(n + 1) for k in (0, 1, None)]
@@ -752,8 +758,8 @@ class TestGroverUniformMeasures:
     def test_matches_exact_oracle(self, n):
         floor = INTERFERENCE_EPS * 2.0 ** (n - 52)
         for spec in uniform_cases(n):
-            for theta in UNIFORM_THETAS:
-                got = grover_uniform_measures(spec, spec.alpha, theta, True)
+            grid = grover_uniform_measures(spec, spec.alpha, UNIFORM_THETAS, True)
+            for theta, *got in zip(UNIFORM_THETAS, *grid):
                 i_pa, i_au, success = grover_uniform_exact(n, spec.alpha, theta, spec.iterations)
                 assert abs(got[0] - i_pa) <= floor and abs(got[1] - i_au) <= floor
                 assert abs(got[2] - success) <= SUCCESS_TOL
@@ -770,7 +776,7 @@ class TestGroverUniformMeasures:
                 for alpha, uni in zip(alphas, stacked_unitaries(circuits, n, True)):
                     i_pa = _unitary_interference(*uni.full_rows)
                     success = float(uni.output_probabilities[alpha])
-                    got = grover_uniform_measures(spec, alpha, theta, True)
+                    got = uniform_point(spec, alpha, theta)
                     assert abs(got[0] - i_pa) <= floor and abs(got[2] - success) <= 1e-13
                     assert abs(got[1] - _unitary_interference(*uni.rest_rows)) <= floor
 
@@ -779,7 +785,7 @@ class TestGroverUniformMeasures:
         # C_0 = 0: U_rest = I and U_full = L, with sum |L|^4 = (2 cos^4 + 2 sin^4)^n
         c, s = math.cos(0.3), math.sin(0.3)
         for w in range(n + 1):
-            i_pa, i_au, success = grover_uniform_measures(GroverSpec(n, 0, 0), (1 << w) - 1, 0.3, True)
+            i_pa, i_au, success = uniform_point(GroverSpec(n, 0, 0), (1 << w) - 1, 0.3)
             assert i_au == 0.0
             assert i_pa == pytest.approx(2**n - (2 * c**4 + 2 * s**4) ** n, rel=1e-13)
             assert success == pytest.approx((c ** (n - w) * s**w) ** 2, rel=1e-13)
@@ -789,24 +795,50 @@ class TestGroverUniformMeasures:
         # at theta = 0 and pi/2 every gate is a signed permutation
         for spec in uniform_cases(n):
             for theta in (0.0, math.pi / 2):
-                i_pa, i_au, _ = grover_uniform_measures(spec, spec.alpha, theta, True)
+                i_pa, i_au, _ = uniform_point(spec, spec.alpha, theta)
                 assert i_pa == 0.0 and i_au == 0.0
 
     def test_measures_i_au_only_when_asked(self):
         spec = GroverSpec(4, 3)
-        with_au = grover_uniform_measures(spec, 3, 0.3, True)
-        i_pa, i_au, success = grover_uniform_measures(spec, 3, 0.3, False)
+        with_au = uniform_point(spec, 3, 0.3)
+        i_pa, i_au, success = uniform_point(spec, 3, 0.3, False)
         assert i_au is None and (i_pa, success) == (with_au[0], with_au[2])
 
     def test_depends_on_alpha_through_its_weight(self):
         spec = GroverSpec(6, 0)
-        weight_three = grover_uniform_measures(spec, 0b000111, 0.3, True)
-        assert grover_uniform_measures(spec, 0b101001, 0.3, True) == weight_three
+        weight_three = uniform_point(spec, 0b000111, 0.3)
+        assert uniform_point(spec, 0b101001, 0.3) == weight_three
+
+    def test_stacked_two_by_two_products_are_single_products(self):
+        # the C_k recurrence runs one stacked product per block of angles; it
+        # has the bits of one product per angle only while numpy's BLAS keeps
+        # them, which this pins outside the goldens
+        rng = np.random.default_rng(27)
+        a, b = rng.standard_normal((2, 20000, 2, 2)) * rng.uniform(0.0, 300.0, (2, 20000, 1, 1))
+        single = np.array([x @ y for x, y in zip(a, b)])
+        assert (a @ b).tobytes() == single.tobytes()
+        for block in (1, 7, 8, 9):
+            assert (a[:block] @ b[:block]).tobytes() == single[:block].tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 6, 25])
+    def test_iterate_coefficients_have_the_bits_of_one_angle(self, k):
+        # the recurrence one angle at a time, with 2 x 2 matrices
+        v_alpha = np.concatenate([[0.0, 1.0], np.random.default_rng(k).uniform(0.0, 1.0, 200)])
+        expected = []
+        for v in v_alpha:
+            step = np.array([[-2.0, 0.0], [4.0 * v, -2.0]])
+            turn = np.array([[1.0, v], [v, 1.0]]) @ step
+            ck = np.zeros((2, 2))
+            for _ in range(k):
+                ck = ck + step + ck @ turn
+            expected.append(ck)
+        got = algorithms._iterate_coefficients(v_alpha, k)
+        assert got.tobytes() == np.array(expected).tobytes()
 
     @pytest.mark.parametrize("alpha", [-1, 16])
     def test_refuses_an_alpha_outside_the_register(self, alpha):
         with pytest.raises(ValueError, match="marked item"):
-            grover_uniform_measures(GroverSpec(4, 0), alpha, 0.3, True)
+            grover_uniform_measures(GroverSpec(4, 0), alpha, [0.3], True)
 
 
 class TestRepresentativeRows:
@@ -847,8 +879,11 @@ class TestOutputProbabilities:
             layer = tuple(range(uni.layer_width))
             for p in (0.0, 0.3, 1.0):
                 model = ErrorModel(BITFLIP, p, layer[1:])
-                assert decoherent_final_probabilities(uni, model) is probs
-                assert decoherence_point(uni, model).probabilities is probs
+                points = (decoherent_final_probabilities(uni, model), decoherence_point(uni, model))
+                for point in (points[0], points[1].probabilities):
+                    # a row of a broadcast view: no copy
+                    assert np.shares_memory(point, probs) and point.tobytes() == probs.tobytes()
+                    assert not point.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 probs[0] = 0.5
 

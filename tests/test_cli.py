@@ -164,6 +164,16 @@ class TestConfigFile:
              "--config", "/nonexistent/f.cfg"]
         ) == 4
 
+    def test_config_line_of_an_unread_flag_rejected(self, tmp_path, capsys):
+        # grover-systematic runs its grid in this process: no worker reads it
+        config = tmp_path / "sweep.cfg"
+        config.write_text("parallel = 2\n")
+        with pytest.raises(SystemExit) as info:
+            main(["grover-systematic", "--n", "3", "--config", str(config)])
+        assert info.value.code == 2
+        (line,) = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert line.endswith("unrecognized arguments: --parallel 2")
+
     def test_malformed_config_line_is_argument_error(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"
         config.write_text("n 5\n")
@@ -257,15 +267,17 @@ class TestExitCodes:
         "argv",
         [
             ["grover-decoherence", "--n", "3", "--error-kind", "bitflip", "--parallel", "2"],
+            ["grover-systematic", "--n", "3", "--parallel", "2"],
             ["cue-baseline", "--n", "3", "--grid", "0:1:2"],
         ],
-        ids=["decoherence-parallel", "cue-grid"],
+        ids=["decoherence-parallel", "grover-systematic-parallel", "cue-grid"],
     )
     def test_unread_flag_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        (line,) = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert "unrecognized arguments" in line
 
     def test_io_error(self, tmp_path):
         assert main(
@@ -276,7 +288,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("workers", ["0", "-3"])
     @pytest.mark.parametrize(
         "command",
-        [["grover-systematic", "--n", "2", "--alpha", "0", "--grid", "0:1:2"], ["verify"]],
+        [["shor-systematic", "--L", "2", "--R", "3", "--a", "2", "--grid", "0:1:2"], ["verify"]],
         ids=["sweep", "verify"],
     )
     def test_parallel_below_one_rejected(self, command, workers, capsys):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from dataclasses import asdict
 from pathlib import Path
@@ -24,6 +25,7 @@ from oracles import (
 from qimeter import algorithms, gates, harness
 from qimeter.algorithms import (
     AlgorithmUnitaries,
+    DecoherencePoint,
     GroverSpec,
     ShorSpec,
     build_grover,
@@ -35,6 +37,7 @@ from qimeter.algorithms import (
     shor_success,
     shor_unitaries,
     stacked_unitaries,
+    SubsetClassSums,
 )
 from qimeter.channels import BITFLIP, PHASEFLIP, ErrorModel
 from qimeter.errors import SizeLimitError
@@ -159,9 +162,9 @@ def count_grover_builds(monkeypatch):
 def count_closed_forms(monkeypatch):
     calls = []
 
-    def counting(spec, alpha, theta, measure_au):
-        calls.append(alpha)
-        return grover_uniform_measures(spec, alpha, theta, measure_au)
+    def counting(spec, alpha, thetas, measure_au):
+        calls.append((alpha, len(thetas)))
+        return grover_uniform_measures(spec, alpha, thetas, measure_au)
 
     monkeypatch.setattr(harness, "grover_uniform_measures", counting)
     return calls
@@ -202,14 +205,15 @@ class TestAlphaWeightClasses:
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_uniform_angle_builds_no_circuit(self, n, monkeypatch):
+        # one closed form per weight class over the whole grid
         builds, closed_forms = count_grover_builds(monkeypatch), count_closed_forms(monkeypatch)
         spec = ExperimentSpec(
-            GroverSpec(n, 0), SystematicErrors((0.37,)), average_over_alpha=True
+            GroverSpec(n, 0), SystematicErrors((0.37, 0.5, 1.1)), average_over_alpha=True
         )
-        (row,) = run_systematic_sweep(spec)
+        rows = run_systematic_sweep(spec)
         assert builds == []
-        assert closed_forms == [(1 << w) - 1 for w in range(n + 1)]
-        assert row.n_samples == 2**n
+        assert closed_forms == [((1 << w) - 1, 3) for w in range(n + 1)]
+        assert [row.n_samples for row in rows] == [2**n] * 3
 
     def test_nudged_angle_builds_every_item(self, monkeypatch):
         calls = count_grover_builds(monkeypatch)
@@ -230,7 +234,7 @@ class TestAlphaWeightClasses:
             GroverSpec(3, 0), RandomErrors((0.0, 0.5), 1), average_over_alpha=True
         )
         rows = run_random_sweep(spec)
-        assert closed_forms == [0, 1, 3, 7]
+        assert closed_forms == [(0, 1), (1, 1), (3, 1), (7, 1)]
         assert builds == list(range(8))
         assert [row.n_samples for row in rows] == [1, 1]
 
@@ -658,6 +662,126 @@ class TestDecoherenceSweepOracles:
                 assert row.interference_au is None and row.ibits_au is None
 
 
+# a 65-point grid with 0, pi/4 and pi/2 exactly, and grids of 9, 8 and 7 of
+# its points that keep those three, and of pi/4 alone
+UNIFORM_GRID = default_theta_grid()
+SUBGRIDS = (
+    UNIFORM_GRID[::8],
+    UNIFORM_GRID[:8:8] + UNIFORM_GRID[16::8],
+    UNIFORM_GRID[:8:8] + UNIFORM_GRID[16:56:8] + UNIFORM_GRID[64:],
+    UNIFORM_GRID[32:33],
+)
+GRID_ALGORITHMS = [a for a in ORACLE_ALGORITHMS if not isinstance(a, GroverSpec) or a.n <= 6]
+# tracemalloc peak, in bytes, of a warm run_systematic_sweep at n = 8 with
+# alpha averaged, on the default grid, when each (theta, item) point was
+# its own closed form (239776 B measured; DECISIONS.md)
+SYSTEMATIC_PEAK_BYTES = 240_000
+
+
+def value_bytes(values) -> list:
+    """The bytes of each float of ``values``, None kept as None."""
+    return [None if value is None else np.float64(value).tobytes() for value in values]
+
+
+def measure_bytes(row) -> list:
+    """``value_bytes`` of a row's I_pa, I_au and success."""
+    return value_bytes((row.interference_pa, row.interference_au, row.success))
+
+
+class TestSweepGridsAsArrays:
+    """A sweep evaluates its whole grid at once, with the bits of one point
+    at a time: each Grover systematic row equals ``_unitary_point`` at its
+    angle, and each decoherence row the mean of ``DecoherencePoint`` reads."""
+
+    @pytest.mark.parametrize("measure_au", [True, False], ids=["au", "no-au"])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_grover_rows_are_their_points(self, n, measure_au, monkeypatch):
+        items = [(GroverSpec(n, (1 << w) - 1), False) for w in range(n + 1)]
+        for algorithm, average in [(GroverSpec(n, 0), True)] + items:
+
+            def spec(grid):
+                errors = SystematicErrors(grid)
+                return ExperimentSpec(algorithm, errors, average, measure_au=measure_au)
+
+            angles = algorithm.n_hadamards
+            points = {
+                theta: harness._unitary_point(spec(UNIFORM_GRID), None, [theta] * angles)
+                for theta in UNIFORM_GRID
+            }
+            for grid in (UNIFORM_GRID,) + SUBGRIDS:
+                if grid is SUBGRIDS[0] and not average:
+                    # blocks of 8 angles: the subgrids end after, at and before an edge
+                    ones = bin(algorithm.alpha).count("1")
+                    classes = len(algorithms._bit_triple_classes(n - ones, ones)[0])
+                    monkeypatch.setattr(algorithms, "THETA_BLOCK_ENTRIES", 8 * classes)
+                rows = run_systematic_sweep(spec(grid))
+                assert [row.sweep_value for row in rows] == list(grid)
+                for row in rows:
+                    expected = value_bytes(points[row.sweep_value])
+                    assert measure_bytes(row) == expected, (algorithm, row)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("measure_au", [True, False], ids=["au", "no-au"])
+    @pytest.mark.parametrize("policy", ["prefix", "all"])
+    @pytest.mark.parametrize("kind", [BITFLIP, PHASEFLIP])
+    @pytest.mark.parametrize(
+        "algorithm",
+        GRID_ALGORITHMS,
+        ids=lambda a: f"grover-{a.n}" if isinstance(a, GroverSpec) else f"shor-{a.R}-{a.a}",
+    )
+    def test_decoherence_rows_are_their_points(self, algorithm, kind, policy, measure_au):
+        layer = tuple(range(algorithm.layer_width))
+        n_f_values = tuple(range(1, len(layer) + 1))
+        errors = DecoherenceErrors(kind, SWEEP_PROBABILITIES, n_f_values, policy)
+        spec = ExperimentSpec(algorithm, errors, measure_au=measure_au)
+        rows = run_decoherence_sweep(spec)
+        grover = isinstance(algorithm, GroverSpec)
+        unitaries = grover_unitaries(algorithm) if grover else shor_unitaries(algorithm)
+        ideal = None if grover else unitaries.output_probabilities
+        for row in rows:
+            subsets = itertools.combinations(layer, row.n_f)
+            pa, au, success = [], [], []
+            for subset in [layer[: row.n_f]] if policy == "prefix" else subsets:
+                point = DecoherencePoint(SubsetClassSums(unitaries, kind, subset), row.sweep_value)
+                probs = point.probabilities
+                if grover:
+                    success.append(float(probs[algorithm.alpha]))
+                else:
+                    success.append(algorithms._success_against(ideal, probs))
+                pa.append(point.interference_pa)
+                if measure_au:
+                    au.append(point.interference_au)
+            expected = harness._make_row(spec, row.sweep_value, row.n_f, pa, au, success, len(pa))
+            assert measure_bytes(row) == measure_bytes(expected), (row.sweep_value, row.n_f)
+
+    def test_systematic_peak_memory(self):
+        # the class tables are cached by the first run, so the second
+        # measures the grid's working memory alone
+        spec = ExperimentSpec(GroverSpec(8, 0), SystematicErrors(UNIFORM_GRID), True)
+        run_systematic_sweep(spec)
+        tracemalloc.start()
+        try:
+            run_systematic_sweep(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= SYSTEMATIC_PEAK_BYTES
+
+    def test_every_row_of_the_success_grid_is_checked(self, monkeypatch):
+        # one phase-flip row, p = 0.5, that does not sum to 1
+        original = SubsetClassSums.probabilities
+
+        def nudged(sums, ps):
+            probs = np.array(original(sums, ps))
+            probs[list(ps).index(0.5)] *= 1.25
+            return probs
+
+        monkeypatch.setattr(SubsetClassSums, "probabilities", nudged)
+        errors = DecoherenceErrors(PHASEFLIP, SWEEP_PROBABILITIES, (1, 2), "all")
+        with pytest.raises(ValueError, match=r"observed distribution sums to 1\.2[45]\d*, not 1"):
+            run_decoherence_sweep(ExperimentSpec(ShorSpec.for_modulus(3, 2), errors))
+
+
 class TestWorkerPool:
     @pytest.fixture
     def sizes(self, monkeypatch):
@@ -682,13 +806,19 @@ class TestWorkerPool:
         return sizes
 
     def test_pool_never_exceeds_task_count(self, sizes):
-        spec = grover_spec(SystematicErrors(GRID3))
+        spec = ExperimentSpec(ShorSpec.for_modulus(3, 2), SystematicErrors(GRID3))
         assert run_systematic_sweep(spec, parallel=8) == run_systematic_sweep(spec)
         assert sizes == [3]
 
     def test_single_task_runs_without_pool(self, sizes):
-        spec = grover_spec(SystematicErrors((math.pi / 4,)))
+        spec = ExperimentSpec(ShorSpec.for_modulus(3, 2), SystematicErrors((math.pi / 4,)))
         assert run_systematic_sweep(spec, parallel=64) == run_systematic_sweep(spec)
+        assert sizes == []
+
+    def test_grover_systematic_sweep_starts_no_pool(self, sizes):
+        # the whole grid is one closed form per marked item, in this process
+        spec = grover_spec(SystematicErrors(GRID3), average_over_alpha=True)
+        assert run_systematic_sweep(spec, parallel=8) == run_systematic_sweep(spec)
         assert sizes == []
 
 
@@ -970,17 +1100,19 @@ class TestSpecValidation:
 
 class TestShorSuccessChecks:
     """Every Shor sweep checks its ideal distribution once and each point's
-    own distribution and shape at that point."""
+    own distribution and shape at that point; a decoherence sweep checks
+    each subset's points together, row by row."""
 
     FAMILIES = {
         "systematic": (SystematicErrors(GRID3), run_systematic_sweep, 3),
         "random": (RandomErrors((0.0, 0.5), 4), run_random_sweep, 8),
-        # 2 * (4 + 6) points, and shor_success(ideal, ideal) checks the ideal
-        # under both names for the bit-flip points
+        # 4 + 6 subsets, each checking every row of its p grid at once, and
+        # shor_success(ideal, ideal) checks the ideal under both names for
+        # the bit-flip points
         "decoherence": (
             DecoherenceErrors(PHASEFLIP, (0.0, 0.4), (1, 2), "all"),
             run_decoherence_sweep,
-            2 * (4 + 6) + 1,
+            4 + 6 + 1,
         ),
     }
 
