@@ -375,18 +375,25 @@ def representative_rows(u: np.ndarray, copies: int) -> np.ndarray:
     return u if copies == 1 else np.array(u[::copies])
 
 
+def column_zero_probabilities(rows: np.ndarray, copies: int) -> np.ndarray:
+    """|U[:, 0]|^2 of a unitary held as its representative ``rows``:
+    U[(j, y), 0] = rows[j, y], so column 0 is rows[:, :copies]."""
+    return (np.abs(rows[:, :copies]) ** 2).ravel()
+
+
 @dataclass(frozen=True, eq=False)
 class AlgorithmUnitaries:
     """The unitaries of ``circuit``, full = rest @ W, each held as its
-    representative rows.  The initial layer W, the first ``layer_width``
-    ops, must be one ``PerturbedHadamard`` on each of qubits 0..m-1 in order
-    (else ``ValueError``), so the layer's qubits are ``range(layer_width)``.
+    representative rows, for the decoherence set-up (the unitary-error
+    sweeps read ``view_rows``).  The initial layer W, the first
+    ``layer_width`` ops, must be one ``PerturbedHadamard`` on each of qubits
+    0..m-1 in order (else ``ValueError``), so the layer's qubits are
+    ``range(layer_width)``.
 
     ``full_rows`` and ``rest_rows`` are (rows, copies) pairs, each from one
     ``circuit_unitary`` call whose dense result is dropped once
     ``representative_rows`` has taken its rows (Grover's rows are the whole
-    matrix), unless ``stacked_unitaries`` took them from a stacked pass.
-    Every measure reduces those rows, and each view and reduction
+    matrix).  Every measure reduces those rows, and each view and reduction
     is built the first time a measure reads it, so I_pa alone never builds
     U_rest or its kernel.  Building one view's rows drops the other's, so
     one dense unitary is alive at a time: a caller reads every reduction of
@@ -435,10 +442,9 @@ class AlgorithmUnitaries:
 
     @functools.cached_property
     def output_probabilities(self) -> np.ndarray:
-        """|U_full[:, 0]|^2, read-only: every bit-flip point returns this array.
-        Column 0 is U_full[(j, y), 0] = rows[j, y], so it is rows[:, :copies]."""
-        rows, copies = self.full_rows
-        probs = (np.abs(rows[:, :copies]) ** 2).ravel()
+        """|U_full[:, 0]|^2 (``column_zero_probabilities``), read-only: every
+        bit-flip point returns this array."""
+        probs = column_zero_probabilities(*self.full_rows)
         probs.flags.writeable = False
         return probs
 
@@ -471,48 +477,46 @@ class AlgorithmUnitaries:
         return table.reshape(1 << m, -1)
 
 
-# bytes of view rows per stacked pass of ``stacked_unitaries`` (DECISIONS.md,
+# bytes of view rows per stacked pass of ``view_rows`` (DECISIONS.md,
 # "One stacked pass per sweep point")
 STACK_BYTES = 1 << 19
 
 
-def stacked_unitaries(
-    circuits: Iterable[Circuit], layer_width: int, rest: bool
-) -> Iterator[AlgorithmUnitaries]:
-    """``AlgorithmUnitaries`` of each of ``circuits``, in order, with U_full's
-    rows and, with ``rest``, U_rest's already taken from ``layer_view_rows``
-    passes over as many circuits as fit ``STACK_BYTES``; the circuits differ
-    only in diagonal phases after the layer.  How many fit depends only on
-    the circuits' size.  If one circuit's views do not fit, each is built
-    on first read, one dense view at a time, as ``AlgorithmUnitaries`` does."""
+def view_rows(circuits: Iterable[Circuit], layer_width: int, rest: bool) -> Iterator[tuple]:
+    """(full_rows, rest_rows or None, copies) of each of ``circuits``, in
+    order: the representative rows of U_full and, with ``rest``, of U_rest,
+    from ``layer_view_rows`` passes over as many circuits as fit
+    ``STACK_BYTES``; the circuits differ only in diagonal phases after the
+    layer, the first ``layer_width`` gates.  How many fit depends only on
+    the circuits' size.  A circuit whose views do not fit alone gets one
+    pass per view, U_full first, each on the view's own circuit with an
+    empty layer: the pass ``circuit_unitary`` runs, so the same bytes."""
     group, size = [], None
     for c in circuits:  # each circuit lives only as long as its group
         if size is None:
             dim = 1 << c.n
             size = STACK_BYTES // ((1 + rest) * 16 * dim * dim // xor_row_copies(c))
-        group.append(AlgorithmUnitaries(c, layer_width))
-        if len(group) >= size:  # with size 0, each item alone and unstacked
-            yield from _stacked(group, rest) if size else group
+        group.append(c)
+        if len(group) >= size:  # with size 0, each circuit alone
+            yield from (_stacked_views if size else _lone_views)(group, layer_width, rest)
             group = []
     if group:
-        yield from _stacked(group, rest)
+        yield from _stacked_views(group, layer_width, rest)
 
 
-def _stacked(group: list, rest: bool) -> Iterator[AlgorithmUnitaries]:
-    """``group`` with its views taken from one ``layer_view_rows`` pass.  An
-    item's views are dropped when the next item is asked for (a later read
-    builds them again), so the next pass runs beside no earlier view."""
-    rows, copies = layer_view_rows([u.circuit for u in group], group[0].layer_width, rest)
-    rows.reverse()
-    for unitaries in group:
-        views = rows.pop()
-        vars(unitaries)["full_rows"] = views[-1], copies
-        if rest:
-            vars(unitaries)["rest_rows"] = views[0], copies
-        del views
-        yield unitaries
-        vars(unitaries).pop("full_rows", None)
-        vars(unitaries).pop("rest_rows", None)
+def _stacked_views(group: list, layer_width: int, rest: bool) -> Iterator[tuple]:
+    """``view_rows`` of ``group`` from one stacked pass."""
+    rows, copies = layer_view_rows(group, layer_width, rest)
+    for views in rows:
+        yield views[-1], views[0] if rest else None, copies
+
+
+def _lone_views(group: list, layer_width: int, rest: bool) -> Iterator[tuple]:
+    """``view_rows`` of the one circuit of ``group``, one single-view pass per view."""
+    (c,) = group
+    ((full,),), copies = layer_view_rows([c], 0, False)
+    rest_circuit = Circuit(c.n, c.ops[layer_width:])
+    yield full, layer_view_rows([rest_circuit], 0, False)[0][0][0] if rest else None, copies
 
 
 def grover_unitaries(spec: GroverSpec) -> AlgorithmUnitaries:

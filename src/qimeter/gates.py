@@ -15,7 +15,8 @@ value class of g; any other circuit, each Grover circuit among them, is all
 tail on m = n qubits with one class.  It takes several circuits that differ
 only in diagonal phases, and both of their views, U_full = U_rest · W and
 U_rest, on one column stack.  ``circuit_unitary`` scatters its blocks into
-the dense unitary; ``layer_view_rows`` joins them into representative rows.
+the dense unitary, for the decoherence set-up; ``layer_view_rows`` writes
+them into representative rows, the only views a unitary-error sweep builds.
 """
 
 from __future__ import annotations
@@ -396,18 +397,19 @@ def circuit_apply(c: Circuit, psi: np.ndarray) -> np.ndarray:
     return _run(_stack_plan(c.n, [c.ops]), psi.reshape(-1, 1)).reshape(-1)
 
 
-def layer_view_rows(circuits: Sequence[Circuit], layer_width: int, rest: bool = True) -> tuple:
+def layer_view_rows(circuits: Sequence[Circuit], layer_width: int, rest: bool) -> tuple:
     """(rows, copies): the representative rows (``xor_row_copies``) of every
     circuit's unitary U_full = U_rest · W and, with ``rest``, of its U_rest,
-    each view's ``_column_blocks`` joined into its own C-contiguous array,
-    ``tobytes()``-equal to ``circuit_unitary``'s; ``rows[c][-1]`` is
-    U_full's of ``circuits[c]``, ``rows[c][0]`` U_rest's.  W is the first
+    each view's ``_column_blocks`` written into its own C-contiguous part of
+    one array, ``tobytes()``-equal to ``circuit_unitary``'s; ``rows[c][-1]``
+    is U_full's of ``circuits[c]``, ``rows[c][0]`` U_rest's.  W is the first
     ``layer_width`` gates, shared (DECISIONS.md, "One stacked pass per sweep
-    point")."""
-    blocks = [t for _, t in _column_blocks(circuits, layer_width, 1 + rest)]
-    heads, tails = blocks[0].shape[0], blocks[0].shape[-1]
-    rows = [
-        [np.concatenate([t[:, c, v] for t in blocks], axis=1).reshape(heads, -1) for v in range(1 + rest)]
-        for c in range(len(circuits))
-    ]
-    return rows, tails
+    point").  Each block is written into the rows as it comes, so the pass
+    peaks at its output and one block."""
+    for x0, t in _column_blocks(circuits, layer_width, 1 + rest):
+        heads, count, views, width, tails = t.shape
+        if x0 == 0:
+            rows = np.empty((count, views, heads, heads, tails), complex)
+        rows[:, :, :, x0 : x0 + width] = t.transpose(1, 2, 0, 3, 4)
+        del t  # before the next block is built
+    return [[view.reshape(heads, -1) for view in circuit_rows] for circuit_rows in rows], tails

@@ -19,7 +19,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Sequence, Union, get_args, get_type_hints
 
 import numpy as np
@@ -32,13 +32,14 @@ from .algorithms import (
     _success_against,
     _successes_against,
     build_shor,
+    column_zero_probabilities,
     final_probabilities,
     grover_circuits,
     grover_uniform_measures,
     grover_unitaries,
     shor_success,
     shor_unitaries,
-    stacked_unitaries,
+    view_rows,
 )
 from .channels import BITFLIP, PHASEFLIP
 from .errors import SizeLimitError, as_int
@@ -244,10 +245,10 @@ def _unitary_point(spec, ideal, thetas, deltas=None):
     its column 0 (the image of |0...0>) the output distribution; U_rest
     only I_au, so it is built only when the spec measures it.  The items'
     circuits, built one at a time by ``grover_circuits``, share every gate
-    object but the oracle, so ``stacked_unitaries`` builds the views of as
-    many of them as fit in one stacked pass (both views together when I_au
-    is measured), or, when one item's views do not fit, one dense view at a
-    time, U_full first."""
+    object but the oracle, so ``view_rows`` builds the views of as many of
+    them as fit in one stacked pass (both views together when I_au is
+    measured), or, when one item's views do not fit, one view per pass,
+    U_full first."""
     algo = spec.algorithm
     if isinstance(algo, GroverSpec):
         thetas = angle_list(thetas, algo.n_hadamards, math.pi / 4, "Hadamard angles")
@@ -255,15 +256,7 @@ def _unitary_point(spec, ideal, thetas, deltas=None):
             values = _uniform_grid(spec, thetas[:1])
             return tuple(None if column is None else float(column[0]) for column in values)
     items = _marked_items(spec, False)
-    points = _view_measures(spec, ideal, items, thetas, deltas)
-    i_pa = i_au = success = 0.0
-    for (_, weight), (pa, au, p_success) in zip(items, points):
-        i_pa += weight * pa
-        success += weight * p_success
-        if spec.measure_au:
-            i_au += weight * au
-    total = sum(weight for _, weight in items)
-    return i_pa / total, (i_au / total if spec.measure_au else None), success / total
+    return _weighted_mean(spec, items, _view_measures(spec, ideal, items, thetas, deltas))
 
 
 def _uniform_grid(spec, thetas):
@@ -271,13 +264,20 @@ def _uniform_grid(spec, thetas):
     each theta of ``thetas``: (I_pa, I_au or None, success) arrays, one value
     per angle.  Each marked item of ``_marked_items`` is one closed form over
     the whole grid (``grover_uniform_measures``); the items are weighed in
-    the order of ``_unitary_point``'s loop, elementwise, so each value has
-    the bits of its one-angle point."""
+    ``_weighted_mean``, elementwise, so each value has the bits of its
+    one-angle point."""
     items = _marked_items(spec, True)
-    i_pa, i_au, success = np.zeros(len(thetas)), np.zeros(len(thetas)), np.zeros(len(thetas))
-    for alpha, weight in items:
-        pa, au, p_success = grover_uniform_measures(spec.algorithm, alpha, thetas, spec.measure_au)
-        i_pa += weight * pa
+    points = (grover_uniform_measures(spec.algorithm, a, thetas, spec.measure_au) for a, _ in items)
+    return _weighted_mean(spec, items, points)
+
+
+def _weighted_mean(spec, items, points):
+    """The mean (I_pa, I_au or None, success) of ``points``, one per item of
+    ``items`` and weighted as it says, each sum added in item order from
+    0.0; with array points, each element is summed as a scalar point is."""
+    i_pa = i_au = success = 0.0
+    for (_, weight), (pa, au, p_success) in zip(items, points):
+        i_pa += weight * pa  # the first add to 0.0 makes each sum its own array
         success += weight * p_success
         if spec.measure_au:
             i_au += weight * au
@@ -286,18 +286,25 @@ def _uniform_grid(spec, thetas):
 
 
 def _view_measures(spec, ideal, items, thetas, deltas):
-    """(I_pa, I_au or None, success) of each marked item, from its views."""
+    """(I_pa, I_au or None, success) of each marked item, from its views
+    (``view_rows``); an item's views are dropped once its measures are read."""
     algo = spec.algorithm
+    alphas = [alpha for alpha, _ in items]
     if isinstance(algo, GroverSpec):
-        circuits = grover_circuits(algo, [alpha for alpha, _ in items], thetas)
+        circuits = grover_circuits(algo, alphas, thetas)
     else:
         circuits = [build_shor(algo, thetas, deltas)]
-    views = stacked_unitaries(circuits, algo.layer_width, spec.measure_au)
-    for (alpha, _), unitaries in zip(items, views):
-        i_pa = _unitary_interference(*unitaries.full_rows)
-        success = _success(ideal, unitaries.output_probabilities, alpha)
-        i_au = _unitary_interference(*unitaries.rest_rows) if spec.measure_au else None
-        yield i_pa, i_au, success
+    views = view_rows(circuits, algo.layer_width, spec.measure_au)
+    return map(functools.partial(_item_measures, ideal), alphas, views)
+
+
+def _item_measures(ideal, alpha, views):
+    """(I_pa, I_au or None, success) of marked item ``alpha`` from its
+    ``view_rows`` tuple."""
+    full, rest, copies = views
+    success = _success(ideal, column_zero_probabilities(full, copies), alpha)
+    i_au = None if rest is None else _unitary_interference(rest, copies)
+    return _unitary_interference(full, copies), i_au, success
 
 
 def _marked_items(spec: ExperimentSpec, uniform: bool):
@@ -559,7 +566,7 @@ def write_results(rows: Sequence, path, format: str = "csv") -> None:
     columns = _column_types(type(rows[0]) if rows else ResultRow)
     with nullcontext(path) if hasattr(path, "write") else open(path, "w", newline="") as handle:
         if format == "json":
-            json.dump([asdict(row) for row in rows], handle, indent=1)
+            json.dump([{n: getattr(r, n) for n, _, _ in columns} for r in rows], handle, indent=1)
             handle.write("\n")
             return
         writer = csv.writer(handle, lineterminator="\n")
@@ -567,7 +574,7 @@ def write_results(rows: Sequence, path, format: str = "csv") -> None:
         for row in rows:
             writer.writerow(
                 "" if value is None else f"{value:.12g}" if kind is float else value
-                for value, (_, kind, _) in zip(astuple(row), columns)
+                for value, kind in ((getattr(row, name), kind) for name, kind, _ in columns)
             )
 
 

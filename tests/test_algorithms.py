@@ -29,6 +29,7 @@ from qimeter.algorithms import (
     ShorSpec,
     build_grover,
     build_shor,
+    column_zero_probabilities,
     decoherence_point,
     decoherent_final_probabilities,
     final_probabilities,
@@ -43,7 +44,7 @@ from qimeter.algorithms import (
     representative_rows,
     shor_success,
     shor_unitaries,
-    stacked_unitaries,
+    view_rows,
 )
 from qimeter.channels import BITFLIP, PHASEFLIP, ErrorModel
 from qimeter.errors import SizeLimitError
@@ -161,7 +162,7 @@ class TestGroverCircuits:
 
     @pytest.mark.parametrize("angle", GROVER_CIRCUIT_ANGLES, ids=repr)
     @pytest.mark.parametrize("n", range(2, 9))
-    def test_same_bytes_as_unshared_builds(self, n, angle):
+    def test_same_bytes_as_unshared_builds(self, n, angle, passes):
         spec = GroverSpec(n, 0)
         rng = np.random.default_rng(n)
         if angle == "random":
@@ -177,7 +178,8 @@ class TestGroverCircuits:
         oracles = [n + i * (2 * n + 2) for i in range(spec.iterations)]
         for c in circuits[1:]:
             assert [i for i, (a, b) in enumerate(zip(c.ops, circuits[0].ops)) if a is not b] == oracles
-        assert assert_stacked_views(circuits, n, True) == [n < 8] * len(alphas)  # n = 8 does not fit
+        made = assert_view_rows(passes, circuits, n, True)
+        assert {width for _, width, _ in made} == {n if n < 8 else 0}  # n = 8 does not fit
 
     def test_built_when_asked_for(self):
         circuits = grover_circuits(GroverSpec(3, 0), [1, 8])
@@ -625,98 +627,126 @@ class TestRowsRoute:
 STACK_THETAS = (0.0, 0.37, math.pi / 4, 1.1, math.pi / 2)
 
 
-def assert_stacked_views(circuits, layer_width, rest) -> list:
-    """Each ``stacked_unitaries`` view taken from a stacked pass has the bytes
-    of ``circuit_unitary``'s representative rows of that view's circuit, and
-    U_rest is taken only with ``rest``; a circuit whose views were not stacked
-    has no view built yet.  Returns which circuits were stacked."""
-    stacked = []
-    for c, uni in itertools.zip_longest(circuits, stacked_unitaries(circuits, layer_width, rest)):
-        assert uni.circuit is c and uni.layer_width == layer_width
-        stacked.append("full_rows" in vars(uni))
-        if not stacked[-1]:
-            assert not {"full_rows", "rest_rows"} & set(vars(uni))
-            continue
-        copies = xor_row_copies(c)
+@pytest.fixture
+def passes(monkeypatch):
+    """The ``layer_view_rows`` passes that ``algorithms`` makes, each as
+    (circuits, layer_width, rest)."""
+    calls = []
+    run = algorithms.layer_view_rows
+
+    def recorded(circuits, layer_width, rest):
+        calls.append((list(circuits), layer_width, rest))
+        return run(circuits, layer_width, rest)
+
+    monkeypatch.setattr(algorithms, "layer_view_rows", recorded)
+    return calls
+
+
+def assert_view_rows(passes, circuits, layer_width, rest) -> list:
+    """Each ``view_rows`` tuple, one per circuit and in order, has the bytes
+    of ``circuit_unitary``'s representative rows of that circuit's views,
+    U_rest only with ``rest``.  Returns the passes made, each as (number of
+    circuits, layer_width, rest)."""
+    passes.clear()
+    for c, views in itertools.zip_longest(circuits, view_rows(circuits, layer_width, rest)):
+        full, rest_rows, copies = views
+        assert copies == xor_row_copies(c)
         rows = representative_rows(circuit_unitary(c), copies)
-        assert uni.full_rows[1] == copies and uni.full_rows[0].tobytes() == rows.tobytes()
-        assert uni.output_probabilities.tobytes() == (np.abs(rows[:, :copies]) ** 2).tobytes()
-        assert ("rest_rows" in vars(uni)) == rest
+        assert full.tobytes() == rows.tobytes()
+        assert column_zero_probabilities(full, copies).tobytes() == (np.abs(rows[:, :copies]) ** 2).tobytes()
+        assert (rest_rows is not None) == rest
         if rest:
-            rows = representative_rows(circuit_unitary(uni.rest_circuit), copies)
-            assert uni.rest_rows[1] == copies and uni.rest_rows[0].tobytes() == rows.tobytes()
-    return stacked
+            rows = representative_rows(circuit_unitary(Circuit(c.n, c.ops[layer_width:])), copies)
+            assert rest_rows.tobytes() == rows.tobytes()
+    return [(len(group), width, views) for group, width, views in passes]
 
 
-class TestStackedUnitaries:
+def stacked_passes(count, size, layer_width, rest) -> list:
+    """The passes of ``view_rows`` over ``count`` circuits, ``size`` to a pass."""
+    full, left = divmod(count, size)
+    return [(size, layer_width, rest)] * full + [(left, layer_width, rest)] * (left > 0)
+
+
+class TestViewRows:
     """The circuits of one sweep point share every gate but the oracle, so
-    ``stacked_unitaries`` takes their views from stacked passes of as many
-    circuits as ``STACK_BYTES`` holds, each view with ``circuit_unitary``'s
-    bytes, and leaves a circuit whose views do not fit to be built lazily."""
+    ``view_rows`` takes their views from stacked passes of as many circuits
+    as ``STACK_BYTES`` holds, each view with ``circuit_unitary``'s bytes; a
+    circuit whose views do not fit alone gets one single-view pass per view,
+    U_full first."""
 
     @pytest.mark.parametrize("n", range(2, 9))
-    def test_grover_weight_classes(self, n):
-        self.assert_weight_classes(n, STACK_THETAS)
+    def test_grover_weight_classes(self, n, passes):
+        self.assert_weight_classes(passes, n, STACK_THETAS)
 
-    def test_grover_n8_stacks_at_four_mib(self, monkeypatch):
+    def test_grover_n8_stacks_at_four_mib(self, passes, monkeypatch):
         # the module's budget stacks no n = 8 view; at 4 MiB two classes share a pass
         monkeypatch.setattr(algorithms, "STACK_BYTES", 1 << 22)
-        self.assert_weight_classes(8, (0.37,))
+        self.assert_weight_classes(passes, 8, (0.37,))
 
     @staticmethod
-    def assert_weight_classes(n, thetas):
+    def assert_weight_classes(passes, n, thetas):
         spec = GroverSpec(n, 0)
         for theta in thetas:
             angles = [theta] * spec.n_hadamards
             circuits = [build_grover(replace(spec, alpha=(1 << w) - 1), angles) for w in range(n + 1)]
             for rest in (True, False):
                 fit = algorithms.STACK_BYTES // ((1 + rest) * 16 << 2 * n)
-                assert assert_stacked_views(circuits, n, rest) == [bool(fit)] * (n + 1)
+                lone = [(1, 0, False)] * (1 + rest) * (n + 1)  # one pass per view
+                expected = stacked_passes(n + 1, fit, n, rest) if fit else lone
+                assert assert_view_rows(passes, circuits, n, rest) == expected
 
     @pytest.mark.parametrize("eps", [0.5, math.pi])
-    def test_alpha_averaged_random_realizations(self, eps):
+    def test_alpha_averaged_random_realizations(self, eps, passes):
         spec = GroverSpec(4, 0)
         rng = np.random.default_rng(17)
         for _ in range(3):
             thetas = rng.uniform(math.pi / 4 - eps / 2, math.pi / 4 + eps / 2, spec.n_hadamards)
             circuits = [build_grover(replace(spec, alpha=alpha), thetas) for alpha in range(16)]
-            assert all(assert_stacked_views(circuits, spec.n, True))
+            assert assert_view_rows(passes, circuits, spec.n, True) == [(16, spec.n, True)]
 
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "perturbed"])
     @pytest.mark.parametrize("a", [1, 2])
-    def test_shor_every_base_of_three(self, a, exact):
+    def test_shor_every_base_of_three(self, a, exact, passes):
         spec = ShorSpec.for_modulus(3, a)
         circuit = build_shor(spec) if exact else perturbed_shor(spec.L, spec.R, a)[0]
         for rest in (True, False):
-            assert assert_stacked_views([circuit], spec.layer_width, rest) == [True]
+            made = assert_view_rows(passes, [circuit], spec.layer_width, rest)
+            assert made == [(1, spec.layer_width, rest)]
 
-    def test_classes_split_across_stacks(self, monkeypatch):
+    def test_classes_split_across_stacks(self, passes):
         # n = 6: 128 KiB of both views per class, so the seven classes take
         # more than one pass at the module's budget, and fewer with U_full alone
-        passes = []
-        run = algorithms.layer_view_rows
-
-        def recorded(circuits, layer_width, rest):
-            passes.append(len(circuits))
-            return run(circuits, layer_width, rest)
-
-        monkeypatch.setattr(algorithms, "layer_view_rows", recorded)
         spec = GroverSpec(6, 0)
         thetas = [0.37] * spec.n_hadamards
         circuits = [build_grover(replace(spec, alpha=(1 << w) - 1), thetas) for w in range(7)]
         for rest in (True, False):
-            passes.clear()
-            assert all(assert_stacked_views(circuits, 6, rest))
             size = algorithms.STACK_BYTES // ((1 + rest) * 16 << 12)
-            assert passes == [size] * (7 // size) + [7 % size] * (7 % size > 0)
+            assert assert_view_rows(passes, circuits, 6, rest) == stacked_passes(7, size, 6, rest)
             assert len(passes) > 1 or not rest
 
-    def test_views_that_do_not_fit_are_built_one_at_a_time(self, monkeypatch):
+    def test_views_that_do_not_fit_are_built_one_at_a_time(self, passes, monkeypatch):
+        # both views of n = 4 take 8 KiB: each circuit alone, one view per
+        # pass on the view's own circuit with an empty layer, U_full first
         monkeypatch.setattr(algorithms, "STACK_BYTES", (2 * 16 << 8) - 1)
         spec = GroverSpec(4, 0)
         circuits = [build_grover(replace(spec, alpha=alpha)) for alpha in range(3)]
-        assert assert_stacked_views(circuits, 4, True) == [False] * 3
-        assert assert_stacked_views(circuits, 4, False) == [True] * 3
+        assert assert_view_rows(passes, circuits, 4, True) == [(1, 0, False)] * 6
+        for c, full, rest in zip(circuits, passes[::2], passes[1::2], strict=True):
+            assert full[0] == [c]
+            [rest_circuit] = rest[0]
+            assert rest_circuit.n == c.n and rest_circuit.ops == c.ops[4:]
+        assert assert_view_rows(passes, circuits, 4, False) == [(1, 4, False)] * 3
+
+    @pytest.mark.parametrize(
+        "circuit, layer_width",
+        [(build_grover(GroverSpec(8, 1), grover_angles(GroverSpec(8, 1), "random")), 8)]
+        + [(perturbed_shor(3, 7, a)[0], 6) for a in range(1, 7)],
+        ids=["grover-8"] + [f"shor-7-{a}" for a in range(1, 7)],
+    )
+    def test_lone_views_match_the_dense_unitary(self, circuit, layer_width, passes):
+        # at the module's budget neither fits with both views: Grover n = 8
+        # holds 1 MiB per view, perturbed Shor L = 3 512 KiB
+        assert assert_view_rows(passes, [circuit], layer_width, True) == [(1, 0, False)] * 2
 
 
 UNIFORM_THETAS = (0.0, 0.0245, math.pi / 8, math.pi / 4, 3 * math.pi / 8, 1.1, math.pi / 2)
@@ -773,12 +803,12 @@ class TestGroverUniformMeasures:
                 spec = GroverSpec(n, 0, k)
                 alphas = [(1 << w) - 1 for w in weights]
                 circuits = grover_circuits(spec, alphas, [theta] * spec.n_hadamards)
-                for alpha, uni in zip(alphas, stacked_unitaries(circuits, n, True)):
-                    i_pa = _unitary_interference(*uni.full_rows)
-                    success = float(uni.output_probabilities[alpha])
+                for alpha, (full, rest, copies) in zip(alphas, view_rows(circuits, n, True)):
+                    i_pa = _unitary_interference(full, copies)
+                    success = float(column_zero_probabilities(full, copies)[alpha])
                     got = uniform_point(spec, alpha, theta)
                     assert abs(got[0] - i_pa) <= floor and abs(got[2] - success) <= 1e-13
-                    assert abs(got[1] - _unitary_interference(*uni.rest_rows)) <= floor
+                    assert abs(got[1] - _unitary_interference(rest, copies)) <= floor
 
     @pytest.mark.parametrize("n", [2, 5, 12])
     def test_no_iteration_is_the_layer(self, n):

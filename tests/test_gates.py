@@ -765,6 +765,41 @@ class TestLayerViewRows:
             copies = assert_views_match_gate_by_gate(circuits, layer_width, rest)
             assert starts == list(range(0, (1 << n) // copies, width))
 
+    @pytest.mark.parametrize("block_bytes", [1 << 22, 1 << 16], ids=["one-block", "many-blocks"])
+    @pytest.mark.parametrize(
+        "circuit",
+        [
+            build_grover(GroverSpec(8, 3), grover_angles(GroverSpec(8, 3), "random")),
+            perturbed_shor(3, 7, 3)[0],
+        ],
+        ids=["grover-8", "shor-7-3"],
+    )
+    def test_peak_memory_is_rows_and_one_block(self, circuit, block_bytes, monkeypatch):
+        # each block is written into the rows as it comes and dropped before
+        # the next one is built, so the pass holds its rows and the block in
+        # flight, never every block and a joined copy, and it peaks no
+        # higher than circuit_unitary on the same circuit
+        monkeypatch.setattr(gates, "GATE_BLOCK_BYTES", block_bytes)
+
+        def blocks_alone():
+            for _, t in gates._column_blocks([circuit], 0, 1):
+                del t
+
+        builds = [
+            blocks_alone,
+            lambda: layer_view_rows([circuit], 0, False),
+            lambda: circuit_unitary(circuit),
+        ]
+        peaks = []
+        for build in builds:
+            build()  # every step lowered
+            tracemalloc.start()
+            build()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        rows = (16 << 2 * circuit.n) // xor_row_copies(circuit)
+        assert peaks[1] <= peaks[0] + rows + 4096 and peaks[1] <= peaks[2]
+
     def test_refuses_another_hadamard_angle(self):
         spec = GroverSpec(3, 0)
         thetas = [0.37] * spec.n_hadamards
@@ -773,7 +808,7 @@ class TestLayerViewRows:
             nudged[position - (position > 3)] += 1e-9  # the oracle sits at gate 3
             circuits = [build_grover(spec, thetas), build_grover(replace(spec, alpha=5), nudged)]
             with pytest.raises(ValueError, match=f"gate {position} differs between stacked circuits"):
-                layer_view_rows(circuits, spec.n)
+                layer_view_rows(circuits, spec.n, True)
 
     @pytest.mark.parametrize("position", [1, 5, 18])  # in the layer, after it, the last gate
     @pytest.mark.parametrize("angles", [(0.37, 0.37 + 1e-9), (0.0, -0.0)], ids=["nudged", "signed-zero"])
@@ -786,23 +821,23 @@ class TestLayerViewRows:
         ops[position] = PerturbedHadamard(angles[1], ops[position].target)
         circuits[1] = Circuit(3, tuple(ops))
         with pytest.raises(ValueError, match=f"gate {position} differs between stacked circuits"):
-            layer_view_rows(circuits, spec.n)
+            layer_view_rows(circuits, spec.n, True)
 
     def test_refuses_another_permutation(self):
         # bases 2 and 3 of R = 7: the modular exponentiation after the layer
         circuits = [build_shor(ShorSpec(3, 7, a)) for a in (2, 3)]
         with pytest.raises(ValueError, match="gate 6 differs between stacked circuits"):
-            layer_view_rows(circuits, 6)
+            layer_view_rows(circuits, 6, True)
 
     def test_refuses_another_gate_count(self):
         circuits = [build_grover(GroverSpec(3, 0)), build_grover(GroverSpec(3, 5, k_override=1))]
         with pytest.raises(ValueError, match="stacked circuits of 19 and 11 gates"):
-            layer_view_rows(circuits, 3)
+            layer_view_rows(circuits, 3, True)
 
     def test_refuses_another_register(self):
         circuits = [build_grover(GroverSpec(3, 0)), build_grover(GroverSpec(4, 5))]
         with pytest.raises(ValueError, match="stacked circuits on 3 and 4 qubits"):
-            layer_view_rows(circuits, 3)
+            layer_view_rows(circuits, 3, True)
 
     def test_refuses_a_layer_outside_the_first_register(self):
         # the XOR permutation after the layer splits off qubit 2, which the layer touches
@@ -810,7 +845,7 @@ class TestLayerViewRows:
         layer = (PerturbedHadamard(0.3, 0), PerturbedHadamard(0.3, 2))
         c = Circuit(3, (*layer, DiagonalPhaseGate([1, 1j, -1, 1], (0, 1)), xor))
         with pytest.raises(ValueError, match="the layer acts outside the first register"):
-            layer_view_rows([c], 2)
+            layer_view_rows([c], 2, True)
 
 
 class TestKernelInputs:

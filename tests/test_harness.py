@@ -36,8 +36,8 @@ from qimeter.algorithms import (
     grover_unitaries,
     shor_success,
     shor_unitaries,
-    stacked_unitaries,
     SubsetClassSums,
+    view_rows,
 )
 from qimeter.channels import BITFLIP, PHASEFLIP, ErrorModel
 from qimeter.errors import SizeLimitError
@@ -331,9 +331,9 @@ class TestRandomSweep:
 
 
 class TestStackedPoints:
-    """A unitary-error point takes its views from stacked passes and gives
-    the bits of one ``AlgorithmUnitaries`` per marked item, each view built
-    on its own."""
+    """A unitary-error point takes its views from stacked passes, or from
+    one pass per view where they do not fit, and gives the bits of one
+    ``AlgorithmUnitaries`` per marked item, each view built on its own."""
 
     @staticmethod
     def draws(spec, grid_index, eps, count):
@@ -390,6 +390,38 @@ class TestStackedPoints:
                 assert harness._unitary_point(spec, ideal, thetas, deltas) == expected
         assert passes == [1] * 80
 
+    @pytest.mark.parametrize("sweep", ["grover-random", "shor-systematic"])
+    def test_lone_views_build_no_dense_unitary(self, sweep, passes, monkeypatch):
+        # neither point's views fit STACK_BYTES (1 MiB each at Grover n = 8
+        # and Shor L = 3): each view is a pass of its own, the sweep calls
+        # circuit_unitary nowhere, and each row has the dense route's bits
+        if sweep == "grover-random":
+            spec = ExperimentSpec(GroverSpec(8, 5), RandomErrors((0.5, 2.0), 1), master_seed=3)
+            eps = spec.error_family.epsilons
+            angles = [next(self.draws(spec, g, e, 1))[0] for g, e in enumerate(eps)]
+            run = run_random_sweep
+        else:
+            spec = ExperimentSpec(ShorSpec.for_modulus(7, 3), SystematicErrors((0.3, 0.9)))
+            angles = [[theta] * spec.algorithm.n_hadamards for theta in spec.error_family.thetas]
+            run = run_systematic_sweep
+        algo = spec.algorithm
+        ideal = harness._shor_ideal(algo)
+        expected = []
+        for thetas in angles:
+            circuit = build_grover(algo, thetas) if ideal is None else build_shor(algo, thetas)
+            uni = AlgorithmUnitaries(circuit, algo.layer_width)
+            probs = uni.output_probabilities
+            success = float(probs[algo.alpha]) if ideal is None else algorithms._success_against(ideal, probs)
+            i_pa, i_au = _unitary_interference(*uni.full_rows), _unitary_interference(*uni.rest_rows)
+            expected.append((i_pa, i_au, success))
+        calls = []
+        for module in (gates, algorithms):
+            counted = functools.partial(lambda run, c: calls.append(c) or run(c), module.circuit_unitary)
+            monkeypatch.setattr(module, "circuit_unitary", counted)
+        rows = run(spec)
+        assert calls == [] and passes == [1, 1] * len(angles)
+        assert [(row.interference_pa, row.interference_au, row.success) for row in rows] == expected
+
     def test_shared_gates_keyed_once(self, monkeypatch):
         # the six weight classes of n = 5 at one angle, 53 gates each: each
         # gate that the circuits share is one object, keyed once; each oracle
@@ -405,8 +437,8 @@ class TestStackedPoints:
         algo = GroverSpec(5, 0)
         alphas = [(1 << w) - 1 for w in range(algo.n + 1)]
         circuits = grover_circuits(algo, alphas, [0.37] * algo.n_hadamards)
-        for unitaries in stacked_unitaries(circuits, algo.n, True):
-            unitaries.full_rows, unitaries.rest_rows
+        for _ in view_rows(circuits, algo.n, True):
+            pass
         width, oracles, classes = algo.n_hadamards + 2 * algo.iterations, algo.iterations, algo.n + 1
         assert len(contents) == width - oracles + classes * oracles == 73
 
@@ -1149,10 +1181,13 @@ class TestShorSuccessChecks:
         family, run, _ = self.FAMILIES[sweep]
         # halve every point's distribution, but not the sweep's ideal: a
         # phase-flip point reads the mixture table, the others U_full's column 0
-        name = "mixture_table" if sweep == "decoherence" else "output_probabilities"
-        original = vars(AlgorithmUnitaries)[name].func
-        halved = functools.cached_property(lambda uni: original(uni) / 2)
-        halved.__set_name__(AlgorithmUnitaries, name)
-        monkeypatch.setattr(AlgorithmUnitaries, name, halved)
+        if sweep == "decoherence":
+            original = vars(AlgorithmUnitaries)["mixture_table"].func
+            halved = functools.cached_property(lambda uni: original(uni) / 2)
+            halved.__set_name__(AlgorithmUnitaries, "mixture_table")
+            monkeypatch.setattr(AlgorithmUnitaries, "mixture_table", halved)
+        else:
+            column_zero = harness.column_zero_probabilities
+            monkeypatch.setattr(harness, "column_zero_probabilities", lambda *view: column_zero(*view) / 2)
         with pytest.raises(ValueError, match=r"observed distribution sums to 0\.[45]\d*, not 1"):
             run(ExperimentSpec(ShorSpec.for_modulus(3, 2), family))
