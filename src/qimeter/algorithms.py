@@ -381,14 +381,23 @@ def column_zero_probabilities(rows: np.ndarray, copies: int) -> np.ndarray:
     return (np.abs(rows[:, :copies]) ** 2).ravel()
 
 
+def check_layer(circuit: Circuit, layer_width: int) -> None:
+    """``ValueError`` unless the first ``layer_width`` ops of ``circuit``, its
+    initial layer W, are one ``PerturbedHadamard`` on each of qubits 0..m-1,
+    in order, so the layer's qubits are ``range(layer_width)``."""
+    hadamards = [op for op in circuit.ops[:layer_width] if isinstance(op, PerturbedHadamard)]
+    if [op.target for op in hadamards] != list(range(layer_width)):
+        raise ValueError(
+            f"the initial layer must be one Hadamard on each of qubits 0..{layer_width - 1}, in order"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class AlgorithmUnitaries:
     """The unitaries of ``circuit``, full = rest @ W, each held as its
     representative rows, for the decoherence set-up (the unitary-error
     sweeps read ``view_rows``).  The initial layer W, the first
-    ``layer_width`` ops, must be one ``PerturbedHadamard`` on each of qubits
-    0..m-1 in order (else ``ValueError``), so the layer's qubits are
-    ``range(layer_width)``.
+    ``layer_width`` ops, must pass ``check_layer``.
 
     ``full_rows`` and ``rest_rows`` are (rows, copies) pairs, each from one
     ``circuit_unitary`` call whose dense result is dropped once
@@ -404,12 +413,7 @@ class AlgorithmUnitaries:
     layer_width: int
 
     def __post_init__(self):
-        m = self.layer_width
-        hadamards = [op for op in self.circuit.ops[:m] if isinstance(op, PerturbedHadamard)]
-        if [op.target for op in hadamards] != list(range(m)):
-            raise ValueError(
-                f"the initial layer must be one Hadamard on each of qubits 0..{m - 1}, in order"
-            )
+        check_layer(self.circuit, self.layer_width)
 
     def require_fast_path(self, affected) -> None:
         """``ValueError``, reading no view, if an initial Hadamard is perturbed
@@ -483,40 +487,41 @@ STACK_BYTES = 1 << 19
 
 
 def view_rows(circuits: Iterable[Circuit], layer_width: int, rest: bool) -> Iterator[tuple]:
-    """(full_rows, rest_rows or None, copies) of each of ``circuits``, in
-    order: the representative rows of U_full and, with ``rest``, of U_rest,
-    from ``layer_view_rows`` passes over as many circuits as fit
-    ``STACK_BYTES``; the circuits differ only in diagonal phases after the
-    layer, the first ``layer_width`` gates.  How many fit depends only on
+    """(rows, copies) of each view of each of ``circuits``, in order: the
+    representative rows of U_full and then, with ``rest``, of U_rest, from
+    ``layer_view_rows`` passes over as many circuits as fit ``STACK_BYTES``;
+    the circuits differ only in diagonal phases after the layer, the first
+    ``layer_width`` gates (``check_layer``).  How many fit depends only on
     the circuits' size.  A circuit whose views do not fit alone gets one
     pass per view, U_full first, each on the view's own circuit with an
-    empty layer: the pass ``circuit_unitary`` runs, so the same bytes."""
+    empty layer: the pass ``circuit_unitary`` runs, so the same bytes.  A
+    pass's rows are dropped when the view after its last is asked for, so
+    a caller that drops U_full before it asks for U_rest holds one lone
+    view at a time."""
     group, size = [], None
     for c in circuits:  # each circuit lives only as long as its group
+        check_layer(c, layer_width)
         if size is None:
             dim = 1 << c.n
             size = STACK_BYTES // ((1 + rest) * 16 * dim * dim // xor_row_copies(c))
+        if not size:
+            for view in (c, Circuit(c.n, c.ops[layer_width:]))[: 1 + rest]:
+                yield from _pass_views([view], 0, False)
+            continue
         group.append(c)
-        if len(group) >= size:  # with size 0, each circuit alone
-            yield from (_stacked_views if size else _lone_views)(group, layer_width, rest)
+        if len(group) == size:
+            yield from _pass_views(group, layer_width, rest)
             group = []
     if group:
-        yield from _stacked_views(group, layer_width, rest)
+        yield from _pass_views(group, layer_width, rest)
 
 
-def _stacked_views(group: list, layer_width: int, rest: bool) -> Iterator[tuple]:
-    """``view_rows`` of ``group`` from one stacked pass."""
+def _pass_views(group: list, layer_width: int, rest: bool) -> Iterator[tuple]:
+    """``view_rows`` of ``group`` from one ``layer_view_rows`` pass."""
     rows, copies = layer_view_rows(group, layer_width, rest)
     for views in rows:
-        yield views[-1], views[0] if rest else None, copies
-
-
-def _lone_views(group: list, layer_width: int, rest: bool) -> Iterator[tuple]:
-    """``view_rows`` of the one circuit of ``group``, one single-view pass per view."""
-    (c,) = group
-    ((full,),), copies = layer_view_rows([c], 0, False)
-    rest_circuit = Circuit(c.n, c.ops[layer_width:])
-    yield full, layer_view_rows([rest_circuit], 0, False)[0][0][0] if rest else None, copies
+        for view in reversed(views):  # U_full, then U_rest
+            yield view, copies
 
 
 def grover_unitaries(spec: GroverSpec) -> AlgorithmUnitaries:

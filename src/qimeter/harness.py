@@ -287,7 +287,8 @@ def _weighted_mean(spec, items, points):
 
 def _view_measures(spec, ideal, items, thetas, deltas):
     """(I_pa, I_au or None, success) of each marked item, from its views
-    (``view_rows``); an item's views are dropped once its measures are read."""
+    (``view_rows``).  U_full is dropped before U_rest is asked for, so a
+    circuit whose views are built one per pass holds one at a time."""
     algo = spec.algorithm
     alphas = [alpha for alpha, _ in items]
     if isinstance(algo, GroverSpec):
@@ -295,16 +296,12 @@ def _view_measures(spec, ideal, items, thetas, deltas):
     else:
         circuits = [build_shor(algo, thetas, deltas)]
     views = view_rows(circuits, algo.layer_width, spec.measure_au)
-    return map(functools.partial(_item_measures, ideal), alphas, views)
-
-
-def _item_measures(ideal, alpha, views):
-    """(I_pa, I_au or None, success) of marked item ``alpha`` from its
-    ``view_rows`` tuple."""
-    full, rest, copies = views
-    success = _success(ideal, column_zero_probabilities(full, copies), alpha)
-    i_au = None if rest is None else _unitary_interference(rest, copies)
-    return _unitary_interference(full, copies), i_au, success
+    for alpha in alphas:
+        full, copies = next(views)
+        i_pa = _unitary_interference(full, copies)
+        success = _success(ideal, column_zero_probabilities(full, copies), alpha)
+        del full  # before U_rest's pass
+        yield i_pa, _unitary_interference(*next(views)) if spec.measure_au else None, success
 
 
 def _marked_items(spec: ExperimentSpec, uniform: bool):

@@ -223,9 +223,13 @@ class TestSpecLayout:
         ],
         ids=["shorter-than-width", "non-hadamard", "out-of-order"],
     )
-    def test_refuses_a_misplaced_layer(self, circuit, width):
+    def test_refuses_a_misplaced_layer(self, circuit, width, monkeypatch):
         with pytest.raises(ValueError, match=f"qubits 0..{width - 1}"):
             AlgorithmUnitaries(circuit, width)
+        for budget in (algorithms.STACK_BYTES, 0):  # stacked, and one view per pass
+            monkeypatch.setattr(algorithms, "STACK_BYTES", budget)
+            with pytest.raises(ValueError, match=f"qubits 0..{width - 1}"):
+                next(view_rows([circuit], width, True))
 
     @pytest.mark.parametrize("bad", [2.0, 2.5, "2", True], ids=["whole-float", "float", "string", "bool"])
     @pytest.mark.parametrize("field", ["n", "alpha", "k_override"])
@@ -643,21 +647,22 @@ def passes(monkeypatch):
 
 
 def assert_view_rows(passes, circuits, layer_width, rest) -> list:
-    """Each ``view_rows`` tuple, one per circuit and in order, has the bytes
-    of ``circuit_unitary``'s representative rows of that circuit's views,
-    U_rest only with ``rest``.  Returns the passes made, each as (number of
-    circuits, layer_width, rest)."""
+    """The ``view_rows`` views, U_full and then, only with ``rest``, U_rest
+    of each circuit in order, have the bytes of ``circuit_unitary``'s
+    representative rows of those views.  Returns the passes made, each as
+    (number of circuits, layer_width, rest)."""
     passes.clear()
-    for c, views in itertools.zip_longest(circuits, view_rows(circuits, layer_width, rest)):
-        full, rest_rows, copies = views
+    expected = []
+    for c in circuits:
+        expected.append(c)
+        if rest:
+            expected.append(Circuit(c.n, c.ops[layer_width:]))
+    for c, views in itertools.zip_longest(expected, view_rows(circuits, layer_width, rest)):
+        got, copies = views
         assert copies == xor_row_copies(c)
         rows = representative_rows(circuit_unitary(c), copies)
-        assert full.tobytes() == rows.tobytes()
-        assert column_zero_probabilities(full, copies).tobytes() == (np.abs(rows[:, :copies]) ** 2).tobytes()
-        assert (rest_rows is not None) == rest
-        if rest:
-            rows = representative_rows(circuit_unitary(Circuit(c.n, c.ops[layer_width:])), copies)
-            assert rest_rows.tobytes() == rows.tobytes()
+        assert got.tobytes() == rows.tobytes()
+        assert column_zero_probabilities(got, copies).tobytes() == (np.abs(rows[:, :copies]) ** 2).tobytes()
     return [(len(group), width, views) for group, width, views in passes]
 
 
@@ -803,12 +808,15 @@ class TestGroverUniformMeasures:
                 spec = GroverSpec(n, 0, k)
                 alphas = [(1 << w) - 1 for w in weights]
                 circuits = grover_circuits(spec, alphas, [theta] * spec.n_hadamards)
-                for alpha, (full, rest, copies) in zip(alphas, view_rows(circuits, n, True)):
+                views = view_rows(circuits, n, True)
+                for alpha in alphas:
+                    full, copies = next(views)
                     i_pa = _unitary_interference(full, copies)
                     success = float(column_zero_probabilities(full, copies)[alpha])
                     got = uniform_point(spec, alpha, theta)
                     assert abs(got[0] - i_pa) <= floor and abs(got[2] - success) <= 1e-13
-                    assert abs(got[1] - _unitary_interference(rest, copies)) <= floor
+                    assert abs(got[1] - _unitary_interference(*next(views))) <= floor
+                assert next(views, None) is None
 
     @pytest.mark.parametrize("n", [2, 5, 12])
     def test_no_iteration_is_the_layer(self, n):

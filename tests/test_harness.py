@@ -422,6 +422,35 @@ class TestStackedPoints:
         assert calls == [] and passes == [1, 1] * len(angles)
         assert [(row.interference_pa, row.interference_au, row.success) for row in rows] == expected
 
+    def test_lone_point_holds_one_view_at_a_time(self):
+        # Grover n = 8 holds 1 MiB per view, so each view is a pass of its
+        # own; U_full is dropped before U_rest's pass, so measuring I_au
+        # adds no view to the point's peak, and the point peaks no higher
+        # than the lazy AlgorithmUnitaries route, one dense view at a time
+        algo = GroverSpec(8, 5)
+        thetas = np.random.default_rng(8).uniform(0.5, 1.0, algo.n_hadamards)
+
+        def point(measure_au):
+            spec = ExperimentSpec(algo, RandomErrors((0.5,), 1), measure_au=measure_au)
+            return harness._unitary_point(spec, None, thetas)
+
+        def lazy():
+            uni = AlgorithmUnitaries(build_grover(algo, thetas), algo.layer_width)
+            i_pa = _unitary_interference(*uni.full_rows)
+            success = float(uni.output_probabilities[algo.alpha])
+            return i_pa, _unitary_interference(*uni.rest_rows), success
+
+        peaks, values = [], []
+        for build in (lambda: point(True), lambda: point(False), lazy):
+            build()  # every step lowered
+            tracemalloc.start()
+            values.append(build())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert values[0] == values[2] and values[1] == (values[0][0], None, values[0][2])
+        view = 16 << 2 * algo.n
+        assert peaks[0] <= peaks[1] + view // 16 and peaks[0] <= peaks[2]
+
     def test_shared_gates_keyed_once(self, monkeypatch):
         # the six weight classes of n = 5 at one angle, 53 gates each: each
         # gate that the circuits share is one object, keyed once; each oracle
