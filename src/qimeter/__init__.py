@@ -12,6 +12,7 @@ from .algorithms import (
     AlgorithmUnitaries,
     DecoherencePoint,
     GroverSpec,
+    NoiseSetup,
     ShorSpec,
     build_grover,
     build_shor,
@@ -22,6 +23,7 @@ from .algorithms import (
     grover_unitaries,
     grover_zero_reflection,
     modexp_permutation,
+    noise_setup,
     register1_marginal,
     shor_success,
     shor_unitaries,

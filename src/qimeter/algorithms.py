@@ -6,9 +6,11 @@ qubits.  ``build_grover`` and ``build_shor`` return one circuit;
 it, and the two views feed the "potentially available" versus "actually
 used" interference measurements.  Decoherence strikes only the initial
 layer: bit-flip or phase-flip errors after each of its Hadamard gates,
-which keeps the Kraus-operator count at 2^n_f.  Grover search with one
-angle at every Hadamard needs no circuit: ``grover_uniform_measures``
-gives its measures in closed form, for a whole grid of angles at once.
+which keeps the Kraus-operator count at 2^n_f.  A decoherence sweep builds
+what its subsets read once, in one order (``noise_setup``).  Grover search
+with one angle at every Hadamard needs no circuit:
+``grover_uniform_measures`` gives its measures in closed form, for a whole
+grid of angles at once.
 """
 
 from __future__ import annotations
@@ -295,19 +297,23 @@ def _bit_triple_classes(zeros: int, ones: int) -> tuple:
     number of factors cos (the others are sin) and the sign; and the masks
     i = alpha, j = alpha, j = 0 and i = j."""
 
-    def splits(m):  # the counts of the pairs (i_q, j_q) 00, 01, 10, 11 over m qubits
-        return [
+    def splits(m):
+        # the counts of the pairs (i_q, j_q) 00, 01, 10, 11 over m qubits, and
+        # for each, the number of ways to give the m qubits those pairs
+        table = [
             (m - p - q - r, p, q, r)
             for p in range(m + 1)
             for q in range(m + 1 - p)
             for r in range(m + 1 - p - q)
         ]
+        ways = [math.factorial(m) // math.prod(map(math.factorial, split)) for split in table]
+        return np.array(table), np.array(ways)
 
-    rows = [zero + one for zero in splits(zeros) for one in splits(ones)]
-    fact = math.factorial
-    sizes = [fact(zeros) * fact(ones) // math.prod(map(fact, row)) for row in rows]
-    sizes = np.array(sizes, dtype=float)
-    counts = np.array(rows)  # counts[c, t]: qubits with triple t = 4 alpha_q + 2 i_q + j_q
+    (low, low_ways), (high, high_ways) = splits(zeros), splits(ones)  # alpha_q = 0, alpha_q = 1
+    # counts[c, t]: qubits with triple t = 4 alpha_q + 2 i_q + j_q, the
+    # split of alpha's 0 bits major
+    counts = np.hstack([np.repeat(low, len(high), axis=0), np.tile(high, (len(low), 1))])
+    sizes = np.outer(low_ways, high_ways).ravel().astype(float)
     a, i, j = np.arange(8) >> 2, np.arange(8) >> 1 & 1, np.arange(8) & 1
     zero = 0 * a
     pairs = [(i, j), (i, zero), (j, zero), (a, j)]
@@ -394,20 +400,10 @@ def check_layer(circuit: Circuit, layer_width: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class AlgorithmUnitaries:
-    """The unitaries of ``circuit``, full = rest @ W, each held as its
-    representative rows, for the decoherence set-up (the unitary-error
-    sweeps read ``view_rows``).  The initial layer W, the first
-    ``layer_width`` ops, must pass ``check_layer``.
-
-    ``full_rows`` and ``rest_rows`` are (rows, copies) pairs, each from one
-    ``circuit_unitary`` call whose dense result is dropped once
-    ``representative_rows`` has taken its rows (Grover's rows are the whole
-    matrix).  Every measure reduces those rows, and each view and reduction
-    is built the first time a measure reads it, so I_pa alone never builds
-    U_rest or its kernel.  Building one view's rows drops the other's, so
-    one dense unitary is alive at a time: a caller reads every reduction of
-    U_full that it needs before the first of U_rest, or U_full is built
-    again."""
+    """An algorithm's circuit, full = rest @ W, for the decoherence set-up
+    (``noise_setup``; the unitary-error sweeps read ``view_rows``).  The
+    initial layer W, the first ``layer_width`` ops, must pass
+    ``check_layer``."""
 
     circuit: Circuit
     layer_width: int
@@ -416,7 +412,7 @@ class AlgorithmUnitaries:
         check_layer(self.circuit, self.layer_width)
 
     def require_fast_path(self, affected) -> None:
-        """``ValueError``, reading no view, if an initial Hadamard is perturbed
+        """``ValueError``, building nothing, if an initial Hadamard is perturbed
         (the fast path's sigma_z H = H sigma_x fails) or ``affected`` is off it."""
         if any(op.theta != math.pi / 4 for op in self.circuit.ops[: self.layer_width]):
             raise ValueError("the fast path needs an exact initial Hadamard layer (every angle pi/4)")
@@ -429,56 +425,76 @@ class AlgorithmUnitaries:
         """The ops after the initial layer."""
         return Circuit(self.circuit.n, self.circuit.ops[self.layer_width :])
 
-    def _rows(self, circuit: Circuit, other: str) -> tuple:
-        vars(self).pop(other, None)  # the other view's rows, before this view is built
-        copies = xor_row_copies(circuit)
-        return representative_rows(circuit_unitary(circuit), copies), copies
 
-    @functools.cached_property
-    def full_rows(self) -> tuple:
-        """(rows, copies) of U_full (``pauli_noise_kernel``)."""
-        return self._rows(self.circuit, "rest_rows")
+@dataclass(frozen=True, eq=False)
+class NoiseSetup:
+    """What every qubit subset of a decoherence sweep reads (``noise_setup``):
+    the ``pauli_noise_kernel`` of U_full and, when I_au is measured, of
+    U_rest (else None); |U_full[:, 0]|^2, read-only; and, for phase flips
+    only, U_full's ``_mixture_table`` (else None)."""
 
-    @functools.cached_property
-    def rest_rows(self) -> tuple:
-        """(rows, copies) of U_rest (``pauli_noise_kernel``)."""
-        return self._rows(self.rest_circuit, "full_rows")
+    unitaries: AlgorithmUnitaries
+    kind: str
+    full_kernel: PauliNoiseKernel
+    rest_kernel: PauliNoiseKernel | None
+    output_probabilities: np.ndarray
+    mixture_table: np.ndarray | None
 
-    @functools.cached_property
-    def output_probabilities(self) -> np.ndarray:
-        """|U_full[:, 0]|^2 (``column_zero_probabilities``), read-only: every
-        bit-flip point returns this array."""
-        probs = column_zero_probabilities(*self.full_rows)
-        probs.flags.writeable = False
-        return probs
 
-    @functools.cached_property
-    def full_kernel(self) -> PauliNoiseKernel:
-        """Row statistics of U_full that ``SubsetClassSums`` reads for I_pa."""
-        return pauli_noise_kernel(*self.full_rows)
+def noise_setup(unitaries: AlgorithmUnitaries, kind: str, measure_au: bool) -> NoiseSetup:
+    """The ``NoiseSetup`` of ``kind`` errors on the initial layer of
+    ``unitaries``, built once, in this order:
 
-    @functools.cached_property
-    def rest_kernel(self) -> PauliNoiseKernel:
-        """Row statistics of U_rest that ``SubsetClassSums`` reads for I_au."""
-        return pauli_noise_kernel(*self.rest_rows)
+    1. a perturbed layer is refused (``require_fast_path``) before anything
+       is built;
+    2. U_full's representative rows (``_dense_view_rows``);
+    3. from them, its kernel, then its column 0 and, for phase flips only,
+       its table: the kernel's transient and the table are never alive at
+       once, and bit flips build no table (128 MB at Grover n = 12);
+    4. the rows are dropped, and only with ``measure_au`` are U_rest's rows
+       and kernel built.
 
-    @functools.cached_property
-    def mixture_table(self) -> np.ndarray:
-        """|U_full|^2 at every column a phase-flip pattern can reach.
+    So one dense unitary is alive at a time; Grover's rows are the whole
+    matrix."""
+    if kind not in (BITFLIP, PHASEFLIP):
+        raise ValueError(f"unknown error kind {kind!r}")
+    unitaries.require_fast_path(())
+    views = _dense_view_rows(unitaries, measure_au)
+    rows, copies = next(views)
+    full_kernel = pauli_noise_kernel(rows, copies)
+    probs = column_zero_probabilities(rows, copies)
+    probs.flags.writeable = False
+    table = _mixture_table(rows, copies, unitaries.layer_width) if kind == PHASEFLIP else None
+    del rows  # before U_rest is built
+    rest_kernel = pauli_noise_kernel(*next(views)) if measure_au else None
+    return NoiseSetup(unitaries, kind, full_kernel, rest_kernel, probs, table)
 
-        The layer sits on qubits 0..m-1 of n, so the pattern with hit mask s
-        in the layer's m qubits reaches column s << k, k = n - m: row s of
-        the C-contiguous 2^m x N table (8 MB for Shor L = 4) is that column's
-        |.|^2.  The first register of the XOR split holds the layer, so
-        ``copies`` divides 2^k and U_full[(j, y), s << k] = rows[j, (s << k) + y]:
-        the table is |rows|^2 seen as (j, s, y) and transposed to (s, j, y).
-        """
-        rows, copies = self.full_rows
-        m, k = self.layer_width, self.circuit.n - self.layer_width
-        cols = rows.reshape(rows.shape[0], 1 << m, 1 << k)[:, :, :copies].transpose(1, 0, 2)
-        table = np.abs(cols, out=np.empty(cols.shape))
-        table **= 2
-        return table.reshape(1 << m, -1)
+
+def _dense_view_rows(unitaries: AlgorithmUnitaries, rest: bool) -> Iterator[tuple]:
+    """(rows, copies) of U_full and then, with ``rest``, of U_rest, in the
+    order of ``view_rows``, each from one ``circuit_unitary`` call whose
+    dense result is dropped once ``representative_rows`` has its rows."""
+    for view in (unitaries.circuit, unitaries.rest_circuit)[: 1 + rest]:
+        copies = xor_row_copies(view)
+        yield representative_rows(circuit_unitary(view), copies), copies
+
+
+def _mixture_table(rows: np.ndarray, copies: int, layer_width: int) -> np.ndarray:
+    """|U_full|^2 at every column a phase-flip pattern can reach, from U_full's
+    representative ``rows``.
+
+    The layer sits on qubits 0..m-1 of n, so the pattern with hit mask s
+    in the layer's m qubits reaches column s << k, k = n - m: row s of
+    the C-contiguous 2^m x N table (8 MB for Shor L = 4) is that column's
+    |.|^2.  The first register of the XOR split holds the layer, so
+    ``copies`` divides 2^k and U_full[(j, y), s << k] = rows[j, (s << k) + y]:
+    the table is |rows|^2 seen as (j, s, y) and transposed to (s, j, y).
+    """
+    m = layer_width
+    cols = rows.reshape(rows.shape[0], 1 << m, -1)[:, :, :copies].transpose(1, 0, 2)
+    table = np.abs(cols, out=np.empty(cols.shape))
+    table **= 2
+    return table.reshape(1 << m, -1)
 
 
 # bytes of view rows per stacked pass of ``view_rows`` (DECISIONS.md,
@@ -534,107 +550,74 @@ def shor_unitaries(spec: ShorSpec) -> AlgorithmUnitaries:
     return AlgorithmUnitaries(build_shor(spec), spec.layer_width)
 
 
-@dataclass(frozen=True, eq=False)
-class SubsetClassSums:
-    """The p-independent sums of decoherence on the subset S of the initial
-    layer, by hits inside S (DECISIONS.md): ``pa`` and ``au`` are the
-    ``noise_class_sums`` of U_full's kernel, error kind swapped (sigma_z H =
-    H sigma_x), and of U_rest's; ``mixture`` row w sums the ``mixture_table``
-    rows of the patterns within S of w hits.  Each is built on first read,
-    after ``require_fast_path``.  The measures are read for a grid of error
-    probabilities at once (``DecoherencePoint`` reads a grid of one), each
-    value with the bits it has in any grid that holds its p."""
+def subset_measures(setup: NoiseSetup, affected: tuple, ps) -> tuple:
+    """(I_pa, I_au or None, probabilities) of ``setup.kind`` errors on the
+    subset S = ``affected`` of the initial layer, at each error probability
+    of ``ps``: two lists and a read-only len(ps) x N array, refused where
+    ``require_fast_path`` refuses.
 
-    unitaries: AlgorithmUnitaries
-    kind: str
-    affected: tuple
-
-    def __post_init__(self):
-        self.unitaries.require_fast_path(self.affected)
-
-    @functools.cached_property
-    def pa(self) -> np.ndarray:
-        mask = qubit_mask(self.affected, self.unitaries.circuit.n)
-        swapped = BITFLIP if self.kind == PHASEFLIP else PHASEFLIP
-        return noise_class_sums(self.unitaries.full_kernel, swapped, mask)
-
-    @functools.cached_property
-    def au(self) -> np.ndarray:
-        mask = qubit_mask(self.affected, self.unitaries.circuit.n)
-        return noise_class_sums(self.unitaries.rest_kernel, self.kind, mask)
-
-    @functools.cached_property
-    def mixture(self) -> np.ndarray:
-        m = self.unitaries.layer_width
-        rows = np.arange(1 << m)
-        rows = rows[(rows & qubit_mask(self.affected, m)) == rows]  # the patterns within S
-        hits, table = popcount(rows), self.unitaries.mixture_table
-        return np.array([table[rows[hits == w]].sum(axis=0) for w in range(len(self.affected) + 1)])
-
-    def interference_pa(self, ps) -> list:
-        """I_pa at each error probability of ``ps``, one 1-D dot per p
-        (``interference_from_class_sums``)."""
-        return [interference_from_class_sums(self.pa, p) for p in ps]
-
-    def interference_au(self, ps) -> list:
-        """I_au at each error probability of ``ps``, as ``interference_pa``."""
-        return [interference_from_class_sums(self.au, p) for p in ps]
-
-    def probabilities(self, ps) -> np.ndarray:
-        """The output distribution from |0...0> at each error probability of
-        ``ps``, as the rows of a read-only len(ps) x N array.  Bit flips leave
-        the post-layer state as it is, so each row is ``output_probabilities``
-        (a broadcast view of it), and phase flips give sum_w p^w (1 - p)^(n_f - w)
-        mixture[w], summed class by class (``0.0 ** 0`` is 1.0, so p = 0 and 1
-        need no case).  Each element gets the product of its Python-float
-        coefficient and the class entry, added in class order, so a row is
-        the same at any ``ps`` that holds its p."""
-        if self.kind == BITFLIP:
-            probs = self.unitaries.output_probabilities
-            return np.broadcast_to(probs, (len(ps), len(probs)))
-        n_f = len(self.affected)
-        probs = np.zeros((len(ps), self.mixture.shape[1]))
-        for w, row in enumerate(self.mixture):
-            probs += np.array([p**w * (1.0 - p) ** (n_f - w) for p in ps])[:, None] * row
-        probs.flags.writeable = False
-        return probs
+    The sums by hits inside S do not depend on p (DECISIONS.md): I_pa weighs
+    the ``noise_class_sums`` of U_full's kernel, error kind swapped (sigma_z
+    H = H sigma_x), and I_au those of U_rest's, one 1-D dot per p
+    (``interference_from_class_sums``).  Bit flips leave the post-layer
+    state as it is, so each row of the probabilities is the set-up's
+    ``output_probabilities`` (a broadcast view of it); phase flips give
+    sum_w p^w (1 - p)^(n_f - w) M[w], where M[w] sums the table rows of the
+    patterns within S of w hits, added class by class (``0.0 ** 0`` is 1.0,
+    so p = 0 and 1 need no case).  Each element gets the product of its
+    Python-float coefficient and the class entry, added in class order, so
+    each value has the bits it has in any grid that holds its p."""
+    unitaries = setup.unitaries
+    unitaries.require_fast_path(affected)
+    mask = qubit_mask(affected, unitaries.circuit.n)
+    swapped = BITFLIP if setup.kind == PHASEFLIP else PHASEFLIP
+    pa = noise_class_sums(setup.full_kernel, swapped, mask)
+    i_pa = [interference_from_class_sums(pa, p) for p in ps]
+    i_au = None
+    if setup.rest_kernel is not None:
+        au = noise_class_sums(setup.rest_kernel, setup.kind, mask)
+        i_au = [interference_from_class_sums(au, p) for p in ps]
+    if setup.kind == BITFLIP:
+        probs = setup.output_probabilities
+        return i_pa, i_au, np.broadcast_to(probs, (len(ps), len(probs)))
+    m, n_f, table = unitaries.layer_width, len(affected), setup.mixture_table
+    patterns = np.arange(1 << m)
+    patterns = patterns[(patterns & qubit_mask(affected, m)) == patterns]  # those within S
+    hits = popcount(patterns)
+    probs = np.zeros((len(ps), table.shape[1]))
+    for w in range(n_f + 1):
+        row = table[patterns[hits == w]].sum(axis=0)
+        probs += np.array([p**w * (1.0 - p) ** (n_f - w) for p in ps])[:, None] * row
+    probs.flags.writeable = False
+    return i_pa, i_au, probs
 
 
 @dataclass(frozen=True, eq=False)
 class DecoherencePoint:
-    """One (p, affected-subset) evaluation of a decohered algorithm: the
-    subset's class sums read at a grid of one p, each measure evaluated the
-    first time it is read."""
+    """One (p, subset) evaluation of a decohered algorithm: I_pa, I_au (None
+    without U_rest) and the output distribution from |0...0>."""
 
-    sums: SubsetClassSums
-    p: float
-
-    @functools.cached_property
-    def interference_pa(self) -> float:
-        (value,) = self.sums.interference_pa((self.p,))
-        return value
-
-    @functools.cached_property
-    def interference_au(self) -> float:
-        (value,) = self.sums.interference_au((self.p,))
-        return value
-
-    @functools.cached_property
-    def probabilities(self) -> np.ndarray:
-        """The output distribution from |0...0> (``SubsetClassSums.probabilities``)."""
-        (probs,) = self.sums.probabilities((self.p,))
-        return probs
+    interference_pa: float
+    interference_au: float | None
+    probabilities: np.ndarray
 
 
-def decoherence_point(unitaries: AlgorithmUnitaries, model: ErrorModel) -> DecoherencePoint:
-    """Fast-path evaluation of one (p, subset) point, refused where ``SubsetClassSums``
-    is; matches the explicit Kraus channels (``tests/oracles.py``) to machine precision."""
-    return DecoherencePoint(SubsetClassSums(unitaries, model.kind, model.affected), model.p)
+def decoherence_point(setup: NoiseSetup, model: ErrorModel) -> DecoherencePoint:
+    """Fast-path evaluation of one (p, subset) point, ``subset_measures`` at a
+    grid of one p, refused where it is and for a model of the other error
+    kind; matches the explicit Kraus channels (``tests/oracles.py``) to
+    machine precision."""
+    if model.kind != setup.kind:
+        raise ValueError(f"a {model.kind} model on a {setup.kind} set-up")
+    (i_pa,), i_au, (probs,) = subset_measures(setup, model.affected, (model.p,))
+    return DecoherencePoint(i_pa, None if i_au is None else i_au[0], probs)
 
 
 def decoherent_final_probabilities(unitaries: AlgorithmUnitaries, model: ErrorModel) -> np.ndarray:
-    """Output distribution of the decohered algorithm started in |0...0>."""
-    return decoherence_point(unitaries, model).probabilities
+    """Output distribution of the decohered algorithm started in |0...0>, from
+    a set-up of its own without U_rest, refused before it is built."""
+    unitaries.require_fast_path(model.affected)
+    return decoherence_point(noise_setup(unitaries, model.kind, False), model).probabilities
 
 
 # ---------------------------------------------------------------------------
@@ -643,19 +626,14 @@ def decoherent_final_probabilities(unitaries: AlgorithmUnitaries, model: ErrorMo
 
 def shor_success(ideal: np.ndarray, observed: np.ndarray) -> float:
     """One minus half the total-variation distance between distributions."""
-    return _success_against(_distribution("ideal", ideal), observed)
-
-
-def _success_against(ideal: np.ndarray, observed: np.ndarray) -> float:
-    """``shor_success`` for an ``ideal`` it has accepted: a sweep checks its ideal once."""
-    (value,) = _successes_against(ideal, np.asarray(observed, dtype=float)[None])
-    return value
+    return _successes_against(_distribution("ideal", ideal), observed)[0]
 
 
 def _successes_against(ideal: np.ndarray, observed: np.ndarray) -> list:
-    """``_success_against`` of each row of the 2-D ``observed``, each row
-    checked and summed on its own (``_row_sums``)."""
-    observed = _distribution("observed", observed)
+    """``shor_success`` of each row of ``observed`` (a 1-D ``observed`` is one
+    row), for an ``ideal`` it has accepted: a sweep checks its ideal once.
+    Each row is checked and summed on its own (``_row_sums``)."""
+    observed = np.atleast_2d(_distribution("observed", observed))
     if ideal.shape != observed.shape[1:]:
         raise ValueError(f"length mismatch: {ideal.shape} vs {observed.shape[1:]}")
     values = [1.0 - 0.5 * gap for gap in _row_sums(np.abs(ideal - observed))]

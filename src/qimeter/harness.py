@@ -27,9 +27,7 @@ import numpy as np
 from .algorithms import (
     GroverSpec,
     ShorSpec,
-    SubsetClassSums,
     _distribution,
-    _success_against,
     _successes_against,
     build_shor,
     column_zero_probabilities,
@@ -37,8 +35,10 @@ from .algorithms import (
     grover_circuits,
     grover_uniform_measures,
     grover_unitaries,
+    noise_setup,
     shor_success,
     shor_unitaries,
+    subset_measures,
     view_rows,
 )
 from .channels import BITFLIP, PHASEFLIP
@@ -326,8 +326,8 @@ def _marked_items(spec: ExperimentSpec, uniform: bool):
 
 
 def _success(ideal, probabilities, alpha) -> float:
-    """The marked item's probability, or for Shor (``alpha`` None) ``_success_against``."""
-    return _success_against(ideal, probabilities) if alpha is None else float(probabilities[alpha])
+    """The marked item's probability, or for Shor (``alpha`` None) ``_successes_against``."""
+    return _successes_against(ideal, probabilities)[0] if alpha is None else float(probabilities[alpha])
 
 
 def _shor_ideal(algorithm):
@@ -415,20 +415,20 @@ def run_decoherence_sweep(spec: ExperimentSpec) -> list:
     of the first register according to the subset policy; Grover uses the
     policy as given (prefix = first n_f qubits).
 
-    The sweep runs in the calling process, refuses a perturbed layer, then
-    builds its setup once, in this order: U_full's representative rows and
-    noise kernel, for phase flips the column table of the output mixture,
-    and, only when the spec measures I_au, U_rest's rows and kernel.  Each
-    dense unitary (256 MB at 12 qubits) is alive only while it is built and
-    its rows are taken (16 MB for Shor L = 4; Grover's rows are the whole
-    matrix, dropped before U_rest is built), so the Shor L = 4 phase-flip
-    sweep peaks at about 320 MB.  The table is 8 MB for Shor L = 4 (128 MB
-    for Grover).  All are freed on return.  Each subset then costs one O(N)
-    pass per kernel, 2^n_f table rows and one weighing of its mixtures for
-    the whole p grid (``SubsetClassSums``, one alive at a time).  The
-    subset's measures come for the whole grid at once: per p, one dot of
-    n_f + 1 terms per measure and, for a Shor phase-flip sweep, one O(N)
-    row of the success grid (``_successes_against``)."""
+    The sweep runs in the calling process and builds its set-up once
+    (``noise_setup``): it refuses a perturbed layer, then builds U_full's
+    representative rows and noise kernel, its column 0 and, for phase flips,
+    the column table of the output mixture, and only when the spec measures
+    I_au, U_rest's rows and kernel.  Each dense unitary (256 MB at 12
+    qubits) is alive only while it is built and its rows are taken (16 MB
+    for Shor L = 4; Grover's rows are the whole matrix, dropped before
+    U_rest is built), so the Shor L = 4 phase-flip sweep peaks at about
+    320 MB.  The table is 8 MB for Shor L = 4 (128 MB for Grover).  All
+    are freed on return.  Each subset then costs one O(N) pass per kernel,
+    2^n_f table rows and one weighing of its mixtures for the whole p grid
+    (``subset_measures``).  Per p, that is one dot of n_f + 1 terms per
+    measure and, for a Shor phase-flip sweep, one O(N) row of the success
+    grid (``_successes_against``)."""
     family = spec.error_family
     if not isinstance(family, DecoherenceErrors):
         raise ValueError("spec does not describe a decoherence sweep")
@@ -440,33 +440,26 @@ def run_decoherence_sweep(spec: ExperimentSpec) -> list:
         )
     grover = isinstance(algo, GroverSpec)
     unitaries = grover_unitaries(algo) if grover else shor_unitaries(algo)
-    layer = tuple(range(algo.layer_width))
-    unitaries.require_fast_path(layer)
-    # U_full's kernel before its phase-flip table, so that the kernel's
-    # transient and the table are never alive at once
-    unitaries.full_kernel
-    ideal = None if grover else unitaries.output_probabilities
+    setup = noise_setup(unitaries, family.kind, spec.measure_au)
+    ideal = None if grover else setup.output_probabilities
     alpha = algo.alpha if grover else None
     # a Shor bit-flip point observes ``ideal`` itself: its success is evaluated once
     exact = None if grover else shor_success(ideal, ideal)
     # (I_pa, I_au, success) samples per (p, n_f), in subset order
     ps = family.probabilities
     cells = [[([], [], []) for _ in family.n_f_values] for _ in ps]
+    layer = tuple(range(algo.layer_width))
     prefix = family.subset_policy == PREFIX_SUBSETS
     for n_f, column in zip(family.n_f_values, zip(*cells)):
         for subset in [layer[:n_f]] if prefix else itertools.combinations(layer, n_f):
-            sums = SubsetClassSums(unitaries, family.kind, subset)
-            # before the first I_au: every reduction of U_full precedes U_rest
-            observed = sums.probabilities(ps)
+            i_pa, i_au, observed = subset_measures(setup, subset, ps)
             if grover:
                 successes = observed[:, alpha].tolist()
             elif family.kind == BITFLIP:  # every row is the ideal itself
                 successes = [exact] * len(ps)
             else:
                 successes = _successes_against(ideal, observed)
-            i_pa = sums.interference_pa(ps)
-            i_au = sums.interference_au(ps) if spec.measure_au else itertools.repeat(None)
-            for samples, values in zip(column, zip(i_pa, i_au, successes)):
+            for samples, values in zip(column, zip(i_pa, i_au or itertools.repeat(None), successes)):
                 for sample, value in zip(samples, values):
                     sample.append(value)
     return [

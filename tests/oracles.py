@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import mpmath
 import numpy as np
 
-from qimeter.algorithms import AlgorithmUnitaries, GroverSpec, build_grover
+from qimeter.algorithms import AlgorithmUnitaries, GroverSpec, build_grover, representative_rows
 from qimeter.channels import (
     BITFLIP,
     ErrorModel,
@@ -32,6 +32,7 @@ from qimeter.gates import (
     PerturbedHadamard,
     circuit_unitary,
     perturbed_hadamard,
+    xor_row_copies,
 )
 from qimeter.interference import (
     WHT_BLOCK_BYTES,
@@ -254,6 +255,13 @@ def noise_then_unitary_per_index(kernel: PauliNoiseKernel, model: ErrorModel) ->
     if model.kind == BITFLIP:
         return float(weights @ (kernel.q - kernel.fa2)) / dim
     return float(weights @ kernel.autocorr) - kernel.sum_a2
+
+
+def dense_rows(c: Circuit) -> tuple:
+    """(rows, copies) of the unitary of ``c``, taken from the dense matrix: the
+    view rows a decoherence set-up and a unitary-error point reduce."""
+    copies = xor_row_copies(c)
+    return representative_rows(circuit_unitary(c), copies), copies
 
 
 def phaseflip_mixture(u_full: np.ndarray, model: ErrorModel) -> np.ndarray:

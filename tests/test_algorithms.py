@@ -1,7 +1,7 @@
-import functools
 import itertools
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +12,7 @@ from oracles import (
     basis_density,
     build_grover_unshared,
     decoherence_channels,
+    dense_rows,
     density_from_state,
     grover_success,
     grover_uniform_dense,
@@ -40,6 +41,7 @@ from qimeter.algorithms import (
     grover_unitaries,
     grover_zero_reflection,
     modexp_permutation,
+    noise_setup,
     register1_marginal,
     representative_rows,
     shor_success,
@@ -414,6 +416,14 @@ class TestDecoherenceChannels:
 
 
 class TestDecoherencePoint:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The circuits that ``algorithms`` hands to ``circuit_unitary``."""
+        calls = []
+        run = algorithms.circuit_unitary
+        monkeypatch.setattr(algorithms, "circuit_unitary", lambda c: calls.append(c) or run(c))
+        return calls
+
     def test_refuses_perturbed_initial_layer(self):
         # sigma_z no longer turns into sigma_x through H(0.6), so the fast
         # formula (2.8069) would disagree with the explicit channels (3.4309)
@@ -428,21 +438,87 @@ class TestDecoherencePoint:
         assert explicit == pytest.approx(3.4308712137, abs=1e-9)
         assert formula == pytest.approx(2.8068842775, abs=1e-9)
         with pytest.raises(ValueError, match="exact initial Hadamard layer"):
-            decoherence_point(uni, model)
+            noise_setup(uni, PHASEFLIP, True)
+        with pytest.raises(ValueError, match="exact initial Hadamard layer"):
+            decoherent_final_probabilities(uni, model)
 
     @pytest.mark.parametrize("kind", [BITFLIP, PHASEFLIP])
-    def test_refuses_errors_outside_the_layer_before_i_pa(self, kind):
+    def test_refuses_errors_outside_the_layer_before_i_pa(self, kind, built):
         # qubit 5 is in the register (6 qubits) but not in the layer (0..3)
         uni = shor_unitaries(ShorSpec.for_modulus(3, 2))
         message = "affected qubits (1, 5) outside the initial Hadamard layer (0, 1, 2, 3)"
+        model = ErrorModel(kind, 0.3, (1, 5))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            decoherence_point(uni, ErrorModel(kind, 0.3, (1, 5)))
-        assert "full_kernel" not in vars(uni)
+            decoherent_final_probabilities(uni, model)
+        assert built == []
+        setup = noise_setup(uni, kind, True)
+        built.clear()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            decoherence_point(setup, model)
+        assert built == []
 
-    def test_kernels_built_once(self):
+    @staticmethod
+    def setup_peak(uni, kind, measure_au) -> int:
+        """The ``tracemalloc`` peak of a warm ``noise_setup``."""
+        noise_setup(uni, kind, measure_au)  # every step lowered
+        tracemalloc.start()
+        try:
+            noise_setup(uni, kind, measure_au)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_full_rows_dropped_before_rest_is_built(self):
+        # Grover n = 8: the rows are the whole 1 MiB matrix, so U_full's rows
+        # held while U_rest is built would add a view to the set-up's peak
+        uni = grover_unitaries(GroverSpec(8, 5))
+        view = 16 << 2 * 8
+        assert self.setup_peak(uni, BITFLIP, True) <= self.setup_peak(uni, BITFLIP, False) + view // 16
+
+    def test_kernel_built_before_the_table(self):
+        # Grover n = 8: the 512 KiB table, built after U_full's kernel, adds
+        # nothing to the set-up's peak; built before it, it would be alive
+        # through the kernel's transients
+        uni = grover_unitaries(GroverSpec(8, 5))
+        view = 16 << 2 * 8
+        assert self.setup_peak(uni, PHASEFLIP, False) <= self.setup_peak(uni, BITFLIP, False) + view // 16
+
+    @pytest.mark.parametrize("kind", [BITFLIP, PHASEFLIP])
+    def test_refusals_come_before_any_build(self, kind, built):
+        # a perturbed layer, qubits off the layer and a model of the other
+        # error kind are each refused before circuit_unitary is called
+        spec = GroverSpec(3, 1)
+        perturbed = AlgorithmUnitaries(build_grover(spec, [0.6] * spec.n_hadamards), 3)
+        for measure_au in (False, True):
+            with pytest.raises(ValueError, match="exact initial Hadamard layer"):
+                noise_setup(perturbed, kind, measure_au)
+        with pytest.raises(ValueError, match="exact initial Hadamard layer"):
+            decoherent_final_probabilities(perturbed, ErrorModel(kind, 0.3, (0,)))
+        uni = grover_unitaries(spec)
+        with pytest.raises(ValueError, match="outside the initial Hadamard layer"):
+            decoherent_final_probabilities(AlgorithmUnitaries(uni.circuit, 2), ErrorModel(kind, 0.3, (2,)))
+        with pytest.raises(ValueError, match="unknown error kind 'depolarizing'"):
+            noise_setup(uni, "depolarizing", True)
+        assert built == []
+        setup = noise_setup(uni, kind, True)
+        assert len(built) == 2
+        other = PHASEFLIP if kind == BITFLIP else BITFLIP
+        with pytest.raises(ValueError, match=f"a {other} model on a {kind} set-up"):
+            decoherence_point(setup, ErrorModel(other, 0.3, (0, 1)))
+        assert len(built) == 2
+
+    def test_kernels_built_once(self, monkeypatch):
         uni = grover_unitaries(GroverSpec(3, 1))
-        k_full, k_rest = uni.full_kernel, uni.rest_kernel
-        assert uni.full_kernel is k_full and uni.rest_kernel is k_rest
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return pauli_noise_kernel(*args)
+
+        monkeypatch.setattr(algorithms, "pauli_noise_kernel", counting)
+        setup = noise_setup(uni, BITFLIP, True)
+        k_full, k_rest = setup.full_kernel, setup.rest_kernel
+        assert len(calls) == 2
         for kernel, circuit in ((k_full, uni.circuit), (k_rest, uni.rest_circuit)):
             expected = pauli_noise_kernel(circuit_unitary(circuit))
             assert kernel.sum_a2 == expected.sum_a2
@@ -469,18 +545,18 @@ class TestDecoherencePoint:
             return pauli_noise_kernel(*args)
 
         monkeypatch.setattr(algorithms, "pauli_noise_kernel", recording)
-        uni = uni()
-        uni.full_kernel, uni.rest_kernel
+        noise_setup(uni(), BITFLIP, True)
         assert calls == [(copies,), (copies,)]
 
     @pytest.mark.parametrize("kind", [BITFLIP, PHASEFLIP])
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
     def test_matches_explicit_channels_grover(self, kind, p):
         uni = grover_unitaries(GroverSpec(3, 1))
+        setup = noise_setup(uni, kind, True)
         for affected in [(0,), (0, 2), (0, 1, 2)]:
             model = ErrorModel(kind, p, affected)
             chans = decoherence_channels(uni, model)
-            point = decoherence_point(uni, model)
+            point = decoherence_point(setup, model)
             assert (
                 abs(
                     interference_kraus(chans.potentially_available)
@@ -504,7 +580,7 @@ class TestDecoherencePoint:
         uni = shor_unitaries(ShorSpec.for_modulus(7, 3))
         model = ErrorModel(PHASEFLIP, 0.35, (1, 4))
         chans = decoherence_channels(uni, model)
-        point = decoherence_point(uni, model)
+        point = decoherence_point(noise_setup(uni, PHASEFLIP, True), model)
         assert (
             abs(
                 interference_kraus(chans.potentially_available)
@@ -529,7 +605,7 @@ class TestDecoherencePoint:
         ]:
             model = ErrorModel(kind, p, affected)
             chans = decoherence_channels(uni, model)
-            point = decoherence_point(uni, model)
+            point = decoherence_point(noise_setup(uni, kind, True), model)
             assert (
                 abs(
                     interference_kraus(chans.potentially_available)
@@ -560,6 +636,14 @@ class TestMixtureTable:
     """The phase-flip mixture read from the column table's class sums is the
     column-by-column sum over U_full, up to summation order (1e-12)."""
 
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        """The tables ``noise_setup`` builds."""
+        made = []
+        build = algorithms._mixture_table
+        monkeypatch.setattr(algorithms, "_mixture_table", lambda *args: made.append(build(*args)) or made[-1])
+        return made
+
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
     def test_matches_column_oracle(self, mixture_unitaries, p):
         for uni in mixture_unitaries:
@@ -573,10 +657,17 @@ class TestMixtureTable:
                     fast, oracle, rtol=1e-12, atol=1e-12, err_msg=str(affected)
                 )
 
-    def test_table_built_once(self, mixture_unitaries):
+    def test_table_built_once(self, mixture_unitaries, tables):
         uni = mixture_unitaries[0]
-        assert uni.mixture_table is uni.mixture_table
-        assert uni.mixture_table.shape == (1 << uni.layer_width, 1 << uni.circuit.n)
+        table = noise_setup(uni, PHASEFLIP, True).mixture_table
+        assert tables == [table]
+        assert table.shape == (1 << uni.layer_width, 1 << uni.circuit.n)
+
+    @pytest.mark.parametrize("measure_au", [False, True])
+    def test_bitflip_setup_builds_no_table(self, mixture_unitaries, tables, measure_au):
+        for uni in mixture_unitaries:
+            assert noise_setup(uni, BITFLIP, measure_au).mixture_table is None
+        assert tables == []
 
     def test_refuses_layer_off_the_leading_qubits(self):
         # a layer on qubits 1, 2: hit masks are not rows s << (n - m) of a table
@@ -616,16 +707,24 @@ class TestRowsRoute:
         u = circuit_unitary(circuit)
         shift = circuit.n - spec.layer_width
         columns = [np.abs(u[:, s << shift]) ** 2 for s in range(1 << spec.layer_width)]
-        assert uni.mixture_table.flags.c_contiguous
-        assert uni.mixture_table.tobytes() == np.array(columns).tobytes()
-        assert uni.output_probabilities.tobytes() == (np.abs(u[:, 0]) ** 2).tobytes()
-        for c, view in ((circuit, "full_rows"), (uni.rest_circuit, "rest_rows")):
+        if exact:
+            setup = noise_setup(uni, PHASEFLIP, True)
+            table, probs = setup.mixture_table, setup.output_probabilities
+        else:  # a perturbed layer has no set-up: the same reductions of its rows
+            rows = dense_rows(circuit)
+            table = algorithms._mixture_table(*rows, spec.layer_width)
+            probs = column_zero_probabilities(*rows)
+        assert table.flags.c_contiguous
+        assert table.tobytes() == np.array(columns).tobytes()
+        assert probs.tobytes() == (np.abs(u[:, 0]) ** 2).tobytes()
+        for c, view in ((circuit, "full_kernel"), (uni.rest_circuit, "rest_kernel")):
             u = circuit_unitary(c)
-            rows, copies = getattr(uni, view)
+            rows, copies = dense_rows(c)
             assert copies == (1 if grover else 1 << spec.L)
             assert rows.tobytes() == u[::copies].tobytes()
             assert _unitary_interference(rows, copies).hex() == interference_unitary(u).hex()
-            assert same_kernel(pauli_noise_kernel(rows, copies), pauli_noise_kernel_every_row(u))
+            kernel = getattr(setup, view) if exact else pauli_noise_kernel(rows, copies)
+            assert same_kernel(kernel, pauli_noise_kernel_every_row(u))
 
 
 STACK_THETAS = (0.0, 0.37, math.pi / 4, 1.1, math.pi / 2)
@@ -789,6 +888,36 @@ class TestGroverUniformMeasures:
                 dense = grover_uniform_dense(n, alpha, 0.37, k)
                 assert all(abs(x - y) < 1e-45 for x, y in zip(factored, dense))
 
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_classes_match_every_pair(self, n):
+        # every (i, j) pair, grouped by the counts of its bit triples
+        # (alpha_q, i_q, j_q), in the order of the splits of alpha's 0 bits
+        # and then its 1 bits, each by its counts of 01, 10 and 11
+        def bits(x):
+            return [x >> q & 1 for q in range(n)]
+
+        for ones in range(n + 1):
+            alpha = (1 << ones) - 1
+            classes = {}
+            for i, j in itertools.product(range(1 << n), repeat=2):
+                a, x, y = bits(alpha), bits(i), bits(j)
+                triples = [4 * a[q] + 2 * x[q] + y[q] for q in range(n)]
+                key = tuple(triples.count(t) for t in (1, 2, 3, 5, 6, 7))
+                pairs = [(x, y), (x, [0] * n), (y, [0] * n), (a, y)]
+                entry = (
+                    [sum(u == v for u, v in zip(*pair)) for pair in pairs],  # factors cos
+                    [(-1.0) ** sum(u & v for u, v in zip(*pair)) for pair in pairs],
+                    [i == alpha, j == alpha, j == 0, i == j],
+                )
+                size, first = classes.get(key, (0, entry))
+                assert first == entry
+                classes[key] = (size + 1, entry)
+            order = sorted(classes)
+            sizes, cos_counts, signs, masks = algorithms._bit_triple_classes(n - ones, ones)
+            assert sizes.tolist() == [float(classes[key][0]) for key in order]
+            for got, field in ((cos_counts, 0), (signs, 1), (np.array(masks), 2)):
+                assert got.T.tolist() == [classes[key][1][field] for key in order]
+
     @pytest.mark.parametrize("n", range(2, 13))
     def test_matches_exact_oracle(self, n):
         floor = INTERFERENCE_EPS * 2.0 ** (n - 52)
@@ -911,17 +1040,20 @@ class TestOutputProbabilities:
 
     def test_one_read_only_array(self, mixture_unitaries):
         for uni in mixture_unitaries:
-            probs = uni.output_probabilities
+            setup = noise_setup(uni, BITFLIP, True)
+            probs = setup.output_probabilities
             assert probs.tobytes() == (np.abs(circuit_unitary(uni.circuit)[:, 0]) ** 2).tobytes()
             assert not probs.flags.writeable
             layer = tuple(range(uni.layer_width))
             for p in (0.0, 0.3, 1.0):
                 model = ErrorModel(BITFLIP, p, layer[1:])
-                points = (decoherent_final_probabilities(uni, model), decoherence_point(uni, model))
-                for point in (points[0], points[1].probabilities):
-                    # a row of a broadcast view: no copy
-                    assert np.shares_memory(point, probs) and point.tobytes() == probs.tobytes()
-                    assert not point.flags.writeable
+                # a set-up of its own: the same bytes, read-only
+                alone = decoherent_final_probabilities(uni, model)
+                assert alone.tobytes() == probs.tobytes() and not alone.flags.writeable
+                point = decoherence_point(setup, model).probabilities
+                # a row of a broadcast view: no copy
+                assert np.shares_memory(point, probs) and point.tobytes() == probs.tobytes()
+                assert not point.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 probs[0] = 0.5
 
@@ -944,11 +1076,8 @@ class TestOutputProbabilities:
         assert not ideal.flags.writeable
 
     def test_shor_bitflip_sweep_checks_the_ideal(self, monkeypatch):
-        halved = functools.cached_property(
-            lambda uni: np.abs(circuit_unitary(uni.circuit)[:, 0]) ** 2 / 2
-        )
-        halved.__set_name__(AlgorithmUnitaries, "output_probabilities")
-        monkeypatch.setattr(AlgorithmUnitaries, "output_probabilities", halved)
+        column_zero = algorithms.column_zero_probabilities
+        monkeypatch.setattr(algorithms, "column_zero_probabilities", lambda *rows: column_zero(*rows) / 2)
         spec = ExperimentSpec(
             ShorSpec.for_modulus(3, 2), DecoherenceErrors(BITFLIP, (0.0, 0.4), (1, 2), "all")
         )

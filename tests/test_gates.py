@@ -25,9 +25,11 @@ from qimeter.algorithms import (
     build_shor,
     grover_circuits,
     grover_unitaries,
+    noise_setup,
     representative_rows,
     shor_unitaries,
 )
+from qimeter.channels import BITFLIP
 from qimeter.errors import SizeLimitError
 from qimeter.gates import (
     Circuit,
@@ -597,14 +599,14 @@ class TestXorSplitRoute:
     def test_grover_views_are_one_class(self, n, splits):
         spec = GroverSpec(n, (1 << n) - 2)
         uni = grover_unitaries(spec)
-        uni.full_kernel, uni.rest_kernel
+        noise_setup(uni, BITFLIP, True)
         # each view's rows split its circuit for xor_row_copies and for circuit_unitary
         assert splits_of(splits, [uni.circuit] * 2 + [uni.rest_circuit] * 2)
         assert all(is_one_class(c, split) for c, split in splits)
 
     def test_shor_views_split_at_the_first_register(self, splits):
         uni = shor_unitaries(ShorSpec(3, 5, 2))
-        uni.full_kernel, uni.rest_kernel
+        noise_setup(uni, BITFLIP, True)
         assert splits_of(splits, [uni.circuit] * 2 + [uni.rest_circuit] * 2)
         assert all(is_xor_split(c, split, 6) for c, split in splits)
 

@@ -16,6 +16,7 @@ import pytest
 from oracles import (
     alpha_averaged_grover,
     decoherence_channels,
+    dense_rows,
     grover_uniform_exact,
     noise_then_unitary_per_index,
     pauli_noise_kernel_unblocked,
@@ -25,18 +26,19 @@ from oracles import (
 from qimeter import algorithms, gates, harness
 from qimeter.algorithms import (
     AlgorithmUnitaries,
-    DecoherencePoint,
     GroverSpec,
     ShorSpec,
     build_grover,
     build_shor,
+    column_zero_probabilities,
+    decoherence_point,
     final_probabilities,
     grover_circuits,
     grover_uniform_measures,
     grover_unitaries,
+    noise_setup,
     shor_success,
     shor_unitaries,
-    SubsetClassSums,
     view_rows,
 )
 from qimeter.channels import BITFLIP, PHASEFLIP, ErrorModel
@@ -332,8 +334,8 @@ class TestRandomSweep:
 
 class TestStackedPoints:
     """A unitary-error point takes its views from stacked passes, or from
-    one pass per view where they do not fit, and gives the bits of one
-    ``AlgorithmUnitaries`` per marked item, each view built on its own."""
+    one pass per view where they do not fit, and gives the bits of each
+    marked item's views built on their own (``dense_rows``)."""
 
     @staticmethod
     def draws(spec, grid_index, eps, count):
@@ -367,9 +369,9 @@ class TestStackedPoints:
                 i_pa = i_au = success = 0.0
                 for alpha in range(16):
                     uni = AlgorithmUnitaries(build_grover(GroverSpec(4, alpha), thetas), 4)
-                    i_pa += _unitary_interference(*uni.full_rows)
-                    success += float(uni.output_probabilities[alpha])
-                    i_au += _unitary_interference(*uni.rest_rows)
+                    i_pa += _unitary_interference(*dense_rows(uni.circuit))
+                    success += float(column_zero_probabilities(*dense_rows(uni.circuit))[alpha])
+                    i_au += _unitary_interference(*dense_rows(uni.rest_circuit))
                 assert point == (i_pa / 16, i_au / 16, success / 16)
         assert passes == [16] * 12
 
@@ -382,10 +384,11 @@ class TestStackedPoints:
         for g, eps in enumerate(spec.error_family.epsilons):
             for thetas, deltas in self.draws(spec, g, eps, 20):
                 uni = AlgorithmUnitaries(build_shor(algo, thetas, deltas), algo.layer_width)
+                full = dense_rows(uni.circuit)
                 expected = (
-                    _unitary_interference(*uni.full_rows),
-                    _unitary_interference(*uni.rest_rows),
-                    algorithms._success_against(ideal, uni.output_probabilities),
+                    _unitary_interference(*full),
+                    _unitary_interference(*dense_rows(uni.rest_circuit)),
+                    shor_success(ideal, column_zero_probabilities(*full)),
                 )
                 assert harness._unitary_point(spec, ideal, thetas, deltas) == expected
         assert passes == [1] * 80
@@ -410,9 +413,10 @@ class TestStackedPoints:
         for thetas in angles:
             circuit = build_grover(algo, thetas) if ideal is None else build_shor(algo, thetas)
             uni = AlgorithmUnitaries(circuit, algo.layer_width)
-            probs = uni.output_probabilities
-            success = float(probs[algo.alpha]) if ideal is None else algorithms._success_against(ideal, probs)
-            i_pa, i_au = _unitary_interference(*uni.full_rows), _unitary_interference(*uni.rest_rows)
+            full = dense_rows(uni.circuit)
+            probs = column_zero_probabilities(*full)
+            success = float(probs[algo.alpha]) if ideal is None else shor_success(ideal, probs)
+            i_pa, i_au = _unitary_interference(*full), _unitary_interference(*dense_rows(uni.rest_circuit))
             expected.append((i_pa, i_au, success))
         calls = []
         for module in (gates, algorithms):
@@ -426,7 +430,7 @@ class TestStackedPoints:
         # Grover n = 8 holds 1 MiB per view, so each view is a pass of its
         # own; U_full is dropped before U_rest's pass, so measuring I_au
         # adds no view to the point's peak, and the point peaks no higher
-        # than the lazy AlgorithmUnitaries route, one dense view at a time
+        # than the dense route, one dense view at a time
         algo = GroverSpec(8, 5)
         thetas = np.random.default_rng(8).uniform(0.5, 1.0, algo.n_hadamards)
 
@@ -434,14 +438,16 @@ class TestStackedPoints:
             spec = ExperimentSpec(algo, RandomErrors((0.5,), 1), measure_au=measure_au)
             return harness._unitary_point(spec, None, thetas)
 
-        def lazy():
+        def dense():
             uni = AlgorithmUnitaries(build_grover(algo, thetas), algo.layer_width)
-            i_pa = _unitary_interference(*uni.full_rows)
-            success = float(uni.output_probabilities[algo.alpha])
-            return i_pa, _unitary_interference(*uni.rest_rows), success
+            full = dense_rows(uni.circuit)
+            i_pa = _unitary_interference(*full)
+            success = float(column_zero_probabilities(*full)[algo.alpha])
+            del full
+            return i_pa, _unitary_interference(*dense_rows(uni.rest_circuit)), success
 
         peaks, values = [], []
-        for build in (lambda: point(True), lambda: point(False), lazy):
+        for build in (lambda: point(True), lambda: point(False), dense):
             build()  # every step lowered
             tracemalloc.start()
             values.append(build())
@@ -571,7 +577,6 @@ class TestDecoherenceSweep:
             with pytest.raises(ValueError, match="exact initial Hadamard layer"):
                 run_decoherence_sweep(spec)
         assert built == {"circuit_unitary": 0, "pauli_noise_kernel": 0}
-        assert not {"full_rows", "rest_rows", "mixture_table", "output_probabilities"} & set(vars(uni))
 
     @pytest.mark.parametrize(
         "algorithm", [ShorSpec.for_modulus(7, 3), GroverSpec(4, 1)], ids=["shor", "grover"]
@@ -798,17 +803,18 @@ class TestSweepGridsAsArrays:
         rows = run_decoherence_sweep(spec)
         grover = isinstance(algorithm, GroverSpec)
         unitaries = grover_unitaries(algorithm) if grover else shor_unitaries(algorithm)
-        ideal = None if grover else unitaries.output_probabilities
+        setup = noise_setup(unitaries, kind, measure_au)
+        ideal = None if grover else setup.output_probabilities
         for row in rows:
             subsets = itertools.combinations(layer, row.n_f)
             pa, au, success = [], [], []
             for subset in [layer[: row.n_f]] if policy == "prefix" else subsets:
-                point = DecoherencePoint(SubsetClassSums(unitaries, kind, subset), row.sweep_value)
+                point = decoherence_point(setup, ErrorModel(kind, row.sweep_value, subset))
                 probs = point.probabilities
                 if grover:
                     success.append(float(probs[algorithm.alpha]))
                 else:
-                    success.append(algorithms._success_against(ideal, probs))
+                    success.append(shor_success(ideal, probs))
                 pa.append(point.interference_pa)
                 if measure_au:
                     au.append(point.interference_au)
@@ -830,14 +836,15 @@ class TestSweepGridsAsArrays:
 
     def test_every_row_of_the_success_grid_is_checked(self, monkeypatch):
         # one phase-flip row, p = 0.5, that does not sum to 1
-        original = SubsetClassSums.probabilities
+        original = harness.subset_measures
 
-        def nudged(sums, ps):
-            probs = np.array(original(sums, ps))
+        def nudged(setup, affected, ps):
+            i_pa, i_au, probs = original(setup, affected, ps)
+            probs = np.array(probs)
             probs[list(ps).index(0.5)] *= 1.25
-            return probs
+            return i_pa, i_au, probs
 
-        monkeypatch.setattr(SubsetClassSums, "probabilities", nudged)
+        monkeypatch.setattr(harness, "subset_measures", nudged)
         errors = DecoherenceErrors(PHASEFLIP, SWEEP_PROBABILITIES, (1, 2), "all")
         with pytest.raises(ValueError, match=r"observed distribution sums to 1\.2[45]\d*, not 1"):
             run_decoherence_sweep(ExperimentSpec(ShorSpec.for_modulus(3, 2), errors))
@@ -1211,10 +1218,8 @@ class TestShorSuccessChecks:
         # halve every point's distribution, but not the sweep's ideal: a
         # phase-flip point reads the mixture table, the others U_full's column 0
         if sweep == "decoherence":
-            original = vars(AlgorithmUnitaries)["mixture_table"].func
-            halved = functools.cached_property(lambda uni: original(uni) / 2)
-            halved.__set_name__(AlgorithmUnitaries, "mixture_table")
-            monkeypatch.setattr(AlgorithmUnitaries, "mixture_table", halved)
+            table = algorithms._mixture_table
+            monkeypatch.setattr(algorithms, "_mixture_table", lambda *rows: table(*rows) / 2)
         else:
             column_zero = harness.column_zero_probabilities
             monkeypatch.setattr(harness, "column_zero_probabilities", lambda *view: column_zero(*view) / 2)
