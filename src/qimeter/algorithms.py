@@ -7,10 +7,11 @@ it, and the two views feed the "potentially available" versus "actually
 used" interference measurements.  Decoherence strikes only the initial
 layer: bit-flip or phase-flip errors after each of its Hadamard gates,
 which keeps the Kraus-operator count at 2^n_f.  A decoherence sweep builds
-what its subsets read once, in one order (``noise_setup``).  Grover search
-with one angle at every Hadamard needs no circuit:
+what its subsets read once, in one order (``noise_setup``).  A Grover
+unitary-error point needs no circuit: with one angle at every Hadamard,
 ``grover_uniform_measures`` gives its measures in closed form, for a whole
-grid of angles at once.
+grid of angles at once, and at any other angles ``grover_random_measures``
+assembles its views from per-qubit factors and a rank-2k correction.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .gates import (
 from .interference import (
     PauliNoiseKernel,
     _checked,
+    _unitary_interference,
     interference_from_class_sums,
     noise_class_sums,
     pauli_noise_kernel,
@@ -149,37 +151,105 @@ def grover_zero_reflection(n: int) -> DiagonalPhaseGate:
 def build_grover(
     spec: GroverSpec, hadamard_thetas: Sequence[float] | None = None
 ) -> Circuit:
-    """The Grover search circuit for ``spec`` (``grover_circuits``)."""
-    return next(grover_circuits(spec, (spec.alpha,), hadamard_thetas))
-
-
-def grover_circuits(
-    spec: GroverSpec, alphas: Iterable[int], hadamard_thetas: Sequence[float] | None = None
-) -> Iterator[Circuit]:
-    """The Grover search circuit of ``spec`` with marked item alpha, for
-    each of ``alphas`` in turn, each built when it is asked for.
-
-    The circuit is the initial Hadamard layer followed by ``k`` iterations
-    of [oracle, layer, zero reflection, layer].  ``hadamard_thetas`` gives
-    one angle per Hadamard position in that order (``spec.n_hadamards``
-    angles, default pi/4 everywhere).  Every circuit holds the same
-    Hadamard and zero-reflection objects and its own oracle, so a stacked
-    pass (``gates.layer_view_rows``) knows them shared by identity.
-    """
+    """The Grover search circuit for ``spec``: the initial Hadamard layer
+    followed by ``k`` iterations of [oracle, layer, zero reflection, layer].
+    ``hadamard_thetas`` gives one angle per Hadamard position in that order
+    (``spec.n_hadamards`` angles, default pi/4 everywhere)."""
     n, k = spec.n, spec.iterations
-    label = f"Hadamard angles (n + 2nk for n={n}, k={k})"
-    angles = iter(angle_list(hadamard_thetas, spec.n_hadamards, math.pi / 4, label))
+    angles = iter(_grover_angles(spec, hadamard_thetas))
     layers = [[PerturbedHadamard(next(angles), q) for q in range(n)] for _ in range(2 * k + 1)]
-    r2 = grover_zero_reflection(n)
-    for alpha in alphas:
-        ops = list(layers[0])
-        r1 = grover_oracle(n, GroverSpec(n, alpha).alpha)  # alpha checked
-        for i in range(k):
-            ops.append(r1)
-            ops.extend(layers[2 * i + 1])
-            ops.append(r2)
-            ops.extend(layers[2 * i + 2])
-        yield Circuit(n, tuple(ops))
+    oracle, zero = grover_oracle(n, spec.alpha), grover_zero_reflection(n)
+    ops = list(layers[0])
+    for i in range(k):
+        ops += [oracle, *layers[2 * i + 1], zero, *layers[2 * i + 2]]
+    return Circuit(n, tuple(ops))
+
+
+def _grover_angles(spec: GroverSpec, hadamard_thetas: Sequence[float] | None) -> list:
+    """``hadamard_thetas`` as ``spec.n_hadamards`` angles (``angle_list``)."""
+    label = f"Hadamard angles (n + 2nk for n={spec.n}, k={spec.iterations})"
+    return angle_list(hadamard_thetas, spec.n_hadamards, math.pi / 4, label)
+
+
+def grover_random_measures(
+    spec: GroverSpec, alphas: Sequence[int], hadamard_thetas: Sequence[float], measure_au: bool
+) -> list:
+    """(I_pa, I_au or None, success) of the Grover circuit of ``spec`` with
+    marked item alpha (not ``spec.alpha``) at the Hadamard angles
+    ``hadamard_thetas`` (``build_grover``'s order), for each alpha of
+    ``alphas``, with no circuit (DECISIONS.md, "Random-angle Grover points
+    from per-qubit factors").
+
+    Every op is a layer L_t = (x)_q h(theta_tq) or a reflection I - 2 e e^T,
+    so the ops after the initial layer multiply to U_rest = P + A (K T)^T.
+    P = (x)_q p_q starts at I and each layer turns every p_q.  A reflection
+    appends -2 e to A, and to B = K T the row e of the product so far,
+    P^T e + B A[e]^T: the Kronecker column P^T e to K and the column
+    (T A[e]^T, 1) to the triangular T.  Each layer after it turns the
+    per-qubit factors of A's columns.  U_full = U_rest L_0 turns P's and
+    K's factors by L_0.  Each view is then assembled in float64
+    (``_assembled``), the only step on N-length data; P is shared by the
+    items, whose A, K and T are batched.  I_au is None, and U_rest not
+    assembled, unless ``measure_au``."""
+    n, k = spec.n, spec.iterations
+    angles = _grover_angles(spec, hadamard_thetas)
+    cos_sin = np.array([(math.cos(theta), math.sin(theta)) for theta in angles]).reshape(-1, n, 2)
+    layers = np.stack([cos_sin, cos_sin[..., ::-1] * (1.0, -1.0)], axis=-2)  # [[c, s], [s, -c]]
+    alphas = [GroverSpec(n, alpha).alpha for alpha in alphas]  # checked
+    bits = np.array(alphas)[:, None] >> np.arange(n - 1, -1, -1) & 1  # qubit 0 the top bit
+    items, qubits = np.arange(len(alphas))[:, None], np.arange(n)
+    p = np.broadcast_to(np.eye(2), (n, 2, 2))
+    # column j of A is -2 (x)_q a[:, j, q], and of K (x)_q kk[:, j, q]
+    a, kk = np.zeros((2, len(alphas), 2 * k, n, 2))
+    t = np.zeros((len(alphas), 2 * k, 2 * k))
+    for j in range(2 * k):  # the oracle, then the zero reflection
+        e = bits if j % 2 == 0 else 0 * bits
+        kk[:, j] = p[qubits, e]  # row e of P, qubit by qubit
+        a_e = -2.0 * a[items, :j, qubits, e].prod(1)  # A[e], the row e of A
+        t[:, :j, j] = (t[:, :j, :j] @ a_e[..., None])[..., 0]
+        t[:, j, j] = 1.0
+        a[items, j, qubits, e] = 1.0
+        p = _turn(layers[j + 1], p)
+        a[:, : j + 1] = _turn(layers[j + 1], a[:, : j + 1, ..., None])[..., 0]
+    k_full = _turn(layers[0], kk[..., None])[..., 0]  # L_0^T K, L_0 symmetric
+    full = _assembled(_turn(p, layers[0]), a, t, k_full)
+    # the zip lives only as long as the list: it holds the last view it gave
+    measures = [(_unitary_interference(u), float(u[alpha, 0]) ** 2) for u, alpha in zip(full, alphas)]
+    i_au = [None] * len(alphas)
+    if measure_au:
+        i_au = [_unitary_interference(u) for u in _assembled(p, a, t, kk)]
+    return [(i_pa, au, success) for (i_pa, success), au in zip(measures, i_au)]
+
+
+def _turn(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for stacks of 2 x 2 matrices ``x`` and 2 x m matrices ``y``,
+    as two elementwise products and one sum, so each entry has the same
+    bits at any stack shape."""
+    return x[..., :, :1] * y[..., :1, :] + x[..., :, 1:] * y[..., 1:, :]
+
+
+def _kron(factors: np.ndarray) -> np.ndarray:
+    """(x)_q factors[..., q, :, :], qubit 0 the most significant, for each
+    index of the leading axes."""
+    out = factors[..., 0, :, :]
+    for q in range(1, factors.shape[-3]):
+        f = factors[..., q, None, :, None, :]
+        rows, columns = out.shape[-2] * f.shape[-3], out.shape[-1] * f.shape[-1]
+        out = (out[..., :, None, :, None] * f).reshape(*out.shape[:-2], rows, columns)
+    return out
+
+
+def _assembled(p: np.ndarray, a: np.ndarray, t: np.ndarray, kk: np.ndarray) -> Iterator[np.ndarray]:
+    """U = P + A (K T)^T of each item of ``grover_random_measures``' factors,
+    in item order, each assembled in float64 into one buffer that the next
+    item's overwrites; the shared P = (x)_q p_q is built once."""
+    shared = _kron(p)
+    u = np.empty_like(shared)
+    for a_i, t_i, k_i in zip(a, t, kk):
+        a_i, k_i = _kron(a_i[..., None, :])[:, 0], _kron(k_i[..., None, :])[:, 0]  # rows A^T, K^T
+        np.matmul(a_i.T, -2.0 * (t_i.T @ k_i), out=u)
+        u += shared
+        yield u
 
 
 # elements of one theta-by-class array in ``grover_uniform_measures``: a
@@ -401,7 +471,7 @@ def check_layer(circuit: Circuit, layer_width: int) -> None:
 @dataclass(frozen=True, eq=False)
 class AlgorithmUnitaries:
     """An algorithm's circuit, full = rest @ W, for the decoherence set-up
-    (``noise_setup``; the unitary-error sweeps read ``view_rows``).  The
+    (``noise_setup``; Shor's unitary-error sweeps read ``view_rows``).  The
     initial layer W, the first ``layer_width`` ops, must pass
     ``check_layer``."""
 
@@ -497,47 +567,34 @@ def _mixture_table(rows: np.ndarray, copies: int, layer_width: int) -> np.ndarra
     return table.reshape(1 << m, -1)
 
 
-# bytes of view rows per stacked pass of ``view_rows`` (DECISIONS.md,
-# "One stacked pass per sweep point")
+# bytes of view rows that one pass of ``view_rows`` holds (DECISIONS.md,
+# "One pass per circuit")
 STACK_BYTES = 1 << 19
 
 
-def view_rows(circuits: Iterable[Circuit], layer_width: int, rest: bool) -> Iterator[tuple]:
-    """(rows, copies) of each view of each of ``circuits``, in order: the
-    representative rows of U_full and then, with ``rest``, of U_rest, from
-    ``layer_view_rows`` passes over as many circuits as fit ``STACK_BYTES``;
-    the circuits differ only in diagonal phases after the layer, the first
-    ``layer_width`` gates (``check_layer``).  How many fit depends only on
-    the circuits' size.  A circuit whose views do not fit alone gets one
-    pass per view, U_full first, each on the view's own circuit with an
-    empty layer: the pass ``circuit_unitary`` runs, so the same bytes.  A
-    pass's rows are dropped when the view after its last is asked for, so
-    a caller that drops U_full before it asks for U_rest holds one lone
-    view at a time."""
-    group, size = [], None
-    for c in circuits:  # each circuit lives only as long as its group
-        check_layer(c, layer_width)
-        if size is None:
-            dim = 1 << c.n
-            size = STACK_BYTES // ((1 + rest) * 16 * dim * dim // xor_row_copies(c))
-        if not size:
-            for view in (c, Circuit(c.n, c.ops[layer_width:]))[: 1 + rest]:
-                yield from _pass_views([view], 0, False)
-            continue
-        group.append(c)
-        if len(group) == size:
-            yield from _pass_views(group, layer_width, rest)
-            group = []
-    if group:
-        yield from _pass_views(group, layer_width, rest)
+def view_rows(circuit: Circuit, layer_width: int, rest: bool) -> Iterator[tuple]:
+    """(rows, copies) of the representative rows of U_full and then, with
+    ``rest``, of U_rest of ``circuit``, whose first ``layer_width`` gates
+    are its layer (``check_layer``): both from one ``layer_view_rows`` pass
+    if they fit ``STACK_BYTES``, else one pass per view, U_full first, each
+    on the view's own circuit with an empty layer, the pass
+    ``circuit_unitary`` runs, so the same bytes.  A pass's rows are dropped
+    when the view after its last is asked for, so a caller that drops U_full
+    before it asks for U_rest holds one lone view at a time."""
+    check_layer(circuit, layer_width)
+    dim = 1 << circuit.n
+    if (1 + rest) * 16 * dim * dim // xor_row_copies(circuit) <= STACK_BYTES:
+        yield from _pass_views(circuit, layer_width, rest)
+        return
+    for view in (circuit, Circuit(circuit.n, circuit.ops[layer_width:]))[: 1 + rest]:
+        yield from _pass_views(view, 0, False)
 
 
-def _pass_views(group: list, layer_width: int, rest: bool) -> Iterator[tuple]:
-    """``view_rows`` of ``group`` from one ``layer_view_rows`` pass."""
-    rows, copies = layer_view_rows(group, layer_width, rest)
-    for views in rows:
-        for view in reversed(views):  # U_full, then U_rest
-            yield view, copies
+def _pass_views(circuit: Circuit, layer_width: int, rest: bool) -> Iterator[tuple]:
+    """``view_rows`` of ``circuit`` from one ``layer_view_rows`` pass."""
+    views, copies = layer_view_rows(circuit, layer_width, rest)
+    for view in reversed(views):  # U_full, then U_rest
+        yield view, copies
 
 
 def grover_unitaries(spec: GroverSpec) -> AlgorithmUnitaries:

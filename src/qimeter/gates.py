@@ -7,16 +7,16 @@ exponentiation, bit reversal).  ``circuit_unitary`` and ``circuit_apply``
 share one kernel: each distinct gate is lowered once per process, by content,
 into a real 2x2 on one qubit, the rows whose phase is not 1, or a row gather;
 the steps run on cached column blocks, with the gate-by-gate oracle's bytes.
-One pass, ``_column_blocks``, builds every unitary: it splits the circuits
+One pass, ``_column_blocks``, builds every unitary: it splits a circuit
 into head gates on qubits 0..m-1, one permutation |x, y> -> |x, y XOR g(x)>
 on all n qubits and tail gates on 0..m-1, and runs them on 2^m-row stacks,
 one block of first-register columns at a time, one column per column and
-value class of g; any other circuit, each Grover circuit among them, is all
-tail on m = n qubits with one class.  It takes several circuits that differ
-only in diagonal phases, and both of their views, U_full = U_rest · W and
+value class of g; any other circuit is all tail on m = n qubits with one
+class.  It takes both views of the circuit, U_full = U_rest · W and
 U_rest, on one column stack.  ``circuit_unitary`` scatters its blocks into
 the dense unitary, for the decoherence set-up; ``layer_view_rows`` writes
-them into representative rows, the only views a unitary-error sweep builds.
+them into representative rows, the only views a Shor unitary-error sweep
+builds.
 """
 
 from __future__ import annotations
@@ -180,8 +180,8 @@ def qft_circuit(
 # ---------------------------------------------------------------------------
 # gate application kernel
 
-# bytes of columns per block of _column_blocks, over every stacked circuit
-# and view: the block stays in cache while every gate passes over it
+# bytes of columns per block of _column_blocks, over both views: the block
+# stays in cache while every gate passes over it
 GATE_BLOCK_BYTES = 1 << 22
 
 
@@ -245,44 +245,12 @@ def _last_hadamard(ops: tuple) -> int:
     return next((i for i in reversed(range(len(ops))) if isinstance(ops[i], PerturbedHadamard)), -1)
 
 
-def _stack_plan(n: int, op_lists: list, shared: int = 0, skip: int | None = None) -> list:
-    """The gate lists ``op_lists``, of equal length, as one plan on ``n``
-    qubits for a stack of equal column blocks, block b for list b: a step
-    where every list lowers the same, else ``_per_block`` of each list's
-    diagonal.  ``ValueError`` naming the first position that holds anything
-    else, or a diagonal that differs among the first ``shared``.  Position
-    ``skip`` is checked but not lowered.  Where every list holds the same
-    object, and the lists end their Hadamards at the same position, that
-    object lowers the same for all: its content is taken once."""
-    lasts = [_last_hadamard(ops) for ops in op_lists]
-    one_last, plan = len(set(lasts)) == 1, []
-    for i, gates in enumerate(zip(*op_lists)):
-        if one_last and all(g is gates[0] for g in gates):
-            column = [_content(gates[0], n, i > lasts[0])]
-        else:
-            column = [_content(g, n, i > last) for g, last in zip(gates, lasts)]
-        first = column[0]
-        if all(content == first for content in column):
-            if i != skip:
-                plan.append(_lower(*first))
-        elif i >= shared and all(c[0] is DiagonalPhaseGate and c[2:] == first[2:] for c in column):
-            plan.append(_per_block([_lower(*content) for content in column]))
-        else:
-            raise ValueError(f"gate {i} differs between stacked circuits")
-    return plan
-
-
-def _per_block(diagonals: list):
-    """One step: diagonal step b of ``diagonals`` on column block b of the stack,
-    in place, the blocks of equal width."""
-
-    def multiply(s):
-        width = s.shape[1] // len(diagonals)
-        for b, step in enumerate(diagonals):
-            step(s[:, b * width : (b + 1) * width])
-        return s
-
-    return multiply
+def _stack_plan(n: int, ops: tuple, skip: int | None = None) -> list:
+    """The steps of the gate list ``ops`` on ``n`` qubits, each gate lowered
+    by its content, a diagonal after the last Hadamard on every row;
+    position ``skip`` is not lowered."""
+    last = _last_hadamard(ops)
+    return [_lower(*_content(g, n, i > last)) for i, g in enumerate(ops) if i != skip]
 
 
 def _run(plan: list, stack: np.ndarray) -> np.ndarray:
@@ -321,55 +289,46 @@ def xor_row_copies(c: Circuit) -> int:
     return 1 << (c.n - _xor_split(c.n, c.ops)[2])
 
 
-def _column_blocks(circuits: Sequence[Circuit], layer_width: int, views: int):
+def _column_blocks(circuit: Circuit, layer_width: int, views: int):
     """(x0, t) for each block of first-register columns from x0 on:
-    ``t[:, c, v, x, y0]`` is column (x0 + x, y0) of view v of
-    ``circuits[c]`` on its representative rows (``xor_row_copies``), the
-    last view U_full = U_rest · W and, with two ``views``, view 0 U_rest.
-    W is the first ``layer_width`` gates, shared.
+    ``t[:, v, x, y0]`` is column (x0 + x, y0) of view v of ``circuit`` on
+    its representative rows (``xor_row_copies``), the last view
+    U_full = U_rest · W and, with two ``views``, view 0 U_rest.  W is the
+    first ``layer_width`` gates.
 
     Columns never mix, so each block's stack [I | W], W the layer's steps
     run on I, goes once through the rest gates: the head, the class columns
     and the tail of the rest's ``_xor_split``, which must hold the layer in
-    its first register.  Before the tail, column (x0, y0) holds the head's
-    image of column x0 on the rows x where g(x) = y0 and of a zero column
-    elsewhere (DECISIONS.md).  The circuits must have equal n, equal gate counts and
-    the same gates but for diagonal phases outside the layer (else
-    ``ValueError``, naming the position): each step they share runs once on
-    every column, and each differing diagonal on its own circuit's block."""
-    first, count = circuits[0], len(circuits)
-    for c in circuits[1:]:
-        if c.n != first.n:
-            raise ValueError(f"stacked circuits on {first.n} and {c.n} qubits")
-        if len(c.ops) != len(first.ops):
-            raise ValueError(f"stacked circuits of {len(first.ops)} and {len(c.ops)} gates")
-    head, tail, m, g = _xor_split(first.n, first.ops[layer_width:])
-    if any(t >= m for op in first.ops[:layer_width] for t in op.targets):
+    its first register (else ``ValueError``).  Before the tail, column
+    (x0, y0) holds the head's image of column x0 on the rows x where
+    g(x) = y0 and of a zero column elsewhere (DECISIONS.md)."""
+    head, tail, m, g = _xor_split(circuit.n, circuit.ops[layer_width:])
+    if any(t >= m for op in circuit.ops[:layer_width] for t in op.targets):
         raise ValueError(f"the layer acts outside the first register, qubits 0..{m - 1}")
-    heads, tails = 1 << m, 1 << (first.n - m)
+    heads, tails = 1 << m, 1 << (circuit.n - m)
     shift = int(tails > 1)  # with classes, column 0 of each view's block is the zero column
     cut = layer_width + len(head)  # the XOR permutation, whose step is the class columns
-    split = len(head) + len(tail) < len(first.ops) - layer_width  # else cut is no permutation
-    plan = _stack_plan(m, [c.ops for c in circuits], layer_width, cut if split else None)
+    split = len(head) + len(tail) < len(circuit.ops) - layer_width  # else cut is no permutation
+    plan = _stack_plan(m, circuit.ops, cut if split else None)
     layer, before, after = plan[:layer_width], plan[layer_width:cut], plan[cut:]
-    ours = (g[:, None] == np.arange(tails)).reshape(heads, 1, 1, 1, tails)
-    width = max(1, GATE_BLOCK_BYTES // (16 * count * views << first.n))  # x0 per block
+    ours = (g[:, None] == np.arange(tails)).reshape(heads, 1, 1, tails)
+    width = max(1, GATE_BLOCK_BYTES // (16 * views << circuit.n))  # x0 per block
 
     def spread(x0):
         """Block x0 run through the layer and the head, on its class columns;
         ``_run`` takes it unnamed, so no step's input outlives that step."""
         x = np.arange(min(width, heads - x0))
-        stack = np.zeros((heads, count, views, shift + len(x)), dtype=complex)
-        stack[x0 + x, :, :, shift + x] = 1  # I
+        stack = np.zeros((heads, views, shift + len(x)), dtype=complex)
+        stack[x0 + x, :, shift + x] = 1  # I
         if layer:  # U_full's columns: W, the layer's steps on I
-            stack[:, :, -1] = _run(layer, stack[:, 0, -1].copy())[:, None]
+            stack[:, -1] = _run(layer, stack[:, -1].copy())
         stack = _run(before, stack.reshape(heads, -1)).reshape(stack.shape)
         if shift:
             stack = np.where(ours, stack[..., 1:, None], stack[..., :1, None])
         return stack.reshape(heads, -1)
 
     for x0 in range(0, heads, width):
-        yield x0, _run(after, spread(x0)).reshape(heads, count, views, -1, tails)
+        yield x0, _run(after, spread(x0)).reshape(heads, views, -1, tails)
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
@@ -377,8 +336,8 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     each block of ``_column_blocks`` holds rows (j, 0), and row (j, y) is
     row (j, 0) with its columns (x0, y0) XOR-shifted to (x0, y XOR y0)."""
     u = np.empty((1 << c.n, 1 << c.n), dtype=complex)
-    for x0, t in _column_blocks([c], 0, 1):
-        heads, _, _, width, tails = t.shape
+    for x0, t in _column_blocks(c, 0, 1):
+        heads, _, width, tails = t.shape
         k = tails.bit_length() - 1
         t = t.reshape(heads, width, *(2,) * k)
         u_bits = u.reshape(heads, tails, heads, *(2,) * k)  # (j, y, x0, bits of y0)
@@ -394,22 +353,22 @@ def circuit_apply(c: Circuit, psi: np.ndarray) -> np.ndarray:
     psi = np.array(psi, dtype=complex, order="C")
     if psi.shape != (1 << c.n,):
         raise ValueError(f"state of dimension {psi.shape} does not match n={c.n}")
-    return _run(_stack_plan(c.n, [c.ops]), psi.reshape(-1, 1)).reshape(-1)
+    return _run(_stack_plan(c.n, c.ops), psi.reshape(-1, 1)).reshape(-1)
 
 
-def layer_view_rows(circuits: Sequence[Circuit], layer_width: int, rest: bool) -> tuple:
-    """(rows, copies): the representative rows (``xor_row_copies``) of every
-    circuit's unitary U_full = U_rest · W and, with ``rest``, of its U_rest,
-    each view's ``_column_blocks`` written into its own C-contiguous part of
-    one array, ``tobytes()``-equal to ``circuit_unitary``'s; ``rows[c][-1]``
-    is U_full's of ``circuits[c]``, ``rows[c][0]`` U_rest's.  W is the first
-    ``layer_width`` gates, shared (DECISIONS.md, "One stacked pass per sweep
-    point").  Each block is written into the rows as it comes, so the pass
-    peaks at its output and one block."""
-    for x0, t in _column_blocks(circuits, layer_width, 1 + rest):
-        heads, count, views, width, tails = t.shape
+def layer_view_rows(circuit: Circuit, layer_width: int, rest: bool) -> tuple:
+    """(views, copies): the representative rows (``xor_row_copies``) of the
+    unitary U_full = U_rest · W of ``circuit`` and, with ``rest``, of its
+    U_rest, each view's ``_column_blocks`` written into its own C-contiguous
+    part of one array, ``tobytes()``-equal to ``circuit_unitary``'s;
+    ``views[-1]`` is U_full's, ``views[0]`` U_rest's.  W is the first
+    ``layer_width`` gates (DECISIONS.md, "One pass per circuit").  Each
+    block is written into the rows as it comes, so the pass peaks at its
+    output and one block."""
+    for x0, t in _column_blocks(circuit, layer_width, 1 + rest):
+        heads, views, width, tails = t.shape
         if x0 == 0:
-            rows = np.empty((count, views, heads, heads, tails), complex)
-        rows[:, :, :, x0 : x0 + width] = t.transpose(1, 2, 0, 3, 4)
+            rows = np.empty((views, heads, heads, tails), complex)
+        rows[:, :, x0 : x0 + width] = t.transpose(1, 0, 2, 3)
         del t  # before the next block is built
-    return [[view.reshape(heads, -1) for view in circuit_rows] for circuit_rows in rows], tails
+    return [view.reshape(heads, -1) for view in rows], tails

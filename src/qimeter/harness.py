@@ -32,7 +32,7 @@ from .algorithms import (
     build_shor,
     column_zero_probabilities,
     final_probabilities,
-    grover_circuits,
+    grover_random_measures,
     grover_uniform_measures,
     grover_unitaries,
     noise_setup,
@@ -239,24 +239,20 @@ def _unitary_point(spec, ideal, thetas, deltas=None):
     assignment, each weighted as ``_marked_items`` says; I_au is None
     unless the spec measures it.
 
-    A Grover point whose Hadamard angles are all equal builds no circuit:
-    it is a grid of one angle for ``_uniform_grid``.  Any other point reads
-    its items' measures from their views.  U_full's rows give I_pa, and
-    its column 0 (the image of |0...0>) the output distribution; U_rest
-    only I_au, so it is built only when the spec measures it.  The items'
-    circuits, built one at a time by ``grover_circuits``, share every gate
-    object but the oracle, so ``view_rows`` builds the views of as many of
-    them as fit in one stacked pass (both views together when I_au is
-    measured), or, when one item's views do not fit, one view per pass,
-    U_full first."""
+    No Grover point builds a circuit.  One whose Hadamard angles are all
+    equal is a grid of one angle for ``_uniform_grid``; any other gives its
+    items' measures from per-qubit factors (``grover_random_measures``).
+    A Shor point reads its measures from its views (``_view_measures``)."""
     algo = spec.algorithm
-    if isinstance(algo, GroverSpec):
-        thetas = angle_list(thetas, algo.n_hadamards, math.pi / 4, "Hadamard angles")
-        if all(theta == thetas[0] for theta in thetas):
-            values = _uniform_grid(spec, thetas[:1])
-            return tuple(None if column is None else float(column[0]) for column in values)
+    if not isinstance(algo, GroverSpec):
+        return _view_measures(spec, ideal, thetas, deltas)
+    thetas = angle_list(thetas, algo.n_hadamards, math.pi / 4, "Hadamard angles")
+    if all(theta == thetas[0] for theta in thetas):
+        values = _uniform_grid(spec, thetas[:1])
+        return tuple(None if column is None else float(column[0]) for column in values)
     items = _marked_items(spec, False)
-    return _weighted_mean(spec, items, _view_measures(spec, ideal, items, thetas, deltas))
+    alphas = [alpha for alpha, _ in items]
+    return _weighted_mean(spec, items, grover_random_measures(algo, alphas, thetas, spec.measure_au))
 
 
 def _uniform_grid(spec, thetas):
@@ -285,28 +281,24 @@ def _weighted_mean(spec, items, points):
     return i_pa / total, (i_au / total if spec.measure_au else None), success / total
 
 
-def _view_measures(spec, ideal, items, thetas, deltas):
-    """(I_pa, I_au or None, success) of each marked item, from its views
-    (``view_rows``).  U_full is dropped before U_rest is asked for, so a
-    circuit whose views are built one per pass holds one at a time."""
+def _view_measures(spec, ideal, thetas, deltas):
+    """(I_pa, I_au or None, success) of a Shor point from its views
+    (``view_rows``): U_full's rows give I_pa, and its column 0 (the image of
+    |0...0>) the output distribution; U_rest only I_au, so it is built only
+    when the spec measures it.  U_full is dropped before U_rest is asked
+    for, so a circuit whose views are built one per pass holds one at a
+    time."""
     algo = spec.algorithm
-    alphas = [alpha for alpha, _ in items]
-    if isinstance(algo, GroverSpec):
-        circuits = grover_circuits(algo, alphas, thetas)
-    else:
-        circuits = [build_shor(algo, thetas, deltas)]
-    views = view_rows(circuits, algo.layer_width, spec.measure_au)
-    for alpha in alphas:
-        full, copies = next(views)
-        i_pa = _unitary_interference(full, copies)
-        success = _success(ideal, column_zero_probabilities(full, copies), alpha)
-        del full  # before U_rest's pass
-        yield i_pa, _unitary_interference(*next(views)) if spec.measure_au else None, success
+    views = view_rows(build_shor(algo, thetas, deltas), algo.layer_width, spec.measure_au)
+    full, copies = next(views)
+    i_pa = _unitary_interference(full, copies)
+    success = _successes_against(ideal, column_zero_probabilities(full, copies))[0]
+    del full  # before U_rest's pass
+    return i_pa, _unitary_interference(*next(views)) if spec.measure_au else None, success
 
 
 def _marked_items(spec: ExperimentSpec, uniform: bool):
-    """(marked item, weight) pairs a point averages over; ((None, 1),) for
-    Shor.
+    """(marked item, weight) pairs a Grover point averages over.
 
     When every Hadamard angle is equal (``uniform``), the Grover circuit
     for alpha is the circuit for pi(alpha) conjugated by the qubit
@@ -315,19 +307,12 @@ def _marked_items(spec: ExperimentSpec, uniform: bool):
     evaluates one marked item per Hamming weight w, alpha = 2^w - 1,
     weighted C(n, w).  Any other angle list counts every marked item once."""
     algo = spec.algorithm
-    if not isinstance(algo, GroverSpec):
-        return ((None, 1),)
     if not spec.average_over_alpha:
         return ((algo.alpha, 1),)
     n = algo.n
     if uniform:
         return tuple(((1 << w) - 1, math.comb(n, w)) for w in range(n + 1))
     return tuple((alpha, 1) for alpha in range(1 << n))
-
-
-def _success(ideal, probabilities, alpha) -> float:
-    """The marked item's probability, or for Shor (``alpha`` None) ``_successes_against``."""
-    return _successes_against(ideal, probabilities)[0] if alpha is None else float(probabilities[alpha])
 
 
 def _shor_ideal(algorithm):

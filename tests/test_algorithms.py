@@ -10,7 +10,6 @@ import pytest
 from oracles import (
     apply_channel,
     basis_density,
-    build_grover_unshared,
     decoherence_channels,
     dense_rows,
     density_from_state,
@@ -34,9 +33,9 @@ from qimeter.algorithms import (
     decoherence_point,
     decoherent_final_probabilities,
     final_probabilities,
-    grover_circuits,
     grover_iteration_count,
     grover_oracle,
+    grover_random_measures,
     grover_uniform_measures,
     grover_unitaries,
     grover_zero_reflection,
@@ -154,48 +153,6 @@ class TestBuildGrover:
             GroverSpec(2, 4)
 
 
-# the edge angles, the signed zero, and a random list per n
-GROVER_CIRCUIT_ANGLES = (0.0, -0.0, 0.37, math.pi / 4, math.pi / 2, "random")
-
-
-class TestGroverCircuits:
-    """``grover_circuits`` gives each marked item the circuit of a build of
-    its own, with every gate but the oracle one shared object."""
-
-    @pytest.mark.parametrize("angle", GROVER_CIRCUIT_ANGLES, ids=repr)
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_same_bytes_as_unshared_builds(self, n, angle, passes):
-        spec = GroverSpec(n, 0)
-        rng = np.random.default_rng(n)
-        if angle == "random":
-            thetas = list(rng.uniform(0, math.pi, spec.n_hadamards))
-        else:
-            thetas = [angle] * spec.n_hadamards
-        alphas = list(range(1 << n)) if n <= 4 else [0, 1, (1 << n) - 1, *rng.integers(2, 1 << n, 2)]
-        circuits = list(grover_circuits(spec, alphas, thetas))
-        assert len(circuits) == len(alphas)
-        for alpha, c in zip(alphas, circuits):
-            unshared = build_grover_unshared(replace(spec, alpha=int(alpha)), thetas)
-            assert circuit_unitary(c).tobytes() == circuit_unitary(unshared).tobytes()
-        oracles = [n + i * (2 * n + 2) for i in range(spec.iterations)]
-        for c in circuits[1:]:
-            assert [i for i, (a, b) in enumerate(zip(c.ops, circuits[0].ops)) if a is not b] == oracles
-        made = assert_view_rows(passes, circuits, n, True)
-        assert {width for _, width, _ in made} == {n if n < 8 else 0}  # n = 8 does not fit
-
-    def test_built_when_asked_for(self):
-        circuits = grover_circuits(GroverSpec(3, 0), [1, 8])
-        assert isinstance(next(circuits), Circuit)
-        with pytest.raises(ValueError, match="marked item 8 outside 0..7"):
-            next(circuits)
-
-    def test_build_grover_is_one_item(self):
-        spec = GroverSpec(4, 9, k_override=2)
-        (shared,) = grover_circuits(spec, [9], [0.3] * spec.n_hadamards)
-        alone = build_grover(spec, [0.3] * spec.n_hadamards)
-        assert circuit_unitary(shared).tobytes() == circuit_unitary(alone).tobytes()
-
-
 class TestSpecLayout:
     """The layout facts the specs state match the circuits the builders make."""
 
@@ -228,10 +185,10 @@ class TestSpecLayout:
     def test_refuses_a_misplaced_layer(self, circuit, width, monkeypatch):
         with pytest.raises(ValueError, match=f"qubits 0..{width - 1}"):
             AlgorithmUnitaries(circuit, width)
-        for budget in (algorithms.STACK_BYTES, 0):  # stacked, and one view per pass
+        for budget in (algorithms.STACK_BYTES, 0):  # one pass, and one view per pass
             monkeypatch.setattr(algorithms, "STACK_BYTES", budget)
             with pytest.raises(ValueError, match=f"qubits 0..{width - 1}"):
-                next(view_rows([circuit], width, True))
+                next(view_rows(circuit, width, True))
 
     @pytest.mark.parametrize("bad", [2.0, 2.5, "2", True], ids=["whole-float", "float", "string", "bool"])
     @pytest.mark.parametrize("field", ["n", "alpha", "k_override"])
@@ -727,86 +684,42 @@ class TestRowsRoute:
             assert same_kernel(kernel, pauli_noise_kernel_every_row(u))
 
 
-STACK_THETAS = (0.0, 0.37, math.pi / 4, 1.1, math.pi / 2)
-
-
 @pytest.fixture
 def passes(monkeypatch):
     """The ``layer_view_rows`` passes that ``algorithms`` makes, each as
-    (circuits, layer_width, rest)."""
+    (circuit, layer_width, rest)."""
     calls = []
     run = algorithms.layer_view_rows
 
-    def recorded(circuits, layer_width, rest):
-        calls.append((list(circuits), layer_width, rest))
-        return run(circuits, layer_width, rest)
+    def recorded(circuit, layer_width, rest):
+        calls.append((circuit, layer_width, rest))
+        return run(circuit, layer_width, rest)
 
     monkeypatch.setattr(algorithms, "layer_view_rows", recorded)
     return calls
 
 
-def assert_view_rows(passes, circuits, layer_width, rest) -> list:
+def assert_view_rows(passes, circuit, layer_width, rest) -> list:
     """The ``view_rows`` views, U_full and then, only with ``rest``, U_rest
-    of each circuit in order, have the bytes of ``circuit_unitary``'s
-    representative rows of those views.  Returns the passes made, each as
-    (number of circuits, layer_width, rest)."""
+    of ``circuit``, have the bytes of ``circuit_unitary``'s representative
+    rows of those views.  Returns the passes made, each as (1,
+    layer_width, rest)."""
     passes.clear()
-    expected = []
-    for c in circuits:
-        expected.append(c)
-        if rest:
-            expected.append(Circuit(c.n, c.ops[layer_width:]))
-    for c, views in itertools.zip_longest(expected, view_rows(circuits, layer_width, rest)):
+    expected = [circuit, Circuit(circuit.n, circuit.ops[layer_width:])][: 1 + rest]
+    for c, views in itertools.zip_longest(expected, view_rows(circuit, layer_width, rest)):
         got, copies = views
         assert copies == xor_row_copies(c)
         rows = representative_rows(circuit_unitary(c), copies)
         assert got.tobytes() == rows.tobytes()
         assert column_zero_probabilities(got, copies).tobytes() == (np.abs(rows[:, :copies]) ** 2).tobytes()
-    return [(len(group), width, views) for group, width, views in passes]
-
-
-def stacked_passes(count, size, layer_width, rest) -> list:
-    """The passes of ``view_rows`` over ``count`` circuits, ``size`` to a pass."""
-    full, left = divmod(count, size)
-    return [(size, layer_width, rest)] * full + [(left, layer_width, rest)] * (left > 0)
+    return [(1, width, views) for _, width, views in passes]
 
 
 class TestViewRows:
-    """The circuits of one sweep point share every gate but the oracle, so
-    ``view_rows`` takes their views from stacked passes of as many circuits
-    as ``STACK_BYTES`` holds, each view with ``circuit_unitary``'s bytes; a
-    circuit whose views do not fit alone gets one single-view pass per view,
-    U_full first."""
-
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_grover_weight_classes(self, n, passes):
-        self.assert_weight_classes(passes, n, STACK_THETAS)
-
-    def test_grover_n8_stacks_at_four_mib(self, passes, monkeypatch):
-        # the module's budget stacks no n = 8 view; at 4 MiB two classes share a pass
-        monkeypatch.setattr(algorithms, "STACK_BYTES", 1 << 22)
-        self.assert_weight_classes(passes, 8, (0.37,))
-
-    @staticmethod
-    def assert_weight_classes(passes, n, thetas):
-        spec = GroverSpec(n, 0)
-        for theta in thetas:
-            angles = [theta] * spec.n_hadamards
-            circuits = [build_grover(replace(spec, alpha=(1 << w) - 1), angles) for w in range(n + 1)]
-            for rest in (True, False):
-                fit = algorithms.STACK_BYTES // ((1 + rest) * 16 << 2 * n)
-                lone = [(1, 0, False)] * (1 + rest) * (n + 1)  # one pass per view
-                expected = stacked_passes(n + 1, fit, n, rest) if fit else lone
-                assert assert_view_rows(passes, circuits, n, rest) == expected
-
-    @pytest.mark.parametrize("eps", [0.5, math.pi])
-    def test_alpha_averaged_random_realizations(self, eps, passes):
-        spec = GroverSpec(4, 0)
-        rng = np.random.default_rng(17)
-        for _ in range(3):
-            thetas = rng.uniform(math.pi / 4 - eps / 2, math.pi / 4 + eps / 2, spec.n_hadamards)
-            circuits = [build_grover(replace(spec, alpha=alpha), thetas) for alpha in range(16)]
-            assert assert_view_rows(passes, circuits, spec.n, True) == [(16, spec.n, True)]
+    """``view_rows`` takes both views of a circuit from one pass if they fit
+    ``STACK_BYTES``, each view with ``circuit_unitary``'s bytes; a circuit
+    whose views do not fit gets one single-view pass per view, U_full
+    first."""
 
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "perturbed"])
     @pytest.mark.parametrize("a", [1, 2])
@@ -814,32 +727,20 @@ class TestViewRows:
         spec = ShorSpec.for_modulus(3, a)
         circuit = build_shor(spec) if exact else perturbed_shor(spec.L, spec.R, a)[0]
         for rest in (True, False):
-            made = assert_view_rows(passes, [circuit], spec.layer_width, rest)
+            made = assert_view_rows(passes, circuit, spec.layer_width, rest)
             assert made == [(1, spec.layer_width, rest)]
-
-    def test_classes_split_across_stacks(self, passes):
-        # n = 6: 128 KiB of both views per class, so the seven classes take
-        # more than one pass at the module's budget, and fewer with U_full alone
-        spec = GroverSpec(6, 0)
-        thetas = [0.37] * spec.n_hadamards
-        circuits = [build_grover(replace(spec, alpha=(1 << w) - 1), thetas) for w in range(7)]
-        for rest in (True, False):
-            size = algorithms.STACK_BYTES // ((1 + rest) * 16 << 12)
-            assert assert_view_rows(passes, circuits, 6, rest) == stacked_passes(7, size, 6, rest)
-            assert len(passes) > 1 or not rest
 
     def test_views_that_do_not_fit_are_built_one_at_a_time(self, passes, monkeypatch):
         # both views of n = 4 take 8 KiB: each circuit alone, one view per
         # pass on the view's own circuit with an empty layer, U_full first
         monkeypatch.setattr(algorithms, "STACK_BYTES", (2 * 16 << 8) - 1)
         spec = GroverSpec(4, 0)
-        circuits = [build_grover(replace(spec, alpha=alpha)) for alpha in range(3)]
-        assert assert_view_rows(passes, circuits, 4, True) == [(1, 0, False)] * 6
-        for c, full, rest in zip(circuits, passes[::2], passes[1::2], strict=True):
-            assert full[0] == [c]
-            [rest_circuit] = rest[0]
-            assert rest_circuit.n == c.n and rest_circuit.ops == c.ops[4:]
-        assert assert_view_rows(passes, circuits, 4, False) == [(1, 4, False)] * 3
+        for c in [build_grover(replace(spec, alpha=alpha)) for alpha in range(3)]:
+            assert assert_view_rows(passes, c, 4, True) == [(1, 0, False)] * 2
+            full, rest = passes
+            assert full[0] is c
+            assert rest[0].n == c.n and rest[0].ops == c.ops[4:]
+            assert assert_view_rows(passes, c, 4, False) == [(1, 4, False)]
 
     @pytest.mark.parametrize(
         "circuit, layer_width",
@@ -850,7 +751,7 @@ class TestViewRows:
     def test_lone_views_match_the_dense_unitary(self, circuit, layer_width, passes):
         # at the module's budget neither fits with both views: Grover n = 8
         # holds 1 MiB per view, perturbed Shor L = 3 512 KiB
-        assert assert_view_rows(passes, [circuit], layer_width, True) == [(1, 0, False)] * 2
+        assert assert_view_rows(passes, circuit, layer_width, True) == [(1, 0, False)] * 2
 
 
 UNIFORM_THETAS = (0.0, 0.0245, math.pi / 8, math.pi / 4, 3 * math.pi / 8, 1.1, math.pi / 2)
@@ -878,7 +779,7 @@ def uniform_cases(n):
 
 class TestGroverUniformMeasures:
     """``grover_uniform_measures`` against the 50-digit oracle for n <= 12 and
-    against the stacked gate pass for n <= 8."""
+    against the gate pass for n <= 8."""
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_exact_oracle_matches_dense_matrices(self, n):
@@ -934,18 +835,16 @@ class TestGroverUniformMeasures:
         weights = range(n + 1) if n <= 6 else (0, 1, n // 2, n)  # n = 7, 8 build each view alone
         for theta in UNIFORM_THETAS:
             for k in (0, 1, None):
-                spec = GroverSpec(n, 0, k)
-                alphas = [(1 << w) - 1 for w in weights]
-                circuits = grover_circuits(spec, alphas, [theta] * spec.n_hadamards)
-                views = view_rows(circuits, n, True)
-                for alpha in alphas:
+                for alpha in [(1 << w) - 1 for w in weights]:
+                    spec = GroverSpec(n, alpha, k)
+                    views = view_rows(build_grover(spec, [theta] * spec.n_hadamards), n, True)
                     full, copies = next(views)
                     i_pa = _unitary_interference(full, copies)
                     success = float(column_zero_probabilities(full, copies)[alpha])
                     got = uniform_point(spec, alpha, theta)
                     assert abs(got[0] - i_pa) <= floor and abs(got[2] - success) <= 1e-13
                     assert abs(got[1] - _unitary_interference(*next(views))) <= floor
-                assert next(views, None) is None
+                    assert next(views, None) is None
 
     @pytest.mark.parametrize("n", [2, 5, 12])
     def test_no_iteration_is_the_layer(self, n):
@@ -1006,6 +905,141 @@ class TestGroverUniformMeasures:
     def test_refuses_an_alpha_outside_the_register(self, alpha):
         with pytest.raises(ValueError, match="marked item"):
             grover_uniform_measures(GroverSpec(4, 0), alpha, [0.3], True)
+
+
+# the factor route against the gate pass (DECISIONS.md, "Random-angle Grover
+# points from per-qubit factors"), with about twice the largest difference
+# measured for n <= 10.  At angles drawn from [0, pi]: each entry of either
+# view within RANDOM_ENTRY_EPS eps (7.5 measured), each measure within
+# FACTOR_REL relative (9e-16).  At angles near pi/4, where the rank-2k terms
+# cancel to entries k times smaller: each entry within NEAR_ENTRY_EPS k eps
+# (8.0 k), I_pa and I_au within NEAR_INTERFERENCE_EPS N eps (19 N) and the
+# success within NEAR_SUCCESS_EPS k eps (11.1 k)
+RANDOM_ENTRY_EPS = 16
+FACTOR_REL = 1e-13
+NEAR_ENTRY_EPS = 16
+NEAR_INTERFERENCE_EPS = 64
+NEAR_SUCCESS_EPS = 32
+
+
+@pytest.fixture
+def assembled(monkeypatch):
+    """A copy of each view that ``grover_random_measures`` assembles, one list
+    per ``_assembled`` call: U_full of every item, then U_rest of every item."""
+    calls = []
+    run = algorithms._assembled
+
+    def recorded(*factors):
+        calls.append([])
+        for u in run(*factors):
+            calls[-1].append(u.copy())
+            yield u
+
+    monkeypatch.setattr(algorithms, "_assembled", recorded)
+    return calls
+
+
+def assert_factor_route(assembled, spec, alphas, thetas, near=False):
+    """Both views of each item, and its measures, agree with ``dense_rows`` of
+    its circuit within the bounds above, those near pi/4 if ``near``."""
+    eps, k, dim = 2.0**-52, spec.iterations, 1 << spec.n
+    entry_tol = (NEAR_ENTRY_EPS * k if near else RANDOM_ENTRY_EPS) * eps
+    assembled.clear()
+    points = grover_random_measures(spec, alphas, thetas, True)
+    assert len(assembled) == 2 and len(points) == len(alphas)
+    for alpha, point, full, rest in zip(alphas, points, *assembled, strict=True):
+        circuit = build_grover(replace(spec, alpha=alpha), thetas)
+        views = [dense_rows(c)[0] for c in (circuit, AlgorithmUnitaries(circuit, spec.n).rest_circuit)]
+        for got, want in zip((full, rest), views):
+            assert got.dtype == float and not want.imag.any()
+            assert np.abs(got - want.real).max() <= entry_tol
+        expected = (
+            _unitary_interference(views[0]),
+            _unitary_interference(views[1]),
+            float(np.abs(views[0][alpha, 0]) ** 2),
+        )
+        tols = [NEAR_INTERFERENCE_EPS * dim * eps] * 2 + [NEAR_SUCCESS_EPS * k * eps]
+        for got, want, tol in zip(point, expected, tols):
+            assert abs(got - want) <= (tol if near else FACTOR_REL * want)
+
+
+class TestGroverRandomMeasures:
+    """``grover_random_measures`` assembles both views from per-qubit factors
+    and a rank-2k correction, and agrees with the gate pass
+    (``dense_rows``)."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_views_match_the_gate_pass(self, n, assembled):
+        spec = GroverSpec(n, 0)
+        alphas = range(1 << n) if n <= 4 else [0, 1, 6, (1 << n) - 1]
+        assert_factor_route(assembled, spec, list(alphas), grover_angles(spec, "random"))
+
+    @pytest.mark.parametrize("eps", [1e-3, 0.1])
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_near_pi_over_4(self, n, eps, assembled):
+        # where every layer is near the Hadamard layer, the rank-2k terms
+        # cancel to an entry k times smaller, and the error grows with k
+        spec = GroverSpec(n, 0)
+        thetas = np.random.default_rng(n).uniform(math.pi / 4 - eps / 2, math.pi / 4 + eps / 2, spec.n_hadamards)
+        assert_factor_route(assembled, spec, [0, 2, (1 << n) - 1], thetas, near=True)
+
+    def test_items_batched_have_the_bits_of_one_at_a_time(self):
+        for n in (3, 5):
+            spec = GroverSpec(n, 0)
+            thetas = grover_angles(spec, "random")
+            alphas = list(range(1 << n))
+            batched = grover_random_measures(spec, alphas, thetas, True)
+            alone = [grover_random_measures(spec, [alpha], thetas, True)[0] for alpha in alphas]
+            assert batched == alone
+            for item in (batched[:1], batched[7:9], batched[::-1]):
+                picked = [alphas[batched.index(point)] for point in item]
+                assert grover_random_measures(spec, picked, thetas, True) == item
+
+    @pytest.mark.parametrize("measure_au", [True, False])
+    def test_measure_pa_assembles_no_rest(self, measure_au, assembled):
+        spec = GroverSpec(5, 3)
+        thetas = grover_angles(spec, "random")
+        points = grover_random_measures(spec, [3, 9], thetas, measure_au)
+        assert len(assembled) == 1 + measure_au and all(len(views) == 2 for views in assembled)
+        with_au = grover_random_measures(spec, [3, 9], thetas, True)
+        for point, full in zip(points, with_au):
+            assert point == (full[0], full[1] if measure_au else None, full[2])
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_no_iteration_is_the_layer(self, n, assembled):
+        # k = 0: U_rest = I and U_full = L_0, with no correction
+        spec = GroverSpec(n, 1, k_override=0)
+        thetas = list(np.random.default_rng(n).uniform(0, math.pi, n))
+        (point,) = grover_random_measures(spec, [1], thetas, True)
+        layer = walsh_unitary(thetas)
+        assert assembled[1][0].tobytes() == np.eye(1 << n).tobytes() and point[1] == 0.0
+        assert np.abs(assembled[0][0] - layer).max() <= 2.0**-52
+        assert point[2] == pytest.approx(layer[1, 0] ** 2, rel=FACTOR_REL)
+
+    def test_builds_no_circuit(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a circuit was built")
+
+        monkeypatch.setattr(Circuit, "__post_init__", refused)
+        spec = GroverSpec(4, 0)
+        assert len(grover_random_measures(spec, range(16), grover_angles(spec, "random"), True)) == 16
+
+    def test_refusals(self):
+        spec = GroverSpec(4, 0)
+        thetas = grover_angles(spec, "random")
+        with pytest.raises(ValueError, match="marked item 16 outside 0..15"):
+            grover_random_measures(spec, [1, 16], thetas, True)
+        with pytest.raises(ValueError, match=r"expected 28 Hadamard angles \(n \+ 2nk for n=4, k=3\), got 27"):
+            grover_random_measures(spec, [1], thetas[1:], True)
+
+
+def walsh_unitary(thetas) -> np.ndarray:
+    """(x)_q h(theta_q), qubit 0 the most significant, as a dense real matrix."""
+    u = np.ones((1, 1))
+    for theta in thetas:
+        c, s = math.cos(theta), math.sin(theta)
+        u = np.kron(u, [[c, s], [s, -c]])
+    return u
 
 
 class TestRepresentativeRows:

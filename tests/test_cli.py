@@ -208,7 +208,7 @@ class TestExitCodes:
         def unreachable(*args, **kwargs):
             raise AssertionError("a circuit was built past the size cap")
 
-        monkeypatch.setattr("qimeter.harness.grover_circuits", unreachable)
+        monkeypatch.setattr("qimeter.harness.grover_random_measures", unreachable)
         monkeypatch.setattr("qimeter.harness.build_shor", unreachable)
         assert main(argv + ["--grid", GRID]) == 3
         assert size in capsys.readouterr().err
@@ -247,7 +247,7 @@ class TestExitCodes:
         def unreachable(*args, **kwargs):
             raise AssertionError("a circuit was built for a non-finite grid")
 
-        monkeypatch.setattr("qimeter.harness.grover_circuits", unreachable)
+        monkeypatch.setattr("qimeter.harness.grover_random_measures", unreachable)
         monkeypatch.setattr("qimeter.harness.build_shor", unreachable)
         assert main(argv) == 2
         assert f"{name} grid values must be finite" in capsys.readouterr().err

@@ -23,7 +23,6 @@ from qimeter.algorithms import (
     ShorSpec,
     build_grover,
     build_shor,
-    grover_circuits,
     grover_unitaries,
     noise_setup,
     representative_rows,
@@ -671,13 +670,12 @@ def edge_diagonal(rng, targets):
     return DiagonalPhaseGate(np.where(rng.random(size) < 0.5, 1.0, rng.choice(EDGE_PHASES, size)), targets)
 
 
-def stacked_family(rng, count, layer_ops=0):
-    """(circuits, layer_width): ``count`` circuits that share a layer of
-    edge-angle Hadamards on qubits 0..m-1, then ``layer_ops`` ``edge_ops``
-    gates on those qubits, and every later gate but the diagonals, which
-    each circuit draws anew (``edge_ops``' phases, half of them 1).  Half the
-    time an XOR permutation onto k more qubits sits among the later gates;
-    a diagonal on the whole first register closes each circuit."""
+def edge_family(rng, layer_ops=0):
+    """(circuit, layer_width): a layer of edge-angle Hadamards on qubits
+    0..m-1, then ``layer_ops`` ``edge_ops`` gates on those qubits, and later
+    gates on them (``edge_ops``' phases, half of them 1).  Half the time an
+    XOR permutation onto k more qubits sits among the later gates; a
+    diagonal on the whole first register closes the circuit."""
     m, k = int(rng.integers(1, 5)), int(rng.integers(1, 3)) * int(rng.random() < 0.5)
     layer = [PerturbedHadamard(float(rng.choice(EDGE_ANGLES)), q) for q in range(m)]
     layer += edge_ops(rng, m, layer_ops)
@@ -686,67 +684,60 @@ def stacked_family(rng, count, layer_ops=0):
         xor = PermutationGate(xor_table(m, k, rng.integers(0, 1 << k, 1 << m)), tuple(range(m + k)))
         later.insert(int(rng.integers(0, len(later) + 1)), xor)
     later.append(edge_diagonal(rng, tuple(range(m))))
-
-    def redrawn(op):
-        return edge_diagonal(rng, op.targets) if isinstance(op, DiagonalPhaseGate) else op
-
-    return [Circuit(m + k, (*layer, *map(redrawn, later))) for _ in range(count)], len(layer)
+    return Circuit(m + k, (*layer, *later)), len(layer)
 
 
-def assert_views_match(circuits, layer_width, rest):
+def assert_views_match(c, layer_width, rest):
     """Every view of ``layer_view_rows`` has the bytes of ``circuit_unitary``'s
     representative rows of that view's circuit."""
-    rows, copies = layer_view_rows(circuits, layer_width, rest)
-    assert [len(views) for views in rows] == [1 + rest] * len(circuits)
-    for c, views in zip(circuits, rows):
-        assert copies == xor_row_copies(c)
-        assert same_bytes(views[-1], representative_rows(circuit_unitary(c), copies)), c.ops
-        if rest:
-            rest_unitary = circuit_unitary(Circuit(c.n, c.ops[layer_width:]))
-            assert same_bytes(views[0], representative_rows(rest_unitary, copies)), c.ops
+    views, copies = layer_view_rows(c, layer_width, rest)
+    assert len(views) == 1 + rest
+    assert copies == xor_row_copies(c)
+    assert same_bytes(views[-1], representative_rows(circuit_unitary(c), copies)), c.ops
+    if rest:
+        rest_unitary = circuit_unitary(Circuit(c.n, c.ops[layer_width:]))
+        assert same_bytes(views[0], representative_rows(rest_unitary, copies)), c.ops
 
 
-def assert_views_match_gate_by_gate(circuits, layer_width, rest):
+def assert_views_match_gate_by_gate(c, layer_width, rest):
     """Every view of ``layer_view_rows`` has the bytes of the gate-by-gate
     oracle's representative rows of that view's circuit; the rows' copies."""
-    rows, copies = layer_view_rows(circuits, layer_width, rest)
-    for c, views in zip(circuits, rows):
-        expected = [Circuit(c.n, c.ops[layer_width:])] * rest + [c]
-        assert len(views) == len(expected)
-        for view, e in zip(views, expected):
-            assert same_bytes(view, representative_rows(circuit_unitary_gate_by_gate(e), copies)), e.ops
+    views, copies = layer_view_rows(c, layer_width, rest)
+    expected = [Circuit(c.n, c.ops[layer_width:])] * rest + [c]
+    assert len(views) == len(expected)
+    for view, e in zip(views, expected):
+        assert same_bytes(view, representative_rows(circuit_unitary_gate_by_gate(e), copies)), e.ops
     return copies
 
 
 class TestLayerViewRows:
-    """One column-stacked pass gives each view of each circuit the bytes of
-    its own ``circuit_unitary`` call, and refuses circuits that differ in
-    anything but a diagonal's phases after the layer."""
+    """One column-stacked pass gives both views of a circuit the bytes of
+    their own ``circuit_unitary`` calls."""
 
     @pytest.mark.parametrize("rest", [True, False], ids=["both", "full"])
     def test_edge_families(self, rest):
         rng = np.random.default_rng(23)
         for _ in range(150):
-            assert_views_match(*stacked_family(rng, int(rng.integers(1, 5))), rest)
+            assert_views_match(*edge_family(rng), rest)
 
     @pytest.mark.parametrize("L, R, a", [(2, 3, 2), (3, 7, 3)])
     def test_perturbed_shor(self, L, R, a):
         full, spec = perturbed_shor(L, R, a)
-        assert_views_match([full], spec.layer_width, True)
+        assert_views_match(full, spec.layer_width, True)
 
     @staticmethod
     def block_families():
-        """(circuits, layer_width): edge families, some with diagonals and
+        """(circuit, layer_width): edge families, some with diagonals and
         permutations in the layer, the Grover n = 4 classes at random angles
         and the perturbed Shor L = 2 and 3 circuits."""
         rng = np.random.default_rng(41)
-        families = [stacked_family(rng, int(rng.integers(1, 5)), int(rng.integers(0, 4))) for _ in range(40)]
+        families = [edge_family(rng, int(rng.integers(0, 4))) for _ in range(40)]
         spec = GroverSpec(4, 0)
-        classes = grover_circuits(spec, [0, 1, 3, 7, 15], grover_angles(spec, "random"))
-        families.append((list(classes), spec.layer_width))
+        angles = grover_angles(spec, "random")
+        families += [(build_grover(replace(spec, alpha=alpha), angles), 4) for alpha in (0, 1, 3, 7, 15)]
         for L, R, a in [(2, 3, 2), (3, 7, 3)]:
             full, spec = perturbed_shor(L, R, a)
-            families.append(([full], spec.layer_width))
+            families.append((full, spec.layer_width))
         return families
 
     @pytest.mark.parametrize("rest", [True, False], ids=["both", "full"])
@@ -761,10 +752,10 @@ class TestLayerViewRows:
                 yield x0, t
 
         monkeypatch.setattr(gates, "_column_blocks", recorded)
-        for circuits, layer_width in self.block_families():
-            n, starts[:] = circuits[0].n, []
-            monkeypatch.setattr(gates, "GATE_BLOCK_BYTES", 16 * width * len(circuits) * (1 + rest) << n)
-            copies = assert_views_match_gate_by_gate(circuits, layer_width, rest)
+        for circuit, layer_width in self.block_families():
+            n, starts[:] = circuit.n, []
+            monkeypatch.setattr(gates, "GATE_BLOCK_BYTES", 16 * width * (1 + rest) << n)
+            copies = assert_views_match_gate_by_gate(circuit, layer_width, rest)
             assert starts == list(range(0, (1 << n) // copies, width))
 
     @pytest.mark.parametrize("block_bytes", [1 << 22, 1 << 16], ids=["one-block", "many-blocks"])
@@ -784,12 +775,12 @@ class TestLayerViewRows:
         monkeypatch.setattr(gates, "GATE_BLOCK_BYTES", block_bytes)
 
         def blocks_alone():
-            for _, t in gates._column_blocks([circuit], 0, 1):
+            for _, t in gates._column_blocks(circuit, 0, 1):
                 del t
 
         builds = [
             blocks_alone,
-            lambda: layer_view_rows([circuit], 0, False),
+            lambda: layer_view_rows(circuit, 0, False),
             lambda: circuit_unitary(circuit),
         ]
         peaks = []
@@ -802,52 +793,13 @@ class TestLayerViewRows:
         rows = (16 << 2 * circuit.n) // xor_row_copies(circuit)
         assert peaks[1] <= peaks[0] + rows + 4096 and peaks[1] <= peaks[2]
 
-    def test_refuses_another_hadamard_angle(self):
-        spec = GroverSpec(3, 0)
-        thetas = [0.37] * spec.n_hadamards
-        for position in (1, 5):  # in the layer, and after it
-            nudged = list(thetas)
-            nudged[position - (position > 3)] += 1e-9  # the oracle sits at gate 3
-            circuits = [build_grover(spec, thetas), build_grover(replace(spec, alpha=5), nudged)]
-            with pytest.raises(ValueError, match=f"gate {position} differs between stacked circuits"):
-                layer_view_rows(circuits, spec.n, True)
-
-    @pytest.mark.parametrize("position", [1, 5, 18])  # in the layer, after it, the last gate
-    @pytest.mark.parametrize("angles", [(0.37, 0.37 + 1e-9), (0.0, -0.0)], ids=["nudged", "signed-zero"])
-    def test_refuses_one_hadamard_among_shared_objects(self, position, angles):
-        # every other gate is one object in both circuits; -0.0 == 0.0, but
-        # its Hadamard has other bits ([[1, -0], [-0, -1]])
-        spec = GroverSpec(3, 0)
-        circuits = list(grover_circuits(spec, [0, 5], [angles[0]] * spec.n_hadamards))
-        ops = list(circuits[1].ops)
-        ops[position] = PerturbedHadamard(angles[1], ops[position].target)
-        circuits[1] = Circuit(3, tuple(ops))
-        with pytest.raises(ValueError, match=f"gate {position} differs between stacked circuits"):
-            layer_view_rows(circuits, spec.n, True)
-
-    def test_refuses_another_permutation(self):
-        # bases 2 and 3 of R = 7: the modular exponentiation after the layer
-        circuits = [build_shor(ShorSpec(3, 7, a)) for a in (2, 3)]
-        with pytest.raises(ValueError, match="gate 6 differs between stacked circuits"):
-            layer_view_rows(circuits, 6, True)
-
-    def test_refuses_another_gate_count(self):
-        circuits = [build_grover(GroverSpec(3, 0)), build_grover(GroverSpec(3, 5, k_override=1))]
-        with pytest.raises(ValueError, match="stacked circuits of 19 and 11 gates"):
-            layer_view_rows(circuits, 3, True)
-
-    def test_refuses_another_register(self):
-        circuits = [build_grover(GroverSpec(3, 0)), build_grover(GroverSpec(4, 5))]
-        with pytest.raises(ValueError, match="stacked circuits on 3 and 4 qubits"):
-            layer_view_rows(circuits, 3, True)
-
     def test_refuses_a_layer_outside_the_first_register(self):
         # the XOR permutation after the layer splits off qubit 2, which the layer touches
         xor = PermutationGate(xor_table(2, 1, np.array([0, 1, 1, 0])), (0, 1, 2))
         layer = (PerturbedHadamard(0.3, 0), PerturbedHadamard(0.3, 2))
         c = Circuit(3, (*layer, DiagonalPhaseGate([1, 1j, -1, 1], (0, 1)), xor))
         with pytest.raises(ValueError, match="the layer acts outside the first register"):
-            layer_view_rows([c], 2, True)
+            layer_view_rows(c, 2, True)
 
 
 class TestKernelInputs:
@@ -898,7 +850,7 @@ class TestKernelInputs:
     def test_stack_that_would_be_misread_refused(self, stack):
         c = self.circuit()
         with pytest.raises(ValueError, match="C-contiguous complex128"):
-            gates._run(gates._stack_plan(c.n, [c.ops]), stack)
+            gates._run(gates._stack_plan(c.n, c.ops), stack)
 
 
 class TestLoweringCache:

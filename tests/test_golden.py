@@ -50,6 +50,13 @@ doubles) the 50-digit successes are 0.65051269531249998901 and
 one ulp above it at 3 pi/8, which printed "...313"; the closed form gives
 that nearest double itself.  At pi/8 it gives one ulp below (the gate
 pass gave three below), which prints "...312" as before.
+
+The Grover random twin was rewritten when a random-angle Grover point began
+to be assembled from per-qubit factors and a rank-2k correction
+(DECISIONS.md, "Random-angle Grover points from per-qubit factors").  That
+moved 14 of its 55 values, each by at most 1.8e-15 (1.1e-15 relative), in
+the rows eps = pi/4 to pi; against 80-bit long-double values, 7 are now
+closer and 7 farther.  The CSV file is unchanged.
 """
 
 import io
