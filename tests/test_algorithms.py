@@ -10,6 +10,7 @@ import pytest
 from oracles import (
     apply_channel,
     basis_density,
+    build_grover_unshared,
     decoherence_channels,
     dense_rows,
     density_from_state,
@@ -151,6 +152,37 @@ class TestBuildGrover:
     def test_marked_item_validated(self):
         with pytest.raises(ValueError):
             GroverSpec(2, 4)
+
+
+GROVER_CIRCUIT_ANGLES = (0.0, -0.0, 0.37, math.pi / 4, math.pi / 2, "random")
+
+
+class TestGroverCircuits:
+    """``build_grover`` gives each marked item the circuit of a build of its
+    own op by op, with its oracle and its zero reflection one object each,
+    shared by every iteration; ``view_rows`` takes that circuit's views with
+    ``circuit_unitary``'s bytes."""
+
+    @pytest.mark.parametrize("angle", GROVER_CIRCUIT_ANGLES, ids=repr)
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_same_bytes_as_unshared_builds(self, n, angle, passes):
+        spec = GroverSpec(n, 0)
+        rng = np.random.default_rng(n)
+        if angle == "random":
+            thetas = list(rng.uniform(0, math.pi, spec.n_hadamards))
+        else:
+            thetas = [angle] * spec.n_hadamards
+        alphas = list(range(1 << n)) if n <= 4 else [0, 1, (1 << n) - 1, *rng.integers(2, 1 << n, 2)]
+        oracles = [n + i * (2 * n + 2) for i in range(spec.iterations)]
+        zeros = [i + n + 1 for i in oracles]
+        for alpha in alphas:
+            c = build_grover(replace(spec, alpha=int(alpha)), thetas)
+            unshared = build_grover_unshared(replace(spec, alpha=int(alpha)), thetas)
+            assert circuit_unitary(c).tobytes() == circuit_unitary(unshared).tobytes()
+            for positions in (oracles, zeros):
+                assert len({id(c.ops[i]) for i in positions}) == 1
+            made = assert_view_rows(passes, c, n, True)
+            assert {width for _, width, _ in made} == {n if n < 8 else 0}  # n = 8 does not fit
 
 
 class TestSpecLayout:
@@ -982,6 +1014,27 @@ class TestGroverRandomMeasures:
         spec = GroverSpec(n, 0)
         thetas = np.random.default_rng(n).uniform(math.pi / 4 - eps / 2, math.pi / 4 + eps / 2, spec.n_hadamards)
         assert_factor_route(assembled, spec, [0, 2, (1 << n) - 1], thetas, near=True)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_weight_classes(self, n, assembled):
+        # one item alpha = 2^w - 1 per weight class, with a correction of
+        # rank 2, 4 and 2k at the optimal k, every angle within 0.25 of pi/4:
+        # the bounds near pi/4, whose success bound is absolute, since at
+        # k = 1 and 2 the success can be as small as 2e-6
+        alphas = [(1 << w) - 1 for w in range(n + 1)]
+        for k in (1, 2, None):
+            spec = GroverSpec(n, 0, k_override=k)
+            rng = np.random.default_rng([n, spec.iterations])
+            thetas = rng.uniform(math.pi / 4 - 0.25, math.pi / 4 + 0.25, spec.n_hadamards)
+            assert_factor_route(assembled, spec, alphas, thetas, near=True)
+
+    @pytest.mark.parametrize("eps", [0.5, math.pi])
+    def test_alpha_averaged_random_realizations(self, eps, assembled):
+        spec = GroverSpec(4, 0)
+        rng = np.random.default_rng(17)
+        for _ in range(3):
+            thetas = rng.uniform(math.pi / 4 - eps / 2, math.pi / 4 + eps / 2, spec.n_hadamards)
+            assert_factor_route(assembled, spec, list(range(16)), thetas)
 
     def test_items_batched_have_the_bits_of_one_at_a_time(self):
         for n in (3, 5):
